@@ -322,15 +322,34 @@ class CountableLTS:
         self._check(b)
         self._check(c)
         rel = sorted(pairs, key=lambda p: (state_key(p[0]), state_key(p[1])))
+        bit: dict = {}  # state -> its bit, shared by both projections' bitsets
+
+        def bits(states) -> int:
+            out = 0
+            for s in states:
+                out |= 1 << bit.setdefault(s, len(bit))
+            return out
+
+        left = [bits((s,)) for s, _ in rel]
+        right = [bits((t,)) for _, t in rel]
         for lab, states in b.moves:
-            need = set(states)
-            allowed = set(c.successors(lab))
+            need = bits(states)
+            if not need:
+                continue  # the empty subset is a witness
+            forbidden = ~bits(c.successors(lab))
+            # pi1 and pi2 of every subset, each built from one with a bit fewer
+            lefts, rights = [0], [0]
             found = False
-            for mask in range(1 << len(rel)):
-                chosen = [rel[i] for i in range(len(rel)) if mask >> i & 1]
-                if {t for _, t in chosen} <= allowed and need <= {s for s, _ in chosen}:
+            for mask in range(1, 1 << len(rel)):
+                low = mask & -mask
+                i = low.bit_length() - 1
+                lo = lefts[mask ^ low] | left[i]
+                hi = rights[mask ^ low] | right[i]
+                if not hi & forbidden and not need & ~lo:
                     found = True
                     break
+                lefts.append(lo)
+                rights.append(hi)
             if not found:
                 return False
         return True

@@ -3,7 +3,10 @@
 Thin adapter over the library: parse a spec file, build the least model,
 and print unfoldings, equivalence verdicts, or reports.  All output is
 deterministic for a fixed seed; exit codes are 0 (ok), 1 (syntax),
-2 (validation), 3 (non-monotone), 4 (non-convergence), 5 (internal).
+2 (validation, usage, or a spec error found while building the model, such
+as two rules giving one term different stream steps or a conclusion label
+outside the label domain), 3 (non-monotone), 4 (non-convergence),
+5 (internal).
 """
 
 from __future__ import annotations
@@ -17,8 +20,9 @@ from dataclasses import dataclass
 from .behaviour import Bottom
 from .engine import (least_model, model_to_dot, model_to_json, unfold,
                      unfold_to_json)
-from .errors import (BigsosError, NonConvergenceError, NonMonotoneError,
-                     ParseError, UnknownStateError)
+from .errors import (BigsosError, InconsistentStreamError, LabelEvalError,
+                     NonConvergenceError, NonMonotoneError, ParseError,
+                     UnknownStateError)
 from .relations import (LawConfig, check_equivalence, congruence_test, law_suite,
                         suite_to_json)
 from .speclang import check_monotone, parse_spec, validate_spec
@@ -331,10 +335,8 @@ def run(argv=None, out=None, err=None) -> int:
     except NonConvergenceError as exc:
         print(f"error: {exc}", file=err)
         return 4
-    except UnknownStateError as exc:
-        print(f"error: {exc}", file=err)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (UnknownStateError, InconsistentStreamError, LabelEvalError,
+            ValueError, OSError) as exc:
         print(f"error: {exc}", file=err)
         return 2
     except BigsosError as exc:

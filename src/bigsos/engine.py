@@ -18,13 +18,15 @@ variables lifts a coalgebra on the generator states to one on all such terms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Union
+from operator import itemgetter
+from typing import Iterable, Mapping, NamedTuple, Union
 
 from .behaviour import BehaviourKind, Bottom, StreamStep, label_key, state_key
 from .errors import (BigsosError, InconsistentStreamError, LabelEvalError,
                      NonConvergenceError, NonMonotoneError, UnknownStateError)
-from .speclang import (LabelLit, Positive, Spec, check_monotone,
-                       eval_label, instantiate_template)
+from .speclang import (LabelLit, Positive, Premise, Rule, Spec, check_monotone,
+                       eval_label, instantiate_template, label_vars,
+                       template_param_exprs, template_vars)
 from .terms import (App, Term, UniversePolicy, Var, check_term, print_term, subterms,
                     substitute, term_key, term_size, variables)
 
@@ -121,58 +123,155 @@ def gen_to_model(kind: BehaviourKind, gen: GenCoalgebra) -> Model:
 
 
 # --- rule application -----------------------------------------------------------
+#
+# Each rule is compiled once per spec into a join plan.  An environment is the
+# tuple of the bindings still live at its point in the premise chain: those
+# that a later premise, the conclusion label or the conclusion target reads.
+# Environments that agree on them are merged, so a chain of premises costs
+# about the number of distinct live bindings rather than the number of premise
+# paths.  Slots are named ("t", x) for term variables and ("l", n) for label
+# variables, which live in separate namespaces.
 
 
-def _match_label(pattern, lab, env):
-    """Extend env to make the premise label pattern equal lab, or None."""
-    if isinstance(pattern, LabelLit):
-        return env if pattern.value == lab else None
-    if pattern.name in env:
-        return env if env[pattern.name] == lab else None
-    out = dict(env)
-    out[pattern.name] = lab
-    return out
+def _picker(indices: tuple):
+    """Function from a sequence to the tuple of its items at indices."""
+    if len(indices) == 1:
+        i, = indices
+        return lambda row: (row[i],)
+    if not indices:
+        return lambda row: ()
+    return itemgetter(*indices)
+
+
+def _names_env(layout: tuple, env: tuple, tag: str) -> dict:
+    return {name: v for (t, name), v in zip(layout, env) if t == tag}
+
+
+# NamedTuples rather than dataclasses: they are cheaper to define at import and
+# to build, and a spec of a few hundred axioms compiles a plan for each.
+class _PremiseStep(NamedTuple):
+    """One premise against environments laid out as `layout`.
+
+    source is the slot of the premise source, or None when no slot binds it
+    (no environment survives).  A positive premise compares its label with the
+    literal label_lit or with slot label_slot, or binds it when both are None;
+    out builds the next environment from env + (target, label).
+    """
+
+    premise: Premise
+    layout: tuple
+    source: Union[int, None]
+    label_lit: object
+    label_slot: Union[int, None]
+    out: object
+
+
+class _RulePlan(NamedTuple):
+    rule: Rule
+    head: object       # picks the first environment from args + params
+    steps: tuple
+    layout: tuple      # layout of the environments the conclusion reads
+
+
+def _premise_reads(p: Premise) -> set:
+    return {("t", p.source)} | {("l", v) for v in label_vars(p.label)}
+
+
+def _compile_rule(rule: Rule) -> _RulePlan:
+    concl = {("t", v) for v in template_vars(rule.concl_target)}
+    for e in (rule.concl_label, *template_param_exprs(rule.concl_target)):
+        concl |= {("l", v) for v in label_vars(e)}
+    live = [concl]  # live[i]: names read by premise i or anything after it
+    for p in reversed(rule.premises):
+        live.append(live[-1] | _premise_reads(p))
+    live.reverse()
+
+    # a repeated head variable keeps its last argument, as a dict would
+    origin = {("t", v): i for i, v in enumerate(rule.head_vars)}
+    origin.update({("l", v): len(rule.head_vars) + i for i, v in enumerate(rule.head_params)})
+    layout = tuple(name for name in origin if name in live[0])
+    head = _picker(tuple(origin[name] for name in layout))
+    bound = list(origin)  # binding order, so that layouts are deterministic
+
+    steps = []
+    for i, p in enumerate(rule.premises):
+        slot = {name: j for j, name in enumerate(layout)}
+        label_lit = label_slot = None
+        fresh: dict = {}  # names this premise binds -> index in env + (target, label)
+        if isinstance(p, Positive):
+            fresh[("t", p.target)] = len(layout)
+            if isinstance(p.label, LabelLit):
+                label_lit = p.label.value
+            elif ("l", p.label.name) in slot:
+                label_slot = slot[("l", p.label.name)]
+            else:
+                fresh[("l", p.label.name)] = len(layout) + 1
+            bound += [name for name in fresh if name not in bound]
+        out_layout = tuple(name for name in bound if name in live[i + 1])
+        out = _picker(tuple(fresh[name] if name in fresh else slot[name]
+                            for name in out_layout))
+        steps.append(_PremiseStep(p, layout, slot.get(("t", p.source)),
+                                  label_lit, label_slot, out))
+        layout = out_layout
+    return _RulePlan(rule, head, tuple(steps), layout)
+
+
+def _join_plan(spec: Spec) -> dict:
+    """Rule plans by head operator, compiled on first use and kept on the spec."""
+    if spec.join_plan is None:
+        plan: dict = {}
+        for rule in spec.rules:
+            plan.setdefault(rule.head_op, []).append(_compile_rule(rule))
+        spec.join_plan = plan
+    return spec.join_plan
 
 
 def apply_rules(spec: Spec, model: Model, op: str, params: tuple, args: tuple):
     """Join of all rule conclusions derivable for op[params](args) in model."""
     kind = spec.kind
-    contributions = []
-    for rule in spec.rules_for(op):
+    transitions = kind.transitions
+    conclusions: dict = {}  # distinct (label, target) pairs in order of derivation
+    for plan in _join_plan(spec).get(op, ()):
+        rule = plan.rule
         if len(rule.head_vars) != len(args) or len(rule.head_params) != len(params):
             continue
-        envs = [(dict(zip(rule.head_vars, args)), dict(zip(rule.head_params, params)))]
-        for p in rule.premises:
-            grown = []
-            for binding, labenv in envs:
-                src = binding.get(p.source)
-                if src is None:
-                    continue
-                value = model.step(src)
-                if isinstance(p, Positive):
-                    for lab, target in kind.transitions(value):
-                        labenv2 = _match_label(p.label, lab, labenv)
-                        if labenv2 is None:
+        envs = (plan.head(args + params),)
+        for step in plan.steps:
+            if step.source is None:
+                envs = ()
+                break
+            p, src, out = step.premise, step.source, step.out
+            grown: dict = {}
+            if isinstance(p, Positive):
+                lit, slot = step.label_lit, step.label_slot
+                for env in envs:
+                    for lab, target in transitions(model.step(env[src])):
+                        if lit is not None:
+                            if lab != lit:
+                                continue
+                        elif slot is not None and lab != env[slot]:
                             continue
-                        binding2 = dict(binding)
-                        binding2[p.target] = target
-                        grown.append((binding2, labenv2))
-                else:
-                    want = eval_label(p.label, labenv)
-                    if all(have != want for have, _ in kind.transitions(value)):
-                        grown.append((binding, labenv))
+                        grown[out(env + (target, lab))] = None
+            else:
+                for env in envs:
+                    value = model.step(env[src])
+                    want = eval_label(p.label, _names_env(step.layout, env, "l"))
+                    if all(have != want for have, _ in transitions(value)):
+                        grown[out(env)] = None
             envs = grown
             if not envs:
                 break
-        for binding, labenv in envs:
+        for env in envs:
+            labenv = _names_env(plan.layout, env, "l")
             lab = eval_label(rule.concl_label, labenv)
             if not kind.has_label(lab):
                 raise LabelEvalError(
                     f"rule {rule.name}: conclusion label {lab!r} outside the label domain")
-            target = substitute(instantiate_template(rule.concl_target, labenv), binding)
-            contributions.append(kind.conclusion_value(lab, target))
+            target = substitute(instantiate_template(rule.concl_target, labenv),
+                                _names_env(plan.layout, env, "t"))
+            conclusions[(lab, target)] = None
     try:
-        return kind.join(contributions)
+        return kind.join([kind.conclusion_value(lab, target) for lab, target in conclusions])
     except InconsistentStreamError as exc:
         raise InconsistentStreamError(
             f"{print_term(App(op, params, args))}: {exc}") from None

@@ -197,6 +197,7 @@ class Spec:
         self.kind = kind
         self.sig = sig
         self.rules = tuple(rules)
+        self.join_plan = None  # compiled by the engine on first use
 
     def rules_for(self, op: str) -> tuple:
         return tuple(r for r in self.rules if r.head_op == op)

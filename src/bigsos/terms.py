@@ -7,7 +7,7 @@ entry with param_count 1), kept separate from the argument list.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 from typing import Iterable, Iterator, Mapping, Union
 
@@ -71,14 +71,34 @@ class Var:
         return f"Var({self.name!r})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class App:
+    """Operator application.  The hash, node count and order key are computed
+    once at construction from the children's, so reading them is O(1)."""
+
     op: str
     params: tuple[int, ...] = ()
     args: tuple["Term", ...] = ()
+    _hash: int = field(init=False, repr=False, compare=False)
+    _size: int = field(init=False, repr=False, compare=False)
+    _key: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        set_ = object.__setattr__
+        set_(self, "_hash", hash((self.op, self.params, self.args)))
+        size, keys = 1, []
+        for a in self.args:
+            a_size, a_key = term_key(a)
+            size += a_size
+            keys.append(a_key)
+        set_(self, "_size", size)
+        set_(self, "_key", (size, ("app", self.op, self.params, tuple(keys))))
+
+    def __hash__(self):
+        return self._hash
 
     def sort_key(self):
-        return ("app", self.op, self.params, tuple(a.sort_key() for a in self.args))
+        return self._key[1]
 
     def __repr__(self):
         return f"App({print_term(self)!r})"
@@ -89,14 +109,12 @@ Term = Union[Var, App]
 
 def term_size(t: Term) -> int:
     """Node count; a variable counts as one node."""
-    if isinstance(t, Var):
-        return 1
-    return 1 + sum(term_size(a) for a in t.args)
+    return 1 if isinstance(t, Var) else t._size
 
 
 def term_key(t: Term):
     """Total order key: compare by size first, then structurally."""
-    return (term_size(t), t.sort_key())
+    return (1, t.sort_key()) if isinstance(t, Var) else t._key
 
 
 def variables(t: Term) -> frozenset[str]:

@@ -2,9 +2,14 @@
 
 import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import bigsos
 from bigsos.cli import run
 from conftest import fixture_path
 
@@ -183,6 +188,25 @@ def test_validation_diagnostics_exit_2(tmp_path):
     assert "label" in err
 
 
+def test_inconsistent_stream_spec_is_a_user_error(tmp_path):
+    bad = tmp_path / "twosteps.sos"
+    bad.write_text("behaviour stream nat\nops c/0\n"
+                   "rule a : |- c -1-> c\nrule b : |- c -2-> c\n")
+    code, out, err = cli("model", str(bad))
+    assert code == 2
+    assert err.startswith("error: c: inconsistent stream step")
+    assert "internal" not in err and out == ""
+
+
+def test_conclusion_label_outside_domain_is_a_user_error(tmp_path):
+    bad = tmp_path / "paramlabel.sos"
+    bad.write_text("behaviour lts labels a\nops f/1[1], c/0\n"
+                   "rule r : |- f[m](x) -m-> x\n")
+    code, _, err = cli("model", str(bad), "f[1](c)")
+    assert code == 2
+    assert err.startswith("error: rule r: conclusion label 1 outside the label domain")
+
+
 def test_bad_bounds_rejected():
     code, _, err = cli("model", fixture_path("lookahead2"), "--universe-count", "0")
     assert code == 2
@@ -215,3 +239,34 @@ def test_byte_identical_reruns(argv):
     one = cli(*argv)
     two = cli(*argv)
     assert one == two
+
+
+# Each command runs in a fresh interpreter under several hash seeds: output that
+# leaned on set or dict iteration order of hashed strings would differ here.
+CROSS_PROCESS_COMMANDS = [
+    ("model", "transclosure", "--format", "json"),
+    ("model", "lookahead2", "--format", "json"),
+    ("unfold", "factstream", "sigma(pos)", "-d", "3", "--universe-size", "16"),
+    ("laws", "wchain"),
+    ("congruence", "factstream"),
+    ("equiv", "wchain", "f(c)", "f(d)"),
+]
+
+
+def _cli_in_subprocess(argv, hash_seed):
+    src = str(pathlib.Path(bigsos.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONHASHSEED=str(hash_seed),
+               PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    env.pop("BIGSOS_SEED", None)
+    argv = (argv[0], fixture_path(argv[1])) + argv[2:]
+    done = subprocess.run([sys.executable, "-m", "bigsos", *argv], env=env,
+                          capture_output=True, timeout=60)
+    return done.returncode, done.stdout
+
+
+@pytest.mark.parametrize("argv", CROSS_PROCESS_COMMANDS, ids=lambda a: "-".join(a[:2]))
+def test_output_identical_across_hash_seeds(argv):
+    runs = [_cli_in_subprocess(argv, seed) for seed in (0, 1, 2)]
+    assert runs[0][0] == 0
+    assert runs[0][1]
+    assert runs[1] == runs[0] and runs[2] == runs[0]

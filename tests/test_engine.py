@@ -1,19 +1,23 @@
 """Engine: rule application, Kleene iteration, unfoldings, serialization."""
 
+import random
+
 import pytest
 
-from bigsos.behaviour import Bottom, CountableLTS, LtsValue
-from bigsos.engine import (ConvergenceReport, GenCoalgebra,
+from bigsos.behaviour import (BOTTOM, Bottom, CountableLTS, LtsValue, StreamStep,
+                              WtsValue)
+from bigsos.engine import (ConvergenceReport, GenCoalgebra, Model,
                            bottom_model, gen_to_model, least_model,
                            lift_coalgebra, map_unfold, model_to_dot,
                            model_to_json, phi_step, touches_frontier,
                            truncate_unfold, unfold, unfold_to_json)
 from bigsos.errors import NonMonotoneError, UnknownStateError
-from bigsos.speclang import (LabelLit, Positive, instantiate_template,
-                             parse_spec)
+from bigsos.speclang import (LabelLit, Positive, eval_label,
+                             instantiate_template, parse_spec)
 from bigsos.terms import (App, UniversePolicy, Var, parse_term, print_term,
                           substitute)
 from conftest import fixture_text
+from spec_gen import UNIVERSE_TEXTS, random_monotone_lts_spec
 
 
 def fx(name):
@@ -24,26 +28,23 @@ def pt(spec, text):
     return parse_term(text, spec.sig)
 
 
-# --- independent rule-application oracle (labelled transitions, no params) -----------
+# --- independent rule-application oracle ---------------------------------------------
 #
-# A deliberately naive reimplementation used to cross-check apply_rules: premises
-# are satisfied by explicit backtracking over a dict-of-rows behaviour table.
+# A deliberately naive reimplementation used to cross-check apply_rules: every
+# premise path is enumerated by explicit backtracking over a table of each term's
+# transitions, with no projection or merging of environments.
 
 
-def _lab_of(expr, env):
-    if isinstance(expr, LabelLit):
-        return expr.value
-    return env[expr.name]
-
-
-def _satisfy(premises, rows, var_bind, lab_bind):
+def _satisfy(premises, rows, var_bind, lab_bind, consulted):
     if not premises:
         yield var_bind, lab_bind
         return
     p, rest = premises[0], premises[1:]
-    row = rows.get(var_bind[p.source], {})
+    src = var_bind[p.source]
+    consulted.add(src)
+    row = rows.get(src, ())
     if isinstance(p, Positive):
-        for lab, targets in row.items():
+        for lab, tgt in row:
             if isinstance(p.label, LabelLit):
                 if p.label.value != lab:
                     continue
@@ -54,43 +55,131 @@ def _satisfy(premises, rows, var_bind, lab_bind):
                 lab2 = lab_bind
             else:
                 lab2 = {**lab_bind, p.label.name: lab}
-            for tgt in targets:
-                yield from _satisfy(rest, rows, {**var_bind, p.target: tgt}, lab2)
+            yield from _satisfy(rest, rows, {**var_bind, p.target: tgt}, lab2, consulted)
     else:
-        if not row.get(p.label.value, frozenset()):
-            yield from _satisfy(rest, rows, var_bind, lab_bind)
+        if all(lab != p.label.value for lab, _ in row):
+            yield from _satisfy(rest, rows, var_bind, lab_bind, consulted)
 
 
-def oracle_lts_step(spec, rows, term):
-    """rows: Term -> {label: frozenset(Term)}; terms missing from rows are silent."""
-    out = {}
+def oracle_step(spec, rows, term):
+    """Every conclusion derivable for term, and the sources the premises read.
+
+    rows: Term -> tuple of (label, target) transitions; missing terms are silent.
+    """
+    conclusions, consulted = [], set()
     for rule in spec.rules_for(term.op):
         base = dict(zip(rule.head_vars, term.args))
-        for var_bind, lab_bind in _satisfy(rule.premises, rows, base, {}):
-            lab = _lab_of(rule.concl_label, lab_bind)
+        params = dict(zip(rule.head_params, term.params))
+        for var_bind, lab_bind in _satisfy(rule.premises, rows, base, params, consulted):
+            lab = eval_label(rule.concl_label, lab_bind)
             target = substitute(instantiate_template(rule.concl_target, lab_bind),
                                 var_bind)
-            out.setdefault(lab, set()).add(target)
-    return LtsValue.make(out)
+            conclusions.append((lab, target))
+    return conclusions, consulted
 
 
-def model_rows(model):
-    return {t: {lab: frozenset(v.successors(lab)) for lab in v.labels()}
-            for t, v in model.behaviour.items()}
+def oracle_value(kind, conclusions):
+    """The behaviour value the conclusions denote, built per kind by hand."""
+    if kind.name == "stream":
+        steps = set(conclusions)
+        assert len(steps) <= 1, steps
+        return StreamStep(*steps.pop()) if steps else BOTTOM
+    grouped = {}
+    for lab, target in conclusions:
+        grouped.setdefault(lab, set()).add(target)
+    if kind.name == "lts":
+        return LtsValue.make(grouped)
+    return WtsValue.make({lab: dict.fromkeys(targets, 1.0)
+                          for lab, targets in grouped.items()})
 
 
-@pytest.mark.parametrize("name", ("lookahead2", "transclosure"))
-def test_phi_step_matches_oracle(name):
-    spec = fx(name)
-    seeds = [pt(spec, s) for s in ("sigma(tau(c))", "sigma(tau(d))")] \
-        if name == "lookahead2" else [pt(spec, "sigma(sigma(c))")]
-    model, _ = least_model(spec, seeds, UniversePolicy(max_count=40, max_size=8))
-    # replay one phi step over the converged model and compare per-term
-    nxt = phi_step(spec, model)
-    rows = model_rows(model)
+def check_phi_step(spec, model, gen=None):
+    """Compare one phi step on model with the oracle, term by term, taint included."""
+    nxt = phi_step(spec, model, gen)
+    rows = {t: spec.kind.transitions(model.step(t)) for t in model.carrier()}
+    unresolved = model.frontier | model.tainted
     for t in model.universe:
-        if isinstance(t, App) and t.args is not None:
-            assert nxt.behaviour[t] == oracle_lts_step(spec, rows, t), print_term(t)
+        if isinstance(t, Var):
+            continue
+        conclusions, consulted = oracle_step(spec, rows, t)
+        assert nxt.behaviour[t] == oracle_value(spec.kind, conclusions), print_term(t)
+        assert (t in nxt.tainted) == bool(consulted & unresolved), print_term(t)
+    return nxt
+
+
+def check_iterates(spec, universe, steps):
+    """Check phi on the first iterates from the all-bottom model on a fixed universe."""
+    m = bottom_model(spec.kind, universe)
+    for _ in range(steps):
+        m2 = check_phi_step(spec, m)
+        if m2 == m:
+            break
+        m = m2
+    return m
+
+
+# A label variable read again by a later premise or fixed by a head parameter,
+# and a head variable the conclusion still reads after two premises.
+SHARED_LABELS = """behaviour lts labels a, b
+ops c/0, d/0, f/1, g/2, h/1
+rule c1 : |- c -a-> d
+rule c2 : |- c -b-> c
+rule d1 : |- d -a-> c
+rule d2 : |- d -b-> d
+rule f : x -l-> y, y -l-> z |- f(x) -l-> f(z)
+rule fa : x -a-> y, y -b-> z |- f(x) -b-> g(x, z)
+rule g : x -l-> x', y -l-> y' |- g(x, y) -l-> g(y', x')
+rule h : x -l-> y, y -l-> z |- h(x) -a-> z
+"""
+HEAD_PARAMS = """behaviour stream nat
+ops ones/0, up/1, pick/1[1], only/1[1]
+rule ones : |- ones -1-> ones
+rule up : x -n-> y |- up(x) -n+1-> up(y)
+rule pick : x -m-> y |- pick[m](x) -m-> pick[m](y)
+rule only : x -m-> y |- only[m](x) -1-> y
+"""
+
+ORACLE_SPECS = {
+    # name: (spec text, seed terms, policy, force)
+    "lookahead2": (fixture_text("lookahead2"), ("sigma(tau(c))", "sigma(tau(d))"),
+                   UniversePolicy(40, 8), False),
+    "transclosure": (fixture_text("transclosure"), ("sigma(sigma(c))",),
+                     UniversePolicy(40, 8), False),
+    # label variables n and m feed the otimes[n] template parameters
+    "factstream": (fixture_text("factstream"), ("c", "pos", "sigma(pos)", "sigma(c)"),
+                   UniversePolicy(400, 16), False),
+    "wchain": (fixture_text("wchain"), ("f(f(c))", "f(d)"), UniversePolicy(40, 8), False),
+    "negloop": (fixture_text("negloop"), ("sigma(sigma(c))",),
+                UniversePolicy(10, 6, grow=False), True),
+    "shared-labels": (SHARED_LABELS, ("f(f(c))", "f(d)", "g(c, d)", "g(f(c), c)", "h(c)", "h(d)"),
+                      UniversePolicy(60, 7), False),
+    "head-params": (HEAD_PARAMS, ("pick[1](ones)", "pick[2](ones)", "pick[2](up(ones))",
+                                  "only[1](ones)", "only[2](ones)"),
+                    UniversePolicy(30, 6), False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_SPECS))
+def test_phi_step_matches_oracle(name):
+    text, seed_texts, policy, force = ORACLE_SPECS[name]
+    spec = parse_spec(text)
+    model, _ = least_model(spec, [pt(spec, s) for s in seed_texts], policy,
+                           max_iters=60, force=force)
+    # replay one phi step over the final model, then the climb from bottom
+    check_phi_step(spec, model)
+    check_iterates(spec, model.universe, 12)
+
+
+def test_phi_step_matches_oracle_on_random_specs():
+    rng = random.Random(5)
+    for i in range(50):
+        spec = random_monotone_lts_spec(random.Random(i))
+        universe = [pt(spec, s) for s in UNIVERSE_TEXTS]
+        last = check_iterates(spec, universe, 6)
+        for _ in range(4):
+            beh = {t: LtsValue.make({"a": {s for s in universe if rng.random() < 0.5}})
+                   for t in last.universe}
+            check_phi_step(spec, Model(spec.kind, last.universe, beh))
 
 
 # --- hand-computed Lookahead2 iterations ----------------------------------------------

@@ -62,6 +62,47 @@ def test_term_key_total_order():
     assert ordered == [t("c"), t("d"), Var("x"), t("g(c)"), t("f(c, d)")]
 
 
+def _fresh_size(u):
+    return 1 if isinstance(u, Var) else 1 + sum(_fresh_size(a) for a in u.args)
+
+
+def _fresh_sort_key(u):
+    if isinstance(u, Var):
+        return ("var", u.name)
+    return ("app", u.op, u.params, tuple(_fresh_sort_key(a) for a in u.args))
+
+
+@given(st.recursive(
+    st.sampled_from([t("c"), t("d"), Var("x")]),
+    lambda kids: st.one_of(
+        st.builds(lambda a: App("g", (), (a,)), kids),
+        st.builds(lambda n, a: App("h", (n,), (a,)), st.integers(0, 3), kids),
+        st.builds(lambda a, b: App("f", (), (a, b)), kids, kids)),
+    max_leaves=12))
+def test_cached_hash_size_and_key_match_recomputation(term):
+    if isinstance(term, App):
+        assert hash(term) == hash((term.op, term.params, term.args))
+    assert term_size(term) == _fresh_size(term)
+    assert term.sort_key() == _fresh_sort_key(term)
+    assert term_key(term) == (_fresh_size(term), _fresh_sort_key(term))
+    twin = parse_term(print_term(term), SIG)  # equal, built separately
+    assert twin == term and hash(twin) == hash(term)
+    assert term_key(twin) == term_key(term)
+
+
+def test_deep_terms_keep_structural_equality():
+    def tower(n):
+        u = t("c")
+        for _ in range(n):
+            u = App("g", (), (u,))
+        return u
+
+    one, two = tower(200), tower(200)
+    assert one is not two and one == two and hash(one) == hash(two)
+    assert term_size(one) == 201
+    assert tower(200) != tower(199) and {one: 1}[two] == 1
+
+
 # --- printing and parsing ------------------------------------------------------------
 
 
