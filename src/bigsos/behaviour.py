@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Mapping, Union
 
 from .errors import CarrierMismatchError, InconsistentStreamError, StateMapError
+from .terms import App, Var, print_term
 
 
 def state_key(s):
@@ -31,6 +32,10 @@ def state_key(s):
     if isinstance(s, str):
         return ("s", s)
     return ("r", repr(s))
+
+
+def _show_state(s) -> str:
+    return print_term(s) if isinstance(s, (App, Var)) else repr(s)
 
 
 def label_key(lab):
@@ -147,9 +152,12 @@ class Relation:
         return Relation(self.right, self.left, frozenset((t, s) for s, t in self.pairs))
 
 
-def rel_pairs(rel) -> frozenset:
-    """Liftings accept a Relation or any collection of pairs."""
-    return rel.pairs if isinstance(rel, Relation) else frozenset(rel)
+def rel_pairs(rel):
+    """Liftings accept a Relation or any collection of pairs; sets are read
+    in place, not copied."""
+    if isinstance(rel, Relation):
+        return rel.pairs
+    return rel if isinstance(rel, (set, frozenset)) else frozenset(rel)
 
 
 @dataclass(frozen=True)
@@ -193,7 +201,7 @@ class PartialStream:
         if not steps:
             return BOTTOM
         if len(steps) > 1:
-            shown = ", ".join(f"({s.label}, {s.state!r})" for s in
+            shown = ", ".join(f"({s.label}, {_show_state(s.state)})" for s in
                               sorted(steps, key=lambda s: (label_key(s.label), state_key(s.state))))
             raise InconsistentStreamError(f"inconsistent stream step: {shown}")
         return steps.pop()
@@ -422,8 +430,9 @@ class WeightedLTS:
         self._check(b)
         self._check(c)
         for lab, row in b.moves:
+            targets = next((r for have, r in c.moves if have == lab), ())
             for s, w in row:
-                best = max((c.weight(lab, t) for (s2, t) in pairs if s2 == s), default=0.0)
+                best = max((wt for t, wt in targets if (s, t) in pairs), default=0.0)
                 if w > best:
                     return False
         return True

@@ -262,10 +262,8 @@ def _cmd_equiv(spec, args, cfg, out, err) -> int:
         if res.related:
             print(f"witness: {args.rel} relation with {len(res.witness.pairs)} pairs",
                   file=out)
-        elif res.witness is not None:
-            print(f"witness: distinguishing depth {res.witness}", file=out)
         else:
-            print("witness: none within the search bound", file=out)
+            print(f"witness: distinguishing depth {res.witness}", file=out)
     return 0
 
 

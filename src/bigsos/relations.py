@@ -1,12 +1,19 @@
 """Simulation, bisimulation, and executable law checks on finite models.
 
-Similarity is computed by refinement from the full relation and the result is
-re-verified before it is returned.  The tree-level laws (pruning shrinks
-unfoldings, homomorphisms preserve similarity, term-map extension and
-flattening are homomorphisms between lifted models) are checked at a finite
-depth on small generator coalgebras.  Pairs whose observation trees reach a
-frontier or tainted node are skipped rather than judged, so each law reports
-pass, fail, or inconclusive.
+Similarity and bisimilarity are computed by Jacobi refinement on the model
+graph, from the full relation and from the one-class partition, and each
+result is re-verified before it is returned.  Round k of the simulation
+refinement is depth-k similarity and round k of the partition refinement is
+depth-k bisimilarity, so the distinguishing depth of an unrelated pair is the
+first round that separates it, found exactly within |carrier| rounds.  For
+bisim it can be smaller than the depth at which the two unfoldings stop being
+mutually similar.
+
+The tree-level laws (pruning shrinks unfoldings, homomorphisms preserve
+similarity, term-map extension and flattening are homomorphisms between
+lifted models) are checked at a finite depth on small generator coalgebras.
+Pairs whose observation trees reach a frontier or tainted node are skipped
+rather than judged, so each law reports pass, fail, or inconclusive.
 """
 
 from __future__ import annotations
@@ -27,43 +34,65 @@ from .terms import (App, Term, UniversePolicy, Var, print_term, substitute,
                     term_key)
 
 
-def _pair_key(pair):
-    return (state_key(pair[0]), state_key(pair[1]))
-
-
 # --- similarity and bisimilarity --------------------------------------------------
 
 
-def greatest_simulation(kind: BehaviourKind, m1: Model, m2: Model) -> Relation:
+def _predecessors(kind: BehaviourKind, model: Model) -> dict:
+    """Carrier state -> the carrier states with a move into it."""
+    pred: dict = {}
+    for s in model.carrier():
+        for t in kind.states(model.step(s)):
+            pred.setdefault(t, []).append(s)
+    return pred
+
+
+def greatest_simulation(kind: BehaviourKind, m1: Model, m2: Model,
+                        drops: Union[dict, None] = None) -> Relation:
     """Largest R with (s,t) in R implying rel_lift(R, m1(s), m2(t)).
 
-    Refines the full carrier product by discarding violating pairs until
-    stable; the fixed point is unique, so sweep order does not matter.
+    Jacobi refinement from the full carrier product: round k keeps the pairs
+    whose steps are related by the relation of round k-1, so a pair leaves in
+    round k exactly when t stops simulating s to depth k.  Round 1 checks
+    every pair; later rounds re-check only pairs of predecessors of pairs
+    dropped in the round before, since rel_lift reads nothing but pairs of
+    successors.  drops, if given, receives pair -> round for every pair that
+    leaves.
     """
     if m1.kind != kind or m2.kind != kind:
         raise CarrierMismatchError("models disagree with the requested behaviour kind")
     left = m1.carrier()
     right = m2.carrier()
+    step1 = {s: m1.step(s) for s in left}
+    step2 = {t: m2.step(t) for t in right}
+    pred1 = _predecessors(kind, m1)
+    pred2 = _predecessors(kind, m2)
     pairs = set(itertools.product(left, right))
-    changed = True
-    while changed:
-        changed = False
-        for pair in sorted(pairs, key=_pair_key):
-            if not kind.rel_lift(pairs, m1.step(pair[0]), m2.step(pair[1])):
-                pairs.discard(pair)
-                changed = True
+    todo = tuple(pairs)
+    rnd = 0
+    while todo:
+        rnd += 1
+        dropped = [(s, t) for s, t in todo
+                   if not kind.rel_lift(pairs, step1[s], step2[t])]
+        pairs.difference_update(dropped)
+        if drops is not None:
+            drops.update(dict.fromkeys(dropped, rnd))
+        todo = {(a, b) for s, t in dropped
+                for a in pred1.get(s, ()) for b in pred2.get(t, ())} & pairs
     for s, t in pairs:  # guard against refinement bugs
-        if not kind.rel_lift(pairs, m1.step(s), m2.step(t)):
+        if not kind.rel_lift(pairs, step1[s], step2[t]):
             raise BigsosError("internal: refined relation is not a simulation")
     return Relation(left, right, frozenset(pairs))
 
 
-def bisimilarity_classes(kind: BehaviourKind, model: Model) -> tuple:
+def bisimilarity_classes(kind: BehaviourKind, model: Model,
+                         rounds: Union[list, None] = None) -> tuple:
     """Coarsest partition whose classes have equal class-quotiented behaviour.
 
-    Partition refinement: split by (current class, behaviour with states
-    replaced by class ids) until stable.  Class ids are assigned by first
-    occurrence in the canonical carrier order, so output order is stable.
+    Jacobi partition refinement: split by (current class, behaviour with
+    states replaced by class ids) until stable, so round k is depth-k
+    bisimilarity.  Class ids are assigned by first occurrence in the
+    canonical carrier order, so output order is stable.  rounds, if given,
+    receives the class map (state -> id) of every round that split a class.
     """
     if model.kind != kind:
         raise CarrierMismatchError("model disagrees with the requested behaviour kind")
@@ -80,10 +109,20 @@ def bisimilarity_classes(kind: BehaviourKind, model: Model) -> tuple:
         if new_cls == cls:
             break
         cls = new_cls
+        if rounds is not None:
+            rounds.append(cls)
     groups: dict = {}
     for s in states:
         groups.setdefault(cls[s], []).append(s)
     return tuple(frozenset(groups[i]) for i in sorted(groups))
+
+
+def _separating_round(rounds: list, s, t) -> Union[int, None]:
+    """First round whose class map puts s and t apart, or None."""
+    for k, cls in enumerate(rounds, start=1):
+        if cls[s] != cls[t]:
+            return k
+    return None
 
 
 def depth_similarity(kind: BehaviourKind, u1: UnfoldTree, u2: UnfoldTree,
@@ -113,8 +152,11 @@ def depth_similarity(kind: BehaviourKind, u1: UnfoldTree, u2: UnfoldTree,
 @dataclass(frozen=True)
 class EquivResult:
     """Verdict plus a witness: the relation itself when related, else the
-    smallest distinguishing observation depth found (None if none within
-    the search bound)."""
+    distinguishing depth, the first refinement round that separates the
+    pair.  For sim that is the least depth to which the second term no
+    longer simulates the first; for bisim it is the least k at which the
+    terms are not k-bisimilar, which can be smaller than the depth at which
+    their unfoldings stop being mutually similar."""
 
     related: bool
     witness: object = None
@@ -124,33 +166,6 @@ class EquivResult:
         if isinstance(w, Relation):
             w = {"pairs": sorted([print_term(s), print_term(t)] for s, t in w.pairs)}
         return {"related": self.related, "witness": w}
-
-
-def _tree_nodes(kind, tree: UnfoldTree) -> int:
-    if tree.step is None:
-        return 1
-    return 1 + sum(_tree_nodes(kind, sub) for sub in kind.states(tree.step))
-
-
-def distinguishing_depth(model: Model, t1: Term, t2: Term, relation: str = "bisim",
-                         cap: Union[int, None] = None) -> Union[int, None]:
-    """Least depth at which the unfoldings come apart, or None if the search
-    bound (or a tree-size budget) is reached first."""
-    kind = model.kind
-    if cap is None:
-        cap = min(len(model.carrier()) ** 2 + 1, 12)
-    for d in range(1, cap + 1):
-        u1 = unfold(model, t1, d)
-        u2 = unfold(model, t2, d)
-        if _tree_nodes(kind, u1) + _tree_nodes(kind, u2) > 2000:
-            return None
-        fwd = depth_similarity(kind, u1, u2, d, require_labels=False)
-        if relation == "sim":
-            if not fwd:
-                return d
-        elif not (fwd and depth_similarity(kind, u2, u1, d, require_labels=False)):
-            return d
-    return None
 
 
 def _partition_relation(kind, model: Model, classes) -> Relation:
@@ -163,26 +178,46 @@ def _partition_relation(kind, model: Model, classes) -> Relation:
     return Relation(carrier, carrier, pairs)
 
 
-def check_equivalence(model: Model, t1: Term, t2: Term,
-                      relation: str = "bisim") -> EquivResult:
-    """Decide similarity or bisimilarity of two carrier terms in one model."""
+def _refine_pair(model: Model, t1: Term, t2: Term, relation: str) -> tuple:
+    """One refinement pass: (greatest simulation or bisimilarity classes,
+    the first round that separates t1 from t2 or None)."""
     kind = model.kind
     carrier = set(model.carrier())
     for t in (t1, t2):
         if t not in carrier:
             raise UnknownStateError(f"term {print_term(t)} is not in the model")
     if relation == "sim":
-        rel = greatest_simulation(kind, model, model)
-        if (t1, t2) in rel.pairs:
-            return EquivResult(True, rel)
-    elif relation == "bisim":
-        classes = bisimilarity_classes(kind, model)
-        for cl in classes:
-            if t1 in cl and t2 in cl:
-                return EquivResult(True, _partition_relation(kind, model, classes))
-    else:
-        raise ValueError(f"unknown relation {relation!r}")
-    return EquivResult(False, distinguishing_depth(model, t1, t2, relation))
+        drops: dict = {}
+        rel = greatest_simulation(kind, model, model, drops)
+        return rel, drops.get((t1, t2))
+    if relation == "bisim":
+        rounds: list = []
+        classes = bisimilarity_classes(kind, model, rounds)
+        return classes, _separating_round(rounds, t1, t2)
+    raise ValueError(f"unknown relation {relation!r}")
+
+
+def distinguishing_depth(model: Model, t1: Term, t2: Term,
+                         relation: str = "bisim") -> Union[int, None]:
+    """First refinement round that separates t1 from t2, or None if they are
+    related: for sim the round in which (t1, t2) leaves the simulation
+    refinement, for bisim the round of partition refinement that puts them
+    in different classes.  At most the carrier size."""
+    return _refine_pair(model, t1, t2, relation)[1]
+
+
+def check_equivalence(model: Model, t1: Term, t2: Term,
+                      relation: str = "bisim") -> EquivResult:
+    """Decide similarity or bisimilarity of two carrier terms in one model.
+
+    One refinement pass gives the verdict and, for an unrelated pair, its
+    distinguishing depth."""
+    found, depth = _refine_pair(model, t1, t2, relation)
+    if depth is not None:
+        return EquivResult(False, depth)
+    if relation == "bisim":
+        found = _partition_relation(model.kind, model, found)
+    return EquivResult(True, found)
 
 
 # --- congruence --------------------------------------------------------------------
@@ -221,12 +256,13 @@ def congruence_test(spec: Spec, model: Model, samples: int, depth: int = 3,
 
     Composites are drawn from the universe so the left term always has
     recorded behaviour; a swapped composite outside the universe is counted
-    as skipped, not failed.  depth bounds the distinguishing-depth search
-    attached to any violation.
+    as skipped, not failed.  A violation carries the pair's distinguishing
+    depth, read off the same partition refinement, or None beyond depth.
     """
     kind = model.kind
     rng = random.Random(seed)
-    classes = bisimilarity_classes(kind, model)
+    rounds: list = []
+    classes = bisimilarity_classes(kind, model, rounds)
     cls_of: dict = {}
     members: dict = {}
     for i, cl in enumerate(classes):
@@ -250,9 +286,9 @@ def congruence_test(spec: Spec, model: Model, samples: int, depth: int = 3,
             continue
         checked += 1
         if cls_of[left] != cls_of[right]:
+            sep = _separating_round(rounds, left, right)
             violations.append(CongruenceViolation(
-                left.op, left.params, left, right,
-                distinguishing_depth(model, left, right, "bisim", cap=depth)))
+                left.op, left.params, left, right, sep if sep <= depth else None))
     return CongruenceReport(samples, checked, skipped, tuple(violations))
 
 

@@ -7,9 +7,10 @@ entry with param_count 1), kept separate from the argument list.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Iterator, Mapping, NamedTuple, Union
 
 from .errors import ArityError, ParseError, UnboundVariableError, UnknownOperatorError
 
@@ -179,61 +180,53 @@ def substitute(t: Term, binding: Mapping[str, Term]) -> Term:
 
 _SYMBOLS = ("-/->", "|-", "->", "(", ")", "[", "]", ",", ":", "/", "+", "*", "-")
 
+# Blanks, then one of: identifier, symbol, natural, comment, stray character.
+# An identifier starts with a letter or "_" and goes on over letters, digits,
+# "_" and primes (so premise targets can be written x', x''); a natural is a
+# run of digits.  \w is exactly str.isalnum() plus "_", but \d is only
+# str.isdecimal(), so [^\W\d] also admits numerals such as "²" that are not
+# letters; tokenize sends those to the natural or error branch itself.
+_TOKEN = re.compile(r"[ \t\r\n]*(?:([^\W\d][\w']*)|("
+                    + "|".join(re.escape(sym) for sym in _SYMBOLS)
+                    + r")|(\d+)|(#)|([^ \t\r\n]))")
+_TOKEN_KINDS = (None, "ident", "sym", "nat")
 
-@dataclass(frozen=True)
-class Token:
+
+# A NamedTuple rather than a dataclass: a spec of a few hundred rules builds
+# thousands of tokens, and a frozen dataclass costs twice as much to build.
+class Token(NamedTuple):
     kind: str  # ident | nat | sym | eof
     value: str
     line: int
     col: int
 
 
-def _is_ident_start(ch: str) -> bool:
-    return ch.isalpha() or ch == "_"
-
-
-def _is_ident_char(ch: str) -> bool:
-    # primes allowed so premise targets can be written x', x''
-    return ch.isalnum() or ch in "_'"
-
-
 def tokenize(text: str, line: int = 1) -> list[Token]:
+    """Tokens of text up to a "#" comment, ending with an eof token; columns
+    count characters from 1 (a newline does not start a new line)."""
     toks: list[Token] = []
-    i, col = 0, 1
     n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "#":
+    match = _TOKEN.match
+    m = match(text)
+    while m:
+        group = m.lastindex
+        pos, end = m.span(group)
+        ch = text[pos]
+        if group == 1 and not (ch.isalpha() or ch == "_"):
+            group = 3 if ch.isdigit() else 5
+            end = pos + 1
+        if group == 3:
+            while end < n and text[end].isdigit():  # "1²": digits beyond \d
+                end += 1
+        elif group == 4:
             break
-        if ch in " \t\r\n":
-            i += 1
-            col += 1
-            continue
-        if _is_ident_start(ch):
-            j = i + 1
-            while j < n and _is_ident_char(text[j]):
-                j += 1
-            toks.append(Token("ident", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isdigit():
-            j = i + 1
-            while j < n and text[j].isdigit():
-                j += 1
-            toks.append(Token("nat", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        for sym in _SYMBOLS:
-            if text.startswith(sym, i):
-                toks.append(Token("sym", sym, line, col))
-                col += len(sym)
-                i += len(sym)
-                break
-        else:
-            raise ParseError(f"unexpected character {ch!r}", line, col)
-    toks.append(Token("eof", "", line, col))
+        elif group == 5:
+            raise ParseError(f"unexpected character {ch!r}", line, pos + 1)
+        toks.append(Token(_TOKEN_KINDS[group], text[pos:end], line, pos + 1))
+        m = match(text, end)
+    else:
+        pos = n
+    toks.append(Token("eof", "", line, pos + 1))
     return toks
 
 

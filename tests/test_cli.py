@@ -145,6 +145,14 @@ def test_equiv_unrelated_terms():
     assert "related: no" in out
 
 
+def test_equiv_reports_first_separating_round():
+    # every sigma-term of this model is tainted and the unfoldings branch
+    # widely; the partition refinement separates the pair in round 2
+    code, out, _ = cli("equiv", fixture_path("transclosure"), "sigma(c)", "c")
+    assert code == 0
+    assert out == "related: no\nwitness: distinguishing depth 2\n"
+
+
 def test_congruence_clean():
     code, out, _ = cli("congruence", fixture_path("lookahead2"),
                        "sigma(tau(c))", "sigma(tau(d))", "--samples", "25")
@@ -194,7 +202,7 @@ def test_inconsistent_stream_spec_is_a_user_error(tmp_path):
                    "rule a : |- c -1-> c\nrule b : |- c -2-> c\n")
     code, out, err = cli("model", str(bad))
     assert code == 2
-    assert err.startswith("error: c: inconsistent stream step")
+    assert err == "error: c: inconsistent stream step: (1, c), (2, c)\n"
     assert "internal" not in err and out == ""
 
 
@@ -250,6 +258,9 @@ CROSS_PROCESS_COMMANDS = [
     ("laws", "wchain"),
     ("congruence", "factstream"),
     ("equiv", "wchain", "f(c)", "f(d)"),
+    ("equiv", "factstream", "c", "pos", "--rel", "sim", "--universe-size", "16",
+     "--format", "json"),
+    ("equiv", "transclosure", "sigma(c)", "c"),
 ]
 
 

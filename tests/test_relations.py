@@ -1,13 +1,15 @@
 """Relations: simulation, bisimilarity, congruence, monotonicity, law suite."""
 
 import itertools
+import random
 
 import pytest
 
-from bigsos.behaviour import CountableLTS, LtsValue, Relation
-from bigsos.engine import GenCoalgebra, Model, least_model, unfold
+from bigsos.behaviour import (BOTTOM, CountableLTS, LtsValue, PartialStream,
+                              Relation, StreamStep, WeightedLTS, WtsValue)
+from bigsos.engine import GenCoalgebra, Model, gen_to_model, least_model, unfold
 from bigsos.errors import CarrierMismatchError, UnknownStateError
-from bigsos.relations import (LawConfig, bisimilarity_classes,
+from bigsos.relations import (EquivResult, LawConfig, bisimilarity_classes,
                               check_equivalence, congruence_test,
                               default_generators, depth_similarity,
                               distinguishing_depth, doubled_lift,
@@ -17,6 +19,7 @@ from bigsos.relations import (LawConfig, bisimilarity_classes,
 from bigsos.speclang import parse_spec
 from bigsos.terms import UniversePolicy, parse_term
 from conftest import fixture_text
+from spec_gen import UNIVERSE_TEXTS, random_monotone_lts_spec
 
 
 def fx(name):
@@ -330,3 +333,199 @@ def test_simulation_implies_depth_similarity():
         for depth in (1, 2, 3):
             u, v = unfold(model, s, depth), unfold(model, t, depth)
             assert depth_similarity(spec.kind, u, v, depth, require_labels=False), (s, t)
+
+
+# --- refinement rounds versus their definitions -------------------------------------------
+#
+# The simulation refinement and the partition refinement are checked against
+# oracles that share none of their machinery: a Jacobi refinement that
+# re-checks every pair in every round, a back-and-forth refinement over pair
+# sets, and depth-bounded similarity of unfolding trees.
+
+
+def naive_refinement(kind, m1, m2, both_ways=False):
+    """Refine the full product, every pair every round, reading the previous
+    round's relation.  Returns (the stable relation, pair -> round it left)."""
+    cur = frozenset(itertools.product(m1.carrier(), m2.carrier()))
+    drop = {}
+    k = 0
+    while True:
+        k += 1
+        back = frozenset((t, s) for s, t in cur)
+        nxt = frozenset((s, t) for s, t in cur
+                        if kind.rel_lift(cur, m1.step(s), m2.step(t))
+                        and (not both_ways or kind.rel_lift(back, m2.step(t), m1.step(s))))
+        if nxt == cur:
+            return cur, drop
+        drop.update(dict.fromkeys(cur - nxt, k))
+        cur = nxt
+
+
+def random_gen_model(kind, n, rng):
+    """n generator states with random dynamics: at most two successors per
+    label, so that pairs separate over several rounds."""
+    names = [f"g{i}" for i in range(n)]
+    labels = sorted(kind.labels) if kind.labels is not None else [1, 2]
+    dyn = {}
+    for x in names:
+        if kind.name == "stream":
+            dyn[x] = (BOTTOM if rng.random() < 0.15 else
+                      StreamStep(rng.choice(labels), rng.choice(names)))
+        elif kind.name == "lts":
+            dyn[x] = LtsValue.make({lab: set(rng.sample(names, rng.randrange(3)))
+                                    for lab in labels})
+        else:
+            dyn[x] = WtsValue.make({lab: {y: rng.choice([0.5, 1.0, 2.0])
+                                          for y in rng.sample(names, rng.randrange(3))}
+                                    for lab in labels})
+    return gen_to_model(kind, GenCoalgebra(tuple(names), dyn))
+
+
+KINDS = {"lts": CountableLTS(frozenset({"a", "b"})),
+         "wts": WeightedLTS(frozenset({"a", "b"})),
+         "stream": PartialStream(frozenset({1, 2}))}
+
+
+def spec_gen_models(count):
+    for i in range(count):
+        spec = random_monotone_lts_spec(random.Random(i))
+        universe = [pt(spec, s) for s in UNIVERSE_TEXTS]
+        model, _ = least_model(spec, universe,
+                               UniversePolicy(max_count=3, max_size=3, grow=False))
+        yield f"spec_gen-{i}", model
+
+
+def fixture_models():
+    yield "lookahead2", look2_model()[1]
+    yield "factstream", factstream_model()[1]
+    spec = fx("wchain")
+    model, report = least_model(spec, [pt(spec, "f(f(f(c)))"), pt(spec, "f(f(d))")],
+                                UniversePolicy(max_count=30, max_size=8))
+    assert report.converged
+    yield "wchain", model
+
+
+def small_models():
+    yield from spec_gen_models(20)
+    yield from fixture_models()
+    for name, kind in KINDS.items():
+        for seed in range(3):
+            yield f"{name}-5-{seed}", random_gen_model(kind, 5, random.Random(seed))
+
+
+def large_models():
+    spec = fx("transclosure")
+    model, _ = least_model(spec, [pt(spec, "sigma(sigma(c))")],
+                           UniversePolicy(max_count=30, max_size=8))
+    yield "transclosure", model
+    for name, kind in KINDS.items():
+        for seed, n in enumerate((20, 30, 40)):
+            yield f"{name}-{n}", random_gen_model(kind, n, random.Random(seed))
+
+
+def cases(models):
+    return [pytest.param(name, model, id=name) for name, model in models]
+
+
+def _dissimilar_at(model, s, t, depth):
+    u, v = unfold(model, s, depth), unfold(model, t, depth)
+    return not depth_similarity(model.kind, u, v, depth, require_labels=False)
+
+
+@pytest.mark.parametrize("name,model", cases(small_models()))
+def test_sim_depth_is_first_depth_of_unfold_dissimilarity(name, model):
+    drops: dict = {}
+    greatest_simulation(model.kind, model, model, drops)
+    stable = max(drops.values(), default=0) + 1
+    separated = 0
+    pairs = sorted(itertools.product(model.carrier(), repeat=2), key=str)
+    for s, t in random.Random(0).sample(pairs, min(len(pairs), 20)):
+        assert distinguishing_depth(model, s, t, "sim") == drops.get((s, t)), (s, t)
+    for s, t in pairs:
+        d = drops.get((s, t))
+        if d is None:  # similar at the stable round, hence at every depth
+            assert not _dissimilar_at(model, s, t, stable), (s, t)
+        else:
+            separated += 1
+            assert _dissimilar_at(model, s, t, d), (s, t, d)
+            assert d == 1 or not _dissimilar_at(model, s, t, d - 1), (s, t, d)
+    assert separated or name.startswith("spec_gen")
+
+
+@pytest.mark.parametrize("name,model", cases(fixture_models()) + cases(large_models()))
+def test_greatest_simulation_matches_naive_refinement(name, model):
+    kind = model.kind
+    drops: dict = {}
+    sim = greatest_simulation(kind, model, model, drops)
+    want, want_drop = naive_refinement(kind, model, model)
+    assert sim.pairs == want
+    assert drops == want_drop
+    assert len(model.carrier()) < 20 or max(drops.values()) >= 2  # rounds past the first
+
+
+@pytest.mark.parametrize("kind_name", sorted(KINDS))
+def test_greatest_simulation_between_two_models(kind_name):
+    kind = KINDS[kind_name]
+    m1 = random_gen_model(kind, 25, random.Random(11))
+    m2 = random_gen_model(kind, 30, random.Random(12))
+    drops: dict = {}
+    sim = greatest_simulation(kind, m1, m2, drops)
+    want, want_drop = naive_refinement(kind, m1, m2)
+    assert sim.pairs == want and drops == want_drop
+
+
+@pytest.mark.parametrize("name,model", cases(small_models()) + cases(large_models()))
+def test_bisim_depth_is_first_round_of_pair_refinement(name, model):
+    kind = model.kind
+    want, want_drop = naive_refinement(kind, model, model, both_ways=True)
+    rounds: list = []
+    classes = bisimilarity_classes(kind, model, rounds)
+    assert {(s, t) for cl in classes for s in cl for t in cl} == want
+    pairs = sorted(itertools.product(model.carrier(), repeat=2), key=str)
+    for s, t in random.Random(0).sample(pairs, min(len(pairs), 60)):
+        res = check_equivalence(model, s, t, "bisim")
+        assert res.related == ((s, t) in want)
+        assert distinguishing_depth(model, s, t) == want_drop.get((s, t))
+        if not res.related:
+            assert res.witness == want_drop[s, t]
+
+
+def test_sim_equivalence_reports_drop_round():
+    spec, model = factstream_model()
+    _, want_drop = naive_refinement(spec.kind, model, model)
+    for (s, t), d in sorted(want_drop.items(), key=str)[:40]:
+        assert check_equivalence(model, s, t, "sim") == EquivResult(False, d)
+
+
+GADGET = """\
+behaviour lts labels a, b
+ops p/0, q/0, x/0, y/0, z/0
+rule p1 : |- p -a-> x
+rule p2 : |- p -a-> y
+rule q1 : |- q -a-> y
+rule x1 : |- x -b-> z
+rule y1 : |- y -a-> z
+rule y2 : |- y -b-> z
+"""
+
+
+def test_mutually_similar_but_not_bisimilar_gadget():
+    # p -a-> {x, y} and q -a-> {y}, with x below y: each simulates the other,
+    # but round 2 of partition refinement splits them, since only p reaches
+    # the class of x.  Their unfoldings stay mutually similar at every depth.
+    spec = parse_spec(GADGET)
+    model, _ = least_model(spec)
+    p, q = pt(spec, "p"), pt(spec, "q")
+    assert check_equivalence(model, p, q, "sim").related
+    assert check_equivalence(model, q, p, "sim").related
+    assert check_equivalence(model, p, q, "bisim") == EquivResult(False, 2)
+    assert distinguishing_depth(model, q, p) == 2
+    u, v = unfold(model, p, 4), unfold(model, q, 4)
+    assert depth_similarity(spec.kind, u, v, 4, require_labels=False)
+    assert depth_similarity(spec.kind, v, u, 4, require_labels=False)
+
+
+def test_distinguishing_depth_rejects_unknown_terms():
+    spec, model = look2_model()
+    with pytest.raises(UnknownStateError):
+        distinguishing_depth(model, pt(spec, "tau(tau(c))"), pt(spec, "c"), "sim")

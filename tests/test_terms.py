@@ -1,5 +1,7 @@
 """Terms: construction, printing, parsing, substitution, enumeration."""
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -8,6 +10,9 @@ from bigsos.terms import (App, Operator, Signature, UniversePolicy, Var,
                           check_term, enumerate_universe, is_closed, parse_term,
                           print_term, substitute, subterms, term_key, term_size,
                           variables)
+from bigsos.terms import _SYMBOLS, Token, tokenize
+from conftest import FIXTURES, fixture_text
+from spec_gen import random_monotone_lts_text
 
 SIG = Signature([
     Operator("f", 2),
@@ -145,6 +150,99 @@ def closed_terms(draw, depth=3):
 @given(closed_terms())
 def test_print_parse_roundtrip(term):
     assert parse_term(print_term(term), SIG) == term
+
+
+# --- tokenizer versus the character walker it replaced --------------------------------
+
+
+def walk_tokens(text, line=1):
+    """The original one-character-at-a-time tokenizer, kept as the oracle."""
+    toks = []
+    i, col = 0, 1
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "#":
+            break
+        if ch in " \t\r\n":
+            i += 1
+            col += 1
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i + 1
+            while j < n and (text[j].isalnum() or text[j] in "_'"):
+                j += 1
+            toks.append(Token("ident", text[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        if ch.isdigit():
+            j = i + 1
+            while j < n and text[j].isdigit():
+                j += 1
+            toks.append(Token("nat", text[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        for sym in _SYMBOLS:
+            if text.startswith(sym, i):
+                toks.append(Token("sym", sym, line, col))
+                col += len(sym)
+                i += len(sym)
+                break
+        else:
+            raise ParseError(f"unexpected character {ch!r}", line, col)
+    toks.append(Token("eof", "", line, col))
+    return toks
+
+
+def _tokens_or_error(tok, text, line):
+    try:
+        return tok(text, line)
+    except ParseError as exc:
+        return ("error", exc.message, exc.line, exc.col)
+
+
+def _assert_same_tokens(text, line=1):
+    assert _tokens_or_error(tokenize, text, line) == \
+        _tokens_or_error(walk_tokens, text, line), repr(text)
+
+
+def test_tokenize_matches_walker_on_fixtures_and_generated_specs():
+    texts = [fixture_text(p.stem) for p in sorted(FIXTURES.glob("*.sos"))]
+    rng = random.Random(0)
+    texts += [random_monotone_lts_text(rng) for _ in range(50)]
+    for text in texts:
+        _assert_same_tokens(text)  # whole documents: newlines are blanks
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            _assert_same_tokens(raw, lineno)
+
+
+# Letters, digits and symbols, plus characters where the regex classes and
+# str methods part ways: "\f" is no blank here, "²" is a digit but not
+# decimal, "٣" is a decimal digit, "½" is numeric but no digit.
+TOKEN_ALPHABET = (list("abxyzAZ_019'#|/ \t\r\n\f") + ["é", "²", "٣", "½"]
+                  + list(_SYMBOLS))
+
+
+def test_tokenize_matches_walker_on_random_strings():
+    rng = random.Random(7)
+    errors = 0
+    for _ in range(2000):
+        text = "".join(rng.choice(TOKEN_ALPHABET) for _ in range(rng.randrange(13)))
+        _assert_same_tokens(text, rng.randrange(1, 5))
+        errors += isinstance(_tokens_or_error(tokenize, text, 1), tuple)
+    assert 0 < errors < 2000  # both the token and the error paths ran
+
+
+def test_tokenize_odd_characters():
+    assert tokenize("x²1 ²3 ٣4") == [Token("ident", "x²1", 1, 1), Token("nat", "²3", 1, 5),
+                                    Token("nat", "٣4", 1, 8), Token("eof", "", 1, 10)]
+    assert tokenize("1² # note") == [Token("nat", "1²", 1, 1), Token("eof", "", 1, 4)]
+    for bad, col in (("c \f", 3), ("½", 1), ("'x", 1)):
+        with pytest.raises(ParseError) as info:
+            tokenize(bad)
+        assert info.value.col == col
 
 
 # --- substitution --------------------------------------------------------------------
