@@ -12,6 +12,8 @@ outside the label domain), 3 (non-monotone), 4 (non-convergence),
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import json
 import os
 import sys
@@ -66,7 +68,9 @@ def _add_common(sp) -> None:
                     help="iterate non-monotone specs anyway")
 
 
-def _parse_args(argv):
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every run."""
     p = argparse.ArgumentParser(prog="bigsos",
                                 description="monotone biGSOS specifications: "
                                             "least models, unfoldings, and laws")
@@ -99,7 +103,7 @@ def _parse_args(argv):
     sp = sub.add_parser("laws", help="run the depth-bounded law suite")
     _add_common(sp)
 
-    return p.parse_args(argv)
+    return p
 
 
 def _config(args) -> Config:
@@ -319,7 +323,9 @@ def run(argv=None, out=None, err=None) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     try:
-        args = _parse_args(argv)
+        # argparse prints usage, errors and --help to sys.stdout and sys.stderr
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:

@@ -10,6 +10,15 @@ specs; the loop stops on a fixed point, on a detected period-2 oscillation
 budget.  The universe grows by the subterm closures of in-cap conclusion
 targets, since rule heads need their argument subterms' behaviour.
 
+The iteration is semi-naive.  A term's derivation depends only on the value,
+frontier membership and taint of the terms whose step it reads, so
+least_model keeps a reverse index from each read term to the terms whose
+derivations read it.  After each step the changed terms are those whose value
+or taint changed and those that entered or left the frontier; the next step
+re-derives only their readers and the newly promoted terms, and every other
+term keeps its value and taint.  The models are those of full steps, and the
+loop has converged when nothing changed.
+
 A generator designates opaque variable states whose behaviour is injected
 verbatim each step; running the same iteration over terms with generator
 variables lifts a coalgebra on the generator states to one on all such terms.
@@ -65,13 +74,16 @@ def bottom_model(kind: BehaviourKind, universe: Iterable[Term]) -> Model:
 
 
 class _ProbeModel:
-    """Step proxy that records whether an under-resolved term was consulted."""
+    """Step proxy that records the terms read, and whether an under-resolved
+    one (frontier or tainted) was among them."""
 
     def __init__(self, model: Model):
         self.model = model
         self.hit = False
+        self.reads: set = set()
 
     def step(self, t: Term):
+        self.reads.add(t)
         if t in self.model.frontier or t in self.model.tainted:
             self.hit = True
         return self.model.step(t)
@@ -277,29 +289,44 @@ def apply_rules(spec: Spec, model: Model, op: str, params: tuple, args: tuple):
             f"{print_term(App(op, params, args))}: {exc}") from None
 
 
-def phi_step(spec: Spec, model: Model, gen: Union[GenCoalgebra, None] = None) -> Model:
+def phi_step(spec: Spec, model: Model, gen: Union[GenCoalgebra, None] = None,
+             dirty: Union[set, frozenset, None] = None,
+             reads: Union[dict, None] = None) -> Model:
     """One application of the rule bank across the universe.
 
     Generator variables take their dynamics verbatim (states injected as
     variable terms); conclusion targets outside the universe become frontier.
     Terms whose derivation consulted a frontier or tainted term are tainted:
     their value may under-report the untruncated behaviour.
+
+    With a dirty set, only the universe terms in it are recomputed; every
+    other term keeps its value and taint from model.  If reads is given, it
+    receives, in universe order, each recomputed term mapped to the set of
+    terms its derivation read.
     """
     kind = spec.kind
+    old, old_tainted = model.behaviour, model.tainted
     beh = {}
     referenced: set = set()
-    tainted: set = set()
+    tainted: list = []
     for t in model.universe:
-        if isinstance(t, Var):
-            if gen is not None and t.name in gen.dynamics:
-                v = kind.map_states(lambda y: Var(y), gen.dynamics[t.name])
-            else:
+        if dirty is not None and t not in dirty:
+            v = old[t]
+            if t in old_tainted:
+                tainted.append(t)
+        elif isinstance(t, Var):
+            if gen is None or t.name not in gen.dynamics:
                 raise UnknownStateError(f"variable term {t.name!r} has no generator dynamics")
+            v = kind.map_states(lambda y: Var(y), gen.dynamics[t.name])
+            if reads is not None:
+                reads[t] = set()
         else:
             probe = _ProbeModel(model)
             v = apply_rules(spec, probe, t.op, t.params, t.args)
             if probe.hit:
-                tainted.add(t)
+                tainted.append(t)
+            if reads is not None:
+                reads[t] = probe.reads
         beh[t] = v
         referenced |= kind.states(v)
     inside = set(model.universe)
@@ -337,6 +364,14 @@ def _promotions(model: Model, policy: UniversePolicy) -> list:
     return sorted(promoted, key=term_key)
 
 
+def _agree_on(a: Model, b: Model, terms: Iterable[Term]) -> bool:
+    """Whether two models over one universe give each of terms the same value,
+    taint and frontier membership."""
+    return all(a.behaviour.get(t) == b.behaviour.get(t)
+               and (t in a.tainted) == (t in b.tainted)
+               and (t in a.frontier) == (t in b.frontier) for t in terms)
+
+
 def least_model(spec: Spec, seeds: Union[Iterable[Term], None] = None,
                 policy: UniversePolicy = UniversePolicy(), max_iters: int = 1000,
                 force: bool = False,
@@ -367,17 +402,31 @@ def least_model(spec: Spec, seeds: Union[Iterable[Term], None] = None,
 
     universe = tuple(sorted(_subterm_closure(seeds), key=term_key))
     m = bottom_model(kind, universe)
+    # term -> universe terms whose derivations read it.  Entries are never
+    # dropped: in a monotone chain a term's reads only grow, and a stale entry
+    # costs one needless re-derivation.
+    readers: dict = {}
+    dirty: Union[set, None] = None  # None: recompute every term
     prev_prev: Union[Model, None] = None
+    prev_changed: set = set()
     converged = oscillating = False
     iters = 0
     while iters < max_iters:
         iters += 1
-        m2 = phi_step(spec, m, gen)
-        if mon.monotone:
-            for t in m.universe:
-                if not kind.leq(m.behaviour[t], m2.behaviour[t]):
+        reads: dict = {}
+        m2 = phi_step(spec, m, gen, dirty, reads)
+        changed: set = set()
+        for t, sources in reads.items():
+            for s in sources:
+                readers.setdefault(s, set()).add(t)
+            old, new = m.behaviour[t], m2.behaviour[t]
+            if old != new:
+                if mon.monotone and not kind.leq(old, new):
                     raise BigsosError(
                         f"internal: iteration chain decreased at {print_term(t)}")
+                changed.add(t)
+            elif (t in m.tainted) != (t in m2.tainted):
+                changed.add(t)
         promoted = _promotions(m2, policy)
         if promoted:
             new_universe = tuple(sorted(set(m2.universe) | set(promoted), key=term_key))
@@ -388,20 +437,30 @@ def least_model(spec: Spec, seeds: Union[Iterable[Term], None] = None,
             for v in beh.values():
                 referenced |= kind.states(v)
             inside = set(new_universe)
-            m = Model(kind, new_universe, beh,
-                      frozenset(s for s in referenced if s not in inside),
-                      m2.tainted)
+            m2 = Model(kind, new_universe, beh,
+                       frozenset(s for s in referenced if s not in inside),
+                       m2.tainted)
+        # Frontier membership is read like a value.  As long as a term is
+        # promoted in the step that first references it or never, a term leaves
+        # the frontier only when no value references it any more, so its readers
+        # are dirty anyway; the index does not rely on that.
+        changed |= m.frontier ^ m2.frontier
+        if promoted:
             prev_prev = None  # only same-universe models are comparable
-            continue
-        if m2 == m:
+        elif not changed:
             converged = True
             m = m2
             break
-        if prev_prev is not None and m2 == prev_prev:
+        # m2 agrees with m outside changed, and m with prev_prev outside
+        # prev_changed, so this is m2 == prev_prev
+        elif prev_prev is not None and _agree_on(m2, prev_prev, changed | prev_changed):
             oscillating = True
             m = m2
             break
-        prev_prev = m
+        else:
+            prev_prev, prev_changed = m, changed
+        dirty = {r for s in changed for r in readers.get(s, ())}
+        dirty.update(promoted)
         m = m2
     return m, ConvergenceReport(iters, converged, oscillating, len(m.frontier))
 

@@ -75,7 +75,15 @@ class Var:
 @dataclass(frozen=True, slots=True)
 class App:
     """Operator application.  The hash, node count and order key are computed
-    once at construction from the children's, so reading them is O(1)."""
+    once at construction from the children's, so reading them is O(1).
+
+    The order key is ("app", codes), where codes lists the node headers
+    ("app", op, params) and variable leaves ("var", name) in pre-order.  Under
+    fixed arities no code sequence is a prefix of another's, so comparing two
+    keys costs the length of their common prefix, and the order is the
+    structural one: header first, then the arguments left to right, each
+    compared the same way.
+    """
 
     op: str
     params: tuple[int, ...] = ()
@@ -87,13 +95,16 @@ class App:
     def __post_init__(self):
         set_ = object.__setattr__
         set_(self, "_hash", hash((self.op, self.params, self.args)))
-        size, keys = 1, []
+        size, codes = 1, [("app", self.op, self.params)]
         for a in self.args:
-            a_size, a_key = term_key(a)
-            size += a_size
-            keys.append(a_key)
+            if isinstance(a, Var):
+                size += 1
+                codes.append(("var", a.name))
+            else:
+                size += a._size
+                codes += a._key[1][1]
         set_(self, "_size", size)
-        set_(self, "_key", (size, ("app", self.op, self.params, tuple(keys))))
+        set_(self, "_key", (size, ("app", tuple(codes))))
 
     def __hash__(self):
         return self._hash

@@ -215,6 +215,22 @@ def test_conclusion_label_outside_domain_is_a_user_error(tmp_path):
     assert err.startswith("error: rule r: conclusion label 1 outside the label domain")
 
 
+def test_usage_errors_and_help_go_to_runs_streams(capsys):
+    code, out, err = cli("model")
+    assert code == 2 and out == ""
+    assert err.startswith("usage: bigsos model")
+    assert "error: the following arguments are required: spec_file" in err
+    code, out, err = cli("frobnicate")
+    assert code == 2 and out == "" and "invalid choice: 'frobnicate'" in err
+    code, out, err = cli("unfold", "--help")
+    assert code == 0 and err == ""
+    assert out.startswith("usage: bigsos unfold") and "--universe-count" in out
+    assert capsys.readouterr() == ("", "")  # nothing reached the process streams
+    # the parser is shared between runs and keeps no state from them
+    assert cli("model", "--help") == cli("model", "--help")
+    assert cli("check", fixture_path("lookahead2"))[0] == 0
+
+
 def test_bad_bounds_rejected():
     code, _, err = cli("model", fixture_path("lookahead2"), "--universe-count", "0")
     assert code == 2
@@ -261,6 +277,10 @@ CROSS_PROCESS_COMMANDS = [
     ("equiv", "factstream", "c", "pos", "--rel", "sim", "--universe-size", "16",
      "--format", "json"),
     ("equiv", "transclosure", "sigma(c)", "c"),
+    # many iterations with frontier promotion, and the law suite's lifted models
+    pytest.param(("unfold", "factstream", "sigma(pos)", "-d", "6", "--universe-size", "48",
+                  "--universe-count", "8000"), id="unfold-factstream-promoting"),
+    ("laws", "transclosure", "--universe-size", "9", "--universe-count", "40"),
 ]
 
 

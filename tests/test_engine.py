@@ -6,16 +6,17 @@ import pytest
 
 from bigsos.behaviour import (BOTTOM, Bottom, CountableLTS, LtsValue, StreamStep,
                               WtsValue)
-from bigsos.engine import (ConvergenceReport, GenCoalgebra, Model,
+from bigsos.engine import (ConvergenceReport, GenCoalgebra, Model, _promotions,
                            bottom_model, gen_to_model, least_model,
                            lift_coalgebra, map_unfold, model_to_dot,
                            model_to_json, phi_step, touches_frontier,
                            truncate_unfold, unfold, unfold_to_json)
 from bigsos.errors import NonMonotoneError, UnknownStateError
-from bigsos.speclang import (LabelLit, Positive, eval_label,
+from bigsos.relations import default_generators
+from bigsos.speclang import (LabelLit, Positive, check_monotone, eval_label,
                              instantiate_template, parse_spec)
 from bigsos.terms import (App, UniversePolicy, Var, parse_term, print_term,
-                          substitute)
+                          substitute, subterms, term_key)
 from conftest import fixture_text
 from spec_gen import UNIVERSE_TEXTS, random_monotone_lts_spec
 
@@ -180,6 +181,146 @@ def test_phi_step_matches_oracle_on_random_specs():
             beh = {t: LtsValue.make({"a": {s for s in universe if rng.random() < 0.5}})
                    for t in last.universe}
             check_phi_step(spec, Model(spec.kind, last.universe, beh))
+
+
+# --- semi-naive iteration versus the naive loop ----------------------------------------
+
+
+def naive_least_model(spec, seeds, policy, max_iters, force=False, gen=None):
+    """Kleene iteration with a full phi_step every iteration and whole-model
+    comparisons: the loop least_model ran before semi-naive evaluation."""
+    kind = spec.kind
+    monotone = check_monotone(spec).monotone
+    assert monotone or force
+    seeds = list(seeds) + ([Var(x) for x in gen.states] if gen is not None else [])
+    m = bottom_model(kind, {s for seed in seeds for s in subterms(seed)})
+    prev_prev = None
+    converged = oscillating = False
+    iters = 0
+    while iters < max_iters:
+        iters += 1
+        m2 = phi_step(spec, m, gen)
+        if monotone:
+            assert all(kind.leq(m.behaviour[t], m2.behaviour[t]) for t in m.universe)
+        promoted = _promotions(m2, policy)
+        if promoted:
+            beh = dict(m2.behaviour)
+            beh.update((t, kind.bottom()) for t in promoted)
+            universe = tuple(sorted(beh, key=term_key))
+            referenced = set().union(*(kind.states(v) for v in beh.values()))
+            m = Model(kind, universe, beh, frozenset(referenced - set(universe)), m2.tainted)
+            prev_prev = None
+            continue
+        if m2 == m:
+            converged = True
+            m = m2
+            break
+        if prev_prev is not None and m2 == prev_prev:
+            oscillating = True
+            m = m2
+            break
+        prev_prev, m = m, m2
+    return m, ConvergenceReport(iters, converged, oscillating, len(m.frontier))
+
+
+def assert_same_iteration(spec, seeds, policy, max_iters=200, force=False, gen=None,
+                          sweep=False):
+    """least_model equals the naive loop, and so does every shorter run if sweep."""
+    want = naive_least_model(spec, seeds, policy, max_iters, force, gen)
+    got = least_model(spec, seeds, policy, max_iters, force=force, gen=gen)
+    assert got == want, (got[1], want[1])
+    assert got[0].universe == want[0].universe
+    if sweep:
+        for k in range(1, want[1].iterations):
+            assert (least_model(spec, seeds, policy, k, force=force, gen=gen)
+                    == naive_least_model(spec, seeds, policy, k, force, gen)), k
+    return got
+
+
+SEMINAIVE_CASES = {
+    # name: (fixture, seed terms, policy, force)
+    "lookahead2": ("lookahead2", ("sigma(tau(c))", "sigma(tau(d))"), UniversePolicy(40, 8), False),
+    "transclosure": ("transclosure", ("sigma(sigma(c))",), UniversePolicy(40, 8), False),
+    "transclosure-capped": ("transclosure", ("sigma(c)",), UniversePolicy(6, 8), False),
+    "transclosure-fixed": ("transclosure", ("sigma(c)",), UniversePolicy(10, 10, grow=False),
+                           False),
+    "factstream": ("factstream", ("c", "pos", "sigma(pos)", "sigma(c)"),
+                   UniversePolicy(400, 16), False),
+    "factstream-capped": ("factstream", ("sigma(pos)",), UniversePolicy(12, 7), False),
+    "factstream-sized": ("factstream", ("sigma(pos)",), UniversePolicy(8000, 48), False),
+    "wchain": ("wchain", ("f(f(c))", "f(d)"), UniversePolicy(40, 8), False),
+    "wchain-capped": ("wchain", ("f(f(f(c)))",), UniversePolicy(4, 8), False),
+    "negloop": ("negloop", ("sigma(sigma(c))",), UniversePolicy(10, 6, grow=False), True),
+    "negloop-growing": ("negloop", ("sigma(c)",), UniversePolicy(8, 6), True),
+    "empty": ("empty", (), UniversePolicy(), False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEMINAIVE_CASES))
+def test_least_model_matches_naive_loop(name):
+    fixture, seed_texts, policy, force = SEMINAIVE_CASES[name]
+    spec = fx(fixture)
+    seeds = [App(c) for c in spec.sig.constants()] + [pt(spec, s) for s in seed_texts]
+    assert_same_iteration(spec, seeds, policy, force=force, sweep=name != "factstream-sized")
+
+
+def test_naive_loop_cases_reach_taint_promotion_and_oscillation():
+    """The cases above exercise what the changed set must track."""
+    seen = set()
+    for fixture, seed_texts, policy, force in SEMINAIVE_CASES.values():
+        spec = fx(fixture)
+        seeds = [App(c) for c in spec.sig.constants()] + [pt(spec, s) for s in seed_texts]
+        model, report = least_model(spec, seeds, policy, 200, force=force)
+        start = {s for seed in seeds for s in subterms(seed)}
+        seen |= {"tainted"} if model.tainted else set()
+        seen |= {"frontier"} if model.frontier else set()
+        seen |= {"promoted"} if len(model.universe) > len(start) else set()
+        seen |= {"oscillation"} if report.oscillation_detected else set()
+        seen |= {"unconverged"} if not report.converged else set()
+    assert seen == {"tainted", "frontier", "promoted", "oscillation", "unconverged"}
+
+
+def test_least_model_matches_naive_loop_on_random_specs():
+    for i in range(50):
+        spec = random_monotone_lts_spec(random.Random(i))
+        seeds = [pt(spec, s) for s in UNIVERSE_TEXTS]
+        for policy in (UniversePolicy(), UniversePolicy(2, 2), UniversePolicy(3, 2, grow=False)):
+            assert_same_iteration(spec, seeds, policy, sweep=True)
+
+
+def test_generator_lifts_match_naive_loop():
+    for fixture in ("lookahead2", "transclosure", "factstream", "wchain"):
+        spec = fx(fixture)
+        for gen in default_generators(spec.kind, spec.sig):
+            x0 = Var(gen.states[0])
+            seeds = [App(c) for c in spec.sig.constants()]
+            seeds += [App(op.name, (1,) * op.param_count, (x0,) * op.arity)
+                      for op in spec.sig.operators() if op.arity >= 1]
+            for policy in (UniversePolicy(60, 6), UniversePolicy(12, 4)):
+                model, report = assert_same_iteration(spec, seeds, policy, gen=gen,
+                                                      sweep=True)
+                if report.converged:
+                    assert lift_coalgebra(spec, gen, seeds, policy, 200) == model
+
+
+def test_partial_phi_step_keeps_clean_terms():
+    spec = fx("transclosure")
+    model, _ = least_model(spec, [pt(spec, "sigma(sigma(c))")], UniversePolicy(6, 8))
+    c, sc = pt(spec, "c"), pt(spec, "sigma(c)")
+    stale = Model(spec.kind, model.universe,
+                  {t: spec.kind.bottom() for t in model.universe}, model.frontier,
+                  model.tainted | {c})
+    reads = {}
+    part = phi_step(spec, stale, dirty={sc}, reads=reads)
+    full = phi_step(spec, stale)
+    assert list(reads) == [sc] and reads[sc] >= {c}
+    assert part.behaviour[sc] == full.behaviour[sc]
+    assert (sc in part.tainted) == (sc in full.tainted)
+    for t in model.universe:
+        if t != sc:
+            assert part.behaviour[t] == stale.behaviour[t]
+            assert (t in part.tainted) == (t in stale.tainted)
+    assert phi_step(spec, stale, dirty=set(model.universe)) == full
 
 
 # --- hand-computed Lookahead2 iterations ----------------------------------------------

@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from bigsos.behaviour import state_key
 from bigsos.errors import ArityError, ParseError, UnknownOperatorError
 from bigsos.terms import (App, Operator, Signature, UniversePolicy, Var,
                           check_term, enumerate_universe, is_closed, parse_term,
@@ -71,10 +72,22 @@ def _fresh_size(u):
     return 1 if isinstance(u, Var) else 1 + sum(_fresh_size(a) for a in u.args)
 
 
+def _fresh_codes(u):
+    """Pre-order node codes of u: ("app", op, params) or ("var", name)."""
+    if isinstance(u, Var):
+        return (("var", u.name),)
+    return (("app", u.op, u.params),) + tuple(c for a in u.args for c in _fresh_codes(a))
+
+
 def _fresh_sort_key(u):
+    return ("var", u.name) if isinstance(u, Var) else ("app", _fresh_codes(u))
+
+
+def nested_sort_key(u):
+    """The nested order key that terms carried before the flat one; the order oracle."""
     if isinstance(u, Var):
         return ("var", u.name)
-    return ("app", u.op, u.params, tuple(_fresh_sort_key(a) for a in u.args))
+    return ("app", u.op, u.params, tuple(nested_sort_key(a) for a in u.args))
 
 
 @given(st.recursive(
@@ -93,6 +106,48 @@ def test_cached_hash_size_and_key_match_recomputation(term):
     twin = parse_term(print_term(term), SIG)  # equal, built separately
     assert twin == term and hash(twin) == hash(term)
     assert term_key(twin) == term_key(term)
+
+
+# fixed arity and parameter count per operator, as a signature guarantees
+ORDER_OPS = (("c", 0, 0), ("d", 0, 0), ("g", 1, 0), ("h", 1, 1), ("f", 2, 0), ("k", 3, 2))
+
+
+def random_term(rng, depth):
+    if depth == 0 or rng.random() < 0.25:
+        if rng.random() < 0.3:
+            return Var(rng.choice("xy"))
+        return App(rng.choice("cd"))
+    op, arity, nparams = rng.choice(ORDER_OPS)
+    params = tuple(rng.randrange(3) for _ in range(nparams))
+    return App(op, params, tuple(random_term(rng, depth - 1) for _ in range(arity)))
+
+
+def _cmp(a, b):
+    return (a > b) - (a < b)
+
+
+def test_flat_key_orders_like_nested_key():
+    rng = random.Random(11)
+    terms = [random_term(rng, rng.randrange(5)) for _ in range(300)]
+    # pairs that share a head and differ only further down
+    terms += [App("f", (), (u, v)) for u, v in zip(terms[:60], terms[60:120])]
+    terms += [App("g", (), (u,)) for u in terms[:60]]
+    for a in terms:
+        for b in terms[:120]:
+            assert _cmp(a.sort_key(), b.sort_key()) == _cmp(
+                nested_sort_key(a), nested_sort_key(b)), (print_term(a), print_term(b))
+            assert _cmp(term_key(a), term_key(b)) == _cmp(
+                (term_size(a), nested_sort_key(a)), (term_size(b), nested_sort_key(b)))
+    assert sorted(terms, key=state_key) == sorted(terms, key=nested_sort_key)
+    assert (sorted(terms, key=term_key)
+            == sorted(terms, key=lambda u: (term_size(u), nested_sort_key(u))))
+
+
+def test_term_and_other_state_keys_compare():
+    states = [App("g", (), (App("c"),)), Var("x"), 3, "s", True, App("c"), (1, 2)]
+    ordered = sorted(states, key=state_key)
+    assert ordered.index(App("c")) < ordered.index(App("g", (), (App("c"),)))
+    assert sorted(reversed(states), key=state_key) == ordered
 
 
 def test_deep_terms_keep_structural_equality():
