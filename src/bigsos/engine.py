@@ -344,18 +344,34 @@ def _subterm_closure(seedlike: Iterable[Term]) -> set:
     return out
 
 
-def _promotions(model: Model, policy: UniversePolicy) -> list:
-    """Frontier terms (with their subterm closures) that fit the caps."""
+def _promotions(model: Model, policy: UniversePolicy, seen: frozenset) -> list:
+    """Frontier terms (with their subterm closures) that fit the caps.
+
+    seen is the frontier of the previous model, whose terms the previous call
+    examined and did not promote; they are skipped, for none of them can fit
+    now.  A term's size is fixed, and for its set of subterms outside the
+    universe, len(new) - budget never decreases: each promoted term lowers
+    budget by one and len(new) by at most one.
+    """
     if not policy.grow:
         return []
     inside = set(model.universe)
     budget = policy.max_count - len(inside)
     promoted: list = []
     taken: set = set()
-    for t in sorted(model.frontier, key=term_key):
+    for t in sorted(model.frontier - seen, key=term_key):
         if term_size(t) > policy.max_size:
             continue
-        new = {s for s in subterms(t) if s not in inside and s not in taken}
+        # inside and inside | taken are subterm-closed, so stop at their terms
+        new: set = set()
+        stack = [t]
+        while stack:
+            s = stack.pop()
+            if s in inside or s in taken or s in new:
+                continue
+            new.add(s)
+            if isinstance(s, App):
+                stack.extend(s.args)
         if len(new) > budget:
             continue
         budget -= len(new)
@@ -427,7 +443,7 @@ def least_model(spec: Spec, seeds: Union[Iterable[Term], None] = None,
                 changed.add(t)
             elif (t in m.tainted) != (t in m2.tainted):
                 changed.add(t)
-        promoted = _promotions(m2, policy)
+        promoted = _promotions(m2, policy, m.frontier)
         if promoted:
             new_universe = tuple(sorted(set(m2.universe) | set(promoted), key=term_key))
             beh = dict(m2.behaviour)

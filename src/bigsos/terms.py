@@ -1,6 +1,7 @@
 """Signatures, first-order terms, substitution, and universe enumeration.
 
-Terms are immutable and structurally hashable.  Operators may carry natural
+Terms are hash-consed: one live object per term, identity equality,
+structural hash, weak intern table.  Operators may carry natural
 number parameters (a parameterized family like ``otimes[3]`` is one signature
 entry with param_count 1), kept separate from the argument list.
 """
@@ -8,7 +9,9 @@ entry with param_count 1), kept separate from the argument list.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+import threading
+import weakref
+from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Iterator, Mapping, NamedTuple, Union
 
@@ -61,9 +64,80 @@ class Signature:
         return f"Signature({body})"
 
 
-@dataclass(frozen=True)
-class Var:
+# --- hash-consing -----------------------------------------------------------------
+#
+# Terms are hash-consed (Filliatre & Conchon, "Type-safe modular hash-consing",
+# 2006): the constructors return the live term for their key if there is one,
+# so equal terms are one object and equality is identity.  The table maps each
+# key to a weak reference, which removes its own entry when the term dies, so
+# the table never keeps a term alive.  A lookup that hits takes no lock; the
+# lock orders publishing a new term against removing a dead one.
+
+_interned: dict = {}  # key -> _Ref to the live term with that key
+# Reentrant: a collection started inside _publish can run _forget in the same
+# thread.
+_intern_lock = threading.RLock()
+
+
+class _Ref(weakref.ref):
+    __slots__ = ("key",)
+
+
+def _forget(ref: _Ref, table=_interned, lock=_intern_lock) -> None:
+    # The defaults keep the table and lock reachable while the module is torn
+    # down at exit.  A term of the same key may have been published since this
+    # one died, so only this ref's own entry is removed.
+    with lock:
+        if table.get(ref.key) is ref:
+            del table[ref.key]
+
+
+def _publish(key: tuple, t):
+    """Intern t under key, or return the live term another caller put there first."""
+    with _intern_lock:
+        ref = _interned.get(key)
+        live = ref() if ref is not None else None
+        if live is not None:
+            return live
+        ref = _Ref(t, _forget)
+        ref.key = key
+        _interned[key] = ref
+        return t
+
+
+class _Frozen:
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: terms are immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: terms are immutable")
+
+
+class Var(_Frozen):
+    """A variable.  Var(name) returns the live variable of that name if any."""
+
+    __slots__ = ("name", "_hash", "__weakref__")
     name: str
+
+    def __new__(cls, name: str):
+        key = (name,)
+        ref = _interned.get(key)
+        if ref is not None:
+            t = ref()
+            if t is not None:
+                return t
+        t = object.__new__(cls)
+        object.__setattr__(t, "name", name)
+        object.__setattr__(t, "_hash", hash(key))
+        return _publish(key, t)
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        return (Var, (self.name,))
 
     def sort_key(self):
         return ("var", self.name)
@@ -72,10 +146,10 @@ class Var:
         return f"Var({self.name!r})"
 
 
-@dataclass(frozen=True, slots=True)
-class App:
-    """Operator application.  The hash, node count and order key are computed
-    once at construction from the children's, so reading them is O(1).
+class App(_Frozen):
+    """Operator application.  App(op, params, args) returns the live term for
+    that key if any; otherwise the hash, node count and order key are computed
+    once from the children's, so reading them is O(1).
 
     The order key is ("app", codes), where codes lists the node headers
     ("app", op, params) and variable leaves ("var", name) in pre-order.  Under
@@ -83,31 +157,46 @@ class App:
     keys costs the length of their common prefix, and the order is the
     structural one: header first, then the arguments left to right, each
     compared the same way.
+
+    _text holds the printed term once print_term has made it.
     """
 
+    __slots__ = ("op", "params", "args", "_hash", "_size", "_key", "_text", "__weakref__")
     op: str
-    params: tuple[int, ...] = ()
-    args: tuple["Term", ...] = ()
-    _hash: int = field(init=False, repr=False, compare=False)
-    _size: int = field(init=False, repr=False, compare=False)
-    _key: tuple = field(init=False, repr=False, compare=False)
+    params: tuple[int, ...]
+    args: tuple["Term", ...]
 
-    def __post_init__(self):
-        set_ = object.__setattr__
-        set_(self, "_hash", hash((self.op, self.params, self.args)))
-        size, codes = 1, [("app", self.op, self.params)]
-        for a in self.args:
+    def __new__(cls, op: str, params: tuple[int, ...] = (), args: tuple["Term", ...] = ()):
+        key = (op, params, args)
+        ref = _interned.get(key)
+        if ref is not None:
+            t = ref()
+            if t is not None:
+                return t
+        size, codes = 1, [("app", op, params)]
+        for a in args:
             if isinstance(a, Var):
                 size += 1
                 codes.append(("var", a.name))
             else:
                 size += a._size
                 codes += a._key[1][1]
-        set_(self, "_size", size)
-        set_(self, "_key", (size, ("app", tuple(codes))))
+        t = object.__new__(cls)
+        set_ = object.__setattr__
+        set_(t, "op", op)
+        set_(t, "params", params)
+        set_(t, "args", args)
+        set_(t, "_hash", hash(key))
+        set_(t, "_size", size)
+        set_(t, "_key", (size, ("app", tuple(codes))))
+        set_(t, "_text", None)
+        return _publish(key, t)
 
     def __hash__(self):
         return self._hash
+
+    def __reduce__(self):
+        return (App, (self.op, self.params, self.args))
 
     def sort_key(self):
         return self._key[1]
@@ -167,11 +256,14 @@ def check_term(t: Term, sig: Signature) -> None:
 def print_term(t: Term) -> str:
     if isinstance(t, Var):
         return t.name
-    out = t.op
-    if t.params:
-        out += "[" + ",".join(str(p) for p in t.params) + "]"
-    if t.args:
-        out += "(" + ", ".join(print_term(a) for a in t.args) + ")"
+    out = t._text
+    if out is None:
+        out = t.op
+        if t.params:
+            out += "[" + ",".join(str(p) for p in t.params) + "]"
+        if t.args:
+            out += "(" + ", ".join(print_term(a) for a in t.args) + ")"
+        object.__setattr__(t, "_text", out)
     return out
 
 

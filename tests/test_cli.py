@@ -281,6 +281,13 @@ CROSS_PROCESS_COMMANDS = [
     pytest.param(("unfold", "factstream", "sigma(pos)", "-d", "6", "--universe-size", "48",
                   "--universe-count", "8000"), id="unfold-factstream-promoting"),
     ("laws", "transclosure", "--universe-size", "9", "--universe-count", "40"),
+    # deep terms printed many times from their cached text, and a run that
+    # builds and drops many terms while the intern table churns
+    pytest.param(("model", "transclosure", "sigma(" * 12 + "c" + ")" * 12, "--universe-size",
+                  "14", "--universe-count", "14", "--format", "json"),
+                 id="model-transclosure-deep"),
+    pytest.param(("congruence", "factstream", "--samples", "400", "--seed", "7",
+                  "--format", "json"), id="congruence-factstream-churn"),
 ]
 
 

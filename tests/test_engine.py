@@ -6,7 +6,7 @@ import pytest
 
 from bigsos.behaviour import (BOTTOM, Bottom, CountableLTS, LtsValue, StreamStep,
                               WtsValue)
-from bigsos.engine import (ConvergenceReport, GenCoalgebra, Model, _promotions,
+from bigsos.engine import (ConvergenceReport, GenCoalgebra, Model,
                            bottom_model, gen_to_model, least_model,
                            lift_coalgebra, map_unfold, model_to_dot,
                            model_to_json, phi_step, touches_frontier,
@@ -16,7 +16,7 @@ from bigsos.relations import default_generators
 from bigsos.speclang import (LabelLit, Positive, check_monotone, eval_label,
                              instantiate_template, parse_spec)
 from bigsos.terms import (App, UniversePolicy, Var, parse_term, print_term,
-                          substitute, subterms, term_key)
+                          substitute, subterms, term_key, term_size)
 from conftest import fixture_text
 from spec_gen import UNIVERSE_TEXTS, random_monotone_lts_spec
 
@@ -186,6 +186,27 @@ def test_phi_step_matches_oracle_on_random_specs():
 # --- semi-naive iteration versus the naive loop ----------------------------------------
 
 
+def naive_promotions(model, policy):
+    """Frontier terms (with their subterm closures) that fit the caps: every
+    frontier term examined on every call, with a full subterm walk."""
+    if not policy.grow:
+        return []
+    inside = set(model.universe)
+    budget = policy.max_count - len(inside)
+    promoted: list = []
+    taken: set = set()
+    for t in sorted(model.frontier, key=term_key):
+        if term_size(t) > policy.max_size:
+            continue
+        new = {s for s in subterms(t) if s not in inside and s not in taken}
+        if len(new) > budget:
+            continue
+        budget -= len(new)
+        taken |= new
+        promoted.extend(new)
+    return sorted(promoted, key=term_key)
+
+
 def naive_least_model(spec, seeds, policy, max_iters, force=False, gen=None):
     """Kleene iteration with a full phi_step every iteration and whole-model
     comparisons: the loop least_model ran before semi-naive evaluation."""
@@ -202,7 +223,7 @@ def naive_least_model(spec, seeds, policy, max_iters, force=False, gen=None):
         m2 = phi_step(spec, m, gen)
         if monotone:
             assert all(kind.leq(m.behaviour[t], m2.behaviour[t]) for t in m.universe)
-        promoted = _promotions(m2, policy)
+        promoted = naive_promotions(m2, policy)
         if promoted:
             beh = dict(m2.behaviour)
             beh.update((t, kind.bottom()) for t in promoted)
@@ -301,6 +322,15 @@ def test_generator_lifts_match_naive_loop():
                                                       sweep=True)
                 if report.converged:
                     assert lift_coalgebra(spec, gen, seeds, policy, 200) == model
+
+
+def test_promotion_counts_a_shared_new_subterm_once():
+    """f(g(c)) and h(g(c), c) both need g(c); once the first is promoted, the
+    second costs one slot, so both fit the four-term cap."""
+    spec = parse_spec("behaviour lts labels a\nops f/1, g/1, h/2, c/0\n"
+                      "rule one : |- c -a-> f(g(c))\nrule two : |- c -a-> h(g(c), c)\n")
+    model, _ = assert_same_iteration(spec, [App("c")], UniversePolicy(4, 8))
+    assert model.universe == tuple(pt(spec, s) for s in ("c", "g(c)", "f(g(c))", "h(g(c), c)"))
 
 
 def test_partial_phi_step_keeps_clean_terms():

@@ -1,5 +1,8 @@
 """Terms: construction, printing, parsing, substitution, enumeration."""
 
+import copy
+import gc
+import pickle
 import random
 
 import pytest
@@ -11,6 +14,8 @@ from bigsos.terms import (App, Operator, Signature, UniversePolicy, Var,
                           check_term, enumerate_universe, is_closed, parse_term,
                           print_term, substitute, subterms, term_key, term_size,
                           variables)
+from bigsos import terms
+from bigsos.speclang import LabelLit, LabelVar, TemplateApp, instantiate_template
 from bigsos.terms import _SYMBOLS, Token, tokenize
 from conftest import FIXTURES, fixture_text
 from spec_gen import random_monotone_lts_text
@@ -158,9 +163,124 @@ def test_deep_terms_keep_structural_equality():
         return u
 
     one, two = tower(200), tower(200)
-    assert one is not two and one == two and hash(one) == hash(two)
+    assert one is two and one == two and hash(one) == hash(two)
     assert term_size(one) == 201
     assert tower(200) != tower(199) and {one: 1}[two] == 1
+
+
+# --- hash-consing --------------------------------------------------------------------
+
+ORDER_SIG = Signature(ORDER_OPS)
+
+
+def rebuild(u):
+    """A structural copy of u made of freshly built tuples and strings."""
+    if isinstance(u, Var):
+        return Var("".join(u.name))
+    return App("".join(u.op), tuple(list(u.params)), tuple(rebuild(a) for a in u.args))
+
+
+def as_template(u):
+    """u as a conclusion target whose parameters are label expressions."""
+    if isinstance(u, Var):
+        return u
+    return TemplateApp(u.op, tuple(LabelVar(f"p{n}") if n else LabelLit(n) for n in u.params),
+                       tuple(as_template(a) for a in u.args))
+
+
+def test_equal_terms_are_one_object():
+    rng = random.Random(5)
+    env = {f"p{n}": n for n in range(3)}
+    for _ in range(300):
+        u = random_term(rng, rng.randrange(5))
+        assert rebuild(u) is u
+        assert parse_term(print_term(u), ORDER_SIG) is u
+        assert substitute(u, {"x": Var("x"), "y": Var("y")}) is u
+        assert instantiate_template(as_template(u), env) is u
+        closed = substitute(u, {"x": App("c"), "y": App("d", (), ())})
+        assert closed is rebuild(closed) and closed is parse_term(print_term(closed), ORDER_SIG)
+        # the hash stays structural, so set and dict orders do not change
+        assert hash(u) == hash((u.name,) if isinstance(u, Var) else (u.op, u.params, u.args))
+    assert Var("x") is Var("x") and App("h", (2,), (Var("x"),)).args[0] is Var("x")
+    assert App("c") is not Var("c") and App("c") != Var("c")
+
+
+def test_terms_are_immutable():
+    u = t("h[1](g(x))")
+    for term, name in ((u, "op"), (u, "args"), (u, "_text"), (Var("x"), "name")):
+        with pytest.raises(AttributeError):
+            setattr(term, name, getattr(term, name))
+        with pytest.raises(AttributeError):
+            delattr(term, name)
+    assert u is t("h[1](g(x))") and print_term(u) == "h[1](g(x))"
+
+
+def test_pickle_and_copy_return_the_interned_term():
+    u = t("f(h[2](x), g(c))")
+    for term in (u, Var("x")):
+        assert pickle.loads(pickle.dumps(term)) is term
+        assert copy.copy(term) is term
+        assert copy.deepcopy(term) is term
+
+
+def test_intern_hit_keeps_the_first_node():
+    c = App("c")
+    args = (c, App("g", (), (c,)))
+    first = App("f", (), args)
+    text = print_term(first)
+    again = App("f", (), tuple(list(args)))
+    assert again is first and again.args is args
+    assert print_term(again) is text
+
+
+def test_intern_table_does_not_keep_terms_alive():
+    gc.collect()
+    before = len(terms._interned)
+    built = [App("h", (n,), (App("g", (), (Var(f"v{n}"),)),)) for n in range(10_000)]
+    assert len(terms._interned) >= before + 30_000
+    del built
+    gc.collect()
+    assert len(terms._interned) == before
+
+
+def reference_print(u):
+    if isinstance(u, Var):
+        return u.name
+    out = u.op
+    if u.params:
+        out += "[" + ",".join(str(p) for p in u.params) + "]"
+    if u.args:
+        out += "(" + ", ".join(reference_print(a) for a in u.args) + ")"
+    return out
+
+
+def printing_term(rng, prefix, depth):
+    """Random term over operators named prefix + arity, with 0-2 params."""
+    arity = rng.randrange(4) if depth else 0
+    if arity == 0 and rng.random() < 0.3:
+        return Var(rng.choice("xyz"))
+    params = tuple(rng.randrange(12) for _ in range(rng.randrange(3)))
+    return App(f"{prefix}{arity}", params,
+               tuple(printing_term(rng, prefix, depth - 1) for _ in range(arity)))
+
+
+def postorder(u):
+    if isinstance(u, App):
+        for a in u.args:
+            yield from postorder(a)
+    yield u
+
+
+@pytest.mark.parametrize("parents_first", [True, False])
+def test_cached_text_matches_reference_printer(parents_first):
+    # each order gets its own operators, so no text is cached before the test
+    prefix = "down" if parents_first else "up"
+    rng = random.Random(17)
+    built = [printing_term(rng, prefix, rng.randrange(6)) for _ in range(300)]
+    for u in built:
+        nodes = list(subterms(u)) if parents_first else list(postorder(u))
+        for s in nodes:
+            assert print_term(s) == reference_print(s)
 
 
 # --- printing and parsing ------------------------------------------------------------
