@@ -23,7 +23,7 @@ from .relations import (CongruenceReport, EquivResult, LawConfig, LawResult,
                         greatest_simulation, law_suite, monotonicity_semantic_test)
 from .speclang import (Rule, Spec, check_monotone, lookahead_depth, parse_spec,
                        print_spec, validate_spec)
-from .terms import (App, Operator, Signature, Term, UniversePolicy, Var,
-                    enumerate_universe, parse_term, print_term, substitute)
+from .terms import (App, Operator, Signature, Term, UniversePolicy, Var, parse_term,
+                    print_term, substitute)
 
 __version__ = "0.1.0"

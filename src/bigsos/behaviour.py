@@ -4,7 +4,9 @@ Three kinds are provided: partial streams (one observation then a successor,
 or bottom), finitely-branching labelled transition systems ordered by
 pointwise inclusion, and weighted systems over the complete monoid
 (R+ with infinity, sup).  Each kind bundles its bottom element, the order,
-joins, state relabelling, and the lax relation lifting used by simulations.
+joins, state relabelling, and the lax relation lifting used by simulations,
+plus the rendering and test-environment helpers the rest of the package
+needs, so no caller dispatches on the kind.
 
 Values are immutable and canonicalized (sorted, empty entries dropped) so
 structural equality and hashing behave.  The carrier is implicit: states can
@@ -148,9 +150,6 @@ class Relation:
     def __contains__(self, pair) -> bool:
         return pair in self.pairs
 
-    def converse(self) -> "Relation":
-        return Relation(self.right, self.left, frozenset((t, s) for s, t in self.pairs))
-
 
 def rel_pairs(rel):
     """Liftings accept a Relation or any collection of pairs; sets are read
@@ -258,6 +257,28 @@ class PartialStream:
             return None
         return {"label": v.label, "next": state_repr(v.state)}
 
+    tree_json = value_json
+
+    def arrow(self, v, lab, target) -> str:
+        return f"-{lab}->"
+
+    def full_value(self, labels, targets, i):
+        """Environment state i of a full test environment: a cycle on the
+        first label."""
+        return StreamStep(labels[0], targets[(i + 1) % len(targets)])
+
+    def drop_label(self, v, lab):
+        """v without its moves on lab, or None if it has none there."""
+        return BOTTOM if isinstance(v, StreamStep) and v.label == lab else None
+
+    def random_value(self, labels, targets, rng):
+        return (BOTTOM if rng.random() < 0.3 else
+                StreamStep(rng.choice(labels), rng.choice(targets)))
+
+    def random_shrink(self, v, rng):
+        """A random value below a non-bottom v."""
+        return BOTTOM
+
 
 @dataclass(frozen=True)
 class CountableLTS:
@@ -266,6 +287,10 @@ class CountableLTS:
     labels: frozenset
 
     name = "lts"
+
+    def __post_init__(self):
+        if self.labels is None:
+            raise ValueError(f"{self.name} needs a finite label alphabet")
 
     def has_label(self, lab) -> bool:
         return lab in self.labels
@@ -366,6 +391,30 @@ class CountableLTS:
         self._check(v)
         return {str(lab): [state_repr(s) for s in states] for lab, states in v.moves}
 
+    tree_json = value_json
+
+    def arrow(self, v, lab, target) -> str:
+        return f"-{lab}->"
+
+    def full_value(self, labels, targets, i):
+        return LtsValue.make({lab: targets for lab in labels})
+
+    def drop_label(self, v, lab):
+        if lab not in v.labels():
+            return None
+        return LtsValue(tuple(entry for entry in v.moves if entry[0] != lab))
+
+    def random_value(self, labels, targets, rng):
+        return LtsValue.make({lab: {t for t in targets if rng.random() < 0.5}
+                              for lab in labels})
+
+    def random_shrink(self, v, rng):
+        """v with one successor removed on one label."""
+        lab = rng.choice(v.labels())
+        keep = list(v.successors(lab))
+        del keep[rng.randrange(len(keep))]
+        return LtsValue.make({**v.as_dict(), lab: keep})
+
 
 @dataclass(frozen=True)
 class WeightedLTS:
@@ -374,6 +423,10 @@ class WeightedLTS:
     labels: frozenset
 
     name = "wts"
+
+    def __post_init__(self):
+        if self.labels is None:
+            raise ValueError(f"{self.name} needs a finite label alphabet")
 
     def has_label(self, lab) -> bool:
         return lab in self.labels
@@ -465,6 +518,36 @@ class WeightedLTS:
     def value_json(self, v, state_repr: Callable):
         self._check(v)
         return {str(lab): {state_repr(s): w for s, w in row} for lab, row in v.moves}
+
+    def tree_json(self, v, child_json: Callable):
+        """Like value_json, but the states are unfold trees, which cannot be
+        keys, so each label maps to [{"weight", "next"}] rows."""
+        self._check(v)
+        return {str(lab): [{"weight": w, "next": child_json(s)} for s, w in row]
+                for lab, row in v.moves}
+
+    def arrow(self, v, lab, target) -> str:
+        return f"-{lab}[{v.weight(lab, target)}]->"
+
+    def full_value(self, labels, targets, i):
+        return WtsValue.make({lab: dict.fromkeys(targets, 1.0) for lab in labels})
+
+    def drop_label(self, v, lab):
+        if lab not in v.labels():
+            return None
+        return WtsValue(tuple(entry for entry in v.moves if entry[0] != lab))
+
+    def random_value(self, labels, targets, rng):
+        return WtsValue.make({lab: {t: rng.choice([0.0, 0.5, 1.0, 2.0]) for t in targets}
+                              for lab in labels})
+
+    def random_shrink(self, v, rng):
+        """v with one weight on one label halved or zeroed."""
+        lab = rng.choice(v.labels())
+        cur = v.as_dict()
+        s = rng.choice(sorted(cur[lab], key=state_key))
+        cur[lab][s] *= rng.choice([0.0, 0.5])
+        return WtsValue.make(cur)
 
 
 BehaviourKind = Union[PartialStream, CountableLTS, WeightedLTS]

@@ -3,10 +3,10 @@
 Thin adapter over the library: parse a spec file, build the least model,
 and print unfoldings, equivalence verdicts, or reports.  All output is
 deterministic for a fixed seed; exit codes are 0 (ok), 1 (syntax),
-2 (validation, usage, or a spec error found while building the model, such
-as two rules giving one term different stream steps or a conclusion label
-outside the label domain), 3 (non-monotone), 4 (non-convergence),
-5 (internal).
+2 (validation, usage, a term nested too deeply to process, or a spec error
+found while building the model, such as two rules giving one term different
+stream steps or a conclusion label outside the label domain),
+3 (non-monotone), 4 (non-convergence), 5 (internal).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import os
 import sys
 from dataclasses import dataclass
 
-from .behaviour import Bottom
+from .behaviour import Bottom, CountableLTS, PartialStream
 from .engine import (least_model, model_to_dot, model_to_json, unfold,
                      unfold_to_json)
 from .errors import (BigsosError, InconsistentStreamError, LabelEvalError,
@@ -138,10 +138,8 @@ def _model_text(model, report) -> list:
             lines.append(f"{print_term(t)} ⊥")
             continue
         for lab, target in model.kind.transitions(v):
-            arrow = f"-{lab}->"
-            if model.kind.name == "wts":
-                arrow = f"-{lab}[{v.weight(lab, target)}]->"
-            lines.append(f"{print_term(t)} {arrow} {print_term(target)}")
+            lines.append(f"{print_term(t)} {model.kind.arrow(v, lab, target)} "
+                         f"{print_term(target)}")
     lines.append(f"-- iterations {report.iterations}, converged "
                  f"{'yes' if report.converged else 'no'}, oscillation "
                  f"{'yes' if report.oscillation_detected else 'no'}, "
@@ -150,7 +148,7 @@ def _model_text(model, report) -> list:
 
 
 def _unfold_text(kind, tree) -> list:
-    if kind.name == "stream":
+    if isinstance(kind, PartialStream):  # a stream unfolds to one label path
         labels = []
         node = tree
         while node.step is not None:
@@ -166,11 +164,9 @@ def _unfold_text(kind, tree) -> list:
         if node.step is None:
             return
         for lab, kid in kind.transitions(node.step):
-            arrow = f"-{lab}->"
-            if kind.name == "wts":
-                arrow = f"-{lab}[{node.step.weight(lab, kid)}]->"
             mark = "  # opaque" if kid.opaque else ""
-            lines.append("  " * indent + f"{arrow} {print_term(kid.root)}{mark}")
+            lines.append("  " * indent + f"{kind.arrow(node.step, lab, kid)} "
+                         f"{print_term(kid.root)}{mark}")
             walk(kid, indent + 1)
 
     walk(tree, 1)
@@ -217,7 +213,7 @@ def _require_valid(spec, err) -> bool:
 def _cmd_model(spec, args, cfg, out, err) -> int:
     model, report = _build_model(spec, _seed_terms(spec, args.terms), cfg)
     fmt = cfg.format
-    if fmt == "dot" and model.kind.name != "lts":
+    if fmt == "dot" and not isinstance(model.kind, CountableLTS):
         print("warning: dot export is only defined for lts models; emitting json",
               file=err)
         fmt = "json"
@@ -342,6 +338,9 @@ def run(argv=None, out=None, err=None) -> int:
     except (UnknownStateError, InconsistentStreamError, LabelEvalError,
             ValueError, OSError) as exc:
         print(f"error: {exc}", file=err)
+        return 2
+    except RecursionError:  # the parser, printer and substitution recurse on terms
+        print("error: term nested too deeply", file=err)
         return 2
     except BigsosError as exc:
         print(f"internal error: {exc}", file=err)

@@ -30,7 +30,8 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Mapping, NamedTuple, Union
 
-from .behaviour import BehaviourKind, Bottom, StreamStep, label_key, state_key
+from .behaviour import (BehaviourKind, Bottom, CountableLTS, StreamStep, label_key,
+                        state_key)
 from .errors import (BigsosError, InconsistentStreamError, LabelEvalError,
                      NonConvergenceError, NonMonotoneError, UnknownStateError)
 from .speclang import (LabelLit, Positive, Premise, Rule, Spec, check_monotone,
@@ -543,17 +544,6 @@ def unfold(model: Model, t: Term, depth: int) -> UnfoldTree:
     return UnfoldTree(t, depth, step, opaque)
 
 
-def truncate_unfold(kind: BehaviourKind, tree: UnfoldTree, depth: int) -> UnfoldTree:
-    if depth > tree.depth:
-        raise ValueError("cannot deepen a recorded unfolding")
-    if depth == tree.depth:
-        return tree
-    if depth == 0:
-        return UnfoldTree(tree.root, 0, None, tree.opaque)
-    step = kind.map_states(lambda sub: truncate_unfold(kind, sub, depth - 1), tree.step)
-    return UnfoldTree(tree.root, depth, step, tree.opaque)
-
-
 def map_unfold(kind: BehaviourKind, tree: UnfoldTree, term_map) -> UnfoldTree:
     """Rename every node root through term_map, keeping the tree shape."""
     step = tree.step
@@ -585,7 +575,7 @@ def model_to_json(model: Model, report: Union[ConvergenceReport, None] = None) -
 
 def model_to_dot(model: Model) -> str:
     """Graphviz digraph; labelled transition models only."""
-    if model.kind.name != "lts":
+    if not isinstance(model.kind, CountableLTS):
         raise ValueError("dot export is only defined for lts models")
     lines = ["digraph model {", "  rankdir=LR;"]
     carrier = model.carrier()
@@ -604,17 +594,6 @@ def unfold_to_json(kind: BehaviourKind, tree: UnfoldTree) -> dict:
     node: dict = {"term": print_term(tree.root), "depth": tree.depth}
     if tree.opaque:
         node["opaque"] = True
-    if tree.step is None:
-        node["step"] = None
-    elif kind.name == "stream":
-        node["step"] = (None if isinstance(tree.step, Bottom) else
-                        {"label": tree.step.label,
-                         "next": unfold_to_json(kind, tree.step.state)})
-    elif kind.name == "lts":
-        node["step"] = {str(lab): [unfold_to_json(kind, sub) for sub in subs]
-                        for lab, subs in tree.step.moves}
-    else:
-        node["step"] = {str(lab): [{"weight": w, "next": unfold_to_json(kind, sub)}
-                                   for sub, w in row]
-                        for lab, row in tree.step.moves}
+    node["step"] = (None if tree.step is None else
+                    kind.tree_json(tree.step, lambda sub: unfold_to_json(kind, sub)))
     return node

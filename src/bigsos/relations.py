@@ -23,8 +23,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Union
 
-from .behaviour import (BOTTOM, BehaviourKind, LtsValue, Relation, StreamStep,
-                        WtsValue, label_key, state_key)
+from .behaviour import BehaviourKind, Relation, label_key, state_key
 from .engine import (GenCoalgebra, Model, UnfoldTree, apply_rules, gen_to_model,
                      lift_coalgebra, map_unfold, touches_frontier, unfold)
 from .errors import BigsosError, CarrierMismatchError, InconsistentStreamError, \
@@ -333,15 +332,8 @@ def _env_model(kind, names, beh) -> Model:
 
 
 def _full_env(kind, names, labels) -> dict:
-    everyone = {Var(n) for n in names}
-    if kind.name == "stream":
-        order = list(names)
-        return {n: StreamStep(labels[0], Var(order[(i + 1) % len(order)]))
-                for i, n in enumerate(order)}
-    if kind.name == "lts":
-        return {n: LtsValue.make({lab: everyone for lab in labels}) for n in names}
-    return {n: WtsValue.make({lab: {s: 1.0 for s in everyone} for lab in labels})
-            for n in names}
+    targets = [Var(n) for n in names]
+    return {n: kind.full_value(labels, targets, i) for i, n in enumerate(names)}
 
 
 def _row_prunes(kind, names, labels, beh) -> list:
@@ -349,66 +341,25 @@ def _row_prunes(kind, names, labels, beh) -> list:
     label (streams: the whole step), keeping everything else."""
     out = []
     for n in names:
-        if kind.name == "stream":
-            if not isinstance(beh[n], StreamStep):
-                continue
-            smaller = dict(beh)
-            smaller[n] = BOTTOM
-            out.append(smaller)
-            continue
         for lab in labels:
-            cur = beh[n].as_dict()
-            if lab not in cur:
-                continue
-            cur = dict(cur)
-            del cur[lab]
-            smaller = dict(beh)
-            smaller[n] = LtsValue.make(cur) if kind.name == "lts" else WtsValue.make(cur)
-            out.append(smaller)
+            smaller = kind.drop_label(beh[n], lab)
+            if smaller is not None:
+                out.append({**beh, n: smaller})
     return out
 
 
 def _random_env(kind, names, labels, rng) -> dict:
-    beh = {}
     targets = [Var(n) for n in names]
-    for n in names:
-        if kind.name == "stream":
-            beh[n] = (BOTTOM if rng.random() < 0.3 else
-                      StreamStep(rng.choice(labels), rng.choice(targets)))
-        elif kind.name == "lts":
-            beh[n] = LtsValue.make({lab: {t for t in targets if rng.random() < 0.5}
-                                    for lab in labels})
-        else:
-            beh[n] = WtsValue.make({lab: {t: rng.choice([0.0, 0.5, 1.0, 2.0])
-                                          for t in targets}
-                                    for lab in labels})
-    return beh
+    return {n: kind.random_value(labels, targets, rng) for n in names}
 
 
 def _random_prune(kind, beh, rng) -> dict:
     smaller = dict(beh)
-    victims = [n for n in smaller
-               if kind.name == "stream" and isinstance(smaller[n], StreamStep)
-               or kind.name != "stream" and smaller[n].moves]
+    victims = [n for n in smaller if not kind.is_bottom(smaller[n])]
     if not victims:
         return smaller
     for n in rng.sample(victims, k=min(len(victims), rng.randint(1, 2))):
-        if kind.name == "stream":
-            smaller[n] = BOTTOM
-            continue
-        cur = smaller[n].as_dict()
-        lab = rng.choice(sorted(cur, key=label_key))
-        row = cur[lab]
-        if kind.name == "lts":
-            keep = sorted(row, key=state_key)
-            del keep[rng.randrange(len(keep))]
-            cur[lab] = set(keep)
-        else:
-            s = rng.choice(sorted(row, key=state_key))
-            row = dict(row)
-            row[s] = row[s] * rng.choice([0.0, 0.5])
-            cur[lab] = row
-        smaller[n] = LtsValue.make(cur) if kind.name == "lts" else WtsValue.make(cur)
+        smaller[n] = kind.random_shrink(smaller[n], rng)
     return smaller
 
 
@@ -423,13 +374,7 @@ def monotonicity_semantic_test(spec: Spec, trials: int, seed: int = 0,
     """
     kind = spec.kind
     rng = random.Random(seed)
-    names = []
-    for i in range(states):
-        n = f"env{i}"
-        while n in spec.sig:
-            n += "_"
-        names.append(n)
-    names = tuple(names)
+    names = tuple(_fresh_name(f"env{i}", spec.sig) for i in range(states))
     labels = _test_labels(kind)
 
     full = _full_env(kind, names, labels)
@@ -472,17 +417,14 @@ def monotonicity_semantic_test(spec: Spec, trials: int, seed: int = 0,
 class LawConfig:
     """Knobs for the depth-bounded law checks.
 
-    generators supplies the small coalgebras the laws run over; empty means
-    kind-appropriate defaults (a one-state loop and a two-state chain).  hom
-    maps the last generator's states onto the first's; None falls back to the
-    all-to-first collapse when that is a homomorphism, or to the identity
-    when only one generator is given.
+    depth is the observation depth of every tree comparison, policy caps the
+    lifted universes, and max_terms caps the terms T1 and T2-mu compare.
+    The laws run over default_generators (a one-state loop and a two-state
+    chain), with the chain collapsed onto the loop as the homomorphism.
     """
 
     depth: int = 3
     policy: UniversePolicy = UniversePolicy(max_count=240, max_size=14)
-    generators: tuple = ()
-    hom: Union[Mapping, None] = None
     max_terms: int = 150
 
 
@@ -496,12 +438,6 @@ class LawResult:
         return {"law": self.law, "status": self.status, "witness": self.witness}
 
 
-def _first_label(kind):
-    if getattr(kind, "labels", None) is not None:
-        return sorted(kind.labels, key=label_key)[0]
-    return 1
-
-
 def _fresh_name(name: str, sig) -> str:
     while name in sig:
         name += "_"
@@ -510,14 +446,10 @@ def _fresh_name(name: str, sig) -> str:
 
 def default_generators(kind: BehaviourKind, sig) -> tuple:
     """A one-state loop and a two-state chain into a loop, on one label."""
-    lab = _first_label(kind)
+    lab = _test_labels(kind)[0]
 
     def loop(s):
-        if kind.name == "stream":
-            return StreamStep(lab, s)
-        if kind.name == "lts":
-            return LtsValue.make({lab: {s}})
-        return WtsValue.make({lab: {s: 1.0}})
+        return kind.conclusion_value(lab, s)
 
     gx = _fresh_name("gx", sig)
     gp = _fresh_name("gp", sig)
@@ -577,11 +509,9 @@ def law_pointwise_unfolding(kind: BehaviourKind, gen: GenCoalgebra,
 
 
 def law_hom_preserves_similarity(kind: BehaviourKind, gsrc: GenCoalgebra,
-                                 gdst: GenCoalgebra, hom: Union[Mapping, None],
+                                 gdst: GenCoalgebra, hom: Mapping,
                                  depth: int) -> LawResult:
     """L2: images of depth-similar states stay depth-similar."""
-    if hom is None:
-        return LawResult("L2", "inconclusive", "no homomorphism available")
     if not is_homomorphism(kind, gsrc, gdst, hom):
         return LawResult("L2", "inconclusive", "supplied map is not a homomorphism")
     msrc = gen_to_model(kind, gsrc)
@@ -604,7 +534,7 @@ def law_hom_preserves_similarity(kind: BehaviourKind, gsrc: GenCoalgebra,
 
 
 def law_term_map_hom(spec: Spec, gsrc: GenCoalgebra, gdst: GenCoalgebra,
-                     hom: Union[Mapping, None], depth: int,
+                     hom: Mapping, depth: int,
                      policy: UniversePolicy, max_terms: int) -> LawResult:
     """T1: the term-map extension of a homomorphism is a homomorphism.
 
@@ -613,8 +543,8 @@ def law_term_map_hom(spec: Spec, gsrc: GenCoalgebra, gdst: GenCoalgebra,
     recorded behaviour is not the untruncated one.
     """
     kind = spec.kind
-    if hom is None or not is_homomorphism(kind, gsrc, gdst, hom):
-        return LawResult("T1", "inconclusive", "no homomorphism available")
+    if not is_homomorphism(kind, gsrc, gdst, hom):
+        return LawResult("T1", "inconclusive", "supplied map is not a homomorphism")
     lift_src = lift_coalgebra(spec, gsrc, _lift_seeds(spec, gsrc), policy)
     binding = {x: Var(hom[x]) for x in gsrc.states}
 
@@ -719,17 +649,8 @@ def law_suite(spec: Spec, config: Union[LawConfig, None] = None) -> tuple:
     """Run the five depth-bounded law checks; results in a fixed order."""
     config = config if config is not None else LawConfig()
     kind = spec.kind
-    gens = tuple(config.generators) or default_generators(kind, spec.sig)
-    gsmall = gens[0]
-    gbig = gens[-1]
-    if config.hom is not None:
-        hom: Union[dict, None] = dict(config.hom)
-    elif len(gens) == 1:
-        hom = {x: x for x in gbig.states}
-    else:
-        collapse = {x: gsmall.states[0] for x in gbig.states} if gsmall.states else None
-        hom = collapse if collapse and is_homomorphism(kind, gbig, gsmall, collapse) \
-            else None
+    gsmall, gbig = default_generators(kind, spec.sig)
+    hom = {x: gsmall.states[0] for x in gbig.states}  # collapse the chain onto the loop
 
     results = [
         law_pointwise_unfolding(kind, gbig, config.depth),

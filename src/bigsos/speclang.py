@@ -227,14 +227,14 @@ class MonotoneReport:
 
 # --- parser ---------------------------------------------------------------------
 
-_KIND_NAMES = ("lts", "stream", "wts")
+_KINDS = {cls.name: cls for cls in (CountableLTS, PartialStream, WeightedLTS)}
 
 
 def _parse_behaviour_line(cur: TokenCursor, line: int) -> BehaviourKind:
     tok = cur.expect("ident")
-    if tok.value not in _KIND_NAMES:
+    if tok.value not in _KINDS:
         raise ParseError(f"unknown behaviour kind {tok.value!r}", tok.line, tok.col)
-    kind_name = tok.value
+    kind_cls = _KINDS[tok.value]
     if cur.peek().kind == "ident" and cur.peek().value == "labels":
         cur.next()
     labels: Union[frozenset, None]
@@ -251,13 +251,10 @@ def _parse_behaviour_line(cur: TokenCursor, line: int) -> BehaviourKind:
     if cur.peek().kind != "eof":
         tok = cur.peek()
         raise ParseError(f"trailing input {tok.value!r}", tok.line, tok.col)
-    if kind_name == "stream":
-        return PartialStream(labels)
-    if labels is None:
-        raise ParseError(f"{kind_name} needs a finite label alphabet", line, 1)
-    if kind_name == "lts":
-        return CountableLTS(labels)
-    return WeightedLTS(labels)
+    try:
+        return kind_cls(labels)
+    except ValueError as exc:  # a finite-alphabet kind given nat
+        raise ParseError(str(exc), line, 1) from None
 
 
 def _parse_ops_line(cur: TokenCursor) -> list:

@@ -1,4 +1,4 @@
-"""Signatures, first-order terms, substitution, and universe enumeration.
+"""Signatures, first-order terms, substitution, and the term parser.
 
 Terms are hash-consed: one live object per term, identity equality,
 structural hash, weak intern table.  Operators may carry natural
@@ -12,7 +12,6 @@ import re
 import threading
 import weakref
 from dataclasses import dataclass
-from itertools import product
 from typing import Iterable, Iterator, Mapping, NamedTuple, Union
 
 from .errors import ArityError, ParseError, UnboundVariableError, UnknownOperatorError
@@ -227,10 +226,6 @@ def variables(t: Term) -> frozenset[str]:
     return frozenset(out)
 
 
-def is_closed(t: Term) -> bool:
-    return not variables(t)
-
-
 def subterms(t: Term) -> Iterator[Term]:
     """All subterms including t itself, parents first."""
     yield t
@@ -421,89 +416,14 @@ def parse_term(text: str, sig: Signature) -> Term:
     return t
 
 
-# --- universe enumeration ------------------------------------------------------
+# --- universe caps -------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class UniversePolicy:
-    """Caps for finite universes. grow is honoured by the engine only."""
+    """Caps on the engine's finite universes; with grow off, the universe
+    stays the subterm closure of the seeds."""
 
     max_count: int = 500
     max_size: int = 12
     grow: bool = True
-
-
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """All ways to write total as an ordered sum of `parts` positive integers."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    if parts == 1:
-        if total >= 1:
-            yield (total,)
-        return
-    for first in range(1, total - parts + 2):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
-_LAYER_LIMIT = 1_000_000
-
-
-def enumerate_universe(sig: Signature, seeds: Iterable[Term],
-                       policy: UniversePolicy = UniversePolicy(),
-                       param_values: Iterable[int] | None = None) -> tuple[Term, ...]:
-    """Deterministic closed-term universe: all seeds, then terms in
-    size-then-lexicographic order until max_count, never past max_size.
-
-    Parameterized operators are instantiated only at param_values (default:
-    the parameter values occurring in the seeds).
-    """
-    seeds = list(seeds)
-    for s in seeds:
-        if not is_closed(s):
-            raise ValueError(f"seed {print_term(s)} is not closed")
-        check_term(s, sig)
-    if policy.max_count < 1 or policy.max_size < 1:
-        raise ValueError("universe policy bounds must be positive")
-
-    if param_values is None:
-        pool: set[int] = set()
-        for s in seeds:
-            for sub in subterms(s):
-                if isinstance(sub, App):
-                    pool.update(sub.params)
-    else:
-        pool = set(param_values)
-    pool_sorted = tuple(sorted(pool))
-
-    result: set[Term] = set(seeds)
-    layers: dict[int, list[Term]] = {}
-
-    def layer(n: int) -> list[Term]:
-        if n in layers:
-            return layers[n]
-        out: list[Term] = []
-        for op in sig.operators():
-            if op.param_count and not pool_sorted:
-                continue
-            param_tuples = list(product(pool_sorted, repeat=op.param_count))
-            for params in param_tuples:
-                for comp in _compositions(n - 1, op.arity):
-                    for args in product(*(layer(k) for k in comp)):
-                        out.append(App(op.name, params, args))
-                        if len(out) > _LAYER_LIMIT:
-                            raise ValueError("universe layer too large; tighten the policy")
-        out.sort(key=term_key)
-        layers[n] = out
-        return out
-
-    for size in range(1, policy.max_size + 1):
-        if len(result) >= policy.max_count:
-            break
-        for t in layer(size):
-            if len(result) >= policy.max_count:
-                break
-            result.add(t)
-    return tuple(sorted(result, key=term_key))

@@ -1,10 +1,14 @@
 """Behaviour kinds: order laws, joins, functor laws, relation lifting."""
 
 import itertools
+import pathlib
+import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
 
+import bigsos
 from bigsos.behaviour import (BOTTOM, CountableLTS, LtsValue,
                               PartialStream, Relation, StreamStep, WeightedLTS,
                               WtsValue, rel_pairs)
@@ -233,7 +237,6 @@ def test_relation_type_checks_carriers():
     r = Relation(("p", "q"), ("x",), frozenset({("p", "x")}))
     assert ("p", "x") in r
     assert ("q", "x") not in r
-    assert r.converse().pairs == frozenset({("x", "p")})
     with pytest.raises(ValueError):
         Relation(("p",), ("x",), frozenset({("q", "x")}))
 
@@ -295,3 +298,60 @@ def test_exhaustive_lift_agreement_tiny_carrier():
         for b in values:
             for r in rels:
                 assert kind.rel_lift(r, a, b) == kind.rel_lift_search(r, a, b)
+
+
+# --- one interface -------------------------------------------------------------------
+
+
+def own_methods(cls) -> set:
+    return {name for name, attr in vars(cls).items()
+            if callable(attr) and not name.startswith("_")}
+
+
+def test_kinds_define_one_interface_in_their_own_bodies():
+    # vars, not dir: bench/spans.py traces a method by patching it in each
+    # class's own __dict__, so none may be inherited from a shared base
+    methods = {cls.__name__: own_methods(cls)
+               for cls in (PartialStream, CountableLTS, WeightedLTS)}
+    assert {"conclusion_value", "join", "leq", "rel_lift", "map_states",
+            "tree_json", "arrow", "full_value", "drop_label", "random_value",
+            "random_shrink"} <= methods["PartialStream"]
+    for name, own in methods.items():
+        assert own == methods["PartialStream"], name
+
+
+def test_no_dispatch_on_kind_names():
+    # kind-specific behaviour belongs in the kind classes
+    pattern = re.compile(r'kind\.name *[=!]=|[=!]= *"(stream|lts|wts)"'
+                         r'|"(stream|lts|wts)" *[=!]=')
+    hits = [f"{path.name}:{n}: {line.strip()}"
+            for path in sorted(pathlib.Path(bigsos.__file__).parent.glob("*.py"))
+            for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+            if pattern.search(line)]
+    assert hits == []
+
+
+@pytest.mark.parametrize("kind", [STREAM, LTS, WTS], ids=lambda k: k.name)
+def test_environment_values_shrink_in_order(kind):
+    labels = sorted(kind.labels) if kind.labels is not None else [0, 1, 2, 3]
+    rng = random.Random(0)
+
+    @given(kind_values(kind))
+    def check(v):
+        for lab in labels:
+            smaller = kind.drop_label(v, lab)
+            moves_on_lab = [t for have, t in kind.transitions(v) if have == lab]
+            assert (smaller is None) == (not moves_on_lab)
+            if smaller is not None:
+                assert kind.leq(smaller, v)
+                assert all(have != lab for have, _ in kind.transitions(smaller))
+        if not kind.is_bottom(v):
+            assert kind.leq(kind.random_shrink(v, rng), v)
+    check()
+
+    for i in range(len(STATES)):
+        full = kind.full_value(labels, list(STATES), i)
+        assert kind.states(full) <= set(STATES) and not kind.is_bottom(full)
+        drawn = kind.random_value(labels, list(STATES), rng)
+        assert kind.states(drawn) <= set(STATES)
+        assert all(lab in labels for lab, _ in kind.transitions(drawn))

@@ -69,6 +69,14 @@ def test_model_empty_spec_all_bottom():
     assert "c ⊥" in out
 
 
+def test_model_weighted_text_shows_weights():
+    code, out, _ = cli("model", fixture_path("wchain"))
+    assert code == 0
+    lines = out.splitlines()
+    for line in ("c -a[1.0]-> d", "c -b[1.0]-> c", "d ⊥"):
+        assert line in lines
+
+
 def test_model_json_has_report():
     code, out, _ = cli("model", fixture_path("lookahead2"), "tau(c)",
                        "--format", "json")
@@ -128,6 +136,12 @@ def test_unfold_json():
     doc = json.loads(out)
     assert doc["term"] == "tau(c)"
     assert "a" in doc["step"]
+
+
+def test_unfold_weighted_text_shows_weights():
+    code, out, _ = cli("unfold", fixture_path("wchain"), "f(c)", "-d", "2")
+    assert code == 0
+    assert out.splitlines() == ["f(c)", "  -b[1.0]-> f(d)"]
 
 
 # --- equiv, congruence, laws ---------------------------------------------------------
@@ -291,14 +305,19 @@ CROSS_PROCESS_COMMANDS = [
 ]
 
 
-def _cli_in_subprocess(argv, hash_seed):
+def _run_module(argv, hash_seed=0):
+    """`python -m bigsos` in a fresh process; argv[1] names a fixture."""
     src = str(pathlib.Path(bigsos.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONHASHSEED=str(hash_seed),
                PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     env.pop("BIGSOS_SEED", None)
     argv = (argv[0], fixture_path(argv[1])) + argv[2:]
-    done = subprocess.run([sys.executable, "-m", "bigsos", *argv], env=env,
+    return subprocess.run([sys.executable, "-m", "bigsos", *argv], env=env,
                           capture_output=True, timeout=60)
+
+
+def _cli_in_subprocess(argv, hash_seed):
+    done = _run_module(argv, hash_seed)
     return done.returncode, done.stdout
 
 
@@ -308,3 +327,13 @@ def test_output_identical_across_hash_seeds(argv):
     assert runs[0][0] == 0
     assert runs[0][1]
     assert runs[1] == runs[0] and runs[2] == runs[0]
+
+
+def test_deep_seed_is_a_clean_error():
+    # deeper than the interpreter's recursion limit: the parser cannot build it
+    deep = "sigma(" * 1200 + "c" + ")" * 1200
+    assert cli("model", fixture_path("transclosure"), deep) == (
+        2, "", "error: term nested too deeply\n")
+    done = _run_module(("model", "transclosure", deep))
+    assert (done.returncode, done.stdout, done.stderr) == (
+        2, b"", b"error: term nested too deeply\n")

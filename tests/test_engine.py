@@ -10,7 +10,7 @@ from bigsos.engine import (ConvergenceReport, GenCoalgebra, Model,
                            bottom_model, gen_to_model, least_model,
                            lift_coalgebra, map_unfold, model_to_dot,
                            model_to_json, phi_step, touches_frontier,
-                           truncate_unfold, unfold, unfold_to_json)
+                           unfold, unfold_to_json)
 from bigsos.errors import NonMonotoneError, UnknownStateError
 from bigsos.relations import default_generators
 from bigsos.speclang import (LabelLit, Positive, check_monotone, eval_label,
@@ -534,16 +534,6 @@ def test_factstream_unfoldings():
     assert isinstance(two.step.state.step, Bottom)
 
 
-def test_truncate_is_prefix():
-    spec, model = factstream_model()
-    deep = unfold(model, pt(spec, "pos"), 5)
-    cut = truncate_unfold(spec.kind, deep, 2)
-    assert stream_labels(spec.kind, cut) == [1, 2]
-    assert cut == unfold(model, pt(spec, "pos"), 2)
-    with pytest.raises(ValueError):
-        truncate_unfold(spec.kind, cut, 4)
-
-
 def test_map_unfold_renames_roots():
     spec, model = factstream_model()
     tree = unfold(model, pt(spec, "pos"), 2)
@@ -642,3 +632,10 @@ def test_unfold_json_shapes():
     lspec, (lmodel, _) = look2_model()
     ldoc = unfold_to_json(lspec.kind, unfold(lmodel, pt(lspec, "tau(c)"), 1))
     assert list(ldoc["step"]) == ["a"]
+
+    # weighted steps list {"weight", "next"} rows, since subtrees cannot be keys
+    wspec = fx("wchain")
+    wmodel, _ = least_model(wspec, [pt(wspec, "f(c)")])
+    wdoc = unfold_to_json(wspec.kind, unfold(wmodel, pt(wspec, "f(c)"), 2))
+    assert wdoc["step"] == {"b": [{"weight": 1.0,
+                                   "next": {"term": "f(d)", "depth": 1, "step": {}}}]}

@@ -244,10 +244,26 @@ def test_congruence_detects_a_broken_model():
 # --- semantic monotonicity -----------------------------------------------------------------
 
 
+# (pairs, comparisons, skipped, violations) at trials=25, seed=0; the test
+# environments are drawn in a fixed order of rng calls, so these stay put
+MONO_COUNTS = {"factstream": (28, 504, 0, 0), "negloop": (28, 112, 0, 20),
+               "wchain": (31, 155, 0, 0), "lookahead2": (28, 224, 0, 0),
+               "transclosure": (28, 112, 0, 0)}
+
+
+def mono_counts(report):
+    return (report.pairs, report.comparisons, report.skipped, len(report.violations))
+
+
 def test_negloop_monotonicity_violations_found():
     report = monotonicity_semantic_test(fx("negloop"), trials=25, seed=0)
     assert report.violations
     assert report.violations[0].op == "sigma"
+    assert mono_counts(report) == MONO_COUNTS["negloop"]
+    # three from the systematic prunes, then the random environments'
+    assert " ".join(a for v in report.violations for a in v.to_json()["args"]) == (
+        "env1 env2 env0 env2 env0 env1 env0 env1 env0 env1 "
+        "env1 env2 env0 env0 env2 env0 env1 env1 env2 env1")
 
 
 def test_monotone_fixtures_pass_semantic_test():
@@ -255,17 +271,20 @@ def test_monotone_fixtures_pass_semantic_test():
         report = monotonicity_semantic_test(fx(name), trials=25, seed=0)
         assert report.violations == (), name
         assert report.comparisons > 0
+        assert mono_counts(report) == MONO_COUNTS[name], name
 
 
 def test_stream_monotonicity_skips_inconsistent_joins():
     report = monotonicity_semantic_test(fx("factstream"), trials=25, seed=0)
     assert report.violations == ()
+    assert mono_counts(report) == MONO_COUNTS["factstream"]
 
 
 def test_monotonicity_deterministic():
     one = monotonicity_semantic_test(fx("negloop"), trials=25, seed=3)
     two = monotonicity_semantic_test(fx("negloop"), trials=25, seed=3)
     assert one == two
+    assert mono_counts(one) == (28, 112, 0, 18)
 
 
 # --- law suite -------------------------------------------------------------------------------

@@ -81,6 +81,15 @@ def test_missing_behaviour_line():
         parse_spec("ops c/0\nrule r: |- c -a-> c\n")
 
 
+@pytest.mark.parametrize("kind", ("lts", "wts"))
+def test_finite_alphabet_kinds_reject_nat(kind):
+    with pytest.raises(ParseError,
+                       match=rf"^{kind} needs a finite label alphabet \(line 2, column 1\)$"):
+        parse_spec(f"# header\nbehaviour {kind} nat\nops c/0\n")
+    with pytest.raises(ParseError, match="unknown behaviour kind 'tree'"):
+        parse_spec("behaviour tree labels a\n")
+
+
 def test_unknown_head_op_flagged():
     text = "behaviour lts labels a\nops c/0\nrule r: |- d -a-> c\n"
     diags = validate_spec(parse_spec(text))

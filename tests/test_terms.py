@@ -1,4 +1,4 @@
-"""Terms: construction, printing, parsing, substitution, enumeration."""
+"""Terms: construction, interning, printing, parsing, substitution."""
 
 import copy
 import gc
@@ -10,8 +10,8 @@ from hypothesis import given, strategies as st
 
 from bigsos.behaviour import state_key
 from bigsos.errors import ArityError, ParseError, UnknownOperatorError
-from bigsos.terms import (App, Operator, Signature, UniversePolicy, Var,
-                          check_term, enumerate_universe, is_closed, parse_term,
+from bigsos.terms import (App, Operator, Signature, Var,
+                          check_term, parse_term,
                           print_term, substitute, subterms, term_key, term_size,
                           variables)
 from bigsos import terms
@@ -49,8 +49,6 @@ def test_term_size_and_variables():
     term = t("f(g(c), x)")
     assert term_size(term) == 4
     assert variables(term) == frozenset({"x"})
-    assert not is_closed(term)
-    assert is_closed(t("f(c, d)"))
 
 
 def test_subterms_preorder():
@@ -447,39 +445,3 @@ def test_substitute_composes(a, b):
     seq = substitute(substitute(term, {"x": a, "y": Var("y")}), {"y": b})
     sim = substitute(term, {"x": a, "y": b})
     assert seq == sim
-
-
-# --- universe enumeration ------------------------------------------------------------
-
-
-def test_enumerate_universe_closure():
-    seeds = [t("f(c, d)")]
-    universe = enumerate_universe(SIG, seeds, UniversePolicy(max_count=50, max_size=6))
-    # subterm-closed
-    for term in universe:
-        for sub in subterms(term):
-            assert sub in universe
-    assert t("f(c, d)") in universe
-    assert t("c") in universe
-
-
-def test_enumerate_universe_respects_bounds():
-    universe = enumerate_universe(SIG, [t("c")],
-                                  UniversePolicy(max_count=10, max_size=3))
-    assert len(universe) <= 10
-    assert all(term_size(u) <= 3 for u in universe)
-
-
-def test_enumerate_universe_contains_all_small_terms():
-    universe = enumerate_universe(SIG, [t("c")],
-                                  UniversePolicy(max_count=500, max_size=3))
-    # every closed unparameterized term of size <= 3 shows up
-    for text in ("c", "d", "g(c)", "g(d)", "g(g(c))", "f(c, d)", "f(d, d)"):
-        assert t(text) in universe
-
-
-def test_enumerate_universe_deterministic():
-    policy = UniversePolicy(max_count=40, max_size=5)
-    one = enumerate_universe(SIG, [t("c"), t("d")], policy)
-    two = enumerate_universe(SIG, [t("d"), t("c")], policy)
-    assert one == two
