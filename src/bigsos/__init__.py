@@ -3,9 +3,9 @@
 Rule banks with lookahead premises and complex conclusion targets are
 interpreted over finite term universes: the least supported model is the
 limit of Kleene iteration from the all-bottom model, sound under truncation
-(outside terms read as bottom).  On top of the models sit simulation and
-bisimulation checks, depth-bounded unfolding comparisons, and a law suite
-for the lifting/monad facts the construction relies on.
+(outside terms read as bottom).  On top of the models sit finite
+unfoldings, simulation and bisimulation checks, and a law suite that checks
+the lifting/monad facts the construction relies on exactly on the models.
 """
 
 from .behaviour import (BOTTOM, CountableLTS, LtsValue, PartialStream, Relation,

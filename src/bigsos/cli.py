@@ -3,9 +3,9 @@
 Thin adapter over the library: parse a spec file, build the least model,
 and print unfoldings, equivalence verdicts, or reports.  All output is
 deterministic for a fixed seed; exit codes are 0 (ok), 1 (syntax),
-2 (validation, usage, a term nested too deeply to process, or a spec error
-found while building the model, such as two rules giving one term different
-stream steps or a conclusion label outside the label domain),
+2 (validation, usage, a term nested or an unfold depth too deep to process,
+or a spec error found while building the model, such as two rules giving one
+term different stream steps or a conclusion label outside the label domain),
 3 (non-monotone), 4 (non-convergence), 5 (internal).
 """
 
@@ -100,7 +100,7 @@ def _parser() -> argparse.ArgumentParser:
                     help="extra closed seed terms for the universe")
     sp.add_argument("--samples", type=int, default=50, metavar="N")
 
-    sp = sub.add_parser("laws", help="run the depth-bounded law suite")
+    sp = sub.add_parser("laws", help="check the lifting laws exactly on small generators")
     _add_common(sp)
 
     return p
@@ -233,14 +233,21 @@ def _cmd_unfold(spec, args, cfg, out, err) -> int:
         print(f"error: no convergence within {report.iterations} iterations",
               file=err)
         return 4
-    tree = unfold(model, term, cfg.depth)
-    if cfg.format == "json":
-        print(json.dumps(unfold_to_json(model.kind, tree), indent=2), file=out)
-    else:
-        if cfg.format == "dot":
-            print("warning: dot export is only defined for models; emitting text",
-                  file=err)
-        _emit(out, _unfold_text(model.kind, tree))
+    for t in model.carrier():  # smallest first, so each print recurses one level
+        print_term(t)
+    try:  # unfolding and rendering recurse once per depth level
+        tree = unfold(model, term, cfg.depth)
+        if cfg.format == "json":
+            lines = [json.dumps(unfold_to_json(model.kind, tree), indent=2)]
+        else:
+            lines = _unfold_text(model.kind, tree)
+    except RecursionError:  # not from the terms: their texts are cached above
+        print(f"error: unfold depth {cfg.depth} too deep", file=err)
+        return 2
+    if cfg.format == "dot":
+        print("warning: dot export is only defined for models; emitting text",
+              file=err)
+    _emit(out, lines)
     return 0
 
 
@@ -285,7 +292,7 @@ def _cmd_congruence(spec, args, cfg, out, err) -> int:
 
 
 def _cmd_laws(spec, cfg, out) -> int:
-    config = LawConfig(depth=cfg.depth, policy=cfg.policy())
+    config = LawConfig(policy=cfg.policy())
     results = law_suite(spec, config)
     if cfg.format == "json":
         print(json.dumps(suite_to_json(results), indent=2), file=out)

@@ -30,8 +30,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Mapping, NamedTuple, Union
 
-from .behaviour import (BehaviourKind, Bottom, CountableLTS, StreamStep, label_key,
-                        state_key)
+from .behaviour import BehaviourKind, CountableLTS
 from .errors import (BigsosError, InconsistentStreamError, LabelEvalError,
                      NonConvergenceError, NonMonotoneError, UnknownStateError)
 from .speclang import (LabelLit, Positive, Premise, Rule, Spec, check_monotone,
@@ -513,23 +512,8 @@ class UnfoldTree:
     opaque: bool = False
 
     def sort_key(self):
-        return ("tree", term_key(self.root), self.depth, self.opaque, _step_key(self.step))
-
-
-def _step_key(step):
-    if step is None:
-        return ("none",)
-    if isinstance(step, Bottom):
-        return ("bot",)
-    if isinstance(step, StreamStep):
-        return ("ss", label_key(step.label), state_key(step.state))
-    rows = getattr(step, "moves", ())
-    return ("mv", tuple((label_key(lab), tuple(state_key(s) for s in _row_states(row)))
-                        for lab, row in rows))
-
-
-def _row_states(row):
-    return [s[0] if isinstance(s, tuple) else s for s in row]
+        # sibling trees always have distinct roots
+        return ("tree", term_key(self.root))
 
 
 def unfold(model: Model, t: Term, depth: int) -> UnfoldTree:
@@ -542,22 +526,6 @@ def unfold(model: Model, t: Term, depth: int) -> UnfoldTree:
         return UnfoldTree(t, 0, None, opaque)
     step = model.kind.map_states(lambda s: unfold(model, s, depth - 1), value)
     return UnfoldTree(t, depth, step, opaque)
-
-
-def map_unfold(kind: BehaviourKind, tree: UnfoldTree, term_map) -> UnfoldTree:
-    """Rename every node root through term_map, keeping the tree shape."""
-    step = tree.step
-    if step is not None:
-        step = kind.map_states(lambda sub: map_unfold(kind, sub, term_map), step)
-    return UnfoldTree(term_map(tree.root), tree.depth, step, tree.opaque)
-
-
-def touches_frontier(kind: BehaviourKind, tree: UnfoldTree) -> bool:
-    if tree.opaque:
-        return True
-    if tree.step is None:
-        return False
-    return any(touches_frontier(kind, sub) for sub in kind.states(tree.step))
 
 
 # --- serialization --------------------------------------------------------------

@@ -9,11 +9,13 @@ first round that separates it, found exactly within |carrier| rounds.  For
 bisim it can be smaller than the depth at which the two unfoldings stop being
 mutually similar.
 
-The tree-level laws (pruning shrinks unfoldings, homomorphisms preserve
+The lifting laws (pruning shrinks unfoldings, homomorphisms preserve
 similarity, term-map extension and flattening are homomorphisms between
-lifted models) are checked at a finite depth on small generator coalgebras.
-Pairs whose observation trees reach a frontier or tainted node are skipped
-rather than judged, so each law reports pass, fail, or inconclusive.
+lifted models) are checked exactly on the models of small generator
+coalgebras: L3 as the pointwise order, L2 on greatest simulations, and T1
+and T2-mu as one-step homomorphism squares, which give equal unfoldings at
+every depth.  Terms whose recorded step may be truncated (tainted ones) are
+skipped rather than judged, so each law reports pass, fail, or inconclusive.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import Iterable, Mapping, Union
 
 from .behaviour import BehaviourKind, Relation, label_key, state_key
 from .engine import (GenCoalgebra, Model, UnfoldTree, apply_rules, gen_to_model,
-                     lift_coalgebra, map_unfold, touches_frontier, unfold)
+                     lift_coalgebra)
 from .errors import BigsosError, CarrierMismatchError, InconsistentStreamError, \
     UnknownStateError
 from .speclang import Spec
@@ -415,15 +417,14 @@ def monotonicity_semantic_test(spec: Spec, trials: int, seed: int = 0,
 
 @dataclass(frozen=True)
 class LawConfig:
-    """Knobs for the depth-bounded law checks.
+    """Knobs for the law checks.
 
-    depth is the observation depth of every tree comparison, policy caps the
-    lifted universes, and max_terms caps the terms T1 and T2-mu compare.
-    The laws run over default_generators (a one-state loop and a two-state
-    chain), with the chain collapsed onto the loop as the homomorphism.
+    policy caps the lifted universes, and max_terms caps the terms whose
+    homomorphism squares T1 and T2-mu check.  The laws run over
+    default_generators (a one-state loop and a two-state chain), with the
+    chain collapsed onto the loop as the homomorphism.
     """
 
-    depth: int = 3
     policy: UniversePolicy = UniversePolicy(max_count=240, max_size=14)
     max_terms: int = 150
 
@@ -492,58 +493,66 @@ def _prune_gen(kind, gen: GenCoalgebra) -> GenCoalgebra:
     return GenCoalgebra(gen.states, dyn)
 
 
-def law_pointwise_unfolding(kind: BehaviourKind, gen: GenCoalgebra,
-                            depth: int) -> LawResult:
-    """L3: a pointwise-smaller coalgebra has pointwise-similar unfoldings."""
+def law_pointwise_unfolding(kind: BehaviourKind, gen: GenCoalgebra) -> LawResult:
+    """L3: a pointwise-smaller coalgebra has pointwise-similar unfoldings.
+    Labelled similarity relates only equal roots, and the identity relation
+    lifts to the order, so at every depth this is kind.leq on each state."""
     if not gen.states:
         return LawResult("L3", "inconclusive", "empty generator")
     pruned = _prune_gen(kind, gen)
-    mf = gen_to_model(kind, pruned)
-    mg = gen_to_model(kind, gen)
     for x in gen.states:
-        uf = unfold(mf, Var(x), depth)
-        ug = unfold(mg, Var(x), depth)
-        if not depth_similarity(kind, uf, ug, depth, require_labels=True):
+        if not kind.leq(pruned.dynamics[x], gen.dynamics[x]):
             return LawResult("L3", "fail", {"state": x})
-    return LawResult("L3", "pass", {"states": len(gen.states), "depth": depth})
+    return LawResult("L3", "pass", {"states": len(gen.states)})
 
 
 def law_hom_preserves_similarity(kind: BehaviourKind, gsrc: GenCoalgebra,
-                                 gdst: GenCoalgebra, hom: Mapping,
-                                 depth: int) -> LawResult:
-    """L2: images of depth-similar states stay depth-similar."""
+                                 gdst: GenCoalgebra, hom: Mapping) -> LawResult:
+    """L2: the image under hom of the greatest simulation on the source lies
+    in the greatest simulation on the target."""
     if not is_homomorphism(kind, gsrc, gdst, hom):
         return LawResult("L2", "inconclusive", "supplied map is not a homomorphism")
     msrc = gen_to_model(kind, gsrc)
     mdst = gen_to_model(kind, gdst)
-    checked = 0
+    similar = greatest_simulation(kind, msrc, msrc).pairs
+    target = greatest_simulation(kind, mdst, mdst).pairs
     for x in gsrc.states:
         for y in gsrc.states:
-            ux = unfold(msrc, Var(x), depth)
-            uy = unfold(msrc, Var(y), depth)
-            if not depth_similarity(kind, ux, uy, depth, require_labels=False):
-                continue
-            checked += 1
-            hx = unfold(mdst, Var(hom[x]), depth)
-            hy = unfold(mdst, Var(hom[y]), depth)
-            if not depth_similarity(kind, hx, hy, depth, require_labels=False):
+            if ((Var(x), Var(y)) in similar
+                    and (Var(hom[x]), Var(hom[y])) not in target):
                 return LawResult("L2", "fail", {"pair": [x, y]})
+    if not similar:
+        return LawResult("L2", "inconclusive", "no similar pairs")
+    return LawResult("L2", "pass", {"pairs": len(similar)})
+
+
+def _square(law: str, kind: BehaviourKind, src: Model, dst: Model, term_map,
+            max_terms: int) -> LawResult:
+    """term_map is a homomorphism from src to dst: the square
+    map(term_map, src(t)) == dst(term_map(t)) commutes on the first max_terms
+    source terms, which gives equal unfoldings at every depth.  Images
+    outside dst are skipped, and so are tainted terms on either side: only an
+    untainted term's step is the untruncated one."""
+    known = set(dst.universe)
+    checked = skipped = 0
+    for t in src.universe[:max_terms]:
+        image = term_map(t)
+        if image not in known or t in src.tainted or image in dst.tainted:
+            skipped += 1
+            continue
+        checked += 1
+        if kind.map_states(term_map, src.step(t)) != dst.step(image):
+            return LawResult(law, "fail", {"term": print_term(t)})
     if not checked:
-        return LawResult("L2", "inconclusive", "no depth-similar pairs")
-    return LawResult("L2", "pass", {"pairs": checked, "depth": depth})
+        return LawResult(law, "inconclusive", "universe too small")
+    return LawResult(law, "pass", {"checked": checked, "skipped": skipped})
 
 
 def law_term_map_hom(spec: Spec, gsrc: GenCoalgebra, gdst: GenCoalgebra,
-                     hom: Mapping, depth: int,
-                     policy: UniversePolicy, max_terms: int) -> LawResult:
-    """T1: the term-map extension of a homomorphism is a homomorphism.
-
-    Checked as tree equality to the given depth; terms whose trees reach a
-    frontier or tainted node on either side are skipped, since their
-    recorded behaviour is not the untruncated one.
-    """
-    kind = spec.kind
-    if not is_homomorphism(kind, gsrc, gdst, hom):
+                     hom: Mapping, policy: UniversePolicy,
+                     max_terms: int) -> LawResult:
+    """T1: the term-map extension of a homomorphism is a homomorphism."""
+    if not is_homomorphism(spec.kind, gsrc, gdst, hom):
         return LawResult("T1", "inconclusive", "supplied map is not a homomorphism")
     lift_src = lift_coalgebra(spec, gsrc, _lift_seeds(spec, gsrc), policy)
     binding = {x: Var(hom[x]) for x in gsrc.states}
@@ -553,25 +562,7 @@ def law_term_map_hom(spec: Spec, gsrc: GenCoalgebra, gdst: GenCoalgebra,
 
     images = [tmap(t) for t in lift_src.universe]
     lift_dst = lift_coalgebra(spec, gdst, _lift_seeds(spec, gdst) + images, policy)
-    known = set(lift_dst.universe)
-    checked = skipped = 0
-    for t in lift_src.universe[:max_terms]:
-        image = tmap(t)
-        if image not in known:
-            skipped += 1
-            continue
-        u = unfold(lift_src, t, depth)
-        v = unfold(lift_dst, image, depth)
-        if touches_frontier(kind, u) or touches_frontier(kind, v):
-            skipped += 1
-            continue
-        checked += 1
-        if map_unfold(kind, u, tmap) != v:
-            return LawResult("T1", "fail", {"term": print_term(t)})
-    if not checked:
-        return LawResult("T1", "inconclusive", "universe too small")
-    return LawResult("T1", "pass", {"checked": checked, "skipped": skipped,
-                                    "depth": depth})
+    return _square("T1", spec.kind, lift_src, lift_dst, tmap, max_terms)
 
 
 def law_unit_hom(spec: Spec, gen: GenCoalgebra, policy: UniversePolicy) -> LawResult:
@@ -615,54 +606,30 @@ def doubled_lift(spec: Spec, inner: Model, policy: UniversePolicy) -> tuple:
 
 
 def law_flatten_hom(spec: Spec, inner: Model, outer: Model, decode: Mapping,
-                    depth: int, max_terms: int) -> LawResult:
+                    max_terms: int) -> LawResult:
     """T2-mu: substituting inner terms for their state names is a
     homomorphism from the doubled lift onto the inner lift."""
-    kind = spec.kind
     binding = dict(decode)
-
-    def flatten(t: Term) -> Term:
-        return substitute(t, binding)
-
-    known = set(inner.universe)
-    checked = skipped = 0
-    for t in outer.universe[:max_terms]:
-        flat = flatten(t)
-        if flat not in known:
-            skipped += 1
-            continue
-        u = unfold(outer, t, depth)
-        v = unfold(inner, flat, depth)
-        if touches_frontier(kind, u) or touches_frontier(kind, v):
-            skipped += 1
-            continue
-        checked += 1
-        if map_unfold(kind, u, flatten) != v:
-            return LawResult("T2-mu", "fail", {"term": print_term(t)})
-    if not checked:
-        return LawResult("T2-mu", "inconclusive", "universe too small")
-    return LawResult("T2-mu", "pass", {"checked": checked, "skipped": skipped,
-                                       "depth": depth})
+    return _square("T2-mu", spec.kind, outer, inner,
+                   lambda t: substitute(t, binding), max_terms)
 
 
 def law_suite(spec: Spec, config: Union[LawConfig, None] = None) -> tuple:
-    """Run the five depth-bounded law checks; results in a fixed order."""
+    """Run the five law checks; results in a fixed order."""
     config = config if config is not None else LawConfig()
     kind = spec.kind
     gsmall, gbig = default_generators(kind, spec.sig)
     hom = {x: gsmall.states[0] for x in gbig.states}  # collapse the chain onto the loop
 
     results = [
-        law_pointwise_unfolding(kind, gbig, config.depth),
-        law_hom_preserves_similarity(kind, gbig, gsmall, hom, config.depth),
-        law_term_map_hom(spec, gbig, gsmall, hom, config.depth, config.policy,
-                         config.max_terms),
+        law_pointwise_unfolding(kind, gbig),
+        law_hom_preserves_similarity(kind, gbig, gsmall, hom),
+        law_term_map_hom(spec, gbig, gsmall, hom, config.policy, config.max_terms),
         law_unit_hom(spec, gsmall, config.policy),
     ]
     inner = lift_coalgebra(spec, gsmall, _lift_seeds(spec, gsmall), config.policy)
     _, outer, decode = doubled_lift(spec, inner, config.policy)
-    results.append(law_flatten_hom(spec, inner, outer, decode, config.depth,
-                                   config.max_terms))
+    results.append(law_flatten_hom(spec, inner, outer, decode, config.max_terms))
     return tuple(results)
 
 

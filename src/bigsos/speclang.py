@@ -199,9 +199,6 @@ class Spec:
         self.rules = tuple(rules)
         self.join_plan = None  # compiled by the engine on first use
 
-    def rules_for(self, op: str) -> tuple:
-        return tuple(r for r in self.rules if r.head_op == op)
-
     def __eq__(self, other):
         return (isinstance(other, Spec) and self.kind == other.kind
                 and self.sig == other.sig and self.rules == other.rules)

@@ -375,15 +375,13 @@ def test_criterion_8_laws():
                                     cfg.policy)
         assert report.converged
         gen, outer, decode = doubled_lift(spec, inner, cfg.policy)
-        clean = law_flatten_hom(spec, inner, outer, decode, cfg.depth,
-                                cfg.max_terms)
+        clean = law_flatten_hom(spec, inner, outer, decode, cfg.max_terms)
         victim = pt(spec, "tau(c)")
         beh = dict(inner.behaviour)
         beh[victim] = spec.kind.bottom()   # delete tau(c)'s only transition
         broken = Model(spec.kind, inner.universe, beh, inner.frontier,
                        inner.tainted)
-        hurt = law_flatten_hom(spec, broken, outer, decode, cfg.depth,
-                               cfg.max_terms)
+        hurt = law_flatten_hom(spec, broken, outer, decode, cfg.max_terms)
         out["mutation"] = {"clean": clean.to_json(), "mutated": hurt.to_json()}
         return json.dumps(out)
 

@@ -181,6 +181,21 @@ def test_laws_all_pass():
         assert f"{law}: pass" in out
 
 
+def test_laws_json_is_exact_and_ignores_depth():
+    argv = ("laws", fixture_path("transclosure"), "--universe-size", "9",
+            "--universe-count", "40", "--format", "json")
+    shallow, deep = cli(*argv, "-d", "1"), cli(*argv, "-d", "5")
+    assert shallow == deep
+    code, out, _ = shallow
+    assert code == 0
+    doc = json.loads(out)
+    assert all(r["status"] == "pass" for r in doc)
+    witnesses = {r["law"]: r["witness"] for r in doc}
+    assert witnesses["T1"] == {"checked": 4, "skipped": 15}
+    assert witnesses["T2-mu"] == {"checked": 4, "skipped": 33}
+    assert not any("depth" in w for w in witnesses.values())
+
+
 # --- error handling -------------------------------------------------------------------
 
 
@@ -337,3 +352,19 @@ def test_deep_seed_is_a_clean_error():
     done = _run_module(("model", "transclosure", deep))
     assert (done.returncode, done.stdout, done.stderr) == (
         2, b"", b"error: term nested too deeply\n")
+
+
+def test_deep_unfold_names_the_depth():
+    # c has size 1: the unfold depth, not the term, recurses too deeply
+    want = "error: unfold depth 900 too deep\n"
+    for fmt in ("text", "json"):
+        assert cli("unfold", fixture_path("wchain"), "c", "-d", "900",
+                   "--format", fmt) == (2, "", want)
+    done = _run_module(("unfold", "wchain", "c", "-d", "900"))
+    assert (done.returncode, done.stdout, done.stderr) == (2, b"", want.encode())
+
+
+def test_unfold_prints_a_seed_as_deep_as_model_does():
+    deep = "f(" * 400 + "c" + ")" * 400
+    assert cli("model", fixture_path("wchain"), deep)[0] == 0
+    assert cli("unfold", fixture_path("wchain"), deep, "-d", "2") == (0, deep + "\n", "")

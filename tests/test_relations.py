@@ -5,17 +5,20 @@ import random
 
 import pytest
 
+from bigsos import relations
 from bigsos.behaviour import (BOTTOM, CountableLTS, LtsValue, PartialStream,
                               Relation, StreamStep, WeightedLTS, WtsValue)
-from bigsos.engine import GenCoalgebra, Model, gen_to_model, least_model, unfold
+from bigsos.engine import (GenCoalgebra, Model, gen_to_model, least_model,
+                           lift_coalgebra, unfold)
 from bigsos.errors import CarrierMismatchError, UnknownStateError
-from bigsos.relations import (EquivResult, LawConfig, bisimilarity_classes,
-                              check_equivalence, congruence_test,
-                              default_generators, depth_similarity,
-                              distinguishing_depth, doubled_lift,
-                              greatest_simulation, is_homomorphism,
-                              law_flatten_hom, law_suite,
-                              monotonicity_semantic_test, suite_to_json)
+from bigsos.relations import (EquivResult, LawConfig, _lift_seeds,
+                              bisimilarity_classes, check_equivalence,
+                              congruence_test, default_generators,
+                              depth_similarity, distinguishing_depth,
+                              doubled_lift, greatest_simulation, is_homomorphism,
+                              law_flatten_hom, law_hom_preserves_similarity,
+                              law_suite, monotonicity_semantic_test,
+                              suite_to_json)
 from bigsos.speclang import parse_spec
 from bigsos.terms import UniversePolicy, parse_term
 from conftest import fixture_text
@@ -290,10 +293,19 @@ def test_monotonicity_deterministic():
 # --- law suite -------------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("name", ("lookahead2", "factstream", "wchain"))
+MONOTONE_FIXTURES = ("lookahead2", "factstream", "wchain", "transclosure", "empty")
+
+
+@pytest.mark.parametrize("name", MONOTONE_FIXTURES)
 def test_law_suite_passes_on_monotone_fixtures(name):
     results = law_suite(fx(name))
     assert [r.law for r in results] == ["L3", "L2", "T1", "T2-eta", "T2-mu"]
+    assert all(r.status == "pass" for r in results), suite_to_json(results)
+
+
+@pytest.mark.parametrize("name", MONOTONE_FIXTURES)
+def test_law_suite_passes_at_small_caps(name):
+    results = law_suite(fx(name), LawConfig(policy=UniversePolicy(max_count=40, max_size=9)))
     assert all(r.status == "pass" for r in results), suite_to_json(results)
 
 
@@ -322,23 +334,64 @@ def test_flatten_law_fails_after_mutation():
     inner, report = least_model(spec, seeds, cfg.policy)
     assert report.converged
     gen, outer, decode = doubled_lift(spec, inner, cfg.policy)
-    clean = law_flatten_hom(spec, inner, outer, decode, cfg.depth, cfg.max_terms)
+    clean = law_flatten_hom(spec, inner, outer, decode, cfg.max_terms)
     assert clean.status == "pass"
 
     victim = pt(spec, "tau(c)")
     beh = dict(inner.behaviour)
     beh[victim] = spec.kind.bottom()  # delete tau(c)'s only transition
     broken = Model(spec.kind, inner.universe, beh, inner.frontier, inner.tainted)
-    hurt = law_flatten_hom(spec, broken, outer, decode, cfg.depth, cfg.max_terms)
+    hurt = law_flatten_hom(spec, broken, outer, decode, cfg.max_terms)
     assert hurt.status == "fail"
     assert hurt.witness
 
 
+def test_flatten_law_skips_tainted_terms():
+    # 25 of the 28 terms of this truncated lift are tainted, sigma(c) among
+    # them: its recorded step is not the untruncated one, so breaking it
+    # must not make the law fail
+    spec = fx("transclosure")
+    cfg = LawConfig()
+    gsmall, _ = default_generators(spec.kind, spec.sig)
+    inner = lift_coalgebra(spec, gsmall, _lift_seeds(spec, gsmall), cfg.policy)
+    assert (len(inner.universe), len(inner.tainted)) == (28, 25)
+    _, outer, decode = doubled_lift(spec, inner, cfg.policy)
+    victim = pt(spec, "sigma(c)")
+    assert victim in inner.tainted
+    beh = dict(inner.behaviour)
+    beh[victim] = spec.kind.bottom()
+    broken = Model(spec.kind, inner.universe, beh, inner.frontier, inner.tainted)
+    assert law_flatten_hom(spec, broken, outer, decode, cfg.max_terms).status == "pass"
+
+
+def test_similarity_law_checks_images(monkeypatch):
+    # a genuine homomorphism preserves similarity, so the failing branch is
+    # reached only by waving a non-homomorphism through the precondition
+    kind = CountableLTS(frozenset({"a"}))
+    chain = GenCoalgebra(("gp", "gq"), {
+        "gp": LtsValue.make({"a": {"gq"}}),
+        "gq": LtsValue.make({"a": {"gq"}}),
+    })
+    split = GenCoalgebra(("gx", "gy"), {
+        "gx": LtsValue.make({"a": {"gx"}}),
+        "gy": LtsValue.make({}),
+    })
+    hom = {"gp": "gx", "gq": "gy"}
+    assert law_hom_preserves_similarity(kind, chain, split, hom).status == "inconclusive"
+    monkeypatch.setattr(relations, "is_homomorphism", lambda *args: True)
+    hurt = law_hom_preserves_similarity(kind, chain, split, hom)
+    assert (hurt.status, hurt.witness) == ("fail", {"pair": ["gp", "gq"]})
+
+
 def test_suite_json_shape():
-    results = law_suite(fx("lookahead2"))
-    doc = suite_to_json(results)
-    assert [d["law"] for d in doc] == ["L3", "L2", "T1", "T2-eta", "T2-mu"]
-    assert all(d["status"] == "pass" for d in doc)
+    doc = suite_to_json(law_suite(fx("lookahead2")))
+    assert doc == [
+        {"law": "L3", "status": "pass", "witness": {"states": 2}},
+        {"law": "L2", "status": "pass", "witness": {"pairs": 4}},
+        {"law": "T1", "status": "pass", "witness": {"checked": 7, "skipped": 0}},
+        {"law": "T2-eta", "status": "pass", "witness": {"states": 1}},
+        {"law": "T2-mu", "status": "pass", "witness": {"checked": 8, "skipped": 3}},
+    ]
 
 
 # --- similarity versus depth-bounded unfolding similarity -------------------------------------

@@ -21,7 +21,7 @@ def test_factstream_shape():
     assert spec.kind.labels is None          # naturals
     assert len(spec.rules) == 6
     assert spec.sig["otimes"].param_count == 1
-    sigma = spec.rules_for("sigma")[0]
+    sigma = next(r for r in spec.rules if r.head_op == "sigma")
     assert len(sigma.premises) == 2
     assert lookahead_depth(sigma) == 2
 
@@ -30,15 +30,15 @@ def test_lookahead2_shape():
     spec = parse_spec(fixture_text("lookahead2"))
     assert spec.kind.name == "lts"
     assert sorted(spec.kind.labels) == ["a"]
-    sigma = spec.rules_for("sigma")[0]
+    sigma = next(r for r in spec.rules if r.head_op == "sigma")
     assert lookahead_depth(sigma) == 2
-    tau = spec.rules_for("tau")[0]
+    tau = next(r for r in spec.rules if r.head_op == "tau")
     assert lookahead_depth(tau) == 0         # axiom: no premises
 
 
 def test_negloop_has_negative_premise():
     spec = parse_spec(fixture_text("negloop"))
-    sigma = spec.rules_for("sigma")[0]
+    sigma = next(r for r in spec.rules if r.head_op == "sigma")
     kinds = [type(p) for p in sigma.premises]
     assert kinds == [Positive, Negative]
 
