@@ -192,18 +192,18 @@ class PartialStream:
         return isinstance(b, Bottom) or b == c
 
     def join(self, values: Iterable):
-        steps = set()
-        for v in values:
-            self._check(v)
-            if isinstance(v, StreamStep):
-                steps.add(v)
+        return self.from_transitions({p for v in values for p in self.transitions(v)})
+
+    def from_transitions(self, pairs: Iterable):
+        """The join of the conclusion values of the (label, state) pairs."""
+        steps = set(pairs)
         if not steps:
             return BOTTOM
         if len(steps) > 1:
-            shown = ", ".join(f"({s.label}, {_show_state(s.state)})" for s in
-                              sorted(steps, key=lambda s: (label_key(s.label), state_key(s.state))))
+            shown = ", ".join(f"({lab}, {_show_state(s)})" for lab, s in
+                              sorted(steps, key=lambda p: (label_key(p[0]), state_key(p[1]))))
             raise InconsistentStreamError(f"inconsistent stream step: {shown}")
-        return steps.pop()
+        return StreamStep(*steps.pop())
 
     def map_states(self, h, v):
         self._check(v)
@@ -311,11 +311,13 @@ class CountableLTS:
         return all(set(states) <= set(c.successors(lab)) for lab, states in b.moves)
 
     def join(self, values: Iterable):
+        return self.from_transitions(p for v in values for p in self.transitions(v))
+
+    def from_transitions(self, pairs: Iterable):
+        """The join of the conclusion values of the (label, state) pairs."""
         acc: dict = {}
-        for v in values:
-            self._check(v)
-            for lab, states in v.moves:
-                acc.setdefault(lab, set()).update(states)
+        for lab, s in pairs:
+            acc.setdefault(lab, set()).add(s)
         return LtsValue.make(acc)
 
     def map_states(self, h, v):
@@ -454,6 +456,13 @@ class WeightedLTS:
                 bucket = acc.setdefault(lab, {})
                 for s, w in row:
                     bucket[s] = max(bucket.get(s, 0.0), w)
+        return WtsValue.make(acc)
+
+    def from_transitions(self, pairs: Iterable):
+        """The join of the conclusion values of the (label, state) pairs."""
+        acc: dict = {}
+        for lab, s in pairs:
+            acc.setdefault(lab, {})[s] = 1.0
         return WtsValue.make(acc)
 
     def map_states(self, h, v):

@@ -4,20 +4,24 @@ The one-step operator interprets every rule against the current model: head
 variables bind argument subterms, premises are matched by walking the model's
 behaviour map (frontier terms read as bottom, so truncation under-approximates
 soundly), and each complete match contributes its instantiated conclusion.
-Iterating from the all-bottom model climbs an increasing chain for monotone
-specs; the loop stops on a fixed point, on a detected period-2 oscillation
-(possible only with negative premises, behind the force flag), or at the step
-budget.  The universe grows by the subterm closures of in-cap conclusion
-targets, since rule heads need their argument subterms' behaviour.
+Each rule's premises and conclusion are compiled once per spec, so a term's
+value is built in one pass from its derived (label, target) pairs, and the
+join records every term it reads on the way.  Iterating from the all-bottom
+model climbs an increasing chain for monotone specs; the loop stops on a
+fixed point, on a detected period-2 oscillation (possible only with negative
+premises, behind the force flag), or at the step budget.  The universe grows
+by the subterm closures of in-cap conclusion targets, since rule heads need
+their argument subterms' behaviour.
 
 The iteration is semi-naive.  A term's derivation depends only on the value,
 frontier membership and taint of the terms whose step it reads, so
-least_model keeps a reverse index from each read term to the terms whose
-derivations read it.  After each step the changed terms are those whose value
-or taint changed and those that entered or left the frontier; the next step
-re-derives only their readers and the newly promoted terms, and every other
-term keeps its value and taint.  The models are those of full steps, and the
-loop has converged when nothing changed.
+least_model keeps a reverse index, built from those recorded reads, from each
+read term to the terms whose derivations read it.  After each step the
+changed terms are those whose value or taint changed and those that entered
+or left the frontier; the next step re-derives only their readers and the
+newly promoted terms, and every other term keeps its value and taint.  The
+models are those of full steps, and the loop has converged when nothing
+changed.
 
 A generator designates opaque variable states whose behaviour is injected
 verbatim each step; running the same iteration over terms with generator
@@ -32,7 +36,8 @@ from typing import Iterable, Mapping, NamedTuple, Union
 
 from .behaviour import BehaviourKind, CountableLTS
 from .errors import (BigsosError, InconsistentStreamError, LabelEvalError,
-                     NonConvergenceError, NonMonotoneError, UnknownStateError)
+                     NonConvergenceError, NonMonotoneError, UnboundVariableError,
+                     UnknownStateError)
 from .speclang import (LabelLit, Positive, Premise, Rule, Spec, check_monotone,
                        eval_label, instantiate_template, label_vars,
                        template_param_exprs, template_vars)
@@ -71,22 +76,6 @@ class Model:
 def bottom_model(kind: BehaviourKind, universe: Iterable[Term]) -> Model:
     terms = tuple(sorted(set(universe), key=term_key))
     return Model(kind, terms, {t: kind.bottom() for t in terms}, frozenset())
-
-
-class _ProbeModel:
-    """Step proxy that records the terms read, and whether an under-resolved
-    one (frontier or tainted) was among them."""
-
-    def __init__(self, model: Model):
-        self.model = model
-        self.hit = False
-        self.reads: set = set()
-
-    def step(self, t: Term):
-        self.reads.add(t)
-        if t in self.model.frontier or t in self.model.tainted:
-            self.hit = True
-        return self.model.step(t)
 
 
 @dataclass(frozen=True)
@@ -143,6 +132,15 @@ def gen_to_model(kind: BehaviourKind, gen: GenCoalgebra) -> Model:
 # about the number of distinct live bindings rather than the number of premise
 # paths.  Slots are named ("t", x) for term variables and ("l", n) for label
 # variables, which live in separate namespaces.
+#
+# The conclusion is compiled as well, into a function from a final environment
+# to its (label, target) pair: a literal label over a bare variable target picks
+# one slot, a conclusion that reads no binding is a constant, and any other is
+# evaluated per environment.  A term's value is built from its pairs by one
+# kind.from_transitions call, with no value per conclusion.  Premises read
+# their sources' transitions from a table that phi_step shares across one step,
+# and every source read goes into the caller's read set: phi_step takes the
+# term's taint from it, and least_model its reverse index.
 
 
 def _picker(indices: tuple):
@@ -159,15 +157,29 @@ def _names_env(layout: tuple, env: tuple, tag: str) -> dict:
     return {name: v for (t, name), v in zip(layout, env) if t == tag}
 
 
+class _Rows(dict):
+    """Transitions of each term of model, computed on first read."""
+
+    __slots__ = ("model",)
+
+    def __init__(self, model: Model):
+        super().__init__()
+        self.model = model
+
+    def __missing__(self, t: Term) -> tuple:
+        row = self[t] = self.model.kind.transitions(self.model.step(t))
+        return row
+
+
 # NamedTuples rather than dataclasses: they are cheaper to define at import and
 # to build, and a spec of a few hundred axioms compiles a plan for each.
 class _PremiseStep(NamedTuple):
     """One premise against environments laid out as `layout`.
 
     source is the slot of the premise source, or None when no slot binds it
-    (no environment survives).  A positive premise compares its label with the
-    literal label_lit or with slot label_slot, or binds it when both are None;
-    out builds the next environment from env + (target, label).
+    (no environment survives).  A premise compares its label with the literal
+    label_lit or, if positive, with slot label_slot, or binds it when both are
+    None; out builds the next environment from env + (target, label).
     """
 
     premise: Premise
@@ -182,14 +194,42 @@ class _RulePlan(NamedTuple):
     rule: Rule
     head: object       # picks the first environment from args + params
     steps: tuple
-    layout: tuple      # layout of the environments the conclusion reads
+    conclude: object   # final environment -> (label, target)
 
 
 def _premise_reads(p: Premise) -> set:
     return {("t", p.source)} | {("l", v) for v in label_vars(p.label)}
 
 
-def _compile_rule(rule: Rule) -> _RulePlan:
+def _compile_conclusion(kind: BehaviourKind, rule: Rule, layout: tuple):
+    """Function from an environment laid out as layout to the pair the rule
+    concludes; a derivation raises the errors evaluating the pair raises."""
+    label, target = rule.concl_label, rule.concl_target
+    slot = {name: i for i, name in enumerate(layout)}
+    if (isinstance(label, LabelLit) and kind.has_label(label.value)
+            and isinstance(target, Var) and ("t", target.name) in slot):
+        lab, i = label.value, slot[("t", target.name)]
+        return lambda env: (lab, env[i])
+
+    def conclude(env: tuple) -> tuple:
+        labenv = _names_env(layout, env, "l")
+        lab = eval_label(label, labenv)
+        if not kind.has_label(lab):
+            raise LabelEvalError(
+                f"rule {rule.name}: conclusion label {lab!r} outside the label domain")
+        return lab, substitute(instantiate_template(target, labenv),
+                               _names_env(layout, env, "t"))
+
+    if layout:
+        return conclude
+    try:
+        pair = conclude(())
+    except (LabelEvalError, UnboundVariableError):
+        return conclude  # the error is a derivation's, so it waits for one
+    return lambda env: pair
+
+
+def _compile_rule(kind: BehaviourKind, rule: Rule) -> _RulePlan:
     concl = {("t", v) for v in template_vars(rule.concl_target)}
     for e in (rule.concl_label, *template_param_exprs(rule.concl_target)):
         concl |= {("l", v) for v in label_vars(e)}
@@ -210,13 +250,13 @@ def _compile_rule(rule: Rule) -> _RulePlan:
         slot = {name: j for j, name in enumerate(layout)}
         label_lit = label_slot = None
         fresh: dict = {}  # names this premise binds -> index in env + (target, label)
+        if isinstance(p.label, LabelLit):
+            label_lit = p.label.value
         if isinstance(p, Positive):
             fresh[("t", p.target)] = len(layout)
-            if isinstance(p.label, LabelLit):
-                label_lit = p.label.value
-            elif ("l", p.label.name) in slot:
+            if label_lit is None and ("l", p.label.name) in slot:
                 label_slot = slot[("l", p.label.name)]
-            else:
+            elif label_lit is None:
                 fresh[("l", p.label.name)] = len(layout) + 1
             bound += [name for name in fresh if name not in bound]
         out_layout = tuple(name for name in bound if name in live[i + 1])
@@ -225,7 +265,7 @@ def _compile_rule(rule: Rule) -> _RulePlan:
         steps.append(_PremiseStep(p, layout, slot.get(("t", p.source)),
                                   label_lit, label_slot, out))
         layout = out_layout
-    return _RulePlan(rule, head, tuple(steps), layout)
+    return _RulePlan(rule, head, tuple(steps), _compile_conclusion(kind, rule, layout))
 
 
 def _join_plan(spec: Spec) -> dict:
@@ -233,16 +273,25 @@ def _join_plan(spec: Spec) -> dict:
     if spec.join_plan is None:
         plan: dict = {}
         for rule in spec.rules:
-            plan.setdefault(rule.head_op, []).append(_compile_rule(rule))
+            plan.setdefault(rule.head_op, []).append(_compile_rule(spec.kind, rule))
         spec.join_plan = plan
     return spec.join_plan
 
 
-def apply_rules(spec: Spec, model: Model, op: str, params: tuple, args: tuple):
-    """Join of all rule conclusions derivable for op[params](args) in model."""
-    kind = spec.kind
-    transitions = kind.transitions
-    conclusions: dict = {}  # distinct (label, target) pairs in order of derivation
+def apply_rules(spec: Spec, model: Model, op: str, params: tuple, args: tuple,
+                reads: Union[set, None] = None, memo: Union[_Rows, None] = None):
+    """Join of all rule conclusions derivable for op[params](args) in model.
+
+    Every premise source read, negative premises included, is added to reads.
+    memo is the transition table of model that phi_step shares across a step;
+    without one, this call makes its own.
+    """
+    if reads is None:
+        reads = set()
+    if memo is None:
+        memo = _Rows(model)
+    read = reads.add
+    pairs: list = []  # (label, target) of every derivation
     for plan in _join_plan(spec).get(op, ()):
         rule = plan.rule
         if len(rule.head_vars) != len(args) or len(rule.head_params) != len(params):
@@ -252,12 +301,14 @@ def apply_rules(spec: Spec, model: Model, op: str, params: tuple, args: tuple):
             if step.source is None:
                 envs = ()
                 break
-            p, src, out = step.premise, step.source, step.out
+            p, src, lit, out = step.premise, step.source, step.label_lit, step.out
             grown: dict = {}
             if isinstance(p, Positive):
-                lit, slot = step.label_lit, step.label_slot
+                slot = step.label_slot
                 for env in envs:
-                    for lab, target in transitions(model.step(env[src])):
+                    s = env[src]
+                    read(s)
+                    for lab, target in memo[s]:
                         if lit is not None:
                             if lab != lit:
                                 continue
@@ -266,24 +317,18 @@ def apply_rules(spec: Spec, model: Model, op: str, params: tuple, args: tuple):
                         grown[out(env + (target, lab))] = None
             else:
                 for env in envs:
-                    value = model.step(env[src])
-                    want = eval_label(p.label, _names_env(step.layout, env, "l"))
-                    if all(have != want for have, _ in transitions(value)):
+                    s = env[src]
+                    read(s)
+                    want = (lit if lit is not None else
+                            eval_label(p.label, _names_env(step.layout, env, "l")))
+                    if all(have != want for have, _ in memo[s]):
                         grown[out(env)] = None
             envs = grown
             if not envs:
                 break
-        for env in envs:
-            labenv = _names_env(plan.layout, env, "l")
-            lab = eval_label(rule.concl_label, labenv)
-            if not kind.has_label(lab):
-                raise LabelEvalError(
-                    f"rule {rule.name}: conclusion label {lab!r} outside the label domain")
-            target = substitute(instantiate_template(rule.concl_target, labenv),
-                                _names_env(plan.layout, env, "t"))
-            conclusions[(lab, target)] = None
+        pairs.extend(map(plan.conclude, envs))
     try:
-        return kind.join([kind.conclusion_value(lab, target) for lab, target in conclusions])
+        return spec.kind.from_transitions(pairs)
     except InconsistentStreamError as exc:
         raise InconsistentStreamError(
             f"{print_term(App(op, params, args))}: {exc}") from None
@@ -296,8 +341,8 @@ def phi_step(spec: Spec, model: Model, gen: Union[GenCoalgebra, None] = None,
 
     Generator variables take their dynamics verbatim (states injected as
     variable terms); conclusion targets outside the universe become frontier.
-    Terms whose derivation consulted a frontier or tainted term are tainted:
-    their value may under-report the untruncated behaviour.
+    Terms whose derivation read a frontier or tainted term are tainted: their
+    value may under-report the untruncated behaviour.
 
     With a dirty set, only the universe terms in it are recomputed; every
     other term keeps its value and taint from model.  If reads is given, it
@@ -306,6 +351,8 @@ def phi_step(spec: Spec, model: Model, gen: Union[GenCoalgebra, None] = None,
     """
     kind = spec.kind
     old, old_tainted = model.behaviour, model.tainted
+    unresolved = model.frontier | old_tainted
+    memo = _Rows(model)
     beh = {}
     referenced: set = set()
     tainted: list = []
@@ -321,12 +368,12 @@ def phi_step(spec: Spec, model: Model, gen: Union[GenCoalgebra, None] = None,
             if reads is not None:
                 reads[t] = set()
         else:
-            probe = _ProbeModel(model)
-            v = apply_rules(spec, probe, t.op, t.params, t.args)
-            if probe.hit:
+            read: set = set()
+            v = apply_rules(spec, model, t.op, t.params, t.args, read, memo)
+            if not read.isdisjoint(unresolved):
                 tainted.append(t)
             if reads is not None:
-                reads[t] = probe.reads
+                reads[t] = read
         beh[t] = v
         referenced |= kind.states(v)
     inside = set(model.universe)

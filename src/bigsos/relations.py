@@ -260,6 +260,8 @@ def congruence_test(spec: Spec, model: Model, samples: int, depth: int = 3,
     as skipped, not failed.  A violation carries the pair's distinguishing
     depth, read off the same partition refinement, or None beyond depth.
     """
+    if samples < 0:
+        raise ValueError("samples must be a natural")
     kind = model.kind
     rng = random.Random(seed)
     rounds: list = []
@@ -275,7 +277,7 @@ def congruence_test(spec: Spec, model: Model, samples: int, depth: int = 3,
     apps = [t for t in model.universe
             if isinstance(t, App) and t.args and t.op in spec.sig]
     if not apps or samples <= 0:
-        return CongruenceReport(max(samples, 0), 0, 0, ())
+        return CongruenceReport(samples, 0, 0, ())
     checked = skipped = 0
     violations = []
     for _ in range(samples):

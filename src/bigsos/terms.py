@@ -1,7 +1,9 @@
 """Signatures, first-order terms, substitution, and the term parser.
 
-Terms are hash-consed: one live object per term, identity equality,
-structural hash, weak intern table.  Operators may carry natural
+Terms are hash-consed: one live object per term, identity equality and
+hash, weak intern table.  Since the hash is the object's, the iteration
+order of a set or dict of terms can differ between runs; every output is
+sorted or follows a universe's order.  Operators may carry natural
 number parameters (a parameterized family like ``otimes[3]`` is one signature
 entry with param_count 1), kept separate from the argument list.
 """
@@ -117,7 +119,7 @@ class _Frozen:
 class Var(_Frozen):
     """A variable.  Var(name) returns the live variable of that name if any."""
 
-    __slots__ = ("name", "_hash", "__weakref__")
+    __slots__ = ("name", "__weakref__")
     name: str
 
     def __new__(cls, name: str):
@@ -129,11 +131,9 @@ class Var(_Frozen):
                 return t
         t = object.__new__(cls)
         object.__setattr__(t, "name", name)
-        object.__setattr__(t, "_hash", hash(key))
         return _publish(key, t)
 
-    def __hash__(self):
-        return self._hash
+    __hash__ = object.__hash__
 
     def __reduce__(self):
         return (Var, (self.name,))
@@ -147,8 +147,8 @@ class Var(_Frozen):
 
 class App(_Frozen):
     """Operator application.  App(op, params, args) returns the live term for
-    that key if any; otherwise the hash, node count and order key are computed
-    once from the children's, so reading them is O(1).
+    that key if any; otherwise the node count and order key are computed once
+    from the children's, so reading them is O(1).
 
     The order key is ("app", codes), where codes lists the node headers
     ("app", op, params) and variable leaves ("var", name) in pre-order.  Under
@@ -160,7 +160,7 @@ class App(_Frozen):
     _text holds the printed term once print_term has made it.
     """
 
-    __slots__ = ("op", "params", "args", "_hash", "_size", "_key", "_text", "__weakref__")
+    __slots__ = ("op", "params", "args", "_size", "_key", "_text", "__weakref__")
     op: str
     params: tuple[int, ...]
     args: tuple["Term", ...]
@@ -185,14 +185,12 @@ class App(_Frozen):
         set_(t, "op", op)
         set_(t, "params", params)
         set_(t, "args", args)
-        set_(t, "_hash", hash(key))
         set_(t, "_size", size)
         set_(t, "_key", (size, ("app", tuple(codes))))
         set_(t, "_text", None)
         return _publish(key, t)
 
-    def __hash__(self):
-        return self._hash
+    __hash__ = object.__hash__
 
     def __reduce__(self):
         return (App, (self.op, self.params, self.args))

@@ -158,6 +158,33 @@ def test_stream_join_consistency():
         STREAM.join([s, StreamStep(2, "p")])
 
 
+@pytest.mark.parametrize("kind", [STREAM, STREAM_AB, LTS, WTS],
+                         ids=["stream", "stream_ab", "lts", "wts"])
+def test_from_transitions_is_the_join_of_conclusion_values(kind):
+    labels = sorted(kind.labels) if kind.labels is not None else [0, 1, 2]
+    pair = st.tuples(st.sampled_from(labels), st.sampled_from(STATES))
+
+    @given(st.lists(pair, max_size=6))
+    def check(pairs):
+        try:
+            want = kind.join([kind.conclusion_value(lab, s) for lab, s in pairs])
+        except InconsistentStreamError as exc:
+            with pytest.raises(InconsistentStreamError) as got:
+                kind.from_transitions(pairs)
+            assert str(got.value) == str(exc)
+            return
+        assert kind.from_transitions(pairs) == want
+        assert kind.from_transitions(iter(pairs[::-1])) == want
+    check()
+
+
+def test_from_transitions_stream_message():
+    with pytest.raises(InconsistentStreamError) as got:
+        STREAM.from_transitions([(2, "q"), (1, "r"), (2, "p"), (1, "r")])
+    assert str(got.value) == "inconsistent stream step: (1, 'r'), (2, 'p'), (2, 'q')"
+    assert STREAM.from_transitions([(1, "r"), (1, "r")]) == StreamStep(1, "r")
+
+
 def test_wts_join_takes_sup():
     a = WtsValue.make({"a": {"p": 1.0}})
     b = WtsValue.make({"a": {"p": 3.0}, "b": {"q": 0.5}})

@@ -11,6 +11,7 @@ import pytest
 
 import bigsos
 from bigsos.cli import run
+from bigsos.terms import App
 from conftest import fixture_path
 
 
@@ -265,6 +266,17 @@ def test_bad_bounds_rejected():
     assert code == 2
 
 
+def test_negative_samples_rejected():
+    want = "error: samples must be a natural\n"
+    for fmt in ("text", "json"):
+        assert cli("congruence", fixture_path("factstream"), "--samples", "-5",
+                   "--format", fmt) == (2, "", want)
+    done = _run_module(("congruence", "factstream", "--samples", "-5"))
+    assert (done.returncode, done.stdout, done.stderr) == (2, b"", want.encode())
+    assert cli("congruence", fixture_path("factstream"), "--samples", "0") == (
+        0, "checked 0 skipped 0 violations 0\n", "")
+
+
 # --- seeds and determinism -------------------------------------------------------------
 
 
@@ -342,6 +354,22 @@ def test_output_identical_across_hash_seeds(argv):
     assert runs[0][0] == 0
     assert runs[0][1]
     assert runs[1] == runs[0] and runs[2] == runs[0]
+
+
+def test_output_identical_after_term_churn_in_one_process():
+    # terms hash by identity, so a set of terms iterates in an order that
+    # depends on where its terms were allocated; no output may follow it
+    commands = [getattr(c, "values", (c,))[0] for c in CROSS_PROCESS_COMMANDS]
+
+    def outputs():
+        return [cli(argv[0], fixture_path(argv[1]), *argv[2:]) for argv in commands]
+
+    first = outputs()
+    assert all(code == 0 and out for code, out, _ in first)
+    kept = [App("churn", (i,), (App(f"k{i % 97}"),)) for i in range(40000)][::3]
+    assert outputs() == first
+    del kept
+    assert outputs() == first
 
 
 def test_deep_seed_is_a_clean_error():

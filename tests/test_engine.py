@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from bigsos import engine
 from bigsos.behaviour import (BOTTOM, Bottom, CountableLTS, LtsValue, StreamStep,
                               WtsValue)
 from bigsos.engine import (ConvergenceReport, GenCoalgebra, Model,
@@ -96,8 +97,11 @@ def oracle_value(kind, conclusions):
 
 
 def check_phi_step(spec, model, gen=None):
-    """Compare one phi step on model with the oracle, term by term, taint included."""
-    nxt = phi_step(spec, model, gen)
+    """Compare one phi step on model with the oracle, term by term, taint and
+    recorded reads included."""
+    reads = {}
+    nxt = phi_step(spec, model, gen, reads=reads)
+    assert list(reads) == list(model.universe)
     rows = {t: spec.kind.transitions(model.step(t)) for t in model.carrier()}
     unresolved = model.frontier | model.tainted
     for t in model.universe:
@@ -105,6 +109,7 @@ def check_phi_step(spec, model, gen=None):
             continue
         conclusions, consulted = oracle_step(spec, rows, t)
         assert nxt.behaviour[t] == oracle_value(spec.kind, conclusions), print_term(t)
+        assert reads[t] == consulted, print_term(t)
         assert (t in nxt.tainted) == bool(consulted & unresolved), print_term(t)
     return nxt
 
@@ -182,6 +187,44 @@ def test_phi_step_matches_oracle_on_random_specs():
             beh = {t: LtsValue.make({"a": {s for s in universe if rng.random() < 0.5}})
                    for t in last.universe}
             check_phi_step(spec, Model(spec.kind, last.universe, beh))
+
+
+def test_phi_step_work_per_term_on_the_tower(monkeypatch):
+    """Counts, not times: in every step of the K=18 transclosure tower each
+    read term's transitions are taken once, and each recomputed term's value is
+    built by one from_transitions call, with no value per conclusion."""
+    calls = dict.fromkeys(("transitions", "from_transitions", "conclusion_value", "join"), 0)
+
+    def counting(name):
+        inner = getattr(CountableLTS, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(CountableLTS, name, counting(name))
+    steps = []
+
+    def counted_phi_step(spec, model, gen=None, dirty=None, reads=None):
+        reads = {} if reads is None else reads
+        calls.update(dict.fromkeys(calls, 0))
+        nxt = phi_step(spec, model, gen, dirty, reads)
+        steps.append((dict(calls), len(set().union(*reads.values())),
+                      sum(isinstance(t, App) for t in reads)))
+        return nxt
+
+    monkeypatch.setattr(engine, "phi_step", counted_phi_step)
+    spec = fx("transclosure")
+    seed = pt(spec, "sigma(" * 18 + "c" + ")" * 18)
+    model, report = least_model(spec, [seed], UniversePolicy(max_count=20, max_size=20))
+    assert report.converged and len(steps) == report.iterations > 2
+    for counts, read, recomputed in steps:
+        assert counts["transitions"] <= read
+        assert counts["from_transitions"] == recomputed
+        assert counts["conclusion_value"] == counts["join"] == 0
+    assert sum(recomputed for _, _, recomputed in steps) > len(model.universe)
 
 
 # --- semi-naive iteration versus the naive loop ----------------------------------------
