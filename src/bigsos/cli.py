@@ -108,9 +108,12 @@ def _parser() -> argparse.ArgumentParser:
 
 def _config(args) -> Config:
     seed = args.seed if args.seed is not None else int(os.environ.get("BIGSOS_SEED", "0"))
-    return Config(max_count=args.universe_count, max_size=args.universe_size,
-                  max_iters=args.max_iters, depth=args.depth, seed=seed,
-                  format=args.format, force=args.force)
+    cfg = Config(max_count=args.universe_count, max_size=args.universe_size,
+                 max_iters=args.max_iters, depth=args.depth, seed=seed,
+                 format=args.format, force=args.force)
+    if getattr(args, "samples", 0) < 0:  # before the spec is read or its model built
+        raise ValueError("samples must be a natural")
+    return cfg
 
 
 def _load_spec(path: str):

@@ -36,8 +36,7 @@ from typing import Iterable, Mapping, NamedTuple, Union
 
 from .behaviour import BehaviourKind, CountableLTS
 from .errors import (BigsosError, InconsistentStreamError, LabelEvalError,
-                     NonConvergenceError, NonMonotoneError, UnboundVariableError,
-                     UnknownStateError)
+                     NonConvergenceError, NonMonotoneError, UnknownStateError)
 from .speclang import (LabelLit, Positive, Premise, Rule, Spec, check_monotone,
                        eval_label, instantiate_template, label_vars,
                        template_param_exprs, template_vars)
@@ -135,12 +134,12 @@ def gen_to_model(kind: BehaviourKind, gen: GenCoalgebra) -> Model:
 #
 # The conclusion is compiled as well, into a function from a final environment
 # to its (label, target) pair: a literal label over a bare variable target picks
-# one slot, a conclusion that reads no binding is a constant, and any other is
-# evaluated per environment.  A term's value is built from its pairs by one
-# kind.from_transitions call, with no value per conclusion.  Premises read
-# their sources' transitions from a table that phi_step shares across one step,
-# and every source read goes into the caller's read set: phi_step takes the
-# term's taint from it, and least_model its reverse index.
+# one slot, and any other conclusion is evaluated per environment.  A term's
+# value is built from its pairs by one kind.from_transitions call, with no value
+# per conclusion.  Premises read their sources' transitions from a table that
+# phi_step shares across one step, and every source read goes into the caller's
+# read set: phi_step takes the term's taint from it, and least_model its reverse
+# index.
 
 
 def _picker(indices: tuple):
@@ -220,13 +219,7 @@ def _compile_conclusion(kind: BehaviourKind, rule: Rule, layout: tuple):
         return lab, substitute(instantiate_template(target, labenv),
                                _names_env(layout, env, "t"))
 
-    if layout:
-        return conclude
-    try:
-        pair = conclude(())
-    except (LabelEvalError, UnboundVariableError):
-        return conclude  # the error is a derivation's, so it waits for one
-    return lambda env: pair
+    return conclude
 
 
 def _compile_rule(kind: BehaviourKind, rule: Rule) -> _RulePlan:

@@ -271,6 +271,9 @@ def test_negative_samples_rejected():
     for fmt in ("text", "json"):
         assert cli("congruence", fixture_path("factstream"), "--samples", "-5",
                    "--format", fmt) == (2, "", want)
+    # rejected before the model is built: negloop alone would exit 3
+    assert cli("congruence", fixture_path("negloop"), "--samples", "-5") == (2, "", want)
+    assert cli("congruence", fixture_path("negloop"), "--samples", "0")[0] == 3
     done = _run_module(("congruence", "factstream", "--samples", "-5"))
     assert (done.returncode, done.stdout, done.stderr) == (2, b"", want.encode())
     assert cli("congruence", fixture_path("factstream"), "--samples", "0") == (

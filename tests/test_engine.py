@@ -11,7 +11,7 @@ from bigsos.engine import (ConvergenceReport, GenCoalgebra, Model,
                            bottom_model, gen_to_model, least_model,
                            lift_coalgebra, model_to_dot, model_to_json,
                            phi_step, unfold, unfold_to_json)
-from bigsos.errors import NonMonotoneError, UnknownStateError
+from bigsos.errors import LabelEvalError, NonMonotoneError, UnknownStateError
 from bigsos.relations import default_generators
 from bigsos.speclang import (LabelLit, Positive, check_monotone, eval_label,
                              instantiate_template, parse_spec)
@@ -465,6 +465,17 @@ def test_empty_spec_is_all_bottom():
     assert report.converged
     assert report.iterations == 1
     assert all(spec.kind.is_bottom(v) for v in model.behaviour.values())
+
+
+def test_bad_axiom_fails_only_when_it_fires():
+    # an unvalidated spec: the axiom for d concludes a label outside the domain
+    spec = parse_spec("behaviour lts labels a\nops c/0, d/0\n"
+                      "rule r : |- d -1-> c\nrule s : |- c -a-> c\n")
+    model, report = least_model(spec, [App("c")])
+    assert report.converged and list(model.universe) == [App("c")]
+    with pytest.raises(LabelEvalError,
+                       match="^rule r: conclusion label 1 outside the label domain$"):
+        least_model(spec, [App("d")])
 
 
 def test_negloop_refused_then_forced():
