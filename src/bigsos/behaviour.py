@@ -221,6 +221,13 @@ class PartialStream:
         self._check(v)
         return frozenset() if isinstance(v, Bottom) else frozenset((v.state,))
 
+    def moves(self, v) -> tuple:
+        """(label, state, weight) of each move, weight 1: rel_lift(R, b, c)
+        holds iff every move of b is matched by a move of c with the same
+        label, at least its weight and a state R-related to its state."""
+        self._check(v)
+        return () if isinstance(v, Bottom) else ((v.label, v.state, 1),)
+
     def conclusion_value(self, label, target):
         return StreamStep(label, target)
 
@@ -331,6 +338,10 @@ class CountableLTS:
     def states(self, v) -> frozenset:
         self._check(v)
         return frozenset(s for _, states in v.moves for s in states)
+
+    def moves(self, v) -> tuple:
+        self._check(v)
+        return tuple((lab, s, 1) for lab, states in v.moves for s in states)
 
     def conclusion_value(self, label, target):
         return LtsValue.make({label: {target}})
@@ -483,6 +494,10 @@ class WeightedLTS:
     def states(self, v) -> frozenset:
         self._check(v)
         return frozenset(s for _, row in v.moves for s, _ in row)
+
+    def moves(self, v) -> tuple:
+        self._check(v)
+        return tuple((lab, s, w) for lab, row in v.moves for s, w in row)
 
     def conclusion_value(self, label, target):
         return WtsValue.make({label: {target: 1.0}})

@@ -133,8 +133,9 @@ def gen_to_model(kind: BehaviourKind, gen: GenCoalgebra) -> Model:
 # variables, which live in separate namespaces.
 #
 # The conclusion is compiled as well, into a function from a final environment
-# to its (label, target) pair: a literal label over a bare variable target picks
-# one slot, and any other conclusion is evaluated per environment.  A term's
+# to its (label, target) pair: a literal label over a target without label
+# parameters builds the target from slots (a bare variable target picks one),
+# and any other conclusion is evaluated per environment.  A term's
 # value is built from its pairs by one kind.from_transitions call, with no value
 # per conclusion.  Premises read their sources' transitions from a table that
 # phi_step shares across one step, and every source read goes into the caller's
@@ -200,15 +201,28 @@ def _premise_reads(p: Premise) -> set:
     return {("t", p.source)} | {("l", v) for v in label_vars(p.label)}
 
 
+def _builder(target, slot: dict):
+    """Function from an environment to the label-free template target, each
+    variable read from its slot."""
+    if isinstance(target, Var):
+        return itemgetter(slot[("t", target.name)])
+    op, kids = target.op, tuple(_builder(a, slot) for a in target.args)
+    if not kids:
+        leaf = App(op)
+        return lambda env: leaf
+    return lambda env: App(op, (), tuple([build(env) for build in kids]))
+
+
 def _compile_conclusion(kind: BehaviourKind, rule: Rule, layout: tuple):
     """Function from an environment laid out as layout to the pair the rule
     concludes; a derivation raises the errors evaluating the pair raises."""
     label, target = rule.concl_label, rule.concl_target
     slot = {name: i for i, name in enumerate(layout)}
     if (isinstance(label, LabelLit) and kind.has_label(label.value)
-            and isinstance(target, Var) and ("t", target.name) in slot):
-        lab, i = label.value, slot[("t", target.name)]
-        return lambda env: (lab, env[i])
+            and next(template_param_exprs(target), None) is None
+            and all(("t", v) in slot for v in template_vars(target))):
+        lab, build = label.value, _builder(target, slot)
+        return lambda env: (lab, build(env))
 
     def conclude(env: tuple) -> tuple:
         labenv = _names_env(layout, env, "l")

@@ -310,6 +310,24 @@ def test_fast_path_matches_witness_search(kind):
     check()
 
 
+def lift_by_moves(kind, pairs, b, c):
+    """The kind.moves contract: every move of b is matched by a move of c with
+    the same label, at least its weight and a related state."""
+    have = kind.moves(c)
+    return all(any(lab2 == lab and w2 >= w and (s, t) in pairs for lab2, t, w2 in have)
+               for lab, s, w in kind.moves(b))
+
+
+@pytest.mark.parametrize("kind", [STREAM, LTS, WTS], ids=lambda k: k.name)
+def test_moves_contract_matches_lifting(kind):
+    @given(relations, kind_values(kind), kind_values(kind))
+    def check(r, a, b):
+        want = kind.rel_lift(r, a, b)
+        assert lift_by_moves(kind, r, a, b) == want == kind.rel_lift_search(r, a, b)
+        assert {(lab, s) for lab, s, _ in kind.moves(a)} == set(kind.transitions(a))
+    check()
+
+
 def test_exhaustive_lift_agreement_tiny_carrier():
     # two states, one label: small enough to sweep every value pair and relation
     kind = CountableLTS(frozenset({"a"}))

@@ -110,7 +110,8 @@ def test_model_dot_rejected_for_streams():
     code, out, err = cli("model", fixture_path("factstream"), "--format", "dot")
     assert code == 0
     assert "digraph" not in out
-    assert "dot" in err  # warned, fell back to text
+    assert "dot" in err  # warned, fell back to json
+    assert "universe" in json.loads(out)
 
 
 # --- unfold ------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from bigsos.behaviour import (BOTTOM, CountableLTS, LtsValue, PartialStream,
                               Relation, StreamStep, WeightedLTS, WtsValue)
 from bigsos.engine import (GenCoalgebra, Model, gen_to_model, least_model,
                            lift_coalgebra, unfold)
-from bigsos.errors import CarrierMismatchError, UnknownStateError
+from bigsos.errors import BigsosError, CarrierMismatchError, UnknownStateError
 from bigsos.relations import (EquivResult, LawConfig, _lift_seeds,
                               bisimilarity_classes, check_equivalence,
                               congruence_test, default_generators,
@@ -20,7 +20,7 @@ from bigsos.relations import (EquivResult, LawConfig, _lift_seeds,
                               law_suite, monotonicity_semantic_test,
                               suite_to_json)
 from bigsos.speclang import parse_spec
-from bigsos.terms import UniversePolicy, parse_term
+from bigsos.terms import UniversePolicy, Var, parse_term
 from conftest import fixture_text
 from spec_gen import UNIVERSE_TEXTS, random_monotone_lts_spec
 
@@ -87,6 +87,14 @@ def test_greatest_simulation_kind_mismatch():
     model2, _ = least_model(spec2, policy=UniversePolicy(max_count=10, max_size=4))
     with pytest.raises(CarrierMismatchError):
         greatest_simulation(spec1.kind, model1, model2)
+
+
+def test_greatest_simulation_rejects_a_successor_outside_the_carrier():
+    kind = CountableLTS(frozenset({"a"}))
+    gx = Var("gx")
+    model = Model(kind, (gx,), {gx: LtsValue.make({"a": {Var("gy")}})}, frozenset())
+    with pytest.raises(UnknownStateError, match="gy is outside the carrier"):
+        greatest_simulation(kind, model, model)
 
 
 # --- bisimilarity classes ---------------------------------------------------------------
@@ -491,7 +499,7 @@ def large_models():
                            UniversePolicy(max_count=30, max_size=8))
     yield "transclosure", model
     for name, kind in KINDS.items():
-        for seed, n in enumerate((20, 30, 40)):
+        for seed, n in enumerate((20, 30, 40, 70)):  # 70: rows wider than a word
             yield f"{name}-{n}", random_gen_model(kind, n, random.Random(seed))
 
 
@@ -533,6 +541,47 @@ def test_greatest_simulation_matches_naive_refinement(name, model):
     assert sim.pairs == want
     assert drops == want_drop
     assert len(model.carrier()) < 20 or max(drops.values()) >= 2  # rounds past the first
+
+
+@pytest.mark.parametrize("kind_name", sorted(KINDS))
+def test_greatest_simulation_reads_each_step_once(kind_name, monkeypatch):
+    # the refinement reads kind.moves once per carrier state and side, and
+    # never the per-pair lifting
+    kind = KINDS[kind_name]
+    model = random_gen_model(kind, 50, random.Random(5))
+    calls = {"moves": 0, "rel_lift": 0}
+    for name in calls:
+        def counted(self, *args, name=name, real=getattr(type(kind), name)):
+            calls[name] += 1
+            return real(self, *args)
+        monkeypatch.setattr(type(kind), name, counted)
+    drops: dict = {}
+    greatest_simulation(kind, model, model, drops)
+    assert calls == {"moves": 2 * 50, "rel_lift": 0}
+    assert max(drops.values()) >= 2
+
+
+def test_simulation_guard_uses_fresh_preimages(monkeypatch):
+    # a loop whose preimage table matches every move keeps every pair; the
+    # guard must build a table of its own to catch that
+    kind = KINDS["lts"]
+    model = random_gen_model(kind, 50, random.Random(5))
+    honest = relations._Preimages
+
+    class Lying(honest):
+        def __missing__(self, key):
+            return (1 << len(self.moves)) - 1
+
+    tables = []
+
+    def make(moves):
+        tables.append((Lying if not tables else honest)(moves))
+        return tables[-1]
+
+    monkeypatch.setattr(relations, "_Preimages", make)
+    with pytest.raises(BigsosError, match="not a simulation"):
+        greatest_simulation(kind, model, model)
+    assert len(tables) == 2
 
 
 @pytest.mark.parametrize("kind_name", sorted(KINDS))
