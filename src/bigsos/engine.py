@@ -503,12 +503,8 @@ def least_model(spec: Spec, seeds: Union[Iterable[Term], None] = None,
             beh = dict(m2.behaviour)
             for t in promoted:
                 beh[t] = kind.bottom()
-            referenced: set = set()
-            for v in beh.values():
-                referenced |= kind.states(v)
-            inside = set(new_universe)
-            m2 = Model(kind, new_universe, beh,
-                       frozenset(s for s in referenced if s not in inside),
+            # a promoted term's value is bottom, so it references nothing
+            m2 = Model(kind, new_universe, beh, m2.frontier.difference(promoted),
                        m2.tainted)
         # Frontier membership is read like a value.  As long as a term is
         # promoted in the step that first references it or never, a term leaves

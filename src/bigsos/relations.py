@@ -1,22 +1,21 @@
 """Simulation, bisimulation, and executable law checks on finite models.
 
-Similarity and bisimilarity are computed by Jacobi refinement on the model
-graph, from the full relation and from the one-class partition, and each
-result is re-verified before it is returned.  The simulation runs on carrier
-indices: each left state holds an int bitset row of the right states that
-still simulate it, and a round ANDs into it, for each of its kind.moves, the
-preimage of its successor's row: the right states with a matching move into
-that row.  Preimages are ORs of per-label predecessor bitsets, memoized by
-(label, weight, row value), so equal and unchanged rows cost one lookup, and
-after round 1 only the rows of states with a move into a changed row are
-recomputed.  A round thus costs one word-parallel preimage per distinct
-(label, weight, row) and n-bit ANDs per move, where a pair worklist cost one
-tuple-set probe per (pair, successor pair).  Round k of the simulation
-refinement is depth-k similarity and round k of the partition refinement is
-depth-k bisimilarity, so the distinguishing depth of an unrelated pair is the
-first round that separates it, found exactly within |carrier| rounds.  For
-bisim it can be smaller than the depth at which the two unfoldings stop being
-mutually similar.
+Similarity and bisimilarity come from one Jacobi refinement on the model
+graph, run on carrier indices: each left state holds an int bitset row of
+the right states still related to it, starting from the full relation, and
+a round ANDs into it, for each of its kind.moves, the preimage of its
+successor's row: the right states with a matching move into that row.
+Preimages are ORs of per-label predecessor bitsets, memoized by (label,
+weight, row value), so equal and unchanged rows cost one lookup, and after
+round 1 only the rows of states with a move into a changed row are
+recomputed.  Similarity is the fixed point of these rounds.  Bisimilarity is
+the greatest symmetric simulation: each round also sets every row to the
+states whose refined row equals it, so the rows stay an equivalence.  Round
+k is depth-k similarity, or depth-k bisimilarity, so the distinguishing
+depth of an unrelated pair is the first round that stops relating it, found
+exactly within |carrier| rounds.  For bisim it can be smaller than the depth
+at which the two unfoldings stop being mutually similar.  Every result is
+re-checked as a simulation with fresh preimages before it is returned.
 
 The lifting laws (pruning shrinks unfoldings, homomorphisms preserve
 similarity, term-map extension and flattening are homomorphisms between
@@ -57,10 +56,12 @@ def _bits(x: int):
     return itertools.compress(itertools.count(), bin(x)[:1:-1].encode().translate(_BIT))
 
 
-def _indexed_moves(kind: BehaviourKind, model: Model, index: dict) -> list:
+def _indexed_moves(kind: BehaviourKind, model: Model) -> list:
     """kind.moves of each carrier state, with states as carrier indices."""
+    carrier = model.carrier()
+    index = {s: i for i, s in enumerate(carrier)}
     out = []
-    for s in model.carrier():
+    for s in carrier:
         try:
             out.append(tuple((a, index[t], w) for a, t, w in kind.moves(model.step(s))))
         except KeyError as e:
@@ -95,95 +96,85 @@ class _Preimages(dict):
         return out
 
 
-def greatest_simulation(kind: BehaviourKind, m1: Model, m2: Model,
-                        drops: Union[dict, None] = None) -> Relation:
-    """Largest R with (s,t) in R implying rel_lift(R, m1(s), m2(t)).
+def _refine(kind: BehaviourKind, m1: Model, m2: Model, symmetric: bool,
+            rounds: Union[list, None]) -> list:
+    """Jacobi refinement from the full carrier product, on bitset rows:
+    rows[i] is the set of right states still related to left state i.
 
-    Jacobi refinement from the full carrier product, on bitset rows: sim[i]
-    is the set of right states that still simulate left state i.  By the
-    kind.moves contract, round k sets sim[i] to sim[i] AND, over each move
+    By the kind.moves contract, round k ANDs into rows[i], over each move
     (a, s, w) of state i, the right states with an a-move of weight >= w
-    into sim[s], all read from round k-1; so a pair leaves in round k
-    exactly when t stops simulating s to depth k.  Round 1 computes every
-    row, later rounds only the rows of states with a move into a row that
-    changed.  drops, if given, receives pair -> round for every pair that
-    leaves.  The result is re-checked with fresh preimages before it is
-    returned.
+    into rows[s], all read from round k-1, so round k is depth-k
+    similarity.  With symmetric (m1 is m2), the round then sets each row to
+    the states whose refined row equals it.  The rows stay an equivalence,
+    within which each of i, j simulates the other exactly when their
+    refined rows are equal (each row holds its own state), so round k is
+    depth-k bisimilarity.  Round 1 computes every row, later rounds only the
+    rows of states with a move into a row that changed: any other refined
+    row is its row unchanged.  rounds, if given, receives the rows after
+    every round that changed one.  The result is re-checked with fresh
+    preimages before it is returned.
     """
     if m1.kind != kind or m2.kind != kind:
         raise CarrierMismatchError("models disagree with the requested behaviour kind")
-    left = m1.carrier()
-    right = m2.carrier()
-    moves1 = _indexed_moves(kind, m1, {s: i for i, s in enumerate(left)})
-    moves2 = _indexed_moves(kind, m2, {t: j for j, t in enumerate(right)})
-    readers: list = [[] for _ in left]  # left state -> left states moving into it
+    moves1 = _indexed_moves(kind, m1)
+    moves2 = _indexed_moves(kind, m2)
+    readers: list = [[] for _ in moves1]  # left state -> left states moving into it
     for i, moves in enumerate(moves1):
         for _, s, _ in moves:
             readers[s].append(i)
-    sim = [(1 << len(right)) - 1] * len(left)
+    rows = [(1 << len(moves2)) - 1] * len(moves1)
     pre = _Preimages(moves2)
-    todo = range(len(left))
-    rnd = 0
+    todo = range(len(moves1))
     while todo:
-        rnd += 1
-        changed = {}
+        nxt = rows.copy()
         for i in todo:
-            row = sim[i]
             for a, s, w in moves1[i]:
-                row &= pre[a, w, sim[s]]
-            if row != sim[i]:
-                changed[i] = row
-        for i, row in changed.items():
-            if drops is not None:
-                for j in _bits(sim[i] & ~row):
-                    drops[left[i], right[j]] = rnd
-            sim[i] = row
+                nxt[i] &= pre[a, w, rows[s]]
+        if symmetric:
+            classes: dict = {}
+            for i, row in enumerate(nxt):
+                classes[row] = classes.get(row, 0) | 1 << i
+            nxt = [classes[row] for row in nxt]
+        changed = [i for i, row in enumerate(nxt) if row != rows[i]]
+        rows = nxt
+        if changed and rounds is not None:
+            rounds.append(rows)
         todo = {r for i in changed for r in readers[i]}
     fresh = _Preimages(moves2)  # guard against refinement bugs
     for i, moves in enumerate(moves1):
-        if any(sim[i] & ~fresh[a, w, sim[s]] for a, s, w in moves):
+        if any(rows[i] & ~fresh[a, w, rows[s]] for a, s, w in moves):
             raise BigsosError("internal: refined relation is not a simulation")
+    return rows
+
+
+def _relation(m1: Model, m2: Model, rows: list) -> Relation:
+    left, right = m1.carrier(), m2.carrier()
     return Relation(left, right, frozenset((left[i], right[j])
-                                           for i, row in enumerate(sim) for j in _bits(row)))
+                                           for i, row in enumerate(rows) for j in _bits(row)))
+
+
+def greatest_simulation(kind: BehaviourKind, m1: Model, m2: Model) -> Relation:
+    """Largest R with (s,t) in R implying rel_lift(R, m1(s), m2(t))."""
+    return _relation(m1, m2, _refine(kind, m1, m2, False, None))
 
 
 def bisimilarity_classes(kind: BehaviourKind, model: Model,
                          rounds: Union[list, None] = None) -> tuple:
-    """Coarsest partition whose classes have equal class-quotiented behaviour.
-
-    Jacobi partition refinement: split by (current class, behaviour with
-    states replaced by class ids) until stable, so round k is depth-k
-    bisimilarity.  Class ids are assigned by first occurrence in the
-    canonical carrier order, so output order is stable.  rounds, if given,
-    receives the class map (state -> id) of every round that split a class.
-    """
-    if model.kind != kind:
-        raise CarrierMismatchError("model disagrees with the requested behaviour kind")
-    states = model.carrier()
-    cls = {s: 0 for s in states}
-    while True:
-        fresh: dict = {}
-        new_cls = {}
-        for s in states:
-            sig = (cls[s], kind.map_states(cls, model.step(s)))
-            if sig not in fresh:
-                fresh[sig] = len(fresh)
-            new_cls[s] = fresh[sig]
-        if new_cls == cls:
-            break
-        cls = new_cls
-        if rounds is not None:
-            rounds.append(cls)
+    """Coarsest partition whose classes have equal class-quotiented behaviour:
+    the greatest symmetric simulation, so round k of its refinement is depth-k
+    bisimilarity.  Classes are ordered by their first member in carrier
+    order.  rounds, if given, receives the refinement's rows after every
+    round that split a class."""
     groups: dict = {}
-    for s in states:
-        groups.setdefault(cls[s], []).append(s)
-    return tuple(frozenset(groups[i]) for i in sorted(groups))
+    for s, row in zip(model.carrier(), _refine(kind, model, model, True, rounds)):
+        groups.setdefault(row, []).append(s)
+    return tuple(frozenset(g) for g in groups.values())
 
 
-def _separating_round(rounds: list, s, t) -> Union[int, None]:
-    """First round whose class map puts s and t apart, or None."""
-    for k, cls in enumerate(rounds, start=1):
-        if cls[s] != cls[t]:
+def _separating_round(rounds: list, i: int, j: int) -> Union[int, None]:
+    """First round whose rows no longer relate carrier index i to j, or None."""
+    for k, rows in enumerate(rounds, start=1):
+        if not rows[i] >> j & 1:
             return k
     return None
 
@@ -231,41 +222,26 @@ class EquivResult:
         return {"related": self.related, "witness": w}
 
 
-def _partition_relation(kind, model: Model, classes) -> Relation:
-    carrier = model.carrier()
-    pairs = frozenset((s, t) for cl in classes for s in cl for t in cl)
-    for s, t in pairs:  # the witness must itself be a bisimulation
-        if not (kind.rel_lift(pairs, model.step(s), model.step(t))
-                and kind.rel_lift(pairs, model.step(t), model.step(s))):
-            raise BigsosError("internal: partition is not a bisimulation")
-    return Relation(carrier, carrier, pairs)
-
-
 def _refine_pair(model: Model, t1: Term, t2: Term, relation: str) -> tuple:
-    """One refinement pass: (greatest simulation or bisimilarity classes,
-    the first round that separates t1 from t2 or None)."""
-    kind = model.kind
-    carrier = set(model.carrier())
+    """One refinement pass: (the refined rows, the first round that separates
+    t1 from t2 or None)."""
+    index = {s: i for i, s in enumerate(model.carrier())}
     for t in (t1, t2):
-        if t not in carrier:
+        if t not in index:
             raise UnknownStateError(f"term {print_term(t)} is not in the model")
-    if relation == "sim":
-        drops: dict = {}
-        rel = greatest_simulation(kind, model, model, drops)
-        return rel, drops.get((t1, t2))
-    if relation == "bisim":
-        rounds: list = []
-        classes = bisimilarity_classes(kind, model, rounds)
-        return classes, _separating_round(rounds, t1, t2)
-    raise ValueError(f"unknown relation {relation!r}")
+    if relation not in ("sim", "bisim"):
+        raise ValueError(f"unknown relation {relation!r}")
+    rounds: list = []
+    rows = _refine(model.kind, model, model, relation == "bisim", rounds)
+    return rows, _separating_round(rounds, index[t1], index[t2])
 
 
 def distinguishing_depth(model: Model, t1: Term, t2: Term,
                          relation: str = "bisim") -> Union[int, None]:
     """First refinement round that separates t1 from t2, or None if they are
-    related: for sim the round in which (t1, t2) leaves the simulation
-    refinement, for bisim the round of partition refinement that puts them
-    in different classes.  At most the carrier size."""
+    related: the round of the simulation refinement (for sim) or of the
+    symmetric one (for bisim) that stops relating t1 to t2.  At most the
+    carrier size."""
     return _refine_pair(model, t1, t2, relation)[1]
 
 
@@ -275,11 +251,16 @@ def check_equivalence(model: Model, t1: Term, t2: Term,
 
     One refinement pass gives the verdict and, for an unrelated pair, its
     distinguishing depth."""
-    found, depth = _refine_pair(model, t1, t2, relation)
+    rows, depth = _refine_pair(model, t1, t2, relation)
     if depth is not None:
         return EquivResult(False, depth)
+    found = _relation(model, model, rows)
     if relation == "bisim":
-        found = _partition_relation(model.kind, model, found)
+        kind, pairs = model.kind, found.pairs
+        for s, t in pairs:  # the witness must itself be a bisimulation
+            if not (kind.rel_lift(pairs, model.step(s), model.step(t))
+                    and kind.rel_lift(pairs, model.step(t), model.step(s))):
+                raise BigsosError("internal: partition is not a bisimulation")
     return EquivResult(True, found)
 
 
@@ -320,7 +301,7 @@ def congruence_test(spec: Spec, model: Model, samples: int, depth: int = 3,
     Composites are drawn from the universe so the left term always has
     recorded behaviour; a swapped composite outside the universe is counted
     as skipped, not failed.  A violation carries the pair's distinguishing
-    depth, read off the same partition refinement, or None beyond depth.
+    depth, read off the same refinement, or None beyond depth.
     """
     if samples < 0:
         raise ValueError("samples must be a natural")
@@ -328,6 +309,7 @@ def congruence_test(spec: Spec, model: Model, samples: int, depth: int = 3,
     rng = random.Random(seed)
     rounds: list = []
     classes = bisimilarity_classes(kind, model, rounds)
+    index = {s: i for i, s in enumerate(model.carrier())}
     cls_of: dict = {}
     members: dict = {}
     for i, cl in enumerate(classes):
@@ -335,7 +317,6 @@ def congruence_test(spec: Spec, model: Model, samples: int, depth: int = 3,
         members[i] = ordered
         for s in cl:
             cls_of[s] = i
-    in_model = set(model.carrier())
     apps = [t for t in model.universe
             if isinstance(t, App) and t.args and t.op in spec.sig]
     if not apps or samples <= 0:
@@ -346,12 +327,12 @@ def congruence_test(spec: Spec, model: Model, samples: int, depth: int = 3,
         left = rng.choice(apps)
         mates = tuple(rng.choice(members[cls_of[a]]) for a in left.args)
         right = App(left.op, left.params, mates)
-        if right not in in_model:
+        if right not in index:
             skipped += 1
             continue
         checked += 1
         if cls_of[left] != cls_of[right]:
-            sep = _separating_round(rounds, left, right)
+            sep = _separating_round(rounds, index[left], index[right])
             violations.append(CongruenceViolation(
                 left.op, left.params, left, right, sep if sep <= depth else None))
     return CongruenceReport(samples, checked, skipped, tuple(violations))
@@ -629,12 +610,12 @@ def law_term_map_hom(spec: Spec, gsrc: GenCoalgebra, gdst: GenCoalgebra,
     return _square("T1", spec.kind, lift_src, lift_dst, tmap, max_terms)
 
 
-def law_unit_hom(spec: Spec, gen: GenCoalgebra, policy: UniversePolicy) -> LawResult:
-    """T2-eta: generator states keep their dynamics verbatim inside the lift."""
+def law_unit_hom(spec: Spec, gen: GenCoalgebra, lifted: Model) -> LawResult:
+    """T2-eta: generator states keep their dynamics verbatim inside lifted,
+    the lift of gen."""
     kind = spec.kind
     if not gen.states:
         return LawResult("T2-eta", "inconclusive", "empty generator")
-    lifted = lift_coalgebra(spec, gen, _lift_seeds(spec, gen), policy)
     for x in gen.states:
         want = kind.map_states(lambda y: Var(y), gen.dynamics[x])
         if lifted.step(Var(x)) != want:
@@ -689,9 +670,9 @@ def law_suite(spec: Spec, config: Union[LawConfig, None] = None) -> tuple:
         law_pointwise_unfolding(kind, gbig),
         law_hom_preserves_similarity(kind, gbig, gsmall, hom),
         law_term_map_hom(spec, gbig, gsmall, hom, config.policy, config.max_terms),
-        law_unit_hom(spec, gsmall, config.policy),
     ]
     inner = lift_coalgebra(spec, gsmall, _lift_seeds(spec, gsmall), config.policy)
+    results.append(law_unit_hom(spec, gsmall, inner))
     _, outer, decode = doubled_lift(spec, inner, config.policy)
     results.append(law_flatten_hom(spec, inner, outer, decode, config.max_terms))
     return tuple(results)

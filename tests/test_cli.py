@@ -163,7 +163,7 @@ def test_equiv_unrelated_terms():
 
 def test_equiv_reports_first_separating_round():
     # every sigma-term of this model is tainted and the unfoldings branch
-    # widely; the partition refinement separates the pair in round 2
+    # widely; the bisimilarity refinement separates the pair in round 2
     code, out, _ = cli("equiv", fixture_path("transclosure"), "sigma(c)", "c")
     assert code == 0
     assert out == "related: no\nwitness: distinguishing depth 2\n"

@@ -417,7 +417,7 @@ def test_simulation_implies_depth_similarity():
 
 # --- refinement rounds versus their definitions -------------------------------------------
 #
-# The simulation refinement and the partition refinement are checked against
+# The refinement, plain and symmetric, is checked against
 # oracles that share none of their machinery: a Jacobi refinement that
 # re-checks every pair in every round, a back-and-forth refinement over pair
 # sets, and depth-bounded similarity of unfolding trees.
@@ -439,6 +439,25 @@ def naive_refinement(kind, m1, m2, both_ways=False):
             return cur, drop
         drop.update(dict.fromkeys(cur - nxt, k))
         cur = nxt
+
+
+def drops_of(rounds, m1, m2):
+    """pair -> the round whose rows first stop relating it, read off the
+    refinement's round record (the rows after every round that changed)."""
+    left, right = m1.carrier(), m2.carrier()
+    drop: dict = {}
+    for k, rows in enumerate(rounds, start=1):
+        for i, row in enumerate(rows):
+            for j in range(len(right)):
+                if not row >> j & 1:
+                    drop.setdefault((left[i], right[j]), k)
+    return drop
+
+
+def sim_drops(kind, m1, m2):
+    rounds: list = []
+    relations._refine(kind, m1, m2, False, rounds)
+    return drops_of(rounds, m1, m2)
 
 
 def random_gen_model(kind, n, rng):
@@ -514,8 +533,7 @@ def _dissimilar_at(model, s, t, depth):
 
 @pytest.mark.parametrize("name,model", cases(small_models()))
 def test_sim_depth_is_first_depth_of_unfold_dissimilarity(name, model):
-    drops: dict = {}
-    greatest_simulation(model.kind, model, model, drops)
+    drops = sim_drops(model.kind, model, model)
     stable = max(drops.values(), default=0) + 1
     separated = 0
     pairs = sorted(itertools.product(model.carrier(), repeat=2), key=str)
@@ -535,12 +553,22 @@ def test_sim_depth_is_first_depth_of_unfold_dissimilarity(name, model):
 @pytest.mark.parametrize("name,model", cases(fixture_models()) + cases(large_models()))
 def test_greatest_simulation_matches_naive_refinement(name, model):
     kind = model.kind
-    drops: dict = {}
-    sim = greatest_simulation(kind, model, model, drops)
+    sim = greatest_simulation(kind, model, model)
+    drops = sim_drops(kind, model, model)
     want, want_drop = naive_refinement(kind, model, model)
     assert sim.pairs == want
     assert drops == want_drop
     assert len(model.carrier()) < 20 or max(drops.values()) >= 2  # rounds past the first
+
+
+def count_kind_calls(kind, monkeypatch) -> dict:
+    calls = {"moves": 0, "rel_lift": 0, "map_states": 0}
+    for name in calls:
+        def counted(self, *args, name=name, real=getattr(type(kind), name)):
+            calls[name] += 1
+            return real(self, *args)
+        monkeypatch.setattr(type(kind), name, counted)
+    return calls
 
 
 @pytest.mark.parametrize("kind_name", sorted(KINDS))
@@ -549,16 +577,23 @@ def test_greatest_simulation_reads_each_step_once(kind_name, monkeypatch):
     # never the per-pair lifting
     kind = KINDS[kind_name]
     model = random_gen_model(kind, 50, random.Random(5))
-    calls = {"moves": 0, "rel_lift": 0}
-    for name in calls:
-        def counted(self, *args, name=name, real=getattr(type(kind), name)):
-            calls[name] += 1
-            return real(self, *args)
-        monkeypatch.setattr(type(kind), name, counted)
-    drops: dict = {}
-    greatest_simulation(kind, model, model, drops)
-    assert calls == {"moves": 2 * 50, "rel_lift": 0}
-    assert max(drops.values()) >= 2
+    calls = count_kind_calls(kind, monkeypatch)
+    greatest_simulation(kind, model, model)
+    assert calls == {"moves": 2 * 50, "rel_lift": 0, "map_states": 0}
+    assert max(sim_drops(kind, model, model).values()) >= 2
+
+
+@pytest.mark.parametrize("kind_name", sorted(KINDS))
+def test_bisimilarity_classes_reads_each_step_once(kind_name, monkeypatch):
+    # the symmetric refinement reads steps like the simulation, and never
+    # quotients a step by the classes
+    kind = KINDS[kind_name]
+    model = random_gen_model(kind, 50, random.Random(5))
+    calls = count_kind_calls(kind, monkeypatch)
+    rounds: list = []
+    bisimilarity_classes(kind, model, rounds)
+    assert calls == {"moves": 2 * 50, "rel_lift": 0, "map_states": 0}
+    assert len(rounds) >= 2
 
 
 def test_simulation_guard_uses_fresh_preimages(monkeypatch):
@@ -582,6 +617,10 @@ def test_simulation_guard_uses_fresh_preimages(monkeypatch):
     with pytest.raises(BigsosError, match="not a simulation"):
         greatest_simulation(kind, model, model)
     assert len(tables) == 2
+    tables.clear()
+    with pytest.raises(BigsosError, match="not a simulation"):
+        bisimilarity_classes(kind, model)
+    assert len(tables) == 2
 
 
 @pytest.mark.parametrize("kind_name", sorted(KINDS))
@@ -589,8 +628,8 @@ def test_greatest_simulation_between_two_models(kind_name):
     kind = KINDS[kind_name]
     m1 = random_gen_model(kind, 25, random.Random(11))
     m2 = random_gen_model(kind, 30, random.Random(12))
-    drops: dict = {}
-    sim = greatest_simulation(kind, m1, m2, drops)
+    sim = greatest_simulation(kind, m1, m2)
+    drops = sim_drops(kind, m1, m2)
     want, want_drop = naive_refinement(kind, m1, m2)
     assert sim.pairs == want and drops == want_drop
 
@@ -609,6 +648,45 @@ def test_bisim_depth_is_first_round_of_pair_refinement(name, model):
         assert distinguishing_depth(model, s, t) == want_drop.get((s, t))
         if not res.related:
             assert res.witness == want_drop[s, t]
+
+
+@pytest.mark.parametrize("name,model", cases(small_models()) + cases(large_models()))
+def test_bisim_rounds_match_naive_refinement(name, model):
+    # every pair, not a sample: the round record of bisimilarity_classes
+    # drops each pair in the round the back-and-forth refinement does
+    want, want_drop = naive_refinement(model.kind, model, model, both_ways=True)
+    rounds: list = []
+    bisimilarity_classes(model.kind, model, rounds)
+    assert drops_of(rounds, model, model) == want_drop
+    assert len(model.carrier()) < 20 or len(rounds) >= 2
+
+
+def test_bisimilarity_classes_reject_a_successor_outside_the_carrier():
+    kind = CountableLTS(frozenset({"a"}))
+    gx = Var("gx")
+    model = Model(kind, (gx,), {gx: LtsValue.make({"a": {Var("gy")}})}, frozenset())
+    with pytest.raises(UnknownStateError, match="gy is outside the carrier"):
+        bisimilarity_classes(kind, model)
+
+
+def test_wts_bisimilarity_merges_weights_into_a_class_by_sup():
+    # p moves into {x, y} with weights 0.5 and 1.0, q into z with 1.0; x, y
+    # and z are bisimilar, so p and q are: the class gets weight sup = 1.0
+    kind = KINDS["wts"]
+    loop = {"b": {"z": 1.0}}
+    gen = GenCoalgebra(("p", "q", "x", "y", "z"), {
+        "p": WtsValue.make({"a": {"x": 0.5, "y": 1.0}}),
+        "q": WtsValue.make({"a": {"z": 1.0}}),
+        **{s: WtsValue.make(loop) for s in ("x", "y", "z")}})
+    model = gen_to_model(kind, gen)
+    p, q, x, y, z = (Var(s) for s in gen.states)
+    assert bisimilarity_classes(kind, model) == (frozenset({p, q}), frozenset({x, y, z}))
+    assert check_equivalence(model, p, q, "bisim").related
+    want, _ = naive_refinement(kind, model, model, both_ways=True)
+    assert (p, q) in want
+    halved = gen_to_model(kind, GenCoalgebra(gen.states, {
+        **gen.dynamics, "q": WtsValue.make({"a": {"z": 0.5}})}))
+    assert not check_equivalence(halved, p, q, "bisim").related
 
 
 def test_sim_equivalence_reports_drop_round():
