@@ -17,7 +17,6 @@ import functools
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from .behaviour import Bottom, CountableLTS, PartialStream
 from .engine import (least_model, model_to_dot, model_to_json, unfold,
@@ -25,31 +24,9 @@ from .engine import (least_model, model_to_dot, model_to_json, unfold,
 from .errors import (BigsosError, InconsistentStreamError, LabelEvalError,
                      NonConvergenceError, NonMonotoneError, ParseError,
                      UnknownStateError)
-from .relations import (LawConfig, check_equivalence, congruence_test, law_suite,
-                        suite_to_json)
+from .relations import check_equivalence, congruence_test, law_suite, suite_to_json
 from .speclang import check_monotone, parse_spec, validate_spec
 from .terms import App, UniversePolicy, parse_term, print_term
-
-
-@dataclass(frozen=True)
-class Config:
-    max_count: int = 500
-    max_size: int = 12
-    max_iters: int = 1000
-    depth: int = 3
-    seed: int = 0
-    format: str = "text"
-    force: bool = False
-
-    def __post_init__(self):
-        for name in ("max_count", "max_size", "max_iters"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
-        if self.depth < 0:
-            raise ValueError("depth must be a natural")
-
-    def policy(self) -> UniversePolicy:
-        return UniversePolicy(max_count=self.max_count, max_size=self.max_size)
 
 
 def _add_common(sp) -> None:
@@ -106,14 +83,19 @@ def _parser() -> argparse.ArgumentParser:
     return p
 
 
-def _config(args) -> Config:
-    seed = args.seed if args.seed is not None else int(os.environ.get("BIGSOS_SEED", "0"))
-    cfg = Config(max_count=args.universe_count, max_size=args.universe_size,
-                 max_iters=args.max_iters, depth=args.depth, seed=seed,
-                 format=args.format, force=args.force)
-    if getattr(args, "samples", 0) < 0:  # before the spec is read or its model built
+def _check_settings(args) -> None:
+    """Fill in the seed from $BIGSOS_SEED and reject bad counts, before the
+    spec is read or its model built."""
+    if args.seed is None:
+        args.seed = int(os.environ.get("BIGSOS_SEED", "0"))
+    for name, value in (("max_count", args.universe_count),
+                        ("max_size", args.universe_size), ("max_iters", args.max_iters)):
+        if value < 1:
+            raise ValueError(f"{name} must be positive")
+    if args.depth < 0:
+        raise ValueError("depth must be a natural")
+    if getattr(args, "samples", 0) < 0:
         raise ValueError("samples must be a natural")
-    return cfg
 
 
 def _load_spec(path: str):
@@ -125,9 +107,21 @@ def _seed_terms(spec, texts) -> list:
     return [parse_term(text, spec.sig) for text in texts]
 
 
-def _build_model(spec, extra_seeds, cfg: Config):
+def _policy(args) -> UniversePolicy:
+    return UniversePolicy(max_count=args.universe_count, max_size=args.universe_size)
+
+
+def _build_model(spec, extra_seeds, args):
     seeds = [App(c) for c in spec.sig.constants()] + list(extra_seeds)
-    return least_model(spec, seeds, cfg.policy(), cfg.max_iters, force=cfg.force)
+    return least_model(spec, seeds, _policy(args), args.max_iters, force=args.force)
+
+
+def _converged_model(spec, extra_seeds, args):
+    """The least model, if the iteration converged within --max-iters."""
+    model, report = _build_model(spec, extra_seeds, args)
+    if not report.converged:
+        raise NonConvergenceError(f"no convergence within {report.iterations} iterations")
+    return model
 
 
 # --- rendering ---------------------------------------------------------------------
@@ -184,10 +178,10 @@ def _emit(out, lines) -> None:
 # --- subcommands -------------------------------------------------------------------
 
 
-def _cmd_check(spec, cfg, out) -> int:
+def _cmd_check(spec, args, out, err) -> int:
     diags = validate_spec(spec)
     mon = check_monotone(spec)
-    if cfg.format == "json":
+    if args.format == "json":
         print(json.dumps({"diagnostics": [str(d) for d in diags],
                           "monotone": mon.monotone,
                           "offending_rules": list(mon.offending_rules)},
@@ -213,9 +207,9 @@ def _require_valid(spec, err) -> bool:
     return not diags
 
 
-def _cmd_model(spec, args, cfg, out, err) -> int:
-    model, report = _build_model(spec, _seed_terms(spec, args.terms), cfg)
-    fmt = cfg.format
+def _cmd_model(spec, args, out, err) -> int:
+    model, report = _build_model(spec, _seed_terms(spec, args.terms), args)
+    fmt = args.format
     if fmt == "dot" and not isinstance(model.kind, CountableLTS):
         print("warning: dot export is only defined for lts models; emitting json",
               file=err)
@@ -229,41 +223,33 @@ def _cmd_model(spec, args, cfg, out, err) -> int:
     return 0 if report.converged else 4
 
 
-def _cmd_unfold(spec, args, cfg, out, err) -> int:
+def _cmd_unfold(spec, args, out, err) -> int:
     term = parse_term(args.term, spec.sig)
-    model, report = _build_model(spec, [term], cfg)
-    if not report.converged:
-        print(f"error: no convergence within {report.iterations} iterations",
-              file=err)
-        return 4
+    model = _converged_model(spec, [term], args)
     for t in model.carrier():  # smallest first, so each print recurses one level
         print_term(t)
     try:  # unfolding and rendering recurse once per depth level
-        tree = unfold(model, term, cfg.depth)
-        if cfg.format == "json":
+        tree = unfold(model, term, args.depth)
+        if args.format == "json":
             lines = [json.dumps(unfold_to_json(model.kind, tree), indent=2)]
         else:
             lines = _unfold_text(model.kind, tree)
     except RecursionError:  # not from the terms: their texts are cached above
-        print(f"error: unfold depth {cfg.depth} too deep", file=err)
+        print(f"error: unfold depth {args.depth} too deep", file=err)
         return 2
-    if cfg.format == "dot":
+    if args.format == "dot":
         print("warning: dot export is only defined for models; emitting text",
               file=err)
     _emit(out, lines)
     return 0
 
 
-def _cmd_equiv(spec, args, cfg, out, err) -> int:
+def _cmd_equiv(spec, args, out, err) -> int:
     t1 = parse_term(args.term1, spec.sig)
     t2 = parse_term(args.term2, spec.sig)
-    model, report = _build_model(spec, [t1, t2], cfg)
-    if not report.converged:
-        print(f"error: no convergence within {report.iterations} iterations",
-              file=err)
-        return 4
+    model = _converged_model(spec, [t1, t2], args)
     res = check_equivalence(model, t1, t2, relation=args.rel)
-    if cfg.format == "json":
+    if args.format == "json":
         payload = res.to_json()
         payload["relation"] = args.rel
         print(json.dumps(payload, indent=2), file=out)
@@ -277,14 +263,10 @@ def _cmd_equiv(spec, args, cfg, out, err) -> int:
     return 0
 
 
-def _cmd_congruence(spec, args, cfg, out, err) -> int:
-    model, report = _build_model(spec, _seed_terms(spec, args.terms), cfg)
-    if not report.converged:
-        print(f"error: no convergence within {report.iterations} iterations",
-              file=err)
-        return 4
-    rep = congruence_test(spec, model, args.samples, depth=cfg.depth, seed=cfg.seed)
-    if cfg.format == "json":
+def _cmd_congruence(spec, args, out, err) -> int:
+    model = _converged_model(spec, _seed_terms(spec, args.terms), args)
+    rep = congruence_test(spec, model, args.samples, depth=args.depth, seed=args.seed)
+    if args.format == "json":
         print(json.dumps(rep.to_json(), indent=2), file=out)
     else:
         print(f"checked {rep.checked} skipped {rep.skipped} "
@@ -294,10 +276,9 @@ def _cmd_congruence(spec, args, cfg, out, err) -> int:
     return 0
 
 
-def _cmd_laws(spec, cfg, out) -> int:
-    config = LawConfig(policy=cfg.policy())
-    results = law_suite(spec, config)
-    if cfg.format == "json":
+def _cmd_laws(spec, args, out, err) -> int:
+    results = law_suite(spec, _policy(args))
+    if args.format == "json":
         print(json.dumps(suite_to_json(results), indent=2), file=out)
     else:
         for r in results:
@@ -305,24 +286,16 @@ def _cmd_laws(spec, cfg, out) -> int:
     return 0
 
 
+_COMMANDS = {"check": _cmd_check, "model": _cmd_model, "unfold": _cmd_unfold,
+             "equiv": _cmd_equiv, "congruence": _cmd_congruence, "laws": _cmd_laws}
+
+
 def _dispatch(args, out, err) -> int:
-    cfg = _config(args)
+    _check_settings(args)
     spec = _load_spec(args.spec_file)
-    if args.cmd == "check":
-        return _cmd_check(spec, cfg, out)
-    if not _require_valid(spec, err):
+    if args.cmd != "check" and not _require_valid(spec, err):
         return 2
-    if args.cmd == "model":
-        return _cmd_model(spec, args, cfg, out, err)
-    if args.cmd == "unfold":
-        return _cmd_unfold(spec, args, cfg, out, err)
-    if args.cmd == "equiv":
-        return _cmd_equiv(spec, args, cfg, out, err)
-    if args.cmd == "congruence":
-        return _cmd_congruence(spec, args, cfg, out, err)
-    if args.cmd == "laws":
-        return _cmd_laws(spec, cfg, out)
-    raise BigsosError(f"unknown command {args.cmd!r}")  # argparse prevents this
+    return _COMMANDS[args.cmd](spec, args, out, err)
 
 
 def run(argv=None, out=None, err=None) -> int:

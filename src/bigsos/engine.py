@@ -434,14 +434,6 @@ def _promotions(model: Model, policy: UniversePolicy, seen: frozenset) -> list:
     return sorted(promoted, key=term_key)
 
 
-def _agree_on(a: Model, b: Model, terms: Iterable[Term]) -> bool:
-    """Whether two models over one universe give each of terms the same value,
-    taint and frontier membership."""
-    return all(a.behaviour.get(t) == b.behaviour.get(t)
-               and (t in a.tainted) == (t in b.tainted)
-               and (t in a.frontier) == (t in b.frontier) for t in terms)
-
-
 def least_model(spec: Spec, seeds: Union[Iterable[Term], None] = None,
                 policy: UniversePolicy = UniversePolicy(), max_iters: int = 1000,
                 force: bool = False,
@@ -478,7 +470,6 @@ def least_model(spec: Spec, seeds: Union[Iterable[Term], None] = None,
     readers: dict = {}
     dirty: Union[set, None] = None  # None: recompute every term
     prev_prev: Union[Model, None] = None
-    prev_changed: set = set()
     converged = oscillating = False
     iters = 0
     while iters < max_iters:
@@ -517,14 +508,13 @@ def least_model(spec: Spec, seeds: Union[Iterable[Term], None] = None,
             converged = True
             m = m2
             break
-        # m2 agrees with m outside changed, and m with prev_prev outside
-        # prev_changed, so this is m2 == prev_prev
-        elif prev_prev is not None and _agree_on(m2, prev_prev, changed | prev_changed):
+        # a monotone chain only climbs, so only a non-monotone one can cycle
+        elif not mon.monotone and m2 == prev_prev:
             oscillating = True
             m = m2
             break
         else:
-            prev_prev, prev_changed = m, changed
+            prev_prev = m
         dirty = {r for s in changed for r in readers.get(s, ())}
         dirty.update(promoted)
         m = m2

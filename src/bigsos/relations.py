@@ -117,7 +117,7 @@ def _refine(kind: BehaviourKind, m1: Model, m2: Model, symmetric: bool,
     if m1.kind != kind or m2.kind != kind:
         raise CarrierMismatchError("models disagree with the requested behaviour kind")
     moves1 = _indexed_moves(kind, m1)
-    moves2 = _indexed_moves(kind, m2)
+    moves2 = moves1 if m2 is m1 else _indexed_moves(kind, m2)
     readers: list = [[] for _ in moves1]  # left state -> left states moving into it
     for i, moves in enumerate(moves1):
         for _, s, _ in moves:
@@ -460,18 +460,8 @@ def monotonicity_semantic_test(spec: Spec, trials: int, seed: int = 0,
 # --- the law suite -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LawConfig:
-    """Knobs for the law checks.
-
-    policy caps the lifted universes, and max_terms caps the terms whose
-    homomorphism squares T1 and T2-mu check.  The laws run over
-    default_generators (a one-state loop and a two-state chain), with the
-    chain collapsed onto the loop as the homomorphism.
-    """
-
-    policy: UniversePolicy = UniversePolicy(max_count=240, max_size=14)
-    max_terms: int = 150
+LAW_POLICY = UniversePolicy(max_count=240, max_size=14)  # caps the lifted universes
+LAW_MAX_TERMS = 150  # caps the terms whose homomorphism squares T1 and T2-mu check
 
 
 @dataclass(frozen=True)
@@ -571,16 +561,16 @@ def law_hom_preserves_similarity(kind: BehaviourKind, gsrc: GenCoalgebra,
     return LawResult("L2", "pass", {"pairs": len(similar)})
 
 
-def _square(law: str, kind: BehaviourKind, src: Model, dst: Model, term_map,
-            max_terms: int) -> LawResult:
+def _square(law: str, kind: BehaviourKind, src: Model, dst: Model,
+            term_map) -> LawResult:
     """term_map is a homomorphism from src to dst: the square
-    map(term_map, src(t)) == dst(term_map(t)) commutes on the first max_terms
-    source terms, which gives equal unfoldings at every depth.  Images
+    map(term_map, src(t)) == dst(term_map(t)) commutes on the first
+    LAW_MAX_TERMS source terms, which gives equal unfoldings at every depth.  Images
     outside dst are skipped, and so are tainted terms on either side: only an
     untainted term's step is the untruncated one."""
     known = set(dst.universe)
     checked = skipped = 0
-    for t in src.universe[:max_terms]:
+    for t in src.universe[:LAW_MAX_TERMS]:
         image = term_map(t)
         if image not in known or t in src.tainted or image in dst.tainted:
             skipped += 1
@@ -594,8 +584,7 @@ def _square(law: str, kind: BehaviourKind, src: Model, dst: Model, term_map,
 
 
 def law_term_map_hom(spec: Spec, gsrc: GenCoalgebra, gdst: GenCoalgebra,
-                     hom: Mapping, policy: UniversePolicy,
-                     max_terms: int) -> LawResult:
+                     hom: Mapping, policy: UniversePolicy) -> LawResult:
     """T1: the term-map extension of a homomorphism is a homomorphism."""
     if not is_homomorphism(spec.kind, gsrc, gdst, hom):
         return LawResult("T1", "inconclusive", "supplied map is not a homomorphism")
@@ -607,7 +596,7 @@ def law_term_map_hom(spec: Spec, gsrc: GenCoalgebra, gdst: GenCoalgebra,
 
     images = [tmap(t) for t in lift_src.universe]
     lift_dst = lift_coalgebra(spec, gdst, _lift_seeds(spec, gdst) + images, policy)
-    return _square("T1", spec.kind, lift_src, lift_dst, tmap, max_terms)
+    return _square("T1", spec.kind, lift_src, lift_dst, tmap)
 
 
 def law_unit_hom(spec: Spec, gen: GenCoalgebra, lifted: Model) -> LawResult:
@@ -650,18 +639,20 @@ def doubled_lift(spec: Spec, inner: Model, policy: UniversePolicy) -> tuple:
     return gen, outer, decode
 
 
-def law_flatten_hom(spec: Spec, inner: Model, outer: Model, decode: Mapping,
-                    max_terms: int) -> LawResult:
+def law_flatten_hom(spec: Spec, inner: Model, outer: Model,
+                    decode: Mapping) -> LawResult:
     """T2-mu: substituting inner terms for their state names is a
     homomorphism from the doubled lift onto the inner lift."""
     binding = dict(decode)
     return _square("T2-mu", spec.kind, outer, inner,
-                   lambda t: substitute(t, binding), max_terms)
+                   lambda t: substitute(t, binding))
 
 
-def law_suite(spec: Spec, config: Union[LawConfig, None] = None) -> tuple:
-    """Run the five law checks; results in a fixed order."""
-    config = config if config is not None else LawConfig()
+def law_suite(spec: Spec, policy: UniversePolicy = LAW_POLICY) -> tuple:
+    """Run the five law checks, with policy capping the lifted universes;
+    results in a fixed order.  The laws run over default_generators (a
+    one-state loop and a two-state chain), with the chain collapsed onto the
+    loop as the homomorphism."""
     kind = spec.kind
     gsmall, gbig = default_generators(kind, spec.sig)
     hom = {x: gsmall.states[0] for x in gbig.states}  # collapse the chain onto the loop
@@ -669,12 +660,12 @@ def law_suite(spec: Spec, config: Union[LawConfig, None] = None) -> tuple:
     results = [
         law_pointwise_unfolding(kind, gbig),
         law_hom_preserves_similarity(kind, gbig, gsmall, hom),
-        law_term_map_hom(spec, gbig, gsmall, hom, config.policy, config.max_terms),
+        law_term_map_hom(spec, gbig, gsmall, hom, policy),
     ]
-    inner = lift_coalgebra(spec, gsmall, _lift_seeds(spec, gsmall), config.policy)
+    inner = lift_coalgebra(spec, gsmall, _lift_seeds(spec, gsmall), policy)
     results.append(law_unit_hom(spec, gsmall, inner))
-    _, outer, decode = doubled_lift(spec, inner, config.policy)
-    results.append(law_flatten_hom(spec, inner, outer, decode, config.max_terms))
+    _, outer, decode = doubled_lift(spec, inner, policy)
+    results.append(law_flatten_hom(spec, inner, outer, decode))
     return tuple(results)
 
 

@@ -18,7 +18,7 @@ from bigsos.behaviour import (BOTTOM, CountableLTS, LtsValue,
                               PartialStream, StreamStep, WtsValue)
 from bigsos.cli import run as cli_run
 from bigsos.engine import Model, least_model, model_to_json, phi_step
-from bigsos.relations import (LawConfig, bisimilarity_classes, congruence_test,
+from bigsos.relations import (LAW_POLICY, bisimilarity_classes, congruence_test,
                               doubled_lift, law_flatten_hom, law_suite,
                               suite_to_json)
 from bigsos.speclang import parse_spec
@@ -370,18 +370,17 @@ def test_criterion_8_laws():
             out[name] = suite_to_json(results)
 
         spec = fx("lookahead2")
-        cfg = LawConfig()
         inner, report = least_model(spec, [pt(spec, "tau(c)"), pt(spec, "c")],
-                                    cfg.policy)
+                                    LAW_POLICY)
         assert report.converged
-        gen, outer, decode = doubled_lift(spec, inner, cfg.policy)
-        clean = law_flatten_hom(spec, inner, outer, decode, cfg.max_terms)
+        gen, outer, decode = doubled_lift(spec, inner, LAW_POLICY)
+        clean = law_flatten_hom(spec, inner, outer, decode)
         victim = pt(spec, "tau(c)")
         beh = dict(inner.behaviour)
         beh[victim] = spec.kind.bottom()   # delete tau(c)'s only transition
         broken = Model(spec.kind, inner.universe, beh, inner.frontier,
                        inner.tainted)
-        hurt = law_flatten_hom(spec, broken, outer, decode, cfg.max_terms)
+        hurt = law_flatten_hom(spec, broken, outer, decode)
         out["mutation"] = {"clean": clean.to_json(), "mutated": hurt.to_json()}
         return json.dumps(out)
 

@@ -11,7 +11,7 @@ from bigsos.behaviour import (BOTTOM, CountableLTS, LtsValue, PartialStream,
 from bigsos.engine import (GenCoalgebra, Model, gen_to_model, least_model,
                            lift_coalgebra, unfold)
 from bigsos.errors import BigsosError, CarrierMismatchError, UnknownStateError
-from bigsos.relations import (EquivResult, LawConfig, _lift_seeds,
+from bigsos.relations import (LAW_POLICY, EquivResult, _lift_seeds,
                               bisimilarity_classes, check_equivalence,
                               congruence_test, default_generators,
                               depth_similarity, distinguishing_depth,
@@ -313,7 +313,7 @@ def test_law_suite_passes_on_monotone_fixtures(name):
 
 @pytest.mark.parametrize("name", MONOTONE_FIXTURES)
 def test_law_suite_passes_at_small_caps(name):
-    results = law_suite(fx(name), LawConfig(policy=UniversePolicy(max_count=40, max_size=9)))
+    results = law_suite(fx(name), UniversePolicy(max_count=40, max_size=9))
     assert all(r.status == "pass" for r in results), suite_to_json(results)
 
 
@@ -337,19 +337,18 @@ def test_is_homomorphism():
 
 def test_flatten_law_fails_after_mutation():
     spec = fx("lookahead2")
-    cfg = LawConfig()
     seeds = [pt(spec, "tau(c)"), pt(spec, "c")]
-    inner, report = least_model(spec, seeds, cfg.policy)
+    inner, report = least_model(spec, seeds, LAW_POLICY)
     assert report.converged
-    gen, outer, decode = doubled_lift(spec, inner, cfg.policy)
-    clean = law_flatten_hom(spec, inner, outer, decode, cfg.max_terms)
+    gen, outer, decode = doubled_lift(spec, inner, LAW_POLICY)
+    clean = law_flatten_hom(spec, inner, outer, decode)
     assert clean.status == "pass"
 
     victim = pt(spec, "tau(c)")
     beh = dict(inner.behaviour)
     beh[victim] = spec.kind.bottom()  # delete tau(c)'s only transition
     broken = Model(spec.kind, inner.universe, beh, inner.frontier, inner.tainted)
-    hurt = law_flatten_hom(spec, broken, outer, decode, cfg.max_terms)
+    hurt = law_flatten_hom(spec, broken, outer, decode)
     assert hurt.status == "fail"
     assert hurt.witness
 
@@ -359,17 +358,16 @@ def test_flatten_law_skips_tainted_terms():
     # them: its recorded step is not the untruncated one, so breaking it
     # must not make the law fail
     spec = fx("transclosure")
-    cfg = LawConfig()
     gsmall, _ = default_generators(spec.kind, spec.sig)
-    inner = lift_coalgebra(spec, gsmall, _lift_seeds(spec, gsmall), cfg.policy)
+    inner = lift_coalgebra(spec, gsmall, _lift_seeds(spec, gsmall), LAW_POLICY)
     assert (len(inner.universe), len(inner.tainted)) == (28, 25)
-    _, outer, decode = doubled_lift(spec, inner, cfg.policy)
+    _, outer, decode = doubled_lift(spec, inner, LAW_POLICY)
     victim = pt(spec, "sigma(c)")
     assert victim in inner.tainted
     beh = dict(inner.behaviour)
     beh[victim] = spec.kind.bottom()
     broken = Model(spec.kind, inner.universe, beh, inner.frontier, inner.tainted)
-    assert law_flatten_hom(spec, broken, outer, decode, cfg.max_terms).status == "pass"
+    assert law_flatten_hom(spec, broken, outer, decode).status == "pass"
 
 
 def test_similarity_law_checks_images(monkeypatch):
@@ -573,13 +571,13 @@ def count_kind_calls(kind, monkeypatch) -> dict:
 
 @pytest.mark.parametrize("kind_name", sorted(KINDS))
 def test_greatest_simulation_reads_each_step_once(kind_name, monkeypatch):
-    # the refinement reads kind.moves once per carrier state and side, and
-    # never the per-pair lifting
+    # the refinement reads kind.moves once per carrier state, for both sides
+    # of one model, and never the per-pair lifting
     kind = KINDS[kind_name]
     model = random_gen_model(kind, 50, random.Random(5))
     calls = count_kind_calls(kind, monkeypatch)
     greatest_simulation(kind, model, model)
-    assert calls == {"moves": 2 * 50, "rel_lift": 0, "map_states": 0}
+    assert calls == {"moves": 50, "rel_lift": 0, "map_states": 0}
     assert max(sim_drops(kind, model, model).values()) >= 2
 
 
@@ -592,7 +590,7 @@ def test_bisimilarity_classes_reads_each_step_once(kind_name, monkeypatch):
     calls = count_kind_calls(kind, monkeypatch)
     rounds: list = []
     bisimilarity_classes(kind, model, rounds)
-    assert calls == {"moves": 2 * 50, "rel_lift": 0, "map_states": 0}
+    assert calls == {"moves": 50, "rel_lift": 0, "map_states": 0}
     assert len(rounds) >= 2
 
 
@@ -710,7 +708,7 @@ rule y2 : |- y -b-> z
 
 def test_mutually_similar_but_not_bisimilar_gadget():
     # p -a-> {x, y} and q -a-> {y}, with x below y: each simulates the other,
-    # but round 2 of partition refinement splits them, since only p reaches
+    # but round 2 of symmetric refinement splits them, since only p reaches
     # the class of x.  Their unfoldings stay mutually similar at every depth.
     spec = parse_spec(GADGET)
     model, _ = least_model(spec)
