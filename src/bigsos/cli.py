@@ -87,11 +87,14 @@ def _check_settings(args) -> None:
     """Fill in the seed from $BIGSOS_SEED and reject bad counts, before the
     spec is read or its model built."""
     if args.seed is None:
-        args.seed = int(os.environ.get("BIGSOS_SEED", "0"))
-    for name, value in (("max_count", args.universe_count),
-                        ("max_size", args.universe_size), ("max_iters", args.max_iters)):
-        if value < 1:
-            raise ValueError(f"{name} must be positive")
+        text = os.environ.get("BIGSOS_SEED", "0")
+        try:
+            args.seed = int(text)
+        except ValueError:
+            raise ValueError(f"BIGSOS_SEED must be an integer, got {text!r}") from None
+    for dest in ("universe_count", "universe_size", "max_iters"):
+        if getattr(args, dest) < 1:
+            raise ValueError(f"--{dest.replace('_', '-')} must be positive")
     if args.depth < 0:
         raise ValueError("depth must be a natural")
     if getattr(args, "samples", 0) < 0:

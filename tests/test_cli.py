@@ -267,6 +267,32 @@ def test_bad_bounds_rejected():
     assert code == 2
 
 
+@pytest.mark.parametrize("flag", ["--universe-count", "--universe-size", "--max-iters"])
+def test_bad_count_names_the_flag(flag):
+    want = (2, "", f"error: {flag} must be positive\n")
+    assert cli("model", fixture_path("lookahead2"), flag, "0") == want
+    # checked before the spec is read: negloop alone would exit 3
+    assert cli("laws", fixture_path("negloop"), flag, "-1") == want
+
+
+def test_counts_are_checked_in_flag_order():
+    argv = ("congruence", fixture_path("lookahead2"), "--samples", "-1", "-d", "-1",
+            "--max-iters", "0", "--universe-size", "0")
+    assert cli(*argv) == (2, "", "error: --universe-size must be positive\n")
+    assert cli(*argv, "--universe-count", "0") == (
+        2, "", "error: --universe-count must be positive\n")
+
+
+def test_bad_seed_env_names_the_variable(monkeypatch):
+    monkeypatch.setenv("BIGSOS_SEED", "x")
+    want = (2, "", "error: BIGSOS_SEED must be an integer, got 'x'\n")
+    assert cli("congruence", fixture_path("lookahead2")) == want
+    # the seed is checked before the counts
+    assert cli("model", fixture_path("lookahead2"), "--universe-count", "0") == want
+    # an explicit --seed leaves the variable unread
+    assert cli("check", fixture_path("lookahead2"), "--seed", "3")[0] == 0
+
+
 def test_negative_samples_rejected():
     want = "error: samples must be a natural\n"
     for fmt in ("text", "json"):
