@@ -17,10 +17,9 @@ from .errors import (ArityError, BigsosError, CarrierMismatchError,
                      InconsistentStreamError, LabelEvalError, NonConvergenceError,
                      NonMonotoneError, ParseError, StateMapError,
                      UnboundVariableError, UnknownOperatorError, UnknownStateError)
-from .relations import (CongruenceReport, EquivResult, LawResult, MonotonicityReport,
-                        bisimilarity_classes, check_equivalence, congruence_test,
-                        depth_similarity, distinguishing_depth, greatest_simulation,
-                        law_suite, monotonicity_semantic_test)
+from .relations import (CongruenceReport, EquivResult, LawResult, bisimilarity_classes,
+                        check_equivalence, congruence_test, depth_similarity,
+                        distinguishing_depth, greatest_simulation, law_suite)
 from .speclang import (Rule, Spec, check_monotone, lookahead_depth, parse_spec,
                        print_spec, validate_spec)
 from .terms import (App, Operator, Signature, Term, UniversePolicy, Var, parse_term,

@@ -5,8 +5,8 @@ or bottom), finitely-branching labelled transition systems ordered by
 pointwise inclusion, and weighted systems over the complete monoid
 (R+ with infinity, sup).  Each kind bundles its bottom element, the order,
 joins, state relabelling, and the lax relation lifting used by simulations,
-plus the rendering and test-environment helpers the rest of the package
-needs, so no caller dispatches on the kind.
+plus the rendering helpers the rest of the package needs, so no caller
+dispatches on the kind.
 
 Values are immutable and canonicalized (sorted, empty entries dropped) so
 structural equality and hashing behave.  The carrier is implicit: states can
@@ -94,9 +94,6 @@ class LtsValue:
     def labels(self) -> tuple:
         return tuple(lab for lab, _ in self.moves)
 
-    def as_dict(self) -> dict:
-        return {lab: set(states) for lab, states in self.moves}
-
 
 @dataclass(frozen=True)
 class WtsValue:
@@ -125,9 +122,6 @@ class WtsValue:
 
     def labels(self) -> tuple:
         return tuple(lab for lab, _ in self.moves)
-
-    def as_dict(self) -> dict:
-        return {lab: dict(row) for lab, row in self.moves}
 
 
 BehaviourValue = Union[Bottom, StreamStep, LtsValue, WtsValue]
@@ -269,23 +263,6 @@ class PartialStream:
     def arrow(self, v, lab, target) -> str:
         return f"-{lab}->"
 
-    def full_value(self, labels, targets, i):
-        """Environment state i of a full test environment: a cycle on the
-        first label."""
-        return StreamStep(labels[0], targets[(i + 1) % len(targets)])
-
-    def drop_label(self, v, lab):
-        """v without its moves on lab, or None if it has none there."""
-        return BOTTOM if isinstance(v, StreamStep) and v.label == lab else None
-
-    def random_value(self, labels, targets, rng):
-        return (BOTTOM if rng.random() < 0.3 else
-                StreamStep(rng.choice(labels), rng.choice(targets)))
-
-    def random_shrink(self, v, rng):
-        """A random value below a non-bottom v."""
-        return BOTTOM
-
 
 @dataclass(frozen=True)
 class CountableLTS:
@@ -408,25 +385,6 @@ class CountableLTS:
 
     def arrow(self, v, lab, target) -> str:
         return f"-{lab}->"
-
-    def full_value(self, labels, targets, i):
-        return LtsValue.make({lab: targets for lab in labels})
-
-    def drop_label(self, v, lab):
-        if lab not in v.labels():
-            return None
-        return LtsValue(tuple(entry for entry in v.moves if entry[0] != lab))
-
-    def random_value(self, labels, targets, rng):
-        return LtsValue.make({lab: {t for t in targets if rng.random() < 0.5}
-                              for lab in labels})
-
-    def random_shrink(self, v, rng):
-        """v with one successor removed on one label."""
-        lab = rng.choice(v.labels())
-        keep = list(v.successors(lab))
-        del keep[rng.randrange(len(keep))]
-        return LtsValue.make({**v.as_dict(), lab: keep})
 
 
 @dataclass(frozen=True)
@@ -552,26 +510,6 @@ class WeightedLTS:
 
     def arrow(self, v, lab, target) -> str:
         return f"-{lab}[{v.weight(lab, target)}]->"
-
-    def full_value(self, labels, targets, i):
-        return WtsValue.make({lab: dict.fromkeys(targets, 1.0) for lab in labels})
-
-    def drop_label(self, v, lab):
-        if lab not in v.labels():
-            return None
-        return WtsValue(tuple(entry for entry in v.moves if entry[0] != lab))
-
-    def random_value(self, labels, targets, rng):
-        return WtsValue.make({lab: {t: rng.choice([0.0, 0.5, 1.0, 2.0]) for t in targets}
-                              for lab in labels})
-
-    def random_shrink(self, v, rng):
-        """v with one weight on one label halved or zeroed."""
-        lab = rng.choice(v.labels())
-        cur = v.as_dict()
-        s = rng.choice(sorted(cur[lab], key=state_key))
-        cur[lab][s] *= rng.choice([0.0, 0.5])
-        return WtsValue.make(cur)
 
 
 BehaviourKind = Union[PartialStream, CountableLTS, WeightedLTS]

@@ -286,17 +286,12 @@ def _join_plan(spec: Spec) -> dict:
 
 
 def apply_rules(spec: Spec, model: Model, op: str, params: tuple, args: tuple,
-                reads: Union[set, None] = None, memo: Union[_Rows, None] = None):
+                reads: set, memo: _Rows):
     """Join of all rule conclusions derivable for op[params](args) in model.
 
     Every premise source read, negative premises included, is added to reads.
-    memo is the transition table of model that phi_step shares across a step;
-    without one, this call makes its own.
+    memo is the transition table of model that phi_step shares across a step.
     """
-    if reads is None:
-        reads = set()
-    if memo is None:
-        memo = _Rows(model)
     read = reads.add
     pairs: list = []  # (label, target) of every derivation
     for plan in _join_plan(spec).get(op, ()):

@@ -34,10 +34,8 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Union
 
 from .behaviour import BehaviourKind, Relation, label_key, state_key
-from .engine import (GenCoalgebra, Model, UnfoldTree, apply_rules, gen_to_model,
-                     lift_coalgebra)
-from .errors import BigsosError, CarrierMismatchError, InconsistentStreamError, \
-    UnknownStateError
+from .engine import GenCoalgebra, Model, UnfoldTree, gen_to_model, lift_coalgebra
+from .errors import BigsosError, CarrierMismatchError, UnknownStateError
 from .speclang import Spec
 from .terms import (App, Term, UniversePolicy, Var, print_term, substitute,
                     term_key)
@@ -338,125 +336,6 @@ def congruence_test(spec: Spec, model: Model, samples: int, depth: int = 3,
     return CongruenceReport(samples, checked, skipped, tuple(violations))
 
 
-# --- semantic monotonicity ---------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MonotonicityViolation:
-    op: str
-    params: tuple
-    args: tuple
-    smaller_env: object  # rule bank output under the pruned environment
-    larger_env: object
-
-    def to_json(self) -> dict:
-        return {"op": self.op, "params": list(self.params),
-                "args": [print_term(a) for a in self.args]}
-
-
-@dataclass(frozen=True)
-class MonotonicityReport:
-    pairs: int
-    comparisons: int
-    skipped: int
-    violations: tuple
-
-    def to_json(self) -> dict:
-        return {"pairs": self.pairs, "comparisons": self.comparisons,
-                "skipped": self.skipped,
-                "violations": [v.to_json() for v in self.violations]}
-
-
-def _test_labels(kind) -> list:
-    if getattr(kind, "labels", None) is not None:
-        return sorted(kind.labels, key=label_key)
-    return [1, 2]  # natural-number stream labels: two are enough to disagree
-
-
-def _env_model(kind, names, beh) -> Model:
-    universe = tuple(sorted((Var(n) for n in names), key=term_key))
-    return Model(kind, universe, {Var(n): beh[n] for n in names}, frozenset())
-
-
-def _full_env(kind, names, labels) -> dict:
-    targets = [Var(n) for n in names]
-    return {n: kind.full_value(labels, targets, i) for i, n in enumerate(names)}
-
-
-def _row_prunes(kind, names, labels, beh) -> list:
-    """Single-state prunes of an environment: drop one state's moves on one
-    label (streams: the whole step), keeping everything else."""
-    out = []
-    for n in names:
-        for lab in labels:
-            smaller = kind.drop_label(beh[n], lab)
-            if smaller is not None:
-                out.append({**beh, n: smaller})
-    return out
-
-
-def _random_env(kind, names, labels, rng) -> dict:
-    targets = [Var(n) for n in names]
-    return {n: kind.random_value(labels, targets, rng) for n in names}
-
-
-def _random_prune(kind, beh, rng) -> dict:
-    smaller = dict(beh)
-    victims = [n for n in smaller if not kind.is_bottom(smaller[n])]
-    if not victims:
-        return smaller
-    for n in rng.sample(victims, k=min(len(victims), rng.randint(1, 2))):
-        smaller[n] = kind.random_shrink(smaller[n], rng)
-    return smaller
-
-
-def monotonicity_semantic_test(spec: Spec, trials: int, seed: int = 0,
-                               states: int = 3) -> MonotonicityReport:
-    """Evaluate the rule bank under environment pairs env0 below env1.
-
-    Systematic single-row prunes of a full environment run first (these catch
-    every negative-premise rule deterministically), then `trials` random
-    environment/prune pairs.  A violation means some operator's output failed
-    to stay below when its premises grew.
-    """
-    kind = spec.kind
-    rng = random.Random(seed)
-    names = tuple(_fresh_name(f"env{i}", spec.sig) for i in range(states))
-    labels = _test_labels(kind)
-
-    full = _full_env(kind, names, labels)
-    cases = [(smaller, full) for smaller in _row_prunes(kind, names, labels, full)]
-    for _ in range(max(trials, 0)):
-        larger = _random_env(kind, names, labels, rng)
-        cases.append((_random_prune(kind, larger, rng), larger))
-
-    comparisons = skipped = 0
-    violations = []
-    for smaller, larger in cases:
-        m0 = _env_model(kind, names, smaller)
-        m1 = _env_model(kind, names, larger)
-        for op in spec.sig.operators():
-            params = tuple(1 for _ in range(op.param_count))
-            if op.arity > 3:
-                tuples = [tuple(rng.choice([Var(n) for n in names])
-                                for _ in range(op.arity)) for _ in range(10)]
-            else:
-                tuples = list(itertools.product([Var(n) for n in names],
-                                                repeat=op.arity))
-            for args in tuples:
-                try:
-                    v0 = apply_rules(spec, m0, op.name, params, args)
-                    v1 = apply_rules(spec, m1, op.name, params, args)
-                except InconsistentStreamError:
-                    skipped += 1
-                    continue
-                comparisons += 1
-                if not kind.leq(v0, v1):
-                    violations.append(MonotonicityViolation(op.name, params, args,
-                                                            v0, v1))
-    return MonotonicityReport(len(cases), comparisons, skipped, tuple(violations))
-
-
 # --- the law suite -----------------------------------------------------------------
 
 
@@ -478,6 +357,12 @@ def _fresh_name(name: str, sig) -> str:
     while name in sig:
         name += "_"
     return name
+
+
+def _test_labels(kind) -> list:
+    if getattr(kind, "labels", None) is not None:
+        return sorted(kind.labels, key=label_key)
+    return [1, 2]  # natural-number stream labels: two are enough to disagree
 
 
 def default_generators(kind: BehaviourKind, sig) -> tuple:

@@ -2,7 +2,6 @@
 
 import itertools
 import pathlib
-import random
 import re
 
 import pytest
@@ -359,8 +358,7 @@ def test_kinds_define_one_interface_in_their_own_bodies():
     methods = {cls.__name__: own_methods(cls)
                for cls in (PartialStream, CountableLTS, WeightedLTS)}
     assert {"conclusion_value", "join", "leq", "rel_lift", "map_states",
-            "tree_json", "arrow", "full_value", "drop_label", "random_value",
-            "random_shrink"} <= methods["PartialStream"]
+            "tree_json", "arrow"} <= methods["PartialStream"]
     for name, own in methods.items():
         assert own == methods["PartialStream"], name
 
@@ -374,29 +372,3 @@ def test_no_dispatch_on_kind_names():
             for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
             if pattern.search(line)]
     assert hits == []
-
-
-@pytest.mark.parametrize("kind", [STREAM, LTS, WTS], ids=lambda k: k.name)
-def test_environment_values_shrink_in_order(kind):
-    labels = sorted(kind.labels) if kind.labels is not None else [0, 1, 2, 3]
-    rng = random.Random(0)
-
-    @given(kind_values(kind))
-    def check(v):
-        for lab in labels:
-            smaller = kind.drop_label(v, lab)
-            moves_on_lab = [t for have, t in kind.transitions(v) if have == lab]
-            assert (smaller is None) == (not moves_on_lab)
-            if smaller is not None:
-                assert kind.leq(smaller, v)
-                assert all(have != lab for have, _ in kind.transitions(smaller))
-        if not kind.is_bottom(v):
-            assert kind.leq(kind.random_shrink(v, rng), v)
-    check()
-
-    for i in range(len(STATES)):
-        full = kind.full_value(labels, list(STATES), i)
-        assert kind.states(full) <= set(STATES) and not kind.is_bottom(full)
-        drawn = kind.random_value(labels, list(STATES), rng)
-        assert kind.states(drawn) <= set(STATES)
-        assert all(lab in labels for lab, _ in kind.transitions(drawn))

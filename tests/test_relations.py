@@ -1,4 +1,4 @@
-"""Relations: simulation, bisimilarity, congruence, monotonicity, law suite."""
+"""Relations: simulation, bisimilarity, congruence, law suite."""
 
 import itertools
 import random
@@ -17,8 +17,7 @@ from bigsos.relations import (LAW_POLICY, EquivResult, _lift_seeds,
                               depth_similarity, distinguishing_depth,
                               doubled_lift, greatest_simulation, is_homomorphism,
                               law_flatten_hom, law_hom_preserves_similarity,
-                              law_suite, monotonicity_semantic_test,
-                              suite_to_json)
+                              law_suite, suite_to_json)
 from bigsos.speclang import parse_spec
 from bigsos.terms import UniversePolicy, Var, parse_term
 from conftest import fixture_text
@@ -250,52 +249,6 @@ def test_congruence_detects_a_broken_model():
     broken = Model(spec.kind, model.universe, beh, model.frontier, model.tainted)
     report = congruence_test(spec, broken, samples=60, depth=3, seed=1)
     assert report.violations  # sigma(tau(c)) vs sigma(tau(d)) now split classes
-
-
-# --- semantic monotonicity -----------------------------------------------------------------
-
-
-# (pairs, comparisons, skipped, violations) at trials=25, seed=0; the test
-# environments are drawn in a fixed order of rng calls, so these stay put
-MONO_COUNTS = {"factstream": (28, 504, 0, 0), "negloop": (28, 112, 0, 20),
-               "wchain": (31, 155, 0, 0), "lookahead2": (28, 224, 0, 0),
-               "transclosure": (28, 112, 0, 0)}
-
-
-def mono_counts(report):
-    return (report.pairs, report.comparisons, report.skipped, len(report.violations))
-
-
-def test_negloop_monotonicity_violations_found():
-    report = monotonicity_semantic_test(fx("negloop"), trials=25, seed=0)
-    assert report.violations
-    assert report.violations[0].op == "sigma"
-    assert mono_counts(report) == MONO_COUNTS["negloop"]
-    # three from the systematic prunes, then the random environments'
-    assert " ".join(a for v in report.violations for a in v.to_json()["args"]) == (
-        "env1 env2 env0 env2 env0 env1 env0 env1 env0 env1 "
-        "env1 env2 env0 env0 env2 env0 env1 env1 env2 env1")
-
-
-def test_monotone_fixtures_pass_semantic_test():
-    for name in ("lookahead2", "transclosure", "wchain"):
-        report = monotonicity_semantic_test(fx(name), trials=25, seed=0)
-        assert report.violations == (), name
-        assert report.comparisons > 0
-        assert mono_counts(report) == MONO_COUNTS[name], name
-
-
-def test_stream_monotonicity_skips_inconsistent_joins():
-    report = monotonicity_semantic_test(fx("factstream"), trials=25, seed=0)
-    assert report.violations == ()
-    assert mono_counts(report) == MONO_COUNTS["factstream"]
-
-
-def test_monotonicity_deterministic():
-    one = monotonicity_semantic_test(fx("negloop"), trials=25, seed=3)
-    two = monotonicity_semantic_test(fx("negloop"), trials=25, seed=3)
-    assert one == two
-    assert mono_counts(one) == (28, 112, 0, 18)
 
 
 # --- law suite -------------------------------------------------------------------------------
