@@ -382,6 +382,7 @@ def parse_spec(text: str) -> Spec:
     """Parse a .sos document. Syntax only; use validate_spec for the rest."""
     kind: Union[BehaviourKind, None] = None
     sig = Signature(())
+    has_ops = False
     rules: list = []
     seen: set = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -399,6 +400,11 @@ def parse_spec(text: str) -> Spec:
             kind = _parse_behaviour_line(cur, lineno)
         elif keyword == "ops":
             cur.next()
+            if has_ops:
+                raise ParseError("duplicate ops line", lineno, first.col)
+            if rules:
+                raise ParseError("ops line must precede rules", lineno, first.col)
+            has_ops = True
             try:
                 sig = Signature(_parse_ops_line(cur))
             except ValueError as exc:

@@ -110,6 +110,22 @@ def test_duplicate_rule_names_rejected():
         parse_spec(text)
 
 
+def test_duplicate_ops_line_rejected():
+    # a second ops line used to replace the first, losing c
+    text = "behaviour lts labels a\nops c/0\n  ops d/0\nrule rc : |- c -a-> c\n"
+    with pytest.raises(ParseError,
+                       match=r"^duplicate ops line \(line 3, column 3\)$"):
+        parse_spec(text)
+
+
+def test_ops_line_after_a_rule_rejected():
+    # the rule's template would have been parsed against the empty signature
+    text = "behaviour lts labels a\nrule rc : |- c -a-> c\nops c/0\n"
+    with pytest.raises(ParseError,
+                       match=r"^ops line must precede rules \(line 3, column 1\)$"):
+        parse_spec(text)
+
+
 # --- validation diagnostics ----------------------------------------------------------
 
 HEADER = "behaviour lts labels a\nops c/0, f/1, g/2\n"
