@@ -96,9 +96,9 @@ def _check_settings(args) -> None:
         if getattr(args, dest) < 1:
             raise ValueError(f"--{dest.replace('_', '-')} must be positive")
     if args.depth < 0:
-        raise ValueError("depth must be a natural")
+        raise ValueError("--depth must be a natural")
     if getattr(args, "samples", 0) < 0:
-        raise ValueError("samples must be a natural")
+        raise ValueError("--samples must be a natural")
 
 
 def _load_spec(path: str):
@@ -107,7 +107,9 @@ def _load_spec(path: str):
 
 
 def _seed_terms(spec, texts) -> list:
-    return [parse_term(text, spec.sig) for text in texts]
+    """CLI terms are closed: a name outside the signature is an unknown
+    operator, not a variable."""
+    return [parse_term(text, spec.sig, closed=True) for text in texts]
 
 
 def _policy(args) -> UniversePolicy:
@@ -227,7 +229,7 @@ def _cmd_model(spec, args, out, err) -> int:
 
 
 def _cmd_unfold(spec, args, out, err) -> int:
-    term = parse_term(args.term, spec.sig)
+    term, = _seed_terms(spec, [args.term])
     model = _converged_model(spec, [term], args)
     for t in model.carrier():  # smallest first, so each print recurses one level
         print_term(t)
@@ -248,8 +250,7 @@ def _cmd_unfold(spec, args, out, err) -> int:
 
 
 def _cmd_equiv(spec, args, out, err) -> int:
-    t1 = parse_term(args.term1, spec.sig)
-    t2 = parse_term(args.term2, spec.sig)
+    t1, t2 = _seed_terms(spec, [args.term1, args.term2])
     model = _converged_model(spec, [t1, t2], args)
     res = check_equivalence(model, t1, t2, relation=args.rel)
     if args.format == "json":

@@ -376,7 +376,7 @@ def _parse_nat_list(cur: TokenCursor) -> tuple[int, ...]:
     return tuple(vals)
 
 
-def parse_term_tokens(cur: TokenCursor, sig: Signature) -> Term:
+def parse_term_tokens(cur: TokenCursor, sig: Signature, closed: bool = False) -> Term:
     tok = cur.expect("ident")
     params: tuple[int, ...] = ()
     if cur.at_sym("["):
@@ -385,9 +385,9 @@ def parse_term_tokens(cur: TokenCursor, sig: Signature) -> Term:
     has_args = False
     if cur.eat_sym("("):
         has_args = True
-        args.append(parse_term_tokens(cur, sig))
+        args.append(parse_term_tokens(cur, sig, closed))
         while cur.eat_sym(","):
-            args.append(parse_term_tokens(cur, sig))
+            args.append(parse_term_tokens(cur, sig, closed))
         cur.expect_sym(")")
     name = tok.value
     if name in sig:
@@ -399,15 +399,16 @@ def parse_term_tokens(cur: TokenCursor, sig: Signature) -> Term:
             raise ArityError(f"operator {name!r} has arity {op.arity}, got {len(args)} "
                              f"argument(s)", tok.line, tok.col)
         return App(name, params, tuple(args))
-    if params or has_args:
+    if params or has_args or closed:
         raise UnknownOperatorError(f"unknown operator {name!r}", tok.line, tok.col)
     return Var(name)
 
 
-def parse_term(text: str, sig: Signature) -> Term:
-    """Parse one term. Identifiers outside the signature become variables."""
+def parse_term(text: str, sig: Signature, closed: bool = False) -> Term:
+    """Parse one term. Identifiers outside the signature become variables,
+    or, in a closed term, unknown operators."""
     cur = TokenCursor(tokenize(text))
-    t = parse_term_tokens(cur, sig)
+    t = parse_term_tokens(cur, sig, closed)
     tok = cur.peek()
     if tok.kind != "eof":
         raise ParseError(f"trailing input {tok.value!r}", tok.line, tok.col)

@@ -219,6 +219,15 @@ def test_invalid_term_argument(tmp_path):
     assert code == 1
 
 
+def test_unknown_name_in_a_term_is_an_unknown_operator():
+    # a CLI term is closed, so a bare unknown name is not a variable
+    look2 = fixture_path("lookahead2")
+    assert cli("equiv", look2, "tau(c)", "nosuchop") == (
+        1, "", "error: unknown operator 'nosuchop' (line 1, column 1)\n")
+    assert cli("model", look2, "sigma(nosuch)") == (
+        1, "", "error: unknown operator 'nosuch' (line 1, column 7)\n")
+
+
 def test_validation_diagnostics_exit_2(tmp_path):
     bad = tmp_path / "diag.sos"
     bad.write_text("behaviour lts labels a\nops c/0\nrule r: |- c -b-> c\n")
@@ -276,6 +285,7 @@ def test_counts_are_checked_in_flag_order():
     assert cli(*argv) == (2, "", "error: --universe-size must be positive\n")
     assert cli(*argv, "--universe-count", "0") == (
         2, "", "error: --universe-count must be positive\n")
+    assert cli(*argv[:6]) == (2, "", "error: --depth must be a natural\n")
 
 
 def test_bad_seed_env_names_the_variable(monkeypatch):
@@ -289,7 +299,7 @@ def test_bad_seed_env_names_the_variable(monkeypatch):
 
 
 def test_negative_samples_rejected():
-    want = "error: samples must be a natural\n"
+    want = "error: --samples must be a natural\n"
     for fmt in ("text", "json"):
         assert cli("congruence", fixture_path("factstream"), "--samples", "-5",
                    "--format", fmt) == (2, "", want)
