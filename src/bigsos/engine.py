@@ -285,12 +285,12 @@ def _join_plan(spec: Spec) -> dict:
     return spec.join_plan
 
 
-def apply_rules(spec: Spec, model: Model, op: str, params: tuple, args: tuple,
-                reads: set, memo: _Rows):
-    """Join of all rule conclusions derivable for op[params](args) in model.
+def apply_rules(spec: Spec, op: str, params: tuple, args: tuple, reads: set,
+                memo: _Rows):
+    """Join of all rule conclusions derivable for op[params](args) in the
+    model whose transition table is memo, which phi_step shares across a step.
 
     Every premise source read, negative premises included, is added to reads.
-    memo is the transition table of model that phi_step shares across a step.
     """
     read = reads.add
     pairs: list = []  # (label, target) of every derivation
@@ -371,7 +371,7 @@ def phi_step(spec: Spec, model: Model, gen: Union[GenCoalgebra, None] = None,
                 reads[t] = set()
         else:
             read: set = set()
-            v = apply_rules(spec, model, t.op, t.params, t.args, read, memo)
+            v = apply_rules(spec, t.op, t.params, t.args, read, memo)
             if not read.isdisjoint(unresolved):
                 tainted.append(t)
             if reads is not None:
