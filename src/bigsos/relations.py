@@ -362,7 +362,7 @@ def _fresh_name(name: str, sig) -> str:
 def _test_labels(kind) -> list:
     if getattr(kind, "labels", None) is not None:
         return sorted(kind.labels, key=label_key)
-    return [1, 2]  # natural-number stream labels: two are enough to disagree
+    return [1, 2]  # natural-number stream labels
 
 
 def default_generators(kind: BehaviourKind, sig) -> tuple:

@@ -285,7 +285,8 @@ def test_counts_are_checked_in_flag_order():
     assert cli(*argv) == (2, "", "error: --universe-size must be positive\n")
     assert cli(*argv, "--universe-count", "0") == (
         2, "", "error: --universe-count must be positive\n")
-    assert cli(*argv[:6]) == (2, "", "error: --depth must be a natural\n")
+    assert cli("congruence", fixture_path("lookahead2"), "--samples", "-1", "-d", "-1") == (
+        2, "", "error: --depth must be a natural\n")
 
 
 def test_bad_seed_env_names_the_variable(monkeypatch):
