@@ -21,7 +21,7 @@ from .relations import (CongruenceReport, EquivResult, LawResult, bisimilarity_c
                         check_equivalence, congruence_test, depth_similarity,
                         distinguishing_depth, greatest_simulation, law_suite)
 from .speclang import (Rule, Spec, check_monotone, lookahead_depth, parse_spec,
-                       print_spec, validate_spec)
+                       validate_spec)
 from .terms import (App, Operator, Signature, Term, UniversePolicy, Var, parse_term,
                     print_term, substitute)
 

@@ -402,8 +402,6 @@ def _promotions(model: Model, policy: UniversePolicy, seen: frozenset) -> list:
     universe, len(new) - budget never decreases: each promoted term lowers
     budget by one and len(new) by at most one.
     """
-    if not policy.grow:
-        return []
     inside = set(model.universe)
     budget = policy.max_count - len(inside)
     promoted: list = []

@@ -54,9 +54,9 @@ def _bits(x: int):
     return itertools.compress(itertools.count(), bin(x)[:1:-1].encode().translate(_BIT))
 
 
-def _indexed_moves(kind: BehaviourKind, model: Model) -> list:
+def _indexed_moves(model: Model) -> list:
     """kind.moves of each carrier state, with states as carrier indices."""
-    carrier = model.carrier()
+    kind, carrier = model.kind, model.carrier()
     index = {s: i for i, s in enumerate(carrier)}
     out = []
     for s in carrier:
@@ -94,8 +94,7 @@ class _Preimages(dict):
         return out
 
 
-def _refine(kind: BehaviourKind, m1: Model, m2: Model, symmetric: bool,
-            rounds: Union[list, None]) -> list:
+def _refine(m1: Model, m2: Model, symmetric: bool, rounds: Union[list, None]) -> list:
     """Jacobi refinement from the full carrier product, on bitset rows:
     rows[i] is the set of right states still related to left state i.
 
@@ -112,10 +111,10 @@ def _refine(kind: BehaviourKind, m1: Model, m2: Model, symmetric: bool,
     every round that changed one.  The result is re-checked with fresh
     preimages before it is returned.
     """
-    if m1.kind != kind or m2.kind != kind:
-        raise CarrierMismatchError("models disagree with the requested behaviour kind")
-    moves1 = _indexed_moves(kind, m1)
-    moves2 = moves1 if m2 is m1 else _indexed_moves(kind, m2)
+    if m1.kind != m2.kind:
+        raise CarrierMismatchError("the two models have different behaviour kinds")
+    moves1 = _indexed_moves(m1)
+    moves2 = moves1 if m2 is m1 else _indexed_moves(m2)
     readers: list = [[] for _ in moves1]  # left state -> left states moving into it
     for i, moves in enumerate(moves1):
         for _, s, _ in moves:
@@ -151,20 +150,19 @@ def _relation(m1: Model, m2: Model, rows: list) -> Relation:
                                            for i, row in enumerate(rows) for j in _bits(row)))
 
 
-def greatest_simulation(kind: BehaviourKind, m1: Model, m2: Model) -> Relation:
+def greatest_simulation(m1: Model, m2: Model) -> Relation:
     """Largest R with (s,t) in R implying rel_lift(R, m1(s), m2(t))."""
-    return _relation(m1, m2, _refine(kind, m1, m2, False, None))
+    return _relation(m1, m2, _refine(m1, m2, False, None))
 
 
-def bisimilarity_classes(kind: BehaviourKind, model: Model,
-                         rounds: Union[list, None] = None) -> tuple:
+def bisimilarity_classes(model: Model, rounds: Union[list, None] = None) -> tuple:
     """Coarsest partition whose classes have equal class-quotiented behaviour:
     the greatest symmetric simulation, so round k of its refinement is depth-k
     bisimilarity.  Classes are ordered by their first member in carrier
     order.  rounds, if given, receives the refinement's rows after every
     round that split a class."""
     groups: dict = {}
-    for s, row in zip(model.carrier(), _refine(kind, model, model, True, rounds)):
+    for s, row in zip(model.carrier(), _refine(model, model, True, rounds)):
         groups.setdefault(row, []).append(s)
     return tuple(frozenset(g) for g in groups.values())
 
@@ -230,7 +228,7 @@ def _refine_pair(model: Model, t1: Term, t2: Term, relation: str) -> tuple:
     if relation not in ("sim", "bisim"):
         raise ValueError(f"unknown relation {relation!r}")
     rounds: list = []
-    rows = _refine(model.kind, model, model, relation == "bisim", rounds)
+    rows = _refine(model, model, relation == "bisim", rounds)
     return rows, _separating_round(rounds, index[t1], index[t2])
 
 
@@ -303,10 +301,9 @@ def congruence_test(spec: Spec, model: Model, samples: int, depth: int = 3,
     """
     if samples < 0:
         raise ValueError("samples must be a natural")
-    kind = model.kind
     rng = random.Random(seed)
     rounds: list = []
-    classes = bisimilarity_classes(kind, model, rounds)
+    classes = bisimilarity_classes(model, rounds)
     index = {s: i for i, s in enumerate(model.carrier())}
     cls_of: dict = {}
     members: dict = {}
@@ -360,7 +357,7 @@ def _fresh_name(name: str, sig) -> str:
 
 
 def _test_labels(kind) -> list:
-    if getattr(kind, "labels", None) is not None:
+    if kind.labels is not None:
         return sorted(kind.labels, key=label_key)
     return [1, 2]  # natural-number stream labels
 
@@ -434,8 +431,8 @@ def law_hom_preserves_similarity(kind: BehaviourKind, gsrc: GenCoalgebra,
         return LawResult("L2", "inconclusive", "supplied map is not a homomorphism")
     msrc = gen_to_model(kind, gsrc)
     mdst = gen_to_model(kind, gdst)
-    similar = greatest_simulation(kind, msrc, msrc).pairs
-    target = greatest_simulation(kind, mdst, mdst).pairs
+    similar = greatest_simulation(msrc, msrc).pairs
+    target = greatest_simulation(mdst, mdst).pairs
     for x in gsrc.states:
         for y in gsrc.states:
             if ((Var(x), Var(y)) in similar
@@ -446,8 +443,7 @@ def law_hom_preserves_similarity(kind: BehaviourKind, gsrc: GenCoalgebra,
     return LawResult("L2", "pass", {"pairs": len(similar)})
 
 
-def _square(law: str, kind: BehaviourKind, src: Model, dst: Model,
-            term_map) -> LawResult:
+def _square(law: str, src: Model, dst: Model, term_map) -> LawResult:
     """term_map is a homomorphism from src to dst: the square
     map(term_map, src(t)) == dst(term_map(t)) commutes on the first
     LAW_MAX_TERMS source terms, which gives equal unfoldings at every depth.  Images
@@ -461,7 +457,7 @@ def _square(law: str, kind: BehaviourKind, src: Model, dst: Model,
             skipped += 1
             continue
         checked += 1
-        if kind.map_states(term_map, src.step(t)) != dst.step(image):
+        if src.kind.map_states(term_map, src.step(t)) != dst.step(image):
             return LawResult(law, "fail", {"term": print_term(t)})
     if not checked:
         return LawResult(law, "inconclusive", "universe too small")
@@ -481,13 +477,13 @@ def law_term_map_hom(spec: Spec, gsrc: GenCoalgebra, gdst: GenCoalgebra,
 
     images = [tmap(t) for t in lift_src.universe]
     lift_dst = lift_coalgebra(spec, gdst, _lift_seeds(spec, gdst) + images, policy)
-    return _square("T1", spec.kind, lift_src, lift_dst, tmap)
+    return _square("T1", lift_src, lift_dst, tmap)
 
 
-def law_unit_hom(spec: Spec, gen: GenCoalgebra, lifted: Model) -> LawResult:
+def law_unit_hom(gen: GenCoalgebra, lifted: Model) -> LawResult:
     """T2-eta: generator states keep their dynamics verbatim inside lifted,
     the lift of gen."""
-    kind = spec.kind
+    kind = lifted.kind
     if not gen.states:
         return LawResult("T2-eta", "inconclusive", "empty generator")
     for x in gen.states:
@@ -524,13 +520,11 @@ def doubled_lift(spec: Spec, inner: Model, policy: UniversePolicy) -> tuple:
     return gen, outer, decode
 
 
-def law_flatten_hom(spec: Spec, inner: Model, outer: Model,
-                    decode: Mapping) -> LawResult:
+def law_flatten_hom(inner: Model, outer: Model, decode: Mapping) -> LawResult:
     """T2-mu: substituting inner terms for their state names is a
     homomorphism from the doubled lift onto the inner lift."""
     binding = dict(decode)
-    return _square("T2-mu", spec.kind, outer, inner,
-                   lambda t: substitute(t, binding))
+    return _square("T2-mu", outer, inner, lambda t: substitute(t, binding))
 
 
 def law_suite(spec: Spec, policy: UniversePolicy = LAW_POLICY) -> tuple:
@@ -548,9 +542,9 @@ def law_suite(spec: Spec, policy: UniversePolicy = LAW_POLICY) -> tuple:
         law_term_map_hom(spec, gbig, gsmall, hom, policy),
     ]
     inner = lift_coalgebra(spec, gsmall, _lift_seeds(spec, gsmall), policy)
-    results.append(law_unit_hom(spec, gsmall, inner))
+    results.append(law_unit_hom(gsmall, inner))
     _, outer, decode = doubled_lift(spec, inner, policy)
-    results.append(law_flatten_hom(spec, inner, outer, decode))
+    results.append(law_flatten_hom(inner, outer, decode))
     return tuple(results)
 
 

@@ -1,4 +1,4 @@
-"""The .sos rule language: parsing, printing, validation, monotonicity.
+"""The .sos rule language: parsing, validation, monotonicity.
 
 A specification file fixes a behaviour kind, declares a signature, and lists
 named rules.  Rules pair a chain of lookahead premises over bound variables
@@ -88,18 +88,6 @@ def has_arithmetic(e: LabelExpr) -> bool:
     return isinstance(e, (LabelAdd, LabelMul))
 
 
-def label_expr_str(e: LabelExpr, prec: int = 0) -> str:
-    if isinstance(e, LabelLit):
-        return str(e.value)
-    if isinstance(e, LabelVar):
-        return e.name
-    if isinstance(e, LabelAdd):
-        s = f"{label_expr_str(e.left, 1)}+{label_expr_str(e.right, 1)}"
-        return f"({s})" if prec > 1 else s
-    s = f"{label_expr_str(e.left, 2)}*{label_expr_str(e.right, 2)}"
-    return f"({s})" if prec > 2 else s
-
-
 # --- target templates -----------------------------------------------------------
 
 
@@ -151,17 +139,6 @@ def template_apps(tt: TargetTerm):
             yield from template_apps(a)
 
 
-def template_str(tt: TargetTerm) -> str:
-    if isinstance(tt, Var):
-        return tt.name
-    out = tt.op
-    if tt.params:
-        out += "[" + ",".join(label_expr_str(p) for p in tt.params) + "]"
-    if tt.args:
-        out += "(" + ",".join(template_str(a) for a in tt.args) + ")"
-    return out
-
-
 # --- rules and specs ------------------------------------------------------------
 
 
@@ -198,10 +175,6 @@ class Spec:
         self.sig = sig
         self.rules = tuple(rules)
         self.join_plan = None  # compiled by the engine on first use
-
-    def __eq__(self, other):
-        return (isinstance(other, Spec) and self.kind == other.kind
-                and self.sig == other.sig and self.rules == other.rules)
 
     def __repr__(self):
         return f"Spec(kind={self.kind.name}, ops={len(self.sig.operators())}, rules={len(self.rules)})"
@@ -261,10 +234,10 @@ def _parse_ops_line(cur: TokenCursor) -> list:
     while True:
         name = cur.expect("ident").value
         cur.expect_sym("/")
-        arity = int(cur.expect("nat").value)
+        arity = cur.nat()
         param_count = 0
         if cur.eat_sym("["):
-            param_count = int(cur.expect("nat").value)
+            param_count = cur.nat()
             cur.expect_sym("]")
         entries.append((name, arity, param_count))
         if not cur.eat_sym(","):
@@ -278,8 +251,7 @@ def _parse_ops_line(cur: TokenCursor) -> list:
 def _label_atom(cur: TokenCursor, kind: BehaviourKind) -> LabelExpr:
     tok = cur.peek()
     if tok.kind == "nat":
-        cur.next()
-        return LabelLit(int(tok.value))
+        return LabelLit(cur.nat())
     if tok.kind == "ident":
         cur.next()
         if kind.labels is not None and tok.value in kind.labels:
@@ -425,46 +397,6 @@ def parse_spec(text: str) -> Spec:
     return Spec(kind, sig, tuple(rules))
 
 
-# --- printer --------------------------------------------------------------------
-
-
-def _premise_str(p: Premise) -> str:
-    if isinstance(p, Positive):
-        return f"{p.source} -{label_expr_str(p.label)}-> {p.target}"
-    return f"{p.source} -{label_expr_str(p.label)}-/->"
-
-
-def _head_str(r: Rule) -> str:
-    out = r.head_op
-    if r.head_params:
-        out += "[" + ",".join(r.head_params) + "]"
-    if r.head_vars:
-        out += "(" + ",".join(r.head_vars) + ")"
-    return out
-
-
-def print_rule(r: Rule) -> str:
-    premises = ", ".join(_premise_str(p) for p in r.premises)
-    premises = premises + " " if premises else ""
-    return (f"rule {r.name} : {premises}|- {_head_str(r)} "
-            f"-{label_expr_str(r.concl_label)}-> {template_str(r.concl_target)}")
-
-
-def print_spec(spec: Spec) -> str:
-    if isinstance(spec.kind, PartialStream) and spec.kind.labels is None:
-        lines = ["behaviour stream nat"]
-    else:
-        domain = ", ".join(sorted(spec.kind.labels))
-        lines = [f"behaviour {spec.kind.name} labels {domain}"]
-    ops = spec.sig.operators()
-    if ops:
-        entries = ", ".join(f"{o.name}/{o.arity}" + (f"[{o.param_count}]" if o.param_count else "")
-                            for o in ops)
-        lines.append(f"ops {entries}")
-    lines.extend(print_rule(r) for r in spec.rules)
-    return "\n".join(lines) + "\n"
-
-
 # --- validation -----------------------------------------------------------------
 
 
@@ -478,7 +410,7 @@ def validate_spec(spec: Spec) -> list:
     """Structural diagnostics. An empty list means the spec is well-formed."""
     out: list = []
     kind = spec.kind
-    nat_labels = isinstance(kind, PartialStream) and kind.labels is None
+    nat_labels = kind.labels is None
     for r in spec.rules:
         if r.head_op not in spec.sig:
             out.append(Diagnostic(r.name, f"unknown head operator {r.head_op!r}"))

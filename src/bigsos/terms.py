@@ -56,9 +56,6 @@ class Signature:
         """Names of parameterless nullary operators, sorted."""
         return tuple(o.name for o in self.operators() if o.arity == 0 and o.param_count == 0)
 
-    def __eq__(self, other):
-        return isinstance(other, Signature) and self._ops == other._ops
-
     def __repr__(self):
         body = ", ".join(f"{o.name}/{o.arity}" + (f"[{o.param_count}]" if o.param_count else "")
                          for o in self.operators())
@@ -281,7 +278,9 @@ _SYMBOLS = ("-/->", "|-", "->", "(", ")", "[", "]", ",", ":", "/", "+", "*", "-"
 # "_" and primes (so premise targets can be written x', x''); a natural is a
 # run of digits.  \w is exactly str.isalnum() plus "_", but \d is only
 # str.isdecimal(), so [^\W\d] also admits numerals such as "²" that are not
-# letters; tokenize sends those to the natural or error branch itself.
+# letters; tokenize sends those to the natural or error branch itself.  So a
+# natural can hold digits that int() cannot read ("1²"); TokenCursor.nat
+# reports those as a parse error at the token.
 _TOKEN = re.compile(r"[ \t\r\n]*(?:([^\W\d][\w']*)|("
                     + "|".join(re.escape(sym) for sym in _SYMBOLS)
                     + r")|(\d+)|(#)|([^ \t\r\n]))")
@@ -366,12 +365,20 @@ class TokenCursor:
             raise ParseError(f"expected {kind}, got {what!r}", tok.line, tok.col)
         return self.next()
 
+    def nat(self) -> int:
+        """The value of the next token, which must be a natural int() reads."""
+        tok = self.expect("nat")
+        try:
+            return int(tok.value)
+        except ValueError:
+            raise ParseError(f"expected nat, got {tok.value!r}", tok.line, tok.col) from None
+
 
 def _parse_nat_list(cur: TokenCursor) -> tuple[int, ...]:
     cur.expect_sym("[")
-    vals = [int(cur.expect("nat").value)]
+    vals = [cur.nat()]
     while cur.eat_sym(","):
-        vals.append(int(cur.expect("nat").value))
+        vals.append(cur.nat())
     cur.expect_sym("]")
     return tuple(vals)
 
@@ -420,9 +427,9 @@ def parse_term(text: str, sig: Signature, closed: bool = False) -> Term:
 
 @dataclass(frozen=True)
 class UniversePolicy:
-    """Caps on the engine's finite universes; with grow off, the universe
-    stays the subterm closure of the seeds."""
+    """Caps on the engine's finite universes.  Every term has size at least
+    1, so with max_size 0 the universe stays the subterm closure of the
+    seeds."""
 
     max_count: int = 500
     max_size: int = 12
-    grow: bool = True

@@ -98,7 +98,7 @@ def test_criterion_2_lookahead2():
         seeds = [pt(spec, s) for s in LOOK2_SEEDS]
         model, report = least_model(spec, seeds,
                                     UniversePolicy(max_count=50, max_size=10))
-        classes = bisimilarity_classes(spec.kind, model)
+        classes = bisimilarity_classes(model)
         congr = congruence_test(spec, model, samples=50, depth=3, seed=0)
         return json.dumps({
             "model": model_to_json(model, report),
@@ -163,8 +163,7 @@ def test_criterion_4_transclosure():
         rows = []
         for k_cap in (5, 10, 20):
             t0 = time.monotonic()
-            policy = UniversePolicy(max_count=k_cap + 2, max_size=k_cap + 2,
-                                    grow=False)
+            policy = UniversePolicy(max_count=k_cap + 2, max_size=0)
             model, report = least_model(spec, [sigma_tower(k_cap)], policy)
             v = model.behaviour[sigma_tower(1)]
             degree = sum(len(v.successors(lab)) for lab in v.labels())
@@ -234,7 +233,7 @@ def test_criterion_5_phi_monotone():
         checked = 0
         for name, seed_texts in sorted(MONOTONE_FIXTURES.items()):
             spec = fx(name)
-            policy = UniversePolicy(max_count=12, max_size=9, grow=False)
+            policy = UniversePolicy(max_count=12, max_size=0)
             base, _ = least_model(spec, [pt(spec, s) for s in seed_texts], policy)
             universe = base.universe
             labels = (sorted(spec.kind.labels)
@@ -271,7 +270,7 @@ def test_criterion_6_least_ness():
             text = random_monotone_lts_text(rng)
             spec = parse_spec(text)
             universe = tuple(pt(spec, s) for s in UNIVERSE_TEXTS)
-            policy = UniversePolicy(max_count=3, max_size=3, grow=False)
+            policy = UniversePolicy(max_count=3, max_size=0)
             computed, report = least_model(spec, list(universe), policy)
             assert report.converged, i
             assert not computed.frontier, i
@@ -374,13 +373,13 @@ def test_criterion_8_laws():
                                     LAW_POLICY)
         assert report.converged
         gen, outer, decode = doubled_lift(spec, inner, LAW_POLICY)
-        clean = law_flatten_hom(spec, inner, outer, decode)
+        clean = law_flatten_hom(inner, outer, decode)
         victim = pt(spec, "tau(c)")
         beh = dict(inner.behaviour)
         beh[victim] = spec.kind.bottom()   # delete tau(c)'s only transition
         broken = Model(spec.kind, inner.universe, beh, inner.frontier,
                        inner.tainted)
-        hurt = law_flatten_hom(spec, broken, outer, decode)
+        hurt = law_flatten_hom(broken, outer, decode)
         out["mutation"] = {"clean": clean.to_json(), "mutated": hurt.to_json()}
         return json.dumps(out)
 

@@ -228,6 +228,16 @@ def test_unknown_name_in_a_term_is_an_unknown_operator():
         1, "", "error: unknown operator 'nosuch' (line 1, column 7)\n")
 
 
+def test_nat_int_cannot_read_exits_1(tmp_path):
+    # "1²" is one natural token, which int() rejects: a parse error, not exit 2
+    bad = tmp_path / "sup.sos"
+    bad.write_text("behaviour stream nat\nops ones/0\nrule ones : |- ones -1²-> ones\n")
+    assert cli("check", str(bad)) == (
+        1, "", "error: expected nat, got '1²' (line 3, column 22)\n")
+    assert cli("model", fixture_path("factstream"), "otimes[2²](ones)") == (
+        1, "", "error: expected nat, got '2²' (line 1, column 8)\n")
+
+
 def test_validation_diagnostics_exit_2(tmp_path):
     bad = tmp_path / "diag.sos"
     bad.write_text("behaviour lts labels a\nops c/0\nrule r: |- c -b-> c\n")

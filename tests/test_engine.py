@@ -157,7 +157,7 @@ ORACLE_SPECS = {
                    UniversePolicy(400, 16), False),
     "wchain": (fixture_text("wchain"), ("f(f(c))", "f(d)"), UniversePolicy(40, 8), False),
     "negloop": (fixture_text("negloop"), ("sigma(sigma(c))",),
-                UniversePolicy(10, 6, grow=False), True),
+                UniversePolicy(10, 0), True),
     "shared-labels": (SHARED_LABELS, ("f(f(c))", "f(d)", "g(c, d)", "g(f(c), c)", "h(c)", "h(d)"),
                       UniversePolicy(60, 7), False),
     "head-params": (HEAD_PARAMS, ("pick[1](ones)", "pick[2](ones)", "pick[2](up(ones))",
@@ -233,8 +233,6 @@ def test_phi_step_work_per_term_on_the_tower(monkeypatch):
 def naive_promotions(model, policy):
     """Frontier terms (with their subterm closures) that fit the caps: every
     frontier term examined on every call, with a full subterm walk."""
-    if not policy.grow:
-        return []
     inside = set(model.universe)
     budget = policy.max_count - len(inside)
     promoted: list = []
@@ -307,7 +305,7 @@ SEMINAIVE_CASES = {
     "lookahead2": ("lookahead2", ("sigma(tau(c))", "sigma(tau(d))"), UniversePolicy(40, 8), False),
     "transclosure": ("transclosure", ("sigma(sigma(c))",), UniversePolicy(40, 8), False),
     "transclosure-capped": ("transclosure", ("sigma(c)",), UniversePolicy(6, 8), False),
-    "transclosure-fixed": ("transclosure", ("sigma(c)",), UniversePolicy(10, 10, grow=False),
+    "transclosure-fixed": ("transclosure", ("sigma(c)",), UniversePolicy(10, 0),
                            False),
     "factstream": ("factstream", ("c", "pos", "sigma(pos)", "sigma(c)"),
                    UniversePolicy(400, 16), False),
@@ -315,7 +313,7 @@ SEMINAIVE_CASES = {
     "factstream-sized": ("factstream", ("sigma(pos)",), UniversePolicy(8000, 48), False),
     "wchain": ("wchain", ("f(f(c))", "f(d)"), UniversePolicy(40, 8), False),
     "wchain-capped": ("wchain", ("f(f(f(c)))",), UniversePolicy(4, 8), False),
-    "negloop": ("negloop", ("sigma(sigma(c))",), UniversePolicy(10, 6, grow=False), True),
+    "negloop": ("negloop", ("sigma(sigma(c))",), UniversePolicy(10, 0), True),
     "negloop-growing": ("negloop", ("sigma(c)",), UniversePolicy(8, 6), True),
     "empty": ("empty", (), UniversePolicy(), False),
 }
@@ -349,7 +347,7 @@ def test_least_model_matches_naive_loop_on_random_specs():
     for i in range(50):
         spec = random_monotone_lts_spec(random.Random(i))
         seeds = [pt(spec, s) for s in UNIVERSE_TEXTS]
-        for policy in (UniversePolicy(), UniversePolicy(2, 2), UniversePolicy(3, 2, grow=False)):
+        for policy in (UniversePolicy(), UniversePolicy(2, 2), UniversePolicy(3, 0)):
             assert_same_iteration(spec, seeds, policy, sweep=True)
 
 
@@ -513,7 +511,7 @@ def test_universe_growth_promotes_targets():
 
 def test_no_growth_leaves_frontier():
     spec = fx("transclosure")
-    policy = UniversePolicy(max_count=10, max_size=10, grow=False)
+    policy = UniversePolicy(max_count=10, max_size=0)
     model, report = least_model(spec, [pt(spec, "sigma(c)")], policy)
     assert report.converged
     assert set(model.universe) == {pt(spec, "c"), pt(spec, "sigma(c)")}
@@ -522,7 +520,7 @@ def test_no_growth_leaves_frontier():
 
 def test_frontier_terms_step_to_bottom():
     spec = fx("transclosure")
-    policy = UniversePolicy(max_count=10, max_size=10, grow=False)
+    policy = UniversePolicy(max_count=10, max_size=0)
     model, _ = least_model(spec, [pt(spec, "sigma(c)")], policy)
     ghost = pt(spec, "sigma(sigma(c))")
     assert spec.kind.is_bottom(model.step(ghost))
@@ -535,7 +533,7 @@ def test_frontier_terms_step_to_bottom():
 
 def test_truncation_taints_consumers():
     spec = fx("transclosure")
-    policy = UniversePolicy(max_count=10, max_size=10, grow=False)
+    policy = UniversePolicy(max_count=10, max_size=0)
     model, _ = least_model(spec, [pt(spec, "sigma(c)")], policy)
     # chain3 walks through the frontier, so sigma(c)'s value may under-report
     assert pt(spec, "sigma(c)") in model.tainted
@@ -554,7 +552,7 @@ def test_genuine_bottom_is_not_tainted():
 
 def test_unfold_marks_taint_opaque():
     spec = fx("transclosure")
-    policy = UniversePolicy(max_count=10, max_size=10, grow=False)
+    policy = UniversePolicy(max_count=10, max_size=0)
     model, _ = least_model(spec, [pt(spec, "sigma(c)")], policy)
     tree = unfold(model, pt(spec, "sigma(c)"), 1)
     assert tree.opaque

@@ -43,9 +43,9 @@ def look2_model():
     return spec, model
 
 
-def tiny_model(name, seed_text, grow=False):
+def tiny_model(name, seed_text):
     spec = fx(name)
-    policy = UniversePolicy(max_count=12, max_size=10, grow=grow)
+    policy = UniversePolicy(max_count=12, max_size=0)
     model, _ = least_model(spec, [pt(spec, seed_text)], policy)
     return spec, model
 
@@ -69,23 +69,23 @@ def brute_greatest_simulation(kind, m1, m2):
 def test_greatest_simulation_matches_brute_force(name, seed):
     spec, model = tiny_model(name, seed)
     assert len(model.carrier()) <= 4  # keeps 2^(n*n) tractable
-    sim = greatest_simulation(spec.kind, model, model)
+    sim = greatest_simulation(model, model)
     assert sim.pairs == brute_greatest_simulation(spec.kind, model, model)
 
 
 def test_greatest_simulation_is_reflexive_on_one_model():
-    spec, model = look2_model()
-    sim = greatest_simulation(spec.kind, model, model)
+    _, model = look2_model()
+    sim = greatest_simulation(model, model)
     for s in model.carrier():
         assert (s, s) in sim
 
 
 def test_greatest_simulation_kind_mismatch():
-    spec1, model1 = look2_model()
+    _, model1 = look2_model()
     spec2 = fx("wchain")
     model2, _ = least_model(spec2, policy=UniversePolicy(max_count=10, max_size=4))
     with pytest.raises(CarrierMismatchError):
-        greatest_simulation(spec1.kind, model1, model2)
+        greatest_simulation(model1, model2)
 
 
 def test_greatest_simulation_rejects_a_successor_outside_the_carrier():
@@ -93,7 +93,7 @@ def test_greatest_simulation_rejects_a_successor_outside_the_carrier():
     gx = Var("gx")
     model = Model(kind, (gx,), {gx: LtsValue.make({"a": {Var("gy")}})}, frozenset())
     with pytest.raises(UnknownStateError, match="gy is outside the carrier"):
-        greatest_simulation(kind, model, model)
+        greatest_simulation(model, model)
 
 
 # --- bisimilarity classes ---------------------------------------------------------------
@@ -101,7 +101,7 @@ def test_greatest_simulation_rejects_a_successor_outside_the_carrier():
 
 def test_lookahead2_classes():
     spec, model = look2_model()
-    classes = bisimilarity_classes(spec.kind, model)
+    classes = bisimilarity_classes(model)
     by_term = {t: i for i, cl in enumerate(classes) for t in cl}
     c, d = pt(spec, "c"), pt(spec, "d")
     sc, sd = pt(spec, "sigma(tau(c))"), pt(spec, "sigma(tau(d))")
@@ -113,17 +113,17 @@ def test_lookahead2_classes():
 
 
 def test_classes_partition_carrier():
-    spec, model = look2_model()
-    classes = bisimilarity_classes(spec.kind, model)
+    _, model = look2_model()
+    classes = bisimilarity_classes(model)
     flat = [t for cl in classes for t in cl]
     assert sorted(map(str, flat)) == sorted(map(str, model.carrier()))
     assert len(flat) == len(set(flat))
 
 
 def test_classes_refine_mutual_similarity():
-    spec, model = look2_model()
-    sim = greatest_simulation(spec.kind, model, model)
-    for cl in bisimilarity_classes(spec.kind, model):
+    _, model = look2_model()
+    sim = greatest_simulation(model, model)
+    for cl in bisimilarity_classes(model):
         for s, t in itertools.product(cl, cl):
             assert (s, t) in sim and (t, s) in sim
 
@@ -294,14 +294,14 @@ def test_flatten_law_fails_after_mutation():
     inner, report = least_model(spec, seeds, LAW_POLICY)
     assert report.converged
     gen, outer, decode = doubled_lift(spec, inner, LAW_POLICY)
-    clean = law_flatten_hom(spec, inner, outer, decode)
+    clean = law_flatten_hom(inner, outer, decode)
     assert clean.status == "pass"
 
     victim = pt(spec, "tau(c)")
     beh = dict(inner.behaviour)
     beh[victim] = spec.kind.bottom()  # delete tau(c)'s only transition
     broken = Model(spec.kind, inner.universe, beh, inner.frontier, inner.tainted)
-    hurt = law_flatten_hom(spec, broken, outer, decode)
+    hurt = law_flatten_hom(broken, outer, decode)
     assert hurt.status == "fail"
     assert hurt.witness
 
@@ -320,7 +320,7 @@ def test_flatten_law_skips_tainted_terms():
     beh = dict(inner.behaviour)
     beh[victim] = spec.kind.bottom()
     broken = Model(spec.kind, inner.universe, beh, inner.frontier, inner.tainted)
-    assert law_flatten_hom(spec, broken, outer, decode).status == "pass"
+    assert law_flatten_hom(broken, outer, decode).status == "pass"
 
 
 def test_similarity_law_checks_images(monkeypatch):
@@ -359,7 +359,7 @@ def test_suite_json_shape():
 def test_simulation_implies_depth_similarity():
     # pairs in the greatest simulation stay related under every finite cut
     spec, model = look2_model()
-    sim = greatest_simulation(spec.kind, model, model)
+    sim = greatest_simulation(model, model)
     for s, t in sorted(sim.pairs, key=lambda p: (str(p[0]), str(p[1]))):
         for depth in (1, 2, 3):
             u, v = unfold(model, s, depth), unfold(model, t, depth)
@@ -405,9 +405,9 @@ def drops_of(rounds, m1, m2):
     return drop
 
 
-def sim_drops(kind, m1, m2):
+def sim_drops(m1, m2):
     rounds: list = []
-    relations._refine(kind, m1, m2, False, rounds)
+    relations._refine(m1, m2, False, rounds)
     return drops_of(rounds, m1, m2)
 
 
@@ -441,7 +441,7 @@ def spec_gen_models(count):
         spec = random_monotone_lts_spec(random.Random(i))
         universe = [pt(spec, s) for s in UNIVERSE_TEXTS]
         model, _ = least_model(spec, universe,
-                               UniversePolicy(max_count=3, max_size=3, grow=False))
+                               UniversePolicy(max_count=3, max_size=0))
         yield f"spec_gen-{i}", model
 
 
@@ -484,7 +484,7 @@ def _dissimilar_at(model, s, t, depth):
 
 @pytest.mark.parametrize("name,model", cases(small_models()))
 def test_sim_depth_is_first_depth_of_unfold_dissimilarity(name, model):
-    drops = sim_drops(model.kind, model, model)
+    drops = sim_drops(model, model)
     stable = max(drops.values(), default=0) + 1
     separated = 0
     pairs = sorted(itertools.product(model.carrier(), repeat=2), key=str)
@@ -504,8 +504,8 @@ def test_sim_depth_is_first_depth_of_unfold_dissimilarity(name, model):
 @pytest.mark.parametrize("name,model", cases(fixture_models()) + cases(large_models()))
 def test_greatest_simulation_matches_naive_refinement(name, model):
     kind = model.kind
-    sim = greatest_simulation(kind, model, model)
-    drops = sim_drops(kind, model, model)
+    sim = greatest_simulation(model, model)
+    drops = sim_drops(model, model)
     want, want_drop = naive_refinement(kind, model, model)
     assert sim.pairs == want
     assert drops == want_drop
@@ -529,9 +529,9 @@ def test_greatest_simulation_reads_each_step_once(kind_name, monkeypatch):
     kind = KINDS[kind_name]
     model = random_gen_model(kind, 50, random.Random(5))
     calls = count_kind_calls(kind, monkeypatch)
-    greatest_simulation(kind, model, model)
+    greatest_simulation(model, model)
     assert calls == {"moves": 50, "rel_lift": 0, "map_states": 0}
-    assert max(sim_drops(kind, model, model).values()) >= 2
+    assert max(sim_drops(model, model).values()) >= 2
 
 
 @pytest.mark.parametrize("kind_name", sorted(KINDS))
@@ -542,7 +542,7 @@ def test_bisimilarity_classes_reads_each_step_once(kind_name, monkeypatch):
     model = random_gen_model(kind, 50, random.Random(5))
     calls = count_kind_calls(kind, monkeypatch)
     rounds: list = []
-    bisimilarity_classes(kind, model, rounds)
+    bisimilarity_classes(model, rounds)
     assert calls == {"moves": 50, "rel_lift": 0, "map_states": 0}
     assert len(rounds) >= 2
 
@@ -566,11 +566,11 @@ def test_simulation_guard_uses_fresh_preimages(monkeypatch):
 
     monkeypatch.setattr(relations, "_Preimages", make)
     with pytest.raises(BigsosError, match="not a simulation"):
-        greatest_simulation(kind, model, model)
+        greatest_simulation(model, model)
     assert len(tables) == 2
     tables.clear()
     with pytest.raises(BigsosError, match="not a simulation"):
-        bisimilarity_classes(kind, model)
+        bisimilarity_classes(model)
     assert len(tables) == 2
 
 
@@ -579,8 +579,8 @@ def test_greatest_simulation_between_two_models(kind_name):
     kind = KINDS[kind_name]
     m1 = random_gen_model(kind, 25, random.Random(11))
     m2 = random_gen_model(kind, 30, random.Random(12))
-    sim = greatest_simulation(kind, m1, m2)
-    drops = sim_drops(kind, m1, m2)
+    sim = greatest_simulation(m1, m2)
+    drops = sim_drops(m1, m2)
     want, want_drop = naive_refinement(kind, m1, m2)
     assert sim.pairs == want and drops == want_drop
 
@@ -590,7 +590,7 @@ def test_bisim_depth_is_first_round_of_pair_refinement(name, model):
     kind = model.kind
     want, want_drop = naive_refinement(kind, model, model, both_ways=True)
     rounds: list = []
-    classes = bisimilarity_classes(kind, model, rounds)
+    classes = bisimilarity_classes(model, rounds)
     assert {(s, t) for cl in classes for s in cl for t in cl} == want
     pairs = sorted(itertools.product(model.carrier(), repeat=2), key=str)
     for s, t in random.Random(0).sample(pairs, min(len(pairs), 60)):
@@ -607,7 +607,7 @@ def test_bisim_rounds_match_naive_refinement(name, model):
     # drops each pair in the round the back-and-forth refinement does
     want, want_drop = naive_refinement(model.kind, model, model, both_ways=True)
     rounds: list = []
-    bisimilarity_classes(model.kind, model, rounds)
+    bisimilarity_classes(model, rounds)
     assert drops_of(rounds, model, model) == want_drop
     assert len(model.carrier()) < 20 or len(rounds) >= 2
 
@@ -617,7 +617,7 @@ def test_bisimilarity_classes_reject_a_successor_outside_the_carrier():
     gx = Var("gx")
     model = Model(kind, (gx,), {gx: LtsValue.make({"a": {Var("gy")}})}, frozenset())
     with pytest.raises(UnknownStateError, match="gy is outside the carrier"):
-        bisimilarity_classes(kind, model)
+        bisimilarity_classes(model)
 
 
 def test_wts_bisimilarity_merges_weights_into_a_class_by_sup():
@@ -631,7 +631,7 @@ def test_wts_bisimilarity_merges_weights_into_a_class_by_sup():
         **{s: WtsValue.make(loop) for s in ("x", "y", "z")}})
     model = gen_to_model(kind, gen)
     p, q, x, y, z = (Var(s) for s in gen.states)
-    assert bisimilarity_classes(kind, model) == (frozenset({p, q}), frozenset({x, y, z}))
+    assert bisimilarity_classes(model) == (frozenset({p, q}), frozenset({x, y, z}))
     assert check_equivalence(model, p, q, "bisim").related
     want, _ = naive_refinement(kind, model, model, both_ways=True)
     assert (p, q) in want
