@@ -206,21 +206,24 @@ def _builder(target, slot: dict):
     variable read from its slot."""
     if isinstance(target, Var):
         return itemgetter(slot[("t", target.name)])
-    op, kids = target.op, tuple(_builder(a, slot) for a in target.args)
-    if not kids:
+    op = target.op
+    if not target.args:
         leaf = App(op)
         return lambda env: leaf
+    kids = tuple([_builder(a, slot) for a in target.args])
     return lambda env: App(op, (), tuple([build(env) for build in kids]))
 
 
-def _compile_conclusion(kind: BehaviourKind, rule: Rule, layout: tuple):
+def _compile_conclusion(kind: BehaviourKind, rule: Rule, layout: tuple,
+                        term_vars: frozenset, param_exprs: tuple):
     """Function from an environment laid out as layout to the pair the rule
-    concludes; a derivation raises the errors evaluating the pair raises."""
+    concludes; a derivation raises the errors evaluating the pair raises.
+    term_vars and param_exprs are the target's variables and parameter
+    expressions."""
     label, target = rule.concl_label, rule.concl_target
     slot = {name: i for i, name in enumerate(layout)}
-    if (isinstance(label, LabelLit) and kind.has_label(label.value)
-            and next(template_param_exprs(target), None) is None
-            and all(("t", v) in slot for v in template_vars(target))):
+    if (isinstance(label, LabelLit) and kind.has_label(label.value) and not param_exprs
+            and all(("t", v) in slot for v in term_vars)):
         lab, build = label.value, _builder(target, slot)
         return lambda env: (lab, build(env))
 
@@ -237,8 +240,10 @@ def _compile_conclusion(kind: BehaviourKind, rule: Rule, layout: tuple):
 
 
 def _compile_rule(kind: BehaviourKind, rule: Rule) -> _RulePlan:
-    concl = {("t", v) for v in template_vars(rule.concl_target)}
-    for e in (rule.concl_label, *template_param_exprs(rule.concl_target)):
+    term_vars = template_vars(rule.concl_target)
+    param_exprs = tuple(template_param_exprs(rule.concl_target))
+    concl = {("t", v) for v in term_vars}
+    for e in (rule.concl_label, *param_exprs):
         concl |= {("l", v) for v in label_vars(e)}
     live = [concl]  # live[i]: names read by premise i or anything after it
     for p in reversed(rule.premises):
@@ -272,7 +277,8 @@ def _compile_rule(kind: BehaviourKind, rule: Rule) -> _RulePlan:
         steps.append(_PremiseStep(p, layout, slot.get(("t", p.source)),
                                   label_lit, label_slot, out))
         layout = out_layout
-    return _RulePlan(rule, head, tuple(steps), _compile_conclusion(kind, rule, layout))
+    return _RulePlan(rule, head, tuple(steps),
+                     _compile_conclusion(kind, rule, layout, term_vars, param_exprs))
 
 
 def _join_plan(spec: Spec) -> dict:

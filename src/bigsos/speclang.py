@@ -13,10 +13,21 @@ Premise labels are literals or binding label variables; conclusion labels are
 arithmetic expressions over bound label variables when the label domain is
 the naturals.  Negative premises (`x -a-/->`) are parsed but make the spec
 non-monotone.
+
+Most lines of a generated spec are ground axioms, `rule r : |- c -a-> d`.
+parse_spec matches each line against one pattern for that shape (ASCII
+identifiers, a label that is an identifier or a run of ASCII digits, blanks
+and a trailing comment) and builds the rule from the match without
+tokenizing the line.  The recogniser never raises, and it accepts only lines
+the general parser parses to the same rule; every other line, including every
+malformed one, goes to the tokenizer and the general parser, so every
+ParseError comes from there, with the same message, line and column.
+Blank and comment-only lines are skipped by the same match.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Union
 
@@ -350,6 +361,31 @@ def _parse_rule_line(cur: TokenCursor, kind: BehaviourKind, sig: Signature) -> R
                 tuple(premises), concl_label, concl_target)
 
 
+# A ground axiom line, `rule NAME : |- HEAD -LABEL-> TARGET`, or a line with no
+# declaration, each with optional blanks and "#" comment.  Every identifier is
+# followed by a blank, a symbol, "#" or the end of the line, never by a
+# character the tokenizer would join to it (a non-ASCII letter, "²", "٣"), so
+# the tokenizer reads the matched line as the pattern's parts.
+_ID = r"[A-Za-z_][A-Za-z0-9_']*"
+_GROUND_AXIOM = re.compile(
+    rf"(?:(?P<indent>[ \t]*)rule[ \t]+(?P<name>{_ID})[ \t]*:[ \t]*\|-[ \t]*(?P<head>{_ID})"
+    rf"[ \t]*-[ \t]*(?:(?P<nat>[0-9]+)|(?P<label>{_ID}))[ \t]*->[ \t]*(?P<target>{_ID}))?"
+    r"[ \t]*(?:#.*)?")
+
+
+def _ground_axiom(m: re.Match, kind: BehaviourKind, sig: Signature) -> Rule:
+    """The rule _parse_rule_line makes of a line _GROUND_AXIOM matched."""
+    nat, label, target = m.group("nat", "label", "target")
+    if nat is not None:
+        lab: LabelExpr = LabelLit(int(nat))
+    elif kind.labels is not None and label in kind.labels:
+        lab = LabelLit(label)
+    else:
+        lab = LabelVar(label)
+    tgt = TemplateApp(target) if target in sig else Var(target)
+    return Rule(m["name"], m["head"], (), (), (), lab, tgt)
+
+
 def parse_spec(text: str) -> Spec:
     """Parse a .sos document. Syntax only; use validate_spec for the rest."""
     kind: Union[BehaviourKind, None] = None
@@ -358,40 +394,43 @@ def parse_spec(text: str) -> Spec:
     rules: list = []
     seen: set = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        cur = TokenCursor(tokenize(raw, lineno))
-        first = cur.peek()
-        if first.kind == "eof":
-            continue
-        if first.kind != "ident":
-            raise ParseError(f"expected a declaration, got {first.value!r}", lineno, first.col)
-        keyword = first.value
-        if keyword == "behaviour":
+        m = _GROUND_AXIOM.fullmatch(raw)
+        if m and m["name"] is None:
+            continue  # blank or comment only
+        if m and kind is not None:
+            rule, col = _ground_axiom(m, kind, sig), m.end("indent") + 1
+        else:
+            cur = TokenCursor(tokenize(raw, lineno))
+            first = cur.peek()  # not eof: the pattern took blank lines
+            if first.kind != "ident":
+                raise ParseError(f"expected a declaration, got {first.value!r}", lineno, first.col)
+            keyword = first.value
             cur.next()
-            if kind is not None:
-                raise ParseError("duplicate behaviour line", lineno, first.col)
-            kind = _parse_behaviour_line(cur, lineno)
-        elif keyword == "ops":
-            cur.next()
-            if has_ops:
-                raise ParseError("duplicate ops line", lineno, first.col)
-            if rules:
-                raise ParseError("ops line must precede rules", lineno, first.col)
-            has_ops = True
-            try:
-                sig = Signature(_parse_ops_line(cur))
-            except ValueError as exc:
-                raise ParseError(str(exc), lineno, first.col) from None
-        elif keyword == "rule":
-            cur.next()
+            if keyword == "behaviour":
+                if kind is not None:
+                    raise ParseError("duplicate behaviour line", lineno, first.col)
+                kind = _parse_behaviour_line(cur, lineno)
+                continue
+            if keyword == "ops":
+                if has_ops:
+                    raise ParseError("duplicate ops line", lineno, first.col)
+                if rules:
+                    raise ParseError("ops line must precede rules", lineno, first.col)
+                has_ops = True
+                try:
+                    sig = Signature(_parse_ops_line(cur))
+                except ValueError as exc:
+                    raise ParseError(str(exc), lineno, first.col) from None
+                continue
+            if keyword != "rule":
+                raise ParseError(f"unknown declaration {keyword!r}", lineno, first.col)
             if kind is None:
                 raise ParseError("behaviour line must precede rules", lineno, first.col)
-            rule = _parse_rule_line(cur, kind, sig)
-            if rule.name in seen:
-                raise ParseError(f"duplicate rule name {rule.name!r}", lineno, first.col)
-            seen.add(rule.name)
-            rules.append(rule)
-        else:
-            raise ParseError(f"unknown declaration {keyword!r}", lineno, first.col)
+            rule, col = _parse_rule_line(cur, kind, sig), first.col
+        if rule.name in seen:
+            raise ParseError(f"duplicate rule name {rule.name!r}", lineno, col)
+        seen.add(rule.name)
+        rules.append(rule)
     if kind is None:
         raise ParseError("missing behaviour line")
     return Spec(kind, sig, tuple(rules))

@@ -1,14 +1,18 @@
 """Rule language: parsing, validation, monotonicity analysis."""
 
+import random
 import re
 
 import pytest
 
+from bigsos import speclang, terms
 from bigsos.errors import ParseError
-from bigsos.speclang import (Negative, Positive, check_monotone,
-                             lookahead_depth, parse_spec, validate_spec)
-from bigsos.terms import Signature, parse_term
+from bigsos.speclang import (_GROUND_AXIOM, Negative, Positive, Spec, _ground_axiom,
+                             _parse_behaviour_line, _parse_ops_line, _parse_rule_line,
+                             check_monotone, lookahead_depth, parse_spec, validate_spec)
+from bigsos.terms import Signature, TokenCursor, parse_term, tokenize
 from conftest import fixture_text
+from spec_gen import random_monotone_lts_text
 
 ALL_FIXTURES = ("factstream", "lookahead2", "negloop", "transclosure",
                 "empty", "wchain")
@@ -102,7 +106,20 @@ def test_duplicate_rule_names_rejected():
     text = ("behaviour lts labels a\nops c/0, f/1\n"
             "rule r: x -a-> y |- f(x) -a-> y\n"
             "rule r: |- c -a-> c\n")
-    with pytest.raises(ParseError, match="duplicate rule name"):
+    with pytest.raises(ParseError,
+                       match=r"^duplicate rule name 'r' \(line 4, column 1\)$"):
+        parse_spec(text)
+
+
+@pytest.mark.parametrize("first,second,col", [
+    ("rule r: |- c -a-> c", "rule r: x -a-> y |- f(x) -a-> y", 1),
+    ("rule r: |- c -a-> c", "  rule r: |- c -a-> d  # again", 3),
+    ("rule r: |- c -a-> c", "\trule r : |- d -a-> c", 2),
+], ids=("axiom-then-premise-rule", "indented-axiom", "tab-indented-axiom"))
+def test_duplicate_rule_name_position(first, second, col):
+    text = f"behaviour lts labels a\nops c/0, d/0, f/1\n{first}\n{second}\n"
+    with pytest.raises(ParseError,
+                       match=rf"^duplicate rule name 'r' \(line 4, column {col}\)$"):
         parse_spec(text)
 
 
@@ -190,3 +207,221 @@ def test_check_monotone_clean_fixtures(name):
     report = check_monotone(parse_spec(fixture_text(name)))
     assert report.monotone
     assert report.offending_rules == ()
+
+
+# --- the ground-axiom recogniser versus the general parser ---------------------------
+
+
+def reference_parse_spec(text):
+    """parse_spec with every line tokenized and parsed by the general parser,
+    as it was before the ground-axiom recogniser; the recogniser's oracle."""
+    kind = None
+    sig = Signature(())
+    has_ops = False
+    rules = []
+    seen = set()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        cur = TokenCursor(tokenize(raw, lineno))
+        first = cur.peek()
+        if first.kind == "eof":
+            continue
+        if first.kind != "ident":
+            raise ParseError(f"expected a declaration, got {first.value!r}", lineno, first.col)
+        keyword = first.value
+        if keyword == "behaviour":
+            cur.next()
+            if kind is not None:
+                raise ParseError("duplicate behaviour line", lineno, first.col)
+            kind = _parse_behaviour_line(cur, lineno)
+        elif keyword == "ops":
+            cur.next()
+            if has_ops:
+                raise ParseError("duplicate ops line", lineno, first.col)
+            if rules:
+                raise ParseError("ops line must precede rules", lineno, first.col)
+            has_ops = True
+            try:
+                sig = Signature(_parse_ops_line(cur))
+            except ValueError as exc:
+                raise ParseError(str(exc), lineno, first.col) from None
+        elif keyword == "rule":
+            cur.next()
+            if kind is None:
+                raise ParseError("behaviour line must precede rules", lineno, first.col)
+            rule = _parse_rule_line(cur, kind, sig)
+            if rule.name in seen:
+                raise ParseError(f"duplicate rule name {rule.name!r}", lineno, first.col)
+            seen.add(rule.name)
+            rules.append(rule)
+        else:
+            raise ParseError(f"unknown declaration {keyword!r}", lineno, first.col)
+    if kind is None:
+        raise ParseError("missing behaviour line")
+    return Spec(kind, sig, tuple(rules))
+
+
+def _outcome(text, parse):
+    try:
+        spec = parse(text)
+    except ParseError as exc:
+        return ("error", str(exc), exc.line, exc.col)
+    return spec.kind, spec.sig.operators(), spec.rules
+
+
+def _recognised(raw, kind, sig) -> bool:
+    """Whether the recogniser takes raw as a ground axiom; if it does, the rule
+    it builds must be the one the general parser builds."""
+    m = _GROUND_AXIOM.fullmatch(raw)
+    if m is None or m["name"] is None:
+        return False
+    cur = TokenCursor(tokenize(raw))
+    assert cur.next().value == "rule", repr(raw)
+    assert _ground_axiom(m, kind, sig) == _parse_rule_line(cur, kind, sig), repr(raw)
+    return True
+
+
+def _assert_agrees(text) -> int:
+    """parse_spec gives the reference's spec, or its exact error; returns how
+    many lines the recogniser took."""
+    expected = _outcome(text, reference_parse_spec)
+    assert _outcome(text, parse_spec) == expected, text
+    if expected[0] == "error":
+        return 0
+    spec = reference_parse_spec(text)
+    return sum(_recognised(raw, spec.kind, spec.sig) for raw in text.splitlines())
+
+
+LABEL_CHOICES = ("a", "b", "tau", "a'", "_x", "0", "7", "007", "zz")  # zz: undeclared
+BLANKS = ("", " ", "  ", "\t", " \t")
+# characters where the recogniser and the tokenizer could part ways
+NEAR_MISS_ALPHABET = (list("ab_01'#|-/>:,()[]+* \t") + ["\xa0", "é", "²", "٣", "\f"])
+
+
+def random_axiom_spec_text(rng: random.Random, n_rules: int, mutate: float = 0.0) -> str:
+    """An LTS spec of ground axioms written with random blanks, comments and
+    names; each rule line is, with probability mutate, one character off."""
+    n = rng.randrange(2, 8)
+    labels = rng.choice(("a, b", "a, b, tau, a', _x", "a"))
+    lines = [f"behaviour lts labels {labels}", "",
+             "ops " + ", ".join(f"s{i}/0" for i in range(n)) + ", f/1", ""]
+    for i in range(n_rules):
+        b = [rng.choice(BLANKS) for _ in range(9)]
+        name = rng.choice((f"r{i}", f"r{i}'", f"_r{i}", f"rule{i}"))
+        target = rng.choice((f"s{rng.randrange(n)}", "x'", "y"))
+        comment = rng.choice(("", "", "# note", " # rule |- c -a-> d"))
+        line = (f"{b[0]}rule {b[1]}{name}{b[2]}:{b[3]}|-{b[4]}s{rng.randrange(n)}{b[5]}-{b[6]}"
+                f"{rng.choice(LABEL_CHOICES)}{b[7]}->{b[8]}{target}{comment}")
+        if rng.random() < mutate:
+            at = rng.randrange(len(line) + 1)
+            cut = at + rng.randrange(2)
+            line = line[:at] + rng.choice(("",) + tuple(NEAR_MISS_ALPHABET)) + line[cut:]
+        lines.append(line)
+    return "\n".join(lines) + "\n"
+
+
+def test_recogniser_matches_the_general_parser_on_fixtures_and_generated_specs():
+    texts = [fixture_text(name) for name in ALL_FIXTURES]
+    texts += [random_monotone_lts_text(random.Random(seed)) for seed in range(50)]
+    rng = random.Random(3)
+    texts += [random_axiom_spec_text(rng, rng.randrange(1, 12)) for _ in range(100)]
+    taken = sum(_assert_agrees(text) for text in texts)
+    assert taken > 500  # most generated axioms take the recogniser's path
+
+
+def test_recogniser_matches_the_general_parser_on_mutated_axioms():
+    rng = random.Random(4)
+    errors = 0
+    for _ in range(400):
+        text = random_axiom_spec_text(rng, 3, mutate=0.5)
+        _assert_agrees(text)
+        errors += _outcome(text, parse_spec)[0] == "error"
+    assert 0 < errors < 400  # both the rule and the error paths ran
+
+
+NEAR_MISS_HEADERS = ("behaviour lts labels a, b\nops s0/0, s1/0, f/1\n",
+                     "behaviour stream nat\nops s0/0, s1/0, f/1\n")
+
+# (rule line, whether the recogniser takes it)
+NEAR_MISSES = [
+    ("rule r : |- s0 -a-> s1", True),
+    ("rule\tr\t:\t|-\ts0\t-\ta\t->\ts1\t", True),
+    ("rule r:|-s0-a->s1", True),
+    ("   rule r : |- s0 -a-> s1   # the first move", True),
+    ("rule r : |- s0 -a-> s1#no blank before the comment", True),
+    ("rule r' : |- s0 -a''-> x'", True),
+    ("rule r : |- s0 -c-> s1", True),       # undeclared label: a label variable
+    ("rule r : |- s0 -a-> d", True),        # undeclared target: a variable
+    ("rule r : |- t -a-> s1", True),        # undeclared head (validate_spec flags it)
+    ("rule r : |- s0 -0-> s1", True),
+    ("rule r : |- s0 -0012-> s1", True),
+    ("rule é : |- s0 -a-> s1", False),
+    ("rule r : |- s0 -a-> s1é", False),
+    ("rule r : |- s0 -aé-> s1", False),
+    ("rule r : |- s0 -1²-> s1", False),
+    ("rule r : |- s0 -٣-> s1", False),
+    ("rule r : |- s0 -2٣-> s1", False),
+    ("rule r : |- s0 -/-> s1", False),
+    ("rule r : |- s0 -a-/-> s1", False),
+    ("rule r : |- s0() -a-> s1", False),
+    ("rule r : |- s0 -a-> f(s1)", False),
+    ("rule r : |- s0 -a-> s1()", False),
+    ("rule r : |- s0 -a-> s1 s0", False),
+    ("rule r : |- s0 -a-> s1,", False),
+    ("rule r : |- s0 -a-> s1 -a-> s0", False),
+    ("rule r : |- s0 -a- > s1", False),
+    ("rule r : | - s0 -a-> s1", False),
+    ("rule r : |- s0 --> s1", False),
+    ("rule r : |- s0 -a->", False),
+    ("rule r : |- s0 -a+1-> s1", False),
+    ("rule r : |- s0 -(a)-> s1", False),
+    ("rule r : |- s0[n] -a-> s1", False),
+    ("rule r : x -a-> y |- f(x) -a-> y", False),
+    ("rule r |- s0 -a-> s1", False),
+    ("rule : |- s0 -a-> s1", False),
+    ("rules : |- s0 -a-> s1", False),
+    ("Rule r : |- s0 -a-> s1", False),
+    ("rule r : |- s0 -a-> s1\xa0", False),
+    ("rule r : |- s0 -a-> s1\f", False),
+    ("rule 1r : |- s0 -a-> s1", False),
+    ("rule r : |- 1 -a-> s1", False),
+    ("rule r : |- s0 -a-> 1", False),
+]
+
+
+@pytest.mark.parametrize("line,taken", NEAR_MISSES, ids=[repr(m[0]) for m in NEAR_MISSES])
+def test_recogniser_near_misses(line, taken):
+    for header in NEAR_MISS_HEADERS:
+        spec = parse_spec(header)
+        assert _recognised(line, spec.kind, spec.sig) == taken
+        # alone, repeated (a duplicate name), and before the behaviour line
+        for text in (header + line + "\n", header + line + "\n" + line + "\n",
+                     line + "\n" + header):
+            _assert_agrees(text)
+
+
+def test_undeclared_label_is_a_variable_and_declared_label_a_literal():
+    spec = parse_spec(NEAR_MISS_HEADERS[0] + "rule r : |- s0 -a-> s1\nrule q : |- s0 -c-> d\n")
+    assert [(r.concl_label, r.concl_target) for r in spec.rules] == [
+        (speclang.LabelLit("a"), speclang.TemplateApp("s1")),
+        (speclang.LabelVar("c"), terms.Var("d"))]
+
+
+def test_ground_axiom_specs_tokenize_only_behaviour_and_ops_lines(monkeypatch):
+    # the recogniser's speed-up is invisible to every other test: a pattern
+    # that rejected every axiom would still parse them all correctly
+    rng = random.Random(1)
+    lines = ["# 140 axioms", "behaviour lts labels a, b", "",
+             "ops " + ", ".join(f"s{i}/0" for i in range(40)), ""]
+    lines += [f"rule r{i} : |- s{rng.randrange(40)} -{rng.choice('ab')}-> s{rng.randrange(40)}"
+              for i in range(140)]
+    tokenized = []
+
+    def counting_tokenize(text, line=1):
+        tokenized.append(line)
+        return tokenize(text, line)
+
+    monkeypatch.setattr(terms, "tokenize", counting_tokenize)
+    monkeypatch.setattr(speclang, "tokenize", counting_tokenize)
+    spec = parse_spec("\n".join(lines) + "\n")
+    assert len(spec.rules) == 140
+    assert tokenized == [2, 4]
