@@ -41,6 +41,7 @@ TERMS = {
                      ("sigma(sigma(c))",)),
     "wchain": (("f(c)", "c"), (("f(c)", "f(d)"), ("c", "d"), ("f(c)", "c")),
                ("f(f(c))",)),
+    "explicit": (("s0", "s7"), (("s0", "s1"), ("s3", "s6"), ("s8", "s9")), ("s11",)),
 }
 
 
