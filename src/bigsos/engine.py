@@ -6,12 +6,13 @@ behaviour map (frontier terms read as bottom, so truncation under-approximates
 soundly), and each complete match contributes its instantiated conclusion.
 Each rule's premises and conclusion are compiled once per spec, so a term's
 value is built in one pass from its derived (label, target) pairs, and the
-join records every term it reads on the way.  Iterating from the all-bottom
-model climbs an increasing chain for monotone specs; the loop stops on a
-fixed point, on a detected period-2 oscillation (possible only with negative
-premises, behind the force flag), or at the step budget.  The universe grows
-by the subterm closures of in-cap conclusion targets, since rule heads need
-their argument subterms' behaviour.
+join records every term it reads on the way.  A ground fact (see
+speclang.ground_fact) is stored as its pair and never compiled.  Iterating
+from the all-bottom model climbs an increasing chain for monotone specs; the
+loop stops on a fixed point, on a detected period-2 oscillation (possible
+only with negative premises, behind the force flag), or at the step budget.
+The universe grows by the subterm closures of in-cap conclusion targets,
+since rule heads need their argument subterms' behaviour.
 
 The iteration is semi-naive.  A term's derivation depends only on the value,
 frontier membership and taint of the terms whose step it reads, so
@@ -38,7 +39,7 @@ from .behaviour import BehaviourKind, CountableLTS
 from .errors import (BigsosError, InconsistentStreamError, LabelEvalError,
                      NonConvergenceError, NonMonotoneError, UnknownStateError)
 from .speclang import (LabelLit, Positive, Premise, Rule, Spec, check_monotone,
-                       eval_label, instantiate_template, label_vars,
+                       eval_label, ground_fact, instantiate_template, label_vars,
                        template_param_exprs, template_vars)
 from .terms import (App, Term, UniversePolicy, Var, check_term, print_term, subterms,
                     substitute, term_key, term_size, variables)
@@ -124,12 +125,17 @@ def gen_to_model(kind: BehaviourKind, gen: GenCoalgebra) -> Model:
 
 # --- rule application -----------------------------------------------------------
 #
-# Each rule is compiled once per spec into a join plan.  An environment is the
-# tuple of the bindings still live at its point in the premise chain: those
-# that a later premise, the conclusion label or the conclusion target reads.
-# Environments that agree on them are merged, so a chain of premises costs
-# about the number of distinct live bindings rather than the number of premise
-# paths.  Slots are named ("t", x) for term variables and ("l", n) for label
+# A spec's join plan holds, for each head operator, the (label, target) pairs
+# of its ground facts and the compiled plans of its other rules.  A fact reads
+# nothing and binds nothing, so a constant's pairs start from its facts; an
+# explicit LTS written as axioms compiles no plan.
+#
+# Each other rule is compiled once per spec into a rule plan.  An environment
+# is the tuple of the bindings still live at its point in the premise chain:
+# those that a later premise, the conclusion label or the conclusion target
+# reads.  Environments that agree on them are merged, so a chain of premises
+# costs about the number of distinct live bindings rather than the number of
+# premise paths.  Slots are named ("t", x) for term variables and ("l", n) for label
 # variables, which live in separate namespaces.
 #
 # The conclusion is compiled as well, into a function from a final environment
@@ -282,11 +288,18 @@ def _compile_rule(kind: BehaviourKind, rule: Rule) -> _RulePlan:
 
 
 def _join_plan(spec: Spec) -> dict:
-    """Rule plans by head operator, compiled on first use and kept on the spec."""
+    """(facts, plans) by head operator, built on first use and kept on the
+    spec: the pairs of the operator's ground facts, and the compiled plans of
+    its other rules in rule order."""
     if spec.join_plan is None:
         plan: dict = {}
         for rule in spec.rules:
-            plan.setdefault(rule.head_op, []).append(_compile_rule(spec.kind, rule))
+            facts, plans = plan.setdefault(rule.head_op, ([], []))
+            fact = ground_fact(rule, spec.kind, spec.sig)
+            if fact is None:
+                plans.append(_compile_rule(spec.kind, rule))
+            else:
+                facts.append(fact)
         spec.join_plan = plan
     return spec.join_plan
 
@@ -299,8 +312,10 @@ def apply_rules(spec: Spec, op: str, params: tuple, args: tuple, reads: set,
     Every premise source read, negative premises included, is added to reads.
     """
     read = reads.add
-    pairs: list = []  # (label, target) of every derivation
-    for plan in _join_plan(spec).get(op, ()):
+    facts, plans = _join_plan(spec).get(op, ((), ()))
+    # (label, target) of every derivation; a fact's head takes no arguments
+    pairs = [] if args or params else list(facts)
+    for plan in plans:
         rule = plan.rule
         if len(rule.head_vars) != len(args) or len(rule.head_params) != len(params):
             continue

@@ -23,6 +23,12 @@ the general parser parses to the same rule; every other line, including every
 malformed one, goes to the tokenizer and the general parser, so every
 ParseError comes from there, with the same message, line and column.
 Blank and comment-only lines are skipped by the same match.
+
+A ground axiom whose label is in the label set and whose head and target are
+declared constants is a plain fact (ground_fact): it can produce no
+diagnostic, so validate_spec passes it by, and the engine stores its pair
+without compiling it.  A closed compound target, as in `c -1-> sigma(c)`,
+makes the rule no fact.
 """
 
 from __future__ import annotations
@@ -439,6 +445,30 @@ def parse_spec(text: str) -> Spec:
 # --- validation -----------------------------------------------------------------
 
 
+def ground_fact(rule: Rule, kind: BehaviourKind, sig: Signature):
+    """The (label, target) pair of a rule that is a plain fact, else None.
+
+    A fact has no premises, head variables or head parameters, a literal label
+    in the label set, and a declared constant (arity and parameter count 0) as
+    both head and target.  It is valid and concludes the same pair whenever it
+    fires, so validate_spec passes it by and the engine stores its pair
+    instead of compiling a join plan.
+    """
+    if rule.premises or rule.head_vars or rule.head_params:
+        return None
+    label, target = rule.concl_label, rule.concl_target
+    if (not isinstance(label, LabelLit) or not kind.has_label(label.value)
+            or not isinstance(target, TemplateApp) or target.args or target.params):
+        return None
+    for name in (rule.head_op, target.op):
+        if name not in sig:
+            return None
+        op = sig[name]
+        if op.arity or op.param_count:
+            return None
+    return label.value, App(target.op)
+
+
 def _check_label_literals(kind, expr, rule, out, where):
     for lit in label_lits(expr):
         if not kind.has_label(lit):
@@ -451,6 +481,8 @@ def validate_spec(spec: Spec) -> list:
     kind = spec.kind
     nat_labels = kind.labels is None
     for r in spec.rules:
+        if ground_fact(r, kind, spec.sig) is not None:
+            continue
         if r.head_op not in spec.sig:
             out.append(Diagnostic(r.name, f"unknown head operator {r.head_op!r}"))
             continue
@@ -482,7 +514,11 @@ def validate_spec(spec: Spec) -> list:
                     out.append(Diagnostic(r.name, "negative premise requires a literal label"))
 
         for v in sorted(label_vars(r.concl_label) - lab_vars):
-            out.append(Diagnostic(r.name, f"conclusion label uses unbound variable {v!r}"))
+            if nat_labels or kind.has_label(v):
+                out.append(Diagnostic(r.name, f"conclusion label uses unbound variable {v!r}"))
+            else:  # most likely a misspelt label
+                out.append(Diagnostic(r.name, f"conclusion label {v!r} is not in the label "
+                                              "set and no premise binds it"))
         _check_label_literals(kind, r.concl_label, r.name, out, "conclusion")
         if not nat_labels and has_arithmetic(r.concl_label):
             out.append(Diagnostic(r.name, "label arithmetic needs natural labels"))

@@ -11,14 +11,15 @@ from bigsos.engine import (ConvergenceReport, GenCoalgebra, Model,
                            bottom_model, gen_to_model, least_model,
                            lift_coalgebra, model_to_dot, model_to_json,
                            phi_step, unfold, unfold_to_json)
-from bigsos.errors import LabelEvalError, NonMonotoneError, UnknownStateError
+from bigsos.errors import (BigsosError, InconsistentStreamError, LabelEvalError,
+                           NonMonotoneError, UnknownStateError)
 from bigsos.relations import default_generators
 from bigsos.speclang import (LabelLit, Positive, check_monotone, eval_label,
-                             instantiate_template, parse_spec)
+                             ground_fact, instantiate_template, parse_spec)
 from bigsos.terms import (App, UniversePolicy, Var, parse_term, print_term,
                           substitute, subterms, term_key, term_size)
 from conftest import fixture_text
-from spec_gen import UNIVERSE_TEXTS, random_monotone_lts_spec
+from spec_gen import UNIVERSE_TEXTS, random_monotone_lts_spec, random_monotone_lts_text
 
 
 def fx(name):
@@ -469,11 +470,108 @@ def test_bad_axiom_fails_only_when_it_fires():
     # an unvalidated spec: the axiom for d concludes a label outside the domain
     spec = parse_spec("behaviour lts labels a\nops c/0, d/0\n"
                       "rule r : |- d -1-> c\nrule s : |- c -a-> c\n")
+    assert [ground_fact(r, spec.kind, spec.sig) for r in spec.rules] == [None, ("a", App("c"))]
     model, report = least_model(spec, [App("c")])
     assert report.converged and list(model.universe) == [App("c")]
     with pytest.raises(LabelEvalError,
                        match="^rule r: conclusion label 1 outside the label domain$"):
         least_model(spec, [App("d")])
+
+
+# --- ground facts -------------------------------------------------------------------
+#
+# Rules that speclang.ground_fact accepts are stored as (label, target) pairs and
+# never compiled.  With ground_fact patched to accept nothing, every rule takes
+# the general path, which is the reference the fact path must agree with.
+
+FACT_NEAR_MISSES = (
+    "rule r : |- c -z-> d",           # label outside the alphabet: a label variable
+    "rule r : |- c -1-> d",           # a natural outside the alphabet
+    "rule r : |- f -a-> c",           # head operator with an argument
+    "rule r : |- p -a-> c",           # head operator with a parameter
+    "rule r : |- c -a-> f",           # target operator with an argument
+    "rule r : |- c -a-> p",           # target operator with a parameter
+    "rule r : |- zz -a-> c",          # unknown head
+    "rule r : |- c -a-> zz",          # unknown target: a variable
+    "rule r : |- c -a-> f(d)",        # closed compound target
+    "rule r : |- d -a-> c(d)",        # c(d) must not take c's facts
+)
+
+
+def random_ground_lts_text(rng: random.Random) -> str:
+    """An explicit LTS spec: ground axioms over constants, a few of them with
+    closed compound targets f(sI) and a rule for f."""
+    n = rng.randrange(2, 12)
+    lines = ["behaviour lts labels a, b",
+             "ops " + ", ".join(f"s{i}/0" for i in range(n)) + ", f/1",
+             "rule f : x -a-> y |- f(x) -b-> y"]
+    for i in range(rng.randrange(1, 4 * n)):
+        target = f"s{rng.randrange(n)}"
+        if rng.random() < 0.1:
+            target = f"f({target})"
+        lines.append(f"rule r{i} : |- s{rng.randrange(n)} -{rng.choice('ab')}-> {target}")
+    return "\n".join(lines) + "\n"
+
+
+def _outcome(text, seed_texts=()):
+    spec = parse_spec(text)
+    seeds = [App(c) for c in spec.sig.constants()] + [pt(spec, s) for s in seed_texts]
+    try:
+        model, report = least_model(spec, seeds, UniversePolicy(max_count=30, max_size=6))
+    except BigsosError as exc:  # the reference must raise the same error
+        return type(exc), str(exc)
+    return (model.universe, dict(model.behaviour), model.frontier, model.tainted,
+            report.to_json())
+
+
+def test_fact_path_matches_the_compiled_path(monkeypatch):
+    cases = [(fixture_text(name), ()) for name in
+             ("factstream", "lookahead2", "transclosure", "wchain", "empty", "explicit")]
+    cases += [(random_monotone_lts_text(random.Random(seed)), ("u(c)",)) for seed in range(40)]
+    rng = random.Random(7)
+    cases += [(random_ground_lts_text(rng), ("f(s0)",)) for _ in range(60)]
+    header = "behaviour lts labels a, b\nops c/0, d/0, f/1, p/0[1]\nrule q : |- c -b-> d\n"
+    cases += [(header + line + "\n", ()) for line in FACT_NEAR_MISSES]
+    fast = [_outcome(text, seeds) for text, seeds in cases]
+    facts = sum(ground_fact(r, spec.kind, spec.sig) is not None
+                for spec in (parse_spec(text) for text, _ in cases) for r in spec.rules)
+    monkeypatch.setattr(engine, "ground_fact", lambda rule, kind, sig: None)
+    assert [_outcome(text, seeds) for text, seeds in cases] == fast
+    assert facts > 500
+    assert sum(isinstance(o[0], type) for o in fast) >= 2  # the error outcomes ran
+
+
+def test_conflicting_stream_facts_keep_the_error_text():
+    spec = parse_spec("behaviour stream nat\nops c/0, d/0\n"
+                      "rule a : |- c -1-> c\nrule b : |- c -2-> d\n")
+    assert [ground_fact(r, spec.kind, spec.sig) for r in spec.rules] == [
+        (1, App("c")), (2, App("d"))]
+    with pytest.raises(InconsistentStreamError) as got:
+        least_model(spec, [App("c")])
+    assert str(got.value) == "c: inconsistent stream step: (1, c), (2, d)"
+
+
+def test_ground_axiom_specs_compile_no_rule(monkeypatch):
+    compiled = []
+
+    def counting_compile(kind, rule):
+        compiled.append(rule.name)
+        return compile_rule(kind, rule)
+
+    compile_rule = engine._compile_rule
+    monkeypatch.setattr(engine, "_compile_rule", counting_compile)
+    rng = random.Random(1)
+    lines = ["behaviour lts labels a, b", "ops " + ", ".join(f"s{i}/0" for i in range(40))]
+    lines += [f"rule r{i} : |- s{rng.randrange(40)} -{rng.choice('ab')}-> s{rng.randrange(40)}"
+              for i in range(140)]
+    model, report = least_model(parse_spec("\n".join(lines) + "\n"))
+    assert report.converged and len(model.universe) == 40
+    assert compiled == []
+    # a closed compound target is not a fact
+    lines[1] += ", f/1"
+    lines.append("rule g : |- s0 -a-> f(s1)")
+    least_model(parse_spec("\n".join(lines) + "\n"))
+    assert compiled == ["g"]
 
 
 def test_negloop_refused_then_forced():

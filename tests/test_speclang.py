@@ -9,13 +9,14 @@ from bigsos import speclang, terms
 from bigsos.errors import ParseError
 from bigsos.speclang import (_GROUND_AXIOM, Negative, Positive, Spec, _ground_axiom,
                              _parse_behaviour_line, _parse_ops_line, _parse_rule_line,
-                             check_monotone, lookahead_depth, parse_spec, validate_spec)
-from bigsos.terms import Signature, TokenCursor, parse_term, tokenize
+                             check_monotone, ground_fact, lookahead_depth, parse_spec,
+                             validate_spec)
+from bigsos.terms import App, Signature, TokenCursor, parse_term, tokenize
 from conftest import fixture_text
 from spec_gen import random_monotone_lts_text
 
 ALL_FIXTURES = ("factstream", "lookahead2", "negloop", "transclosure",
-                "empty", "wchain")
+                "empty", "wchain", "explicit")
 
 
 # --- parsing the fixtures ------------------------------------------------------------
@@ -189,6 +190,14 @@ def test_negative_premise_needs_bound_source():
 
 def test_clean_gsos_rule_passes():
     assert diags_for("rule ok: x -a-> y |- f(x) -a-> f(y)") == []
+
+
+def test_misspelt_label_is_named_as_outside_the_label_set():
+    diags = diags_for("rule s : |- c -b-> c")
+    assert [str(d) for d in diags] == [
+        "rule s: conclusion label 'b' is not in the label set and no premise binds it"]
+    diags = validate_spec(parse_spec("behaviour stream nat\nops c/0\nrule s : |- c -n-> c\n"))
+    assert [str(d) for d in diags] == ["rule s: conclusion label uses unbound variable 'n'"]
 
 
 # --- monotonicity --------------------------------------------------------------------
@@ -397,6 +406,64 @@ def test_recogniser_near_misses(line, taken):
         for text in (header + line + "\n", header + line + "\n" + line + "\n",
                      line + "\n" + header):
             _assert_agrees(text)
+
+
+# --- ground facts -------------------------------------------------------------------
+
+FACT_HEADER = "behaviour lts labels a, b\nops c/0, d/0, f/1, p/0[1]\n"
+
+# (rule line, the pair ground_fact returns for it)
+FACT_SHAPES = [
+    ("rule r : |- c -a-> d", ("a", App("d"))),
+    ("rule r : |- c -b-> c", ("b", App("c"))),
+    ("rule r : |- c -z-> d", None),             # label outside the alphabet
+    ("rule r : |- c -1-> d", None),
+    ("rule r : |- f -a-> d", None),             # head takes an argument
+    ("rule r : |- p -a-> d", None),             # head takes a parameter
+    ("rule r : |- c -a-> f", None),             # target takes an argument
+    ("rule r : |- c -a-> p", None),             # target takes a parameter
+    ("rule r : |- zz -a-> d", None),            # unknown head
+    ("rule r : |- c -a-> zz", None),            # unknown target: a variable
+    ("rule r : |- c -a-> f(d)", None),          # closed compound target
+    ("rule r : |- c -a-> c(d)", None),
+    ("rule r : |- c -a-> p[1]", None),
+    ("rule r : |- c -a-> d[1]", None),
+    ("rule r : |- f(x) -a-> d", None),
+    ("rule r : |- p[n] -a-> d", None),
+    ("rule r : c -a-> d |- c -a-> d", None),
+    ("rule r : c -a-/-> |- c -a-> d", None),
+]
+
+
+@pytest.mark.parametrize("line,fact", FACT_SHAPES, ids=[repr(s[0]) for s in FACT_SHAPES])
+def test_ground_fact_shapes(line, fact):
+    spec = parse_spec(FACT_HEADER + line + "\n")
+    rule, = spec.rules
+    assert ground_fact(rule, spec.kind, spec.sig) == fact
+    if fact is not None:
+        assert validate_spec(spec) == []
+
+
+def _parse_or_none(text):
+    try:
+        return parse_spec(text)
+    except ParseError:
+        return None
+
+
+def test_validation_diagnostics_do_not_depend_on_the_fact_test(monkeypatch):
+    # a rule ground_fact accepts is passed by; every other rule is walked
+    texts = [fixture_text(name) for name in ALL_FIXTURES]
+    texts += [random_monotone_lts_text(random.Random(seed)) for seed in range(50)]
+    rng = random.Random(3)
+    texts += [random_axiom_spec_text(rng, rng.randrange(1, 12)) for _ in range(100)]
+    texts += [FACT_HEADER + line + "\n" for line, _ in FACT_SHAPES]
+    texts += [header + line + "\n" for header in NEAR_MISS_HEADERS for line, _ in NEAR_MISSES]
+    specs = [spec for spec in map(_parse_or_none, texts) if spec is not None]
+    diags = [validate_spec(spec) for spec in specs]
+    monkeypatch.setattr(speclang, "ground_fact", lambda rule, kind, sig: None)
+    assert [validate_spec(spec) for spec in specs] == diags
+    assert sum(map(len, diags)) > 100
 
 
 def test_undeclared_label_is_a_variable_and_declared_label_a_literal():
