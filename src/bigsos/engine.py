@@ -135,8 +135,8 @@ def gen_to_model(kind: BehaviourKind, gen: GenCoalgebra) -> Model:
 # those that a later premise, the conclusion label or the conclusion target
 # reads.  Environments that agree on them are merged, so a chain of premises
 # costs about the number of distinct live bindings rather than the number of
-# premise paths.  Slots are named ("t", x) for term variables and ("l", n) for label
-# variables, which live in separate namespaces.
+# premise paths.  Slots are named ("t", x) for term variables and ("l", n) for
+# label variables, which live in separate namespaces.
 #
 # The conclusion is compiled as well, into a function from a final environment
 # to its (label, target) pair: a literal label over a target without label
@@ -299,7 +299,8 @@ def _join_plan(spec: Spec) -> dict:
             if fact is None:
                 plans.append(_compile_rule(spec.kind, rule))
             else:
-                facts.append(fact)
+                label, target = fact
+                facts.append((label, App(target)))
         spec.join_plan = plan
     return spec.join_plan
 

@@ -446,13 +446,16 @@ def parse_spec(text: str) -> Spec:
 
 
 def ground_fact(rule: Rule, kind: BehaviourKind, sig: Signature):
-    """The (label, target) pair of a rule that is a plain fact, else None.
+    """The label and target operator name of a rule that is a plain fact,
+    else None.
 
     A fact has no premises, head variables or head parameters, a literal label
     in the label set, and a declared constant (arity and parameter count 0) as
     both head and target.  It is valid and concludes the same pair whenever it
     fires, so validate_spec passes it by and the engine stores its pair
-    instead of compiling a join plan.
+    instead of compiling a join plan.  The target is returned by name: a term
+    built here and dropped would cost validate_spec more than the walk it
+    skips.
     """
     if rule.premises or rule.head_vars or rule.head_params:
         return None
@@ -466,7 +469,7 @@ def ground_fact(rule: Rule, kind: BehaviourKind, sig: Signature):
         op = sig[name]
         if op.arity or op.param_count:
             return None
-    return label.value, App(target.op)
+    return label.value, target.op
 
 
 def _check_label_literals(kind, expr, rule, out, where):

@@ -11,7 +11,7 @@ from bigsos.speclang import (_GROUND_AXIOM, Negative, Positive, Spec, _ground_ax
                              _parse_behaviour_line, _parse_ops_line, _parse_rule_line,
                              check_monotone, ground_fact, lookahead_depth, parse_spec,
                              validate_spec)
-from bigsos.terms import App, Signature, TokenCursor, parse_term, tokenize
+from bigsos.terms import Signature, TokenCursor, parse_term, tokenize
 from conftest import fixture_text
 from spec_gen import random_monotone_lts_text
 
@@ -412,10 +412,10 @@ def test_recogniser_near_misses(line, taken):
 
 FACT_HEADER = "behaviour lts labels a, b\nops c/0, d/0, f/1, p/0[1]\n"
 
-# (rule line, the pair ground_fact returns for it)
+# (rule line, what ground_fact returns for it)
 FACT_SHAPES = [
-    ("rule r : |- c -a-> d", ("a", App("d"))),
-    ("rule r : |- c -b-> c", ("b", App("c"))),
+    ("rule r : |- c -a-> d", ("a", "d")),
+    ("rule r : |- c -b-> c", ("b", "c")),
     ("rule r : |- c -z-> d", None),             # label outside the alphabet
     ("rule r : |- c -1-> d", None),
     ("rule r : |- f -a-> d", None),             # head takes an argument
