@@ -1,8 +1,12 @@
-"""Seeded random monotone LTS specs over a fixed three-term universe.
+"""Seeded random monotone LTS specs over a fixed three-term universe, and
+ground-fact test specs.
 
 Used by the least-fixed-point oracle: every generated spec keeps rule targets
 inside the universe {c, d, u(c)}, so the full candidate-model space is the
 8^3 assignments of successor sets and can be enumerated outright.
+
+The fact-path tests use FACT_SHAPES, rules that speclang.ground_fact does and
+does not take, and random_ground_lts_text, explicit LTS specs.
 """
 
 import random
@@ -44,3 +48,45 @@ def random_monotone_lts_text(rng: random.Random) -> str:
 
 def random_monotone_lts_spec(rng: random.Random):
     return parse_spec(random_monotone_lts_text(rng))
+
+
+# --- ground facts -------------------------------------------------------------------
+
+FACT_HEADER = "behaviour lts labels a, b\nops c/0, d/0, f/1, p/0[1]\n"
+
+# (rule line, what ground_fact returns for it)
+FACT_SHAPES = [
+    ("rule r : |- c -a-> d", ("a", "d")),
+    ("rule r : |- c -b-> c", ("b", "c")),
+    ("rule r : |- c -z-> d", None),             # label outside the alphabet
+    ("rule r : |- c -1-> d", None),
+    ("rule r : |- f -a-> d", None),             # head takes an argument
+    ("rule r : |- p -a-> d", None),             # head takes a parameter
+    ("rule r : |- c -a-> f", None),             # target takes an argument
+    ("rule r : |- c -a-> p", None),             # target takes a parameter
+    ("rule r : |- zz -a-> d", None),            # unknown head
+    ("rule r : |- c -a-> zz", None),            # unknown target: a variable
+    ("rule r : |- c -a-> f(d)", None),          # closed compound target
+    ("rule r : |- c -a-> c(d)", None),          # c(d) must not take c's facts
+    ("rule r : |- c -a-> p[1]", None),
+    ("rule r : |- c -a-> d[1]", None),
+    ("rule r : |- f(x) -a-> d", None),
+    ("rule r : |- p[n] -a-> d", None),
+    ("rule r : c -a-> d |- c -a-> d", None),
+    ("rule r : c -a-/-> |- c -a-> d", None),
+]
+
+
+def random_ground_lts_text(rng: random.Random) -> str:
+    """An explicit LTS spec: ground axioms over constants, a few of them with
+    closed compound targets f(sI) and a rule for f."""
+    n = rng.randrange(2, 12)
+    lines = ["behaviour lts labels a, b",
+             "ops " + ", ".join(f"s{i}/0" for i in range(n)) + ", f/1",
+             "rule f : x -a-> y |- f(x) -b-> y"]
+    for i in range(rng.randrange(1, 4 * n)):
+        target = f"s{rng.randrange(n)}"
+        if rng.random() < 0.1:
+            target = f"f({target})"
+        lines.append(f"rule r{i} : |- s{rng.randrange(n)} -{rng.choice('ab')}-> {target}")
+    return "\n".join(lines) + "\n"

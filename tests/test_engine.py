@@ -19,7 +19,8 @@ from bigsos.speclang import (LabelLit, Positive, check_monotone, eval_label,
 from bigsos.terms import (App, UniversePolicy, Var, parse_term, print_term,
                           substitute, subterms, term_key, term_size)
 from conftest import fixture_text
-from spec_gen import UNIVERSE_TEXTS, random_monotone_lts_spec, random_monotone_lts_text
+from spec_gen import (FACT_HEADER, FACT_SHAPES, UNIVERSE_TEXTS, random_ground_lts_text,
+                      random_monotone_lts_spec, random_monotone_lts_text)
 
 
 def fx(name):
@@ -484,34 +485,6 @@ def test_bad_axiom_fails_only_when_it_fires():
 # never compiled.  With ground_fact patched to accept nothing, every rule takes
 # the general path, which is the reference the fact path must agree with.
 
-FACT_NEAR_MISSES = (
-    "rule r : |- c -z-> d",           # label outside the alphabet: a label variable
-    "rule r : |- c -1-> d",           # a natural outside the alphabet
-    "rule r : |- f -a-> c",           # head operator with an argument
-    "rule r : |- p -a-> c",           # head operator with a parameter
-    "rule r : |- c -a-> f",           # target operator with an argument
-    "rule r : |- c -a-> p",           # target operator with a parameter
-    "rule r : |- zz -a-> c",          # unknown head
-    "rule r : |- c -a-> zz",          # unknown target: a variable
-    "rule r : |- c -a-> f(d)",        # closed compound target
-    "rule r : |- d -a-> c(d)",        # c(d) must not take c's facts
-)
-
-
-def random_ground_lts_text(rng: random.Random) -> str:
-    """An explicit LTS spec: ground axioms over constants, a few of them with
-    closed compound targets f(sI) and a rule for f."""
-    n = rng.randrange(2, 12)
-    lines = ["behaviour lts labels a, b",
-             "ops " + ", ".join(f"s{i}/0" for i in range(n)) + ", f/1",
-             "rule f : x -a-> y |- f(x) -b-> y"]
-    for i in range(rng.randrange(1, 4 * n)):
-        target = f"s{rng.randrange(n)}"
-        if rng.random() < 0.1:
-            target = f"f({target})"
-        lines.append(f"rule r{i} : |- s{rng.randrange(n)} -{rng.choice('ab')}-> {target}")
-    return "\n".join(lines) + "\n"
-
 
 def _outcome(text, seed_texts=()):
     spec = parse_spec(text)
@@ -530,8 +503,8 @@ def test_fact_path_matches_the_compiled_path(monkeypatch):
     cases += [(random_monotone_lts_text(random.Random(seed)), ("u(c)",)) for seed in range(40)]
     rng = random.Random(7)
     cases += [(random_ground_lts_text(rng), ("f(s0)",)) for _ in range(60)]
-    header = "behaviour lts labels a, b\nops c/0, d/0, f/1, p/0[1]\nrule q : |- c -b-> d\n"
-    cases += [(header + line + "\n", ()) for line in FACT_NEAR_MISSES]
+    header = FACT_HEADER + "rule q : |- c -b-> d\n"  # each shape beside a fact for c
+    cases += [(header + line + "\n", ()) for line, _ in FACT_SHAPES]
     fast = [_outcome(text, seeds) for text, seeds in cases]
     facts = sum(ground_fact(r, spec.kind, spec.sig) is not None
                 for spec in (parse_spec(text) for text, _ in cases) for r in spec.rules)

@@ -13,7 +13,7 @@ from bigsos.speclang import (_GROUND_AXIOM, Negative, Positive, Spec, _ground_ax
                              validate_spec)
 from bigsos.terms import Signature, TokenCursor, parse_term, tokenize
 from conftest import fixture_text
-from spec_gen import random_monotone_lts_text
+from spec_gen import FACT_HEADER, FACT_SHAPES, random_monotone_lts_text
 
 ALL_FIXTURES = ("factstream", "lookahead2", "negloop", "transclosure",
                 "empty", "wchain", "explicit")
@@ -409,30 +409,6 @@ def test_recogniser_near_misses(line, taken):
 
 
 # --- ground facts -------------------------------------------------------------------
-
-FACT_HEADER = "behaviour lts labels a, b\nops c/0, d/0, f/1, p/0[1]\n"
-
-# (rule line, what ground_fact returns for it)
-FACT_SHAPES = [
-    ("rule r : |- c -a-> d", ("a", "d")),
-    ("rule r : |- c -b-> c", ("b", "c")),
-    ("rule r : |- c -z-> d", None),             # label outside the alphabet
-    ("rule r : |- c -1-> d", None),
-    ("rule r : |- f -a-> d", None),             # head takes an argument
-    ("rule r : |- p -a-> d", None),             # head takes a parameter
-    ("rule r : |- c -a-> f", None),             # target takes an argument
-    ("rule r : |- c -a-> p", None),             # target takes a parameter
-    ("rule r : |- zz -a-> d", None),            # unknown head
-    ("rule r : |- c -a-> zz", None),            # unknown target: a variable
-    ("rule r : |- c -a-> f(d)", None),          # closed compound target
-    ("rule r : |- c -a-> c(d)", None),
-    ("rule r : |- c -a-> p[1]", None),
-    ("rule r : |- c -a-> d[1]", None),
-    ("rule r : |- f(x) -a-> d", None),
-    ("rule r : |- p[n] -a-> d", None),
-    ("rule r : c -a-> d |- c -a-> d", None),
-    ("rule r : c -a-/-> |- c -a-> d", None),
-]
 
 
 @pytest.mark.parametrize("line,fact", FACT_SHAPES, ids=[repr(s[0]) for s in FACT_SHAPES])
