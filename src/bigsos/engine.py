@@ -7,10 +7,11 @@ soundly), and each complete match contributes its instantiated conclusion.
 Each rule's premises and conclusion are compiled once per spec, so a term's
 value is built in one pass from its derived (label, target) pairs, and the
 join records every term it reads on the way.  A ground fact (see
-speclang.ground_fact) is stored as its pair and never compiled.  Iterating
-from the all-bottom model climbs an increasing chain for monotone specs; the
-loop stops on a fixed point, on a detected period-2 oscillation (possible
-only with negative premises, behind the force flag), or at the step budget.
+speclang.ground_fact and Spec.facts) is stored as its pair and never
+compiled.  Iterating from the all-bottom model climbs an increasing chain for
+monotone specs; the loop stops on a fixed point, on a detected period-2
+oscillation (possible only with negative premises, behind the force flag), or
+at the step budget.
 The universe grows by the subterm closures of in-cap conclusion targets,
 since rule heads need their argument subterms' behaviour.
 
@@ -39,7 +40,7 @@ from .behaviour import BehaviourKind, CountableLTS
 from .errors import (BigsosError, InconsistentStreamError, LabelEvalError,
                      NonConvergenceError, NonMonotoneError, UnknownStateError)
 from .speclang import (LabelLit, Positive, Premise, Rule, Spec, check_monotone,
-                       eval_label, ground_fact, instantiate_template, label_vars,
+                       eval_label, instantiate_template, label_vars,
                        template_param_exprs, template_vars)
 from .terms import (App, Term, UniversePolicy, Var, check_term, print_term, subterms,
                     substitute, term_key, term_size, variables)
@@ -293,9 +294,8 @@ def _join_plan(spec: Spec) -> dict:
     its other rules in rule order."""
     if spec.join_plan is None:
         plan: dict = {}
-        for rule in spec.rules:
+        for rule, fact in zip(spec.rules, spec.facts):
             facts, plans = plan.setdefault(rule.head_op, ([], []))
-            fact = ground_fact(rule, spec.kind, spec.sig)
             if fact is None:
                 plans.append(_compile_rule(spec.kind, rule))
             else:

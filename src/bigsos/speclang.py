@@ -27,7 +27,7 @@ Blank and comment-only lines are skipped by the same match.
 A ground axiom whose label is in the label set and whose head and target are
 declared constants is a plain fact (ground_fact): it can produce no
 diagnostic, so validate_spec passes it by, and the engine stores its pair
-without compiling it.  A closed compound target, as in `c -1-> sigma(c)`,
+without compiling it.  Spec.facts classifies each rule once for both.  A closed compound target, as in `c -1-> sigma(c)`,
 makes the rule no fact.
 """
 
@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Union
 
 from .behaviour import BehaviourKind, CountableLTS, PartialStream, WeightedLTS
@@ -192,6 +193,12 @@ class Spec:
         self.sig = sig
         self.rules = tuple(rules)
         self.join_plan = None  # compiled by the engine on first use
+
+    @cached_property
+    def facts(self) -> tuple:
+        """ground_fact of each rule, in rule order, computed on first use and
+        shared by validate_spec and the engine's join plan."""
+        return tuple(ground_fact(r, self.kind, self.sig) for r in self.rules)
 
     def __repr__(self):
         return f"Spec(kind={self.kind.name}, ops={len(self.sig.operators())}, rules={len(self.rules)})"
@@ -483,8 +490,8 @@ def validate_spec(spec: Spec) -> list:
     out: list = []
     kind = spec.kind
     nat_labels = kind.labels is None
-    for r in spec.rules:
-        if ground_fact(r, kind, spec.sig) is not None:
+    for r, fact in zip(spec.rules, spec.facts):
+        if fact is not None:
             continue
         if r.head_op not in spec.sig:
             out.append(Diagnostic(r.name, f"unknown head operator {r.head_op!r}"))

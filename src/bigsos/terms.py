@@ -103,6 +103,20 @@ def _publish(key: tuple, t):
         return t
 
 
+# Order-key characters; see App.
+_APP, _VAR, _END = "\x01", "\x02", "\x00"
+
+
+def _param_code(n: int) -> str:
+    """A natural as its byte count plus one, as one character, then its
+    big-endian bytes one character each; the code of 0 is "\x01".  Longer
+    codes sort after shorter ones, and codes of one length compare as their
+    numbers do.  Built without str(n), which is quadratic and refuses more
+    than 4300 digits; chr refuses a natural of 1114111 bytes or more."""
+    b = n.to_bytes((n.bit_length() + 7) // 8, "big")
+    return chr(len(b) + 1) + b.decode("latin-1")
+
+
 class _Frozen:
     __slots__ = ()
 
@@ -147,12 +161,24 @@ class App(_Frozen):
     that key if any; otherwise the node count and order key are computed once
     from the children's, so reading them is O(1).
 
-    The order key is ("app", codes), where codes lists the node headers
-    ("app", op, params) and variable leaves ("var", name) in pre-order.  Under
-    fixed arities no code sequence is a prefix of another's, so comparing two
-    keys costs the length of their common prefix, and the order is the
-    structural one: header first, then the arguments left to right, each
-    compared the same way.
+    The order key is ("app", code), where code is one flat string: the
+    codes of the term's nodes in pre-order.  A variable's code is _VAR, its
+    name and _END; an application's is _APP, its operator name, _END, one
+    _param_code per parameter and _END.  So
+    - _APP sorts before _VAR: an application sorts before a variable at the
+      same position;
+    - _END sorts below every character of a name ("f" before "ff" and "f_")
+      and below every _param_code (a parameter list before its extensions).
+    Both hold because names never contain _END (identifiers are letters,
+    digits, "_" and primes) and parameters are naturals.  No node code is a
+    prefix of another, and under fixed arities no term's code is a prefix of
+    another's, so the order is the structural one: header first, then the
+    arguments left to right, each compared the same way.
+
+    An application's code is its header followed by its children's codes as
+    they are, so building it is O(size).  Comparing two keys is one C-level
+    string comparison over their common prefix, a memcmp when both strings
+    are one byte per character, not one tuple comparison per shared node.
 
     _text holds the printed term once print_term has made it.
     """
@@ -169,21 +195,24 @@ class App(_Frozen):
             t = ref()
             if t is not None:
                 return t
-        size, codes = 1, [("app", op, params)]
+        size, parts = 1, [_APP, op, _END]
+        if params:
+            parts += map(_param_code, params)
+        parts.append(_END)
         for a in args:
             if isinstance(a, Var):
                 size += 1
-                codes.append(("var", a.name))
+                parts += (_VAR, a.name, _END)
             else:
                 size += a._size
-                codes += a._key[1][1]
+                parts.append(a._key[1][1])
         t = object.__new__(cls)
         set_ = object.__setattr__
         set_(t, "op", op)
         set_(t, "params", params)
         set_(t, "args", args)
         set_(t, "_size", size)
-        set_(t, "_key", (size, ("app", tuple(codes))))
+        set_(t, "_key", (size, ("app", "".join(parts))))
         set_(t, "_text", None)
         return _publish(key, t)
 

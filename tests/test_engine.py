@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from bigsos import engine
+from bigsos import engine, speclang
 from bigsos.behaviour import (BOTTOM, Bottom, CountableLTS, LtsValue, StreamStep,
                               WtsValue)
 from bigsos.engine import (ConvergenceReport, GenCoalgebra, Model,
@@ -15,7 +15,8 @@ from bigsos.errors import (BigsosError, InconsistentStreamError, LabelEvalError,
                            NonMonotoneError, UnknownStateError)
 from bigsos.relations import default_generators
 from bigsos.speclang import (LabelLit, Positive, check_monotone, eval_label,
-                             ground_fact, instantiate_template, parse_spec)
+                             ground_fact, instantiate_template, parse_spec,
+                             validate_spec)
 from bigsos.terms import (App, UniversePolicy, Var, parse_term, print_term,
                           substitute, subterms, term_key, term_size)
 from conftest import fixture_text
@@ -227,6 +228,42 @@ def test_phi_step_work_per_term_on_the_tower(monkeypatch):
         assert counts["from_transitions"] == recomputed
         assert counts["conclusion_value"] == counts["join"] == 0
     assert sum(recomputed for _, _, recomputed in steps) > len(model.universe)
+
+
+def _tower(j):
+    return "sigma(" * j + "c" + ")" * j
+
+
+def test_deep_tower_matches_an_integer_kleene_oracle():
+    """sigma^40(c) under caps 42, twice the benchmark's largest K, against
+    Kleene iteration on integer successor sets.  sigma^j(c) is j: j steps to
+    j+1 (axiom_c, unfold) and, for j >= 1, to every z that three steps from
+    j-1 reach (chain3); sigma^42(c) is the one frontier term and has no
+    steps.  Universe, frontier and every successor list must come out in
+    integer order."""
+    k = 40
+    top = k + 1
+    succ = {j: set() for j in range(top + 1)}
+    changed = True
+    while changed:
+        changed = False
+        for j in range(top + 1):
+            new = {j + 1}
+            for y1 in succ[j - 1] if j else ():
+                for y2 in succ.get(y1, ()):
+                    new |= succ.get(y2, set())
+            if new != succ[j]:
+                succ[j], changed = new, True
+    spec = fx("transclosure")
+    model, report = least_model(spec, [pt(spec, _tower(k))],
+                                UniversePolicy(max_count=k + 2, max_size=k + 2))
+    assert report.converged
+    got = model_to_json(model)
+    assert got["universe"] == [_tower(j) for j in range(top + 1)]
+    assert got["frontier"] == [_tower(top + 1)]
+    assert list(got["behaviour"].items()) == [
+        (_tower(j), {"a": [_tower(z) for z in sorted(succ[j])]}) for j in range(top + 1)]
+    assert len(succ[1]) == top  # sigma(c) steps to every tower above it
 
 
 # --- semi-naive iteration versus the naive loop ----------------------------------------
@@ -508,10 +545,29 @@ def test_fact_path_matches_the_compiled_path(monkeypatch):
     fast = [_outcome(text, seeds) for text, seeds in cases]
     facts = sum(ground_fact(r, spec.kind, spec.sig) is not None
                 for spec in (parse_spec(text) for text, _ in cases) for r in spec.rules)
-    monkeypatch.setattr(engine, "ground_fact", lambda rule, kind, sig: None)
+    monkeypatch.setattr(speclang, "ground_fact", lambda rule, kind, sig: None)
     assert [_outcome(text, seeds) for text, seeds in cases] == fast
     assert facts > 500
     assert sum(isinstance(o[0], type) for o in fast) >= 2  # the error outcomes ran
+
+
+def test_each_rule_is_classified_once(monkeypatch):
+    classified = []
+
+    def counting_ground_fact(rule, kind, sig):
+        classified.append(rule.name)
+        return ground_fact(rule, kind, sig)
+
+    monkeypatch.setattr(speclang, "ground_fact", counting_ground_fact)
+    texts = [fixture_text(name) for name in ("explicit", "transclosure", "factstream")]
+    texts += [random_ground_lts_text(random.Random(seed)) for seed in range(3)]
+    for text in texts:
+        spec = parse_spec(text)
+        assert validate_spec(spec) == validate_spec(spec) == []
+        least_model(spec, [App(c) for c in spec.sig.constants()],
+                    UniversePolicy(max_count=30, max_size=6))
+        assert sorted(classified) == sorted(r.name for r in spec.rules)
+        classified.clear()
 
 
 def test_conflicting_stream_facts_keep_the_error_text():

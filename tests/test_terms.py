@@ -75,15 +75,26 @@ def _fresh_size(u):
     return 1 if isinstance(u, Var) else 1 + sum(_fresh_size(a) for a in u.args)
 
 
-def _fresh_codes(u):
-    """Pre-order node codes of u: ("app", op, params) or ("var", name)."""
+def _fresh_param(n):
+    # the byte count plus one, then the big-endian bytes, one character each
+    digits = []
+    while n:
+        n, byte = divmod(n, 256)
+        digits.append(chr(byte))
+    return chr(len(digits) + 1) + "".join(reversed(digits))
+
+
+def _fresh_code(u):
+    """Flat pre-order code of u: "\x02" name "\x00" for a variable, and
+    "\x01" op "\x00" params "\x00" then the arguments' codes for an application."""
     if isinstance(u, Var):
-        return (("var", u.name),)
-    return (("app", u.op, u.params),) + tuple(c for a in u.args for c in _fresh_codes(a))
+        return "\x02" + u.name + "\x00"
+    return ("\x01" + u.op + "\x00" + "".join(map(_fresh_param, u.params)) + "\x00"
+            + "".join(map(_fresh_code, u.args)))
 
 
 def _fresh_sort_key(u):
-    return ("var", u.name) if isinstance(u, Var) else ("app", _fresh_codes(u))
+    return ("var", u.name) if isinstance(u, Var) else ("app", _fresh_code(u))
 
 
 def nested_sort_key(u):
@@ -97,7 +108,8 @@ def nested_sort_key(u):
     st.sampled_from([t("c"), t("d"), Var("x")]),
     lambda kids: st.one_of(
         st.builds(lambda a: App("g", (), (a,)), kids),
-        st.builds(lambda n, a: App("h", (n,), (a,)), st.integers(0, 3), kids),
+        st.builds(lambda n, a: App("h", (n,), (a,)),
+                  st.integers(0, 3) | st.integers(0, 2**70), kids),
         st.builds(lambda a, b: App("f", (), (a, b)), kids, kids)),
     max_leaves=12))
 def test_cached_hash_size_and_key_match_recomputation(term):
@@ -114,18 +126,26 @@ def test_cached_hash_size_and_key_match_recomputation(term):
 ORDER_OPS = (("c", 0, 0), ("d", 0, 0), ("g", 1, 0), ("h", 1, 1), ("f", 2, 0), ("k", 3, 2))
 
 
-def random_term(rng, depth):
+def random_term(rng, depth, ops=ORDER_OPS, params=range(3), names=("x", "y")):
     if depth == 0 or rng.random() < 0.25:
         if rng.random() < 0.3:
-            return Var(rng.choice("xy"))
+            return Var(rng.choice(names))
         return App(rng.choice("cd"))
-    op, arity, nparams = rng.choice(ORDER_OPS)
-    params = tuple(rng.randrange(3) for _ in range(nparams))
-    return App(op, params, tuple(random_term(rng, depth - 1) for _ in range(arity)))
+    op, arity, nparams = rng.choice(ops)
+    return App(op, tuple(rng.choice(params) for _ in range(nparams)),
+               tuple(random_term(rng, depth - 1, ops, params, names) for _ in range(arity)))
 
 
 def _cmp(a, b):
     return (a > b) - (a < b)
+
+
+# names that are prefixes of one another ("f" is in ORDER_OPS), and parameters
+# on both sides of each step of the byte count, two of one length that differ
+# in both bytes, one of 257 bytes, and one that str() refuses (5001 digits)
+PREFIX_OPS = ORDER_OPS + (("ff", 1, 0), ("f_", 0, 0), ("f'", 2, 1))
+PREFIX_NAMES = ("x", "xy", "x'", "y")
+BOUNDARY_PARAMS = (0, 1, 255, 256, 257, 512, 65535, 65536, 256**256, 10**5000)
 
 
 def test_flat_key_orders_like_nested_key():
@@ -134,15 +154,29 @@ def test_flat_key_orders_like_nested_key():
     # pairs that share a head and differ only further down
     terms += [App("f", (), (u, v)) for u, v in zip(terms[:60], terms[60:120])]
     terms += [App("g", (), (u,)) for u in terms[:60]]
+    terms += [random_term(rng, rng.randrange(4), PREFIX_OPS, BOUNDARY_PARAMS, PREFIX_NAMES)
+              for _ in range(150)]
+    # a variable and an application at the same position, at the top and below
+    leaves = [Var(n) for n in PREFIX_NAMES] + [App(n) for n in ("c", "d", "f_")]
+    terms += leaves + [App("ff", (), (u,)) for u in leaves]
+    terms += [App("f'", (n,), (u, App("c"))) for n in BOUNDARY_PARAMS for u in leaves[::3]]
+    terms += [App("k", (m, n), (App("c"),) * 3) for m in BOUNDARY_PARAMS for n in (0, 10**5000)]
+    nested = {u: nested_sort_key(u) for u in terms}
+    lead = terms[:120] + terms[420:]
     for a in terms:
-        for b in terms[:120]:
-            assert _cmp(a.sort_key(), b.sort_key()) == _cmp(
-                nested_sort_key(a), nested_sort_key(b)), (print_term(a), print_term(b))
+        for b in lead:
+            assert _cmp(a.sort_key(), b.sort_key()) == _cmp(nested[a], nested[b]), (
+                a.sort_key(), b.sort_key())
             assert _cmp(term_key(a), term_key(b)) == _cmp(
-                (term_size(a), nested_sort_key(a)), (term_size(b), nested_sort_key(b)))
+                (term_size(a), nested[a]), (term_size(b), nested[b]))
     assert sorted(terms, key=state_key) == sorted(terms, key=nested_sort_key)
     assert (sorted(terms, key=term_key)
             == sorted(terms, key=lambda u: (term_size(u), nested_sort_key(u))))
+    # values whose states mix terms with ints and strings
+    states = terms[::7] + [0, 3, 256, 10**5000, "", "app", "s", "var", "x"]
+    rng.shuffle(states)
+    assert sorted(states, key=state_key) == sorted(states, key=lambda v: (
+        nested_sort_key(v) if isinstance(v, (App, Var)) else state_key(v)))
 
 
 def test_term_and_other_state_keys_compare():
