@@ -27,8 +27,8 @@ Blank and comment-only lines are skipped by the same match.
 A ground axiom whose label is in the label set and whose head and target are
 declared constants is a plain fact (ground_fact): it can produce no
 diagnostic, so validate_spec passes it by, and the engine stores its pair
-without compiling it.  Spec.facts classifies each rule once for both.  A closed compound target, as in `c -1-> sigma(c)`,
-makes the rule no fact.
+without compiling it; Spec.facts classifies each rule once for both.  A
+closed compound target, as in `c -1-> sigma(c)`, makes the rule no fact.
 """
 
 from __future__ import annotations

@@ -154,6 +154,7 @@ def test_flat_key_orders_like_nested_key():
     # pairs that share a head and differ only further down
     terms += [App("f", (), (u, v)) for u, v in zip(terms[:60], terms[60:120])]
     terms += [App("g", (), (u,)) for u in terms[:60]]
+    first_edge = len(terms)
     terms += [random_term(rng, rng.randrange(4), PREFIX_OPS, BOUNDARY_PARAMS, PREFIX_NAMES)
               for _ in range(150)]
     # a variable and an application at the same position, at the top and below
@@ -162,7 +163,7 @@ def test_flat_key_orders_like_nested_key():
     terms += [App("f'", (n,), (u, App("c"))) for n in BOUNDARY_PARAMS for u in leaves[::3]]
     terms += [App("k", (m, n), (App("c"),) * 3) for m in BOUNDARY_PARAMS for n in (0, 10**5000)]
     nested = {u: nested_sort_key(u) for u in terms}
-    lead = terms[:120] + terms[420:]
+    lead = terms[:120] + terms[first_edge:]
     for a in terms:
         for b in lead:
             assert _cmp(a.sort_key(), b.sort_key()) == _cmp(nested[a], nested[b]), (
