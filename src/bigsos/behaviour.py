@@ -4,9 +4,10 @@ Three kinds are provided: partial streams (one observation then a successor,
 or bottom), finitely-branching labelled transition systems ordered by
 pointwise inclusion, and weighted systems over the complete monoid
 (R+ with infinity, sup).  Each kind bundles its bottom element, the order,
-joins, state relabelling, and the lax relation lifting used by simulations,
-plus the rendering helpers the rest of the package needs, so no caller
-dispatches on the kind.
+joins, state relabelling and its moves, plus the rendering helpers the rest
+of the package needs, so no caller dispatches on the kind.  The lax relation
+lifting used by simulations is one function, read off the moves, that every
+kind binds as its rel_lift.
 
 Values are immutable and canonicalized (sorted, empty entries dropped) so
 structural equality and hashing behave.  The carrier is implicit: states can
@@ -153,6 +154,17 @@ def rel_pairs(rel):
     return rel if isinstance(rel, (set, frozenset)) else frozenset(rel)
 
 
+def _rel_lift(kind, pairs, b, c) -> bool:
+    """The lax relation lifting of every kind, read off kind.moves: b lifts
+    to c over pairs iff every move (a, s, w) of b is matched by a move
+    (a, t, w') of c with w' >= w and (s, t) in pairs.  Each kind binds it
+    as its rel_lift; its own rel_lift_search is the definitional oracle."""
+    pairs = rel_pairs(pairs)
+    have = kind.moves(c)
+    return all(any(a2 == a and w2 >= w and (s, t) in pairs for a2, t, w2 in have)
+               for a, s, w in kind.moves(b))
+
+
 @dataclass(frozen=True)
 class PartialStream:
     """One labelled observation and a successor state, or bottom.
@@ -216,25 +228,15 @@ class PartialStream:
         return frozenset() if isinstance(v, Bottom) else frozenset((v.state,))
 
     def moves(self, v) -> tuple:
-        """(label, state, weight) of each move, weight 1: rel_lift(R, b, c)
-        holds iff every move of b is matched by a move of c with the same
-        label, at least its weight and a state R-related to its state."""
+        """(label, state, weight) of each move, weight 1 here and in lts;
+        rel_lift and the greatest simulation read the lifting off them."""
         self._check(v)
         return () if isinstance(v, Bottom) else ((v.label, v.state, 1),)
 
     def conclusion_value(self, label, target):
         return StreamStep(label, target)
 
-    def rel_lift(self, pairs, b, c) -> bool:
-        """Lax lifting: b below some B(R)-witness whose projections sit below c."""
-        pairs = rel_pairs(pairs)
-        self._check(b)
-        self._check(c)
-        if isinstance(b, Bottom):
-            return True
-        if isinstance(c, Bottom):
-            return False
-        return b.label == c.label and (b.state, c.state) in pairs
+    rel_lift = _rel_lift
 
     def rel_lift_search(self, pairs, b, c) -> bool:
         """Witness enumeration straight from the definition (test oracle)."""
@@ -323,16 +325,7 @@ class CountableLTS:
     def conclusion_value(self, label, target):
         return LtsValue.make({label: {target}})
 
-    def rel_lift(self, pairs, b, c) -> bool:
-        pairs = rel_pairs(pairs)
-        self._check(b)
-        self._check(c)
-        for lab, states in b.moves:
-            targets = c.successors(lab)
-            for s in states:
-                if not any((s, t) in pairs for t in targets):
-                    return False
-        return True
+    rel_lift = _rel_lift
 
     def rel_lift_search(self, pairs, b, c) -> bool:
         """Exhaustive witness search over B(R) (test oracle).
@@ -460,17 +453,7 @@ class WeightedLTS:
     def conclusion_value(self, label, target):
         return WtsValue.make({label: {target: 1.0}})
 
-    def rel_lift(self, pairs, b, c) -> bool:
-        pairs = rel_pairs(pairs)
-        self._check(b)
-        self._check(c)
-        for lab, row in b.moves:
-            targets = next((r for have, r in c.moves if have == lab), ())
-            for s, w in row:
-                best = max((wt for t, wt in targets if (s, t) in pairs), default=0.0)
-                if w > best:
-                    return False
-        return True
+    rel_lift = _rel_lift
 
     def rel_lift_search(self, pairs, b, c) -> bool:
         """Dominating-witness check.

@@ -14,8 +14,10 @@ states whose refined row equals it, so the rows stay an equivalence.  Round
 k is depth-k similarity, or depth-k bisimilarity, so the distinguishing
 depth of an unrelated pair is the first round that stops relating it, found
 exactly within |carrier| rounds.  For bisim it can be smaller than the depth
-at which the two unfoldings stop being mutually similar.  Every result is
-re-checked as a simulation with fresh preimages before it is returned.
+at which the two unfoldings stop being mutually similar.  One guard
+re-checks every result as a simulation, with fresh preimages, and for bisim
+as a symmetric one, which is a bisimulation even where the rows are no
+equivalence.
 
 The lifting laws (pruning shrinks unfoldings, homomorphisms preserve
 similarity, term-map extension and flattening are homomorphisms between
@@ -33,8 +35,8 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Union
 
-from .behaviour import BehaviourKind, Relation, label_key, state_key
-from .engine import GenCoalgebra, Model, UnfoldTree, gen_to_model, lift_coalgebra
+from .behaviour import BehaviourKind, Relation, label_key
+from .engine import GenCoalgebra, Model, gen_to_model, lift_coalgebra
 from .errors import BigsosError, CarrierMismatchError, UnknownStateError
 from .speclang import Spec
 from .terms import (App, Term, UniversePolicy, Var, print_term, substitute,
@@ -108,8 +110,8 @@ def _refine(m1: Model, m2: Model, symmetric: bool, rounds: Union[list, None]) ->
     depth-k bisimilarity.  Round 1 computes every row, later rounds only the
     rows of states with a move into a row that changed: any other refined
     row is its row unchanged.  rounds, if given, receives the rows after
-    every round that changed one.  The result is re-checked with fresh
-    preimages before it is returned.
+    every round that changed one.  _guard re-checks the result before it is
+    returned.
     """
     if m1.kind != m2.kind:
         raise CarrierMismatchError("the two models have different behaviour kinds")
@@ -137,11 +139,20 @@ def _refine(m1: Model, m2: Model, symmetric: bool, rounds: Union[list, None]) ->
         if changed and rounds is not None:
             rounds.append(rows)
         todo = {r for i in changed for r in readers[i]}
-    fresh = _Preimages(moves2)  # guard against refinement bugs
+    _guard(rows, moves1, moves2, symmetric)
+    return rows
+
+
+def _guard(rows: list, moves1: list, moves2: list, symmetric: bool) -> None:
+    """Raise unless rows are a simulation, checked with fresh preimages, and,
+    with symmetric, a symmetric one (a bisimulation)."""
+    fresh = _Preimages(moves2)
     for i, moves in enumerate(moves1):
         if any(rows[i] & ~fresh[a, w, rows[s]] for a, s, w in moves):
             raise BigsosError("internal: refined relation is not a simulation")
-    return rows
+    if symmetric and any(not rows[j] >> i & 1
+                         for i, row in enumerate(rows) for j in _bits(row)):
+        raise BigsosError("internal: refined relation is not symmetric")
 
 
 def _relation(m1: Model, m2: Model, rows: list) -> Relation:
@@ -175,25 +186,35 @@ def _separating_round(rounds: list, i: int, j: int) -> Union[int, None]:
     return None
 
 
-def depth_similarity(kind: BehaviourKind, u1: UnfoldTree, u2: UnfoldTree,
-                     depth: int, require_labels: bool = True) -> bool:
-    """Depth-bounded similarity on observation trees.
+def depth_similarity(m1: Model, s: Term, m2: Model, t: Term, depth: int,
+                     require_labels: bool = True) -> bool:
+    """Depth-bounded similarity of s in m1 and t in m2: whether the
+    depth-step unfolding of t simulates that of s.
 
-    With require_labels, related nodes must carry equal roots (the order on
-    term-labelled trees); drop it to compare unfoldings of different terms
-    for the behavioural preorder.  Depth 0 relates everything.
+    Depth 0 relates every pair.  Depth k relates (a, b) when kind.rel_lift
+    holds for the depth-(k-1) relation on their successors and, with
+    require_labels, a == b (the order on term-labelled unfoldings); drop it
+    to compare different terms for the behavioural preorder.  Each (a, b, k)
+    is decided once per call.
     """
-    if depth > u1.depth or depth > u2.depth:
-        raise ValueError("depth exceeds a recorded tree depth")
-    if depth == 0:
-        return True
-    if require_labels and u1.root != u2.root:
-        return False
-    kids1 = sorted(kind.states(u1.step), key=state_key)
-    kids2 = sorted(kind.states(u2.step), key=state_key)
-    related = frozenset((a, b) for a in kids1 for b in kids2
-                        if depth_similarity(kind, a, b, depth - 1, require_labels))
-    return kind.rel_lift(related, u1.step, u2.step)
+    if depth < 0:
+        raise ValueError("depth must be a natural")
+    if m1.kind != m2.kind:
+        raise CarrierMismatchError("the two models have different behaviour kinds")
+    kind = m1.kind
+    memo: dict = {}
+
+    def similar(a, b, k: int) -> bool:
+        found = memo.get((a, b, k))
+        if found is None:
+            b1, b2 = m1.step(a), m2.step(b)  # also validates membership
+            found = k == 0 or ((not require_labels or a == b) and kind.rel_lift(
+                {(x, y) for x in kind.states(b1) for y in kind.states(b2)
+                 if similar(x, y, k - 1)}, b1, b2))
+            memo[a, b, k] = found
+        return found
+
+    return similar(s, t, depth)
 
 
 # --- term equivalence --------------------------------------------------------------
@@ -218,9 +239,14 @@ class EquivResult:
         return {"related": self.related, "witness": w}
 
 
-def _refine_pair(model: Model, t1: Term, t2: Term, relation: str) -> tuple:
-    """One refinement pass: (the refined rows, the first round that separates
-    t1 from t2 or None)."""
+def check_equivalence(model: Model, t1: Term, t2: Term,
+                      relation: str = "bisim") -> EquivResult:
+    """Decide similarity or bisimilarity of two carrier terms in one model.
+
+    One refinement pass gives the verdict and, for an unrelated pair, its
+    distinguishing depth.  A related pair's witness is the refined relation,
+    which _refine's guard has checked to be a simulation, and for bisim a
+    symmetric one: a bisimulation."""
     index = {s: i for i, s in enumerate(model.carrier())}
     for t in (t1, t2):
         if t not in index:
@@ -229,7 +255,10 @@ def _refine_pair(model: Model, t1: Term, t2: Term, relation: str) -> tuple:
         raise ValueError(f"unknown relation {relation!r}")
     rounds: list = []
     rows = _refine(model, model, relation == "bisim", rounds)
-    return rows, _separating_round(rounds, index[t1], index[t2])
+    depth = _separating_round(rounds, index[t1], index[t2])
+    if depth is not None:
+        return EquivResult(False, depth)
+    return EquivResult(True, _relation(model, model, rows))
 
 
 def distinguishing_depth(model: Model, t1: Term, t2: Term,
@@ -238,26 +267,8 @@ def distinguishing_depth(model: Model, t1: Term, t2: Term,
     related: the round of the simulation refinement (for sim) or of the
     symmetric one (for bisim) that stops relating t1 to t2.  At most the
     carrier size."""
-    return _refine_pair(model, t1, t2, relation)[1]
-
-
-def check_equivalence(model: Model, t1: Term, t2: Term,
-                      relation: str = "bisim") -> EquivResult:
-    """Decide similarity or bisimilarity of two carrier terms in one model.
-
-    One refinement pass gives the verdict and, for an unrelated pair, its
-    distinguishing depth."""
-    rows, depth = _refine_pair(model, t1, t2, relation)
-    if depth is not None:
-        return EquivResult(False, depth)
-    found = _relation(model, model, rows)
-    if relation == "bisim":
-        kind, pairs = model.kind, found.pairs
-        for s, t in pairs:  # the witness must itself be a bisimulation
-            if not (kind.rel_lift(pairs, model.step(s), model.step(t))
-                    and kind.rel_lift(pairs, model.step(t), model.step(s))):
-                raise BigsosError("internal: partition is not a bisimulation")
-    return EquivResult(True, found)
+    res = check_equivalence(model, t1, t2, relation)
+    return None if res.related else res.witness
 
 
 # --- congruence --------------------------------------------------------------------

@@ -363,6 +363,14 @@ def test_kinds_define_one_interface_in_their_own_bodies():
         assert own == methods["PartialStream"], name
 
 
+def test_kinds_share_one_relation_lifting():
+    # one lifting read off kind.moves; each kind keeps its own search oracle
+    lifts = {vars(cls)["rel_lift"] for cls in (PartialStream, CountableLTS, WeightedLTS)}
+    searches = {vars(cls)["rel_lift_search"]
+                for cls in (PartialStream, CountableLTS, WeightedLTS)}
+    assert len(lifts) == 1 and len(searches) == 3
+
+
 def test_no_dispatch_on_kind_names():
     # kind-specific behaviour belongs in the kind classes
     pattern = re.compile(r'kind\.name *[=!]=|[=!]= *"(stream|lts|wts)"'

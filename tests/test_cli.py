@@ -146,6 +146,24 @@ def test_unfold_weighted_text_shows_weights():
     assert out.splitlines() == ["f(c)", "  -b[1.0]-> f(d)"]
 
 
+def test_unfold_and_model_order_successors_differently(tmp_path):
+    # pins today's orders: model lists a term's successors structurally
+    # (state_key), unfold smallest first (term_key), in text and JSON alike
+    spec = tmp_path / "order.sos"
+    spec.write_text("behaviour lts labels a\nops c/0, z/0, g/1\n"
+                    "rule c1 : |- c -a-> z\nrule c2 : |- c -a-> g(z)\n")
+    code, out, _ = cli("model", str(spec), "c")
+    assert code == 0
+    assert out.splitlines()[:2] == ["c -a-> g(z)", "c -a-> z"]
+    code, out, _ = cli("model", str(spec), "c", "--format", "json")
+    assert json.loads(out)["behaviour"]["c"] == {"a": ["g(z)", "z"]}
+    code, out, _ = cli("unfold", str(spec), "c", "-d", "1")
+    assert code == 0
+    assert out.splitlines() == ["c", "  -a-> z", "  -a-> g(z)"]
+    code, out, _ = cli("unfold", str(spec), "c", "-d", "1", "--format", "json")
+    assert [node["term"] for node in json.loads(out)["step"]["a"]] == ["z", "g(z)"]
+
+
 # --- equiv, congruence, laws ---------------------------------------------------------
 
 

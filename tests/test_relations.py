@@ -141,44 +141,82 @@ def factstream_model():
 
 def test_depth_zero_is_vacuous():
     spec, model = factstream_model()
-    u = unfold(model, pt(spec, "c"), 2)
-    v = unfold(model, pt(spec, "pos"), 2)
-    assert depth_similarity(spec.kind, u, v, 0)
-    assert depth_similarity(spec.kind, v, u, 0)
+    c, pos = pt(spec, "c"), pt(spec, "pos")
+    assert depth_similarity(model, c, model, pos, 0)
+    assert depth_similarity(model, pos, model, c, 0)
 
 
 def test_stream_prefix_similarity():
     # different roots: drop the node-label requirement, compare behaviour only
     spec, model = factstream_model()
-    c2 = unfold(model, pt(spec, "c"), 2)
-    pos2 = unfold(model, pt(spec, "pos"), 2)
+    c, pos = pt(spec, "c"), pt(spec, "pos")
     # c emits 1 then bottoms out, pos emits 1 2: bottom pads below anything
-    assert depth_similarity(spec.kind, c2, pos2, 2, require_labels=False)
-    assert not depth_similarity(spec.kind, pos2, c2, 2, require_labels=False)
+    assert depth_similarity(model, c, model, pos, 2, require_labels=False)
+    assert not depth_similarity(model, pos, model, c, 2, require_labels=False)
 
 
 def test_depth_similarity_compares_transition_labels():
     spec, model = factstream_model()
-    pos = unfold(model, pt(spec, "pos"), 2)
-    fact = unfold(model, pt(spec, "sigma(pos)"), 2)
+    pos, fact = pt(spec, "pos"), pt(spec, "sigma(pos)")
     # 1,2 vs 1,6 diverge at the second emitted label
-    assert not depth_similarity(spec.kind, pos, fact, 2, require_labels=False)
-    assert depth_similarity(spec.kind, pos, fact, 1, require_labels=False)
+    assert not depth_similarity(model, pos, model, fact, 2, require_labels=False)
+    assert depth_similarity(model, pos, model, fact, 1, require_labels=False)
 
 
 def test_depth_similarity_requires_equal_roots_by_default():
     spec, model = factstream_model()
-    c1 = unfold(model, pt(spec, "c"), 1)
-    pos1 = unfold(model, pt(spec, "pos"), 1)
-    assert not depth_similarity(spec.kind, c1, pos1, 1)
-    assert depth_similarity(spec.kind, c1, unfold(model, pt(spec, "c"), 1), 1)
+    c, pos = pt(spec, "c"), pt(spec, "pos")
+    assert not depth_similarity(model, c, model, pos, 1)
+    assert depth_similarity(model, c, model, c, 1)
 
 
-def test_depth_similarity_depth_overflow():
+def test_depth_similarity_rejects_a_negative_depth():
     spec, model = factstream_model()
-    u = unfold(model, pt(spec, "pos"), 2)
-    with pytest.raises(ValueError):
-        depth_similarity(spec.kind, u, u, 3)
+    pos = pt(spec, "pos")
+    with pytest.raises(ValueError, match="natural"):
+        depth_similarity(model, pos, model, pos, -1)
+
+
+def test_depth_similarity_rejects_unknown_terms_and_mixed_kinds():
+    spec, model = factstream_model()
+    with pytest.raises(UnknownStateError):
+        depth_similarity(model, pt(spec, "pos"), model, Var("x"), 0)
+    _, lts = look2_model()
+    with pytest.raises(CarrierMismatchError):
+        depth_similarity(model, pt(spec, "pos"), lts, lts.universe[0], 1)
+
+
+def tree_depth_similarity(kind, u1, u2, depth, require_labels=True):
+    """Depth-bounded similarity read off unfolding trees, as it was defined
+    before it read models: an oracle that shares only rel_lift with it."""
+    if depth > u1.depth or depth > u2.depth:
+        raise ValueError("depth exceeds a recorded tree depth")
+    if depth == 0:
+        return True
+    if require_labels and u1.root != u2.root:
+        return False
+    related = frozenset((a, b) for a in kind.states(u1.step) for b in kind.states(u2.step)
+                        if tree_depth_similarity(kind, a, b, depth - 1, require_labels))
+    return kind.rel_lift(related, u1.step, u2.step)
+
+
+def test_depth_similarity_matches_the_tree_oracle():
+    seen = set()
+    for name, model in itertools.chain(fixture_models(), spec_gen_models(15)):
+        pairs = list(itertools.product(model.carrier(), repeat=2))
+        pairs = random.Random(name).sample(pairs, min(len(pairs), 50))
+        for depth in range(4):
+            trees = {s: unfold(model, s, depth) for p in pairs for s in p}
+            for s, t in pairs:
+                for labels in (True, False):
+                    want = tree_depth_similarity(model.kind, trees[s], trees[t],
+                                                 depth, labels)
+                    got = depth_similarity(model, s, model, t, depth, labels)
+                    assert got == want, (name, s, t, depth, labels)
+                    seen.add((depth, labels, got))
+    assert seen == {(0, labels, True) for labels in (True, False)} | {
+        (d, labels, got) for d in (1, 2, 3) for labels in (True, False)
+        for got in (True, False)}
 
 
 # --- check_equivalence and distinguishing depth ---------------------------------------------
@@ -358,12 +396,11 @@ def test_suite_json_shape():
 
 def test_simulation_implies_depth_similarity():
     # pairs in the greatest simulation stay related under every finite cut
-    spec, model = look2_model()
+    _, model = look2_model()
     sim = greatest_simulation(model, model)
     for s, t in sorted(sim.pairs, key=lambda p: (str(p[0]), str(p[1]))):
         for depth in (1, 2, 3):
-            u, v = unfold(model, s, depth), unfold(model, t, depth)
-            assert depth_similarity(spec.kind, u, v, depth, require_labels=False), (s, t)
+            assert depth_similarity(model, s, model, t, depth, require_labels=False), (s, t)
 
 
 # --- refinement rounds versus their definitions -------------------------------------------
@@ -371,7 +408,8 @@ def test_simulation_implies_depth_similarity():
 # The refinement, plain and symmetric, is checked against
 # oracles that share none of their machinery: a Jacobi refinement that
 # re-checks every pair in every round, a back-and-forth refinement over pair
-# sets, and depth-bounded similarity of unfolding trees.
+# sets, and depth-bounded similarity, decided pair by pair on the models
+# (itself checked against unfolding trees above).
 
 
 def naive_refinement(kind, m1, m2, both_ways=False):
@@ -478,8 +516,7 @@ def cases(models):
 
 
 def _dissimilar_at(model, s, t, depth):
-    u, v = unfold(model, s, depth), unfold(model, t, depth)
-    return not depth_similarity(model.kind, u, v, depth, require_labels=False)
+    return not depth_similarity(model, s, model, t, depth, require_labels=False)
 
 
 @pytest.mark.parametrize("name,model", cases(small_models()))
@@ -670,9 +707,36 @@ def test_mutually_similar_but_not_bisimilar_gadget():
     assert check_equivalence(model, q, p, "sim").related
     assert check_equivalence(model, p, q, "bisim") == EquivResult(False, 2)
     assert distinguishing_depth(model, q, p) == 2
-    u, v = unfold(model, p, 4), unfold(model, q, 4)
-    assert depth_similarity(spec.kind, u, v, 4, require_labels=False)
-    assert depth_similarity(spec.kind, v, u, 4, require_labels=False)
+    assert depth_similarity(model, p, model, q, 4, require_labels=False)
+    assert depth_similarity(model, q, model, p, 4, require_labels=False)
+
+
+def gadget_guard_inputs():
+    spec = parse_spec(GADGET)
+    model, _ = least_model(spec)
+    moves = relations._indexed_moves(model)
+    return spec, model, moves, relations._refine(model, model, False, None)
+
+
+def test_guard_rejects_a_simulation_that_is_not_symmetric():
+    # the greatest simulation of the gadget relates p and q both ways but x
+    # only below y: a simulation, and no bisimulation
+    spec, model, moves, rows = gadget_guard_inputs()
+    p, q, x, y = (model.carrier().index(pt(spec, n)) for n in "pqxy")
+    assert rows[p] >> q & 1 and rows[q] >> p & 1
+    assert rows[x] >> y & 1 and not rows[y] >> x & 1
+    relations._guard(rows, moves, moves, False)
+    with pytest.raises(BigsosError, match="not symmetric"):
+        relations._guard(rows, moves, moves, True)
+    relations._guard(relations._refine(model, model, True, None), moves, moves, True)
+
+
+def test_guard_rejects_overfull_rows():
+    _, _, moves, _ = gadget_guard_inputs()
+    full = [(1 << len(moves)) - 1] * len(moves)  # symmetric, not a simulation
+    for symmetric in (False, True):
+        with pytest.raises(BigsosError, match="not a simulation"):
+            relations._guard(full, moves, moves, symmetric)
 
 
 def test_distinguishing_depth_rejects_unknown_terms():
