@@ -31,6 +31,7 @@ skipped rather than judged, so each law reports pass, fail, or inconclusive.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Union
@@ -194,27 +195,31 @@ def depth_similarity(m1: Model, s: Term, m2: Model, t: Term, depth: int,
     Depth 0 relates every pair.  Depth k relates (a, b) when kind.rel_lift
     holds for the depth-(k-1) relation on their successors and, with
     require_labels, a == b (the order on term-labelled unfoldings); drop it
-    to compare different terms for the behavioural preorder.  Each (a, b, k)
-    is decided once per call.
+    to compare different terms for the behavioural preorder.  The pairs are
+    collected level by level down from (s, t), every successor pair of a
+    pair that passes the label test, and then decided bottom-up, each level
+    from the one below it, so the stack does not grow with depth.
     """
     if depth < 0:
         raise ValueError("depth must be a natural")
     if m1.kind != m2.kind:
         raise CarrierMismatchError("the two models have different behaviour kinds")
     kind = m1.kind
-    memo: dict = {}
-
-    def similar(a, b, k: int) -> bool:
-        found = memo.get((a, b, k))
-        if found is None:
+    levels = [{(s, t)}]  # levels[i]: the pairs decided at depth - i
+    for _ in range(depth):
+        levels.append({pair for a, b in levels[-1] if not require_labels or a == b
+                       for pair in itertools.product(kind.states(m1.step(a)),
+                                                     kind.states(m2.step(b)))})
+    similar: dict = {}
+    for k, pairs in enumerate(reversed(levels)):
+        decided = {}
+        for a, b in pairs:
             b1, b2 = m1.step(a), m2.step(b)  # also validates membership
-            found = k == 0 or ((not require_labels or a == b) and kind.rel_lift(
+            decided[a, b] = k == 0 or ((not require_labels or a == b) and kind.rel_lift(
                 {(x, y) for x in kind.states(b1) for y in kind.states(b2)
-                 if similar(x, y, k - 1)}, b1, b2))
-            memo[a, b, k] = found
-        return found
-
-    return similar(s, t, depth)
+                 if similar[x, y]}, b1, b2))
+        similar = decided
+    return similar[s, t]
 
 
 # --- term equivalence --------------------------------------------------------------
@@ -301,6 +306,30 @@ class CongruenceReport:
                 "violations": [v.to_json() for v in self.violations]}
 
 
+def _groups_settle(carrier, apps: list, classes: tuple, cls_of: dict) -> bool:
+    """Whether every swap congruence_test can draw is checked and related.
+
+    A swap of left is App(left.op, left.params, mates), each mate from its
+    argument's class, so it lies in left's group: the carrier terms with
+    left's op and params and the same class for each argument.  Every swap
+    is in the carrier exactly when the group has as many terms as the
+    product of those classes' sizes, and is bisimilar to left exactly when
+    the group lies in one class.  One pass over the carrier."""
+    def key(t):
+        return t.op, t.params, tuple(cls_of.get(a) for a in t.args)
+
+    groups: dict = {}  # key -> the classes of the carrier terms with it
+    for t in carrier:
+        if isinstance(t, App) and t.args:
+            groups.setdefault(key(t), []).append(cls_of[t])
+    for op, params, arg_classes in set(map(key, apps)):
+        found = groups[op, params, arg_classes]
+        if None in arg_classes or len(set(found)) > 1 or len(found) != math.prod(
+                len(classes[i]) for i in arg_classes):
+            return False
+    return True
+
+
 def congruence_test(spec: Spec, model: Model, samples: int, depth: int = 3,
                     seed: int = 0) -> CongruenceReport:
     """Sample composite terms and swap arguments for bisimilar mates.
@@ -309,24 +338,26 @@ def congruence_test(spec: Spec, model: Model, samples: int, depth: int = 3,
     recorded behaviour; a swapped composite outside the universe is counted
     as skipped, not failed.  A violation carries the pair's distinguishing
     depth, read off the same refinement, or None beyond depth.
+
+    When the class-signature groups settle the report (_groups_settle: every
+    possible swap is in the carrier and bisimilar to its left term), no
+    sample is drawn: the report is (samples, samples, 0, ()), the one every
+    seed gives.
     """
     if samples < 0:
         raise ValueError("samples must be a natural")
-    rng = random.Random(seed)
     rounds: list = []
     classes = bisimilarity_classes(model, rounds)
     index = {s: i for i, s in enumerate(model.carrier())}
-    cls_of: dict = {}
-    members: dict = {}
-    for i, cl in enumerate(classes):
-        ordered = sorted(cl, key=term_key)
-        members[i] = ordered
-        for s in cl:
-            cls_of[s] = i
+    cls_of = {s: i for i, cl in enumerate(classes) for s in cl}
     apps = [t for t in model.universe
             if isinstance(t, App) and t.args and t.op in spec.sig]
     if not apps or samples <= 0:
         return CongruenceReport(samples, 0, 0, ())
+    if _groups_settle(index, apps, classes, cls_of):
+        return CongruenceReport(samples, samples, 0, ())
+    rng = random.Random(seed)
+    members = [sorted(cl, key=term_key) for cl in classes]
     checked = skipped = 0
     violations = []
     for _ in range(samples):

@@ -15,7 +15,9 @@ import io
 import json
 import os
 import pathlib
+import random
 
+from bigsos import relations
 from bigsos.cli import run
 
 HERE = pathlib.Path(__file__).parent
@@ -129,6 +131,31 @@ def test_cli_matches_golden(monkeypatch):
         got = _invoke(want["argv"], want["seed_env"])
         assert got == want, f"first differing invocation: {want['argv']} " \
                             f"(BIGSOS_SEED={want['seed_env']})"
+
+
+def test_golden_congruence_covers_both_paths(monkeypatch):
+    """The golden congruence entries reach both paths of congruence_test:
+    reports the class-signature groups settle, which draw no sample, and
+    reports the sampler draws."""
+    monkeypatch.chdir(FIXTURES)
+    settled, draws = [], []
+    groups_settle = relations._groups_settle
+    monkeypatch.setattr(relations, "_groups_settle",
+                        lambda *a: settled.append(groups_settle(*a)) or settled[-1])
+    choice = random.Random.choice
+    monkeypatch.setattr(random.Random, "choice",
+                        lambda self, seq: draws.append(1) or choice(self, seq))
+    paths = set()
+    for want in json.loads(GOLDEN.read_text(encoding="utf-8")):
+        if want["argv"][0] != "congruence":
+            continue
+        settled.clear()
+        draws.clear()
+        assert _invoke(want["argv"], want["seed_env"]) == want, want["argv"]
+        if settled:
+            assert settled[0] != bool(draws), want["argv"]
+            paths.add(settled[0])
+    assert paths == {True, False}
 
 
 if __name__ == "__main__":

@@ -11,7 +11,8 @@ from bigsos.behaviour import (BOTTOM, CountableLTS, LtsValue, PartialStream,
 from bigsos.engine import (GenCoalgebra, Model, gen_to_model, least_model,
                            lift_coalgebra, unfold)
 from bigsos.errors import BigsosError, CarrierMismatchError, UnknownStateError
-from bigsos.relations import (LAW_POLICY, EquivResult, _lift_seeds,
+from bigsos.relations import (LAW_POLICY, CongruenceReport, CongruenceViolation,
+                              EquivResult, _lift_seeds,
                               bisimilarity_classes, check_equivalence,
                               congruence_test, default_generators,
                               depth_similarity, distinguishing_depth,
@@ -19,9 +20,10 @@ from bigsos.relations import (LAW_POLICY, EquivResult, _lift_seeds,
                               law_flatten_hom, law_hom_preserves_similarity,
                               law_suite, suite_to_json)
 from bigsos.speclang import parse_spec
-from bigsos.terms import UniversePolicy, Var, parse_term
+from bigsos.terms import App, UniversePolicy, Var, parse_term, term_key
 from conftest import fixture_text
 from spec_gen import UNIVERSE_TEXTS, random_monotone_lts_spec
+from test_cli_golden import SMALL_CAPS, TERMS
 
 
 def fx(name):
@@ -219,6 +221,20 @@ def test_depth_similarity_matches_the_tree_oracle():
         for got in (True, False)}
 
 
+def test_depth_similarity_decides_deep_levels_without_recursion():
+    # wchain's verdicts settle by depth 5, so depth 2000 must give the tree
+    # oracle's depth-6 answer; the levels are decided by a loop, not by one
+    # stack frame each
+    spec, model = wchain_model()
+    c = pt(spec, "c")
+    assert depth_similarity(model, c, model, c, 2000)
+    for s, t in itertools.product(model.carrier(), repeat=2):
+        for labels in (True, False):
+            tree = [tree_depth_similarity(model.kind, unfold(model, s, d),
+                                          unfold(model, t, d), d, labels) for d in (5, 6)]
+            assert tree[0] == tree[1] == depth_similarity(model, s, model, t, 2000, labels)
+
+
 # --- check_equivalence and distinguishing depth ---------------------------------------------
 
 
@@ -278,15 +294,133 @@ def test_congruence_deterministic():
     assert one == two
 
 
-def test_congruence_detects_a_broken_model():
-    # deliberately corrupt one class member so swapped mates disagree
-    spec, model = look2_model()
-    tc, td = pt(spec, "tau(c)"), pt(spec, "tau(d)")
+def silenced(spec, model, text):
+    """model with text's behaviour set to bottom: a deliberately broken model."""
     beh = dict(model.behaviour)
-    beh[td] = spec.kind.bottom()  # tau(d) silenced: no longer bisimilar to tau(c)
-    broken = Model(spec.kind, model.universe, beh, model.frontier, model.tainted)
+    beh[pt(spec, text)] = spec.kind.bottom()
+    return spec, Model(spec.kind, model.universe, beh, model.frontier, model.tainted)
+
+
+def test_congruence_detects_a_broken_model():
+    # tau(d) silenced: no longer bisimilar to tau(c)
+    spec, broken = silenced(*look2_model(), "tau(d)")
     report = congruence_test(spec, broken, samples=60, depth=3, seed=1)
     assert report.violations  # sigma(tau(c)) vs sigma(tau(d)) now split classes
+
+
+def sampled_congruence(spec, model, samples, depth=3, seed=0):
+    """congruence_test as it was before the class-signature groups: every
+    sample drawn, whatever the groups say.  The oracle for both its paths."""
+    if samples < 0:
+        raise ValueError("samples must be a natural")
+    rng = random.Random(seed)
+    rounds = []
+    classes = bisimilarity_classes(model, rounds)
+    index = {s: i for i, s in enumerate(model.carrier())}
+    cls_of = {s: i for i, cl in enumerate(classes) for s in cl}
+    members = [sorted(cl, key=term_key) for cl in classes]
+    apps = [t for t in model.universe
+            if isinstance(t, App) and t.args and t.op in spec.sig]
+    if not apps or samples <= 0:
+        return CongruenceReport(samples, 0, 0, ())
+    checked = skipped = 0
+    violations = []
+    for _ in range(samples):
+        left = rng.choice(apps)
+        mates = tuple(rng.choice(members[cls_of[a]]) for a in left.args)
+        right = App(left.op, left.params, mates)
+        if right not in index:
+            skipped += 1
+            continue
+        checked += 1
+        if cls_of[left] != cls_of[right]:
+            sep = relations._separating_round(rounds, index[left], index[right])
+            violations.append(CongruenceViolation(
+                left.op, left.params, left, right, sep if sep <= depth else None))
+    return CongruenceReport(samples, checked, skipped, tuple(violations))
+
+
+def golden_congruence_models():
+    """(name, spec, model) for the golden congruence entries that build a
+    model: each fixture at both golden caps, on its constants and golden
+    seeds."""
+    for name, (_, _, seeds) in TERMS.items():
+        spec = fx(name)
+        start = [App(c) for c in spec.sig.constants()] + [pt(spec, s) for s in seeds]
+        for caps in SMALL_CAPS:
+            flags = dict(zip(caps[::2], caps[1::2]))
+            policy = UniversePolicy(max_count=int(flags["--universe-count"]),
+                                    max_size=int(flags["--universe-size"]))
+            model, report = least_model(spec, start, policy, force=True)
+            if report.converged:
+                yield f"{name}-{policy.max_count}", spec, model
+
+
+# c and d are bisimilar, and f(x) makes one b-move to x
+TWINS_UNDER_F = """\
+behaviour lts labels a, b
+ops c/0, d/0, f/1
+rule c : |- c -a-> c
+rule d : |- d -a-> d
+rule f : |- f(x) -b-> x
+"""
+
+
+def twins_model(*seeds):
+    spec = parse_spec(TWINS_UNDER_F)
+    model, _ = least_model(spec, [pt(spec, s) for s in seeds],
+                           UniversePolicy(max_count=len(seeds), max_size=0))
+    return spec, model
+
+
+def test_congruence_matches_the_sampling_oracle(monkeypatch):
+    settled = []
+    groups_settle = relations._groups_settle
+    monkeypatch.setattr(relations, "_groups_settle",
+                        lambda *a: settled.append(groups_settle(*a)) or settled[-1])
+    cases = list(golden_congruence_models())
+    cases += [(f"spec_gen-{i}", *spec_gen_model(i)) for i in range(50)]
+    cases.append(("broken-lookahead2", *silenced(*look2_model(), "tau(d)")))
+    # f(d) is outside the universe: the one swap that leaves the carrier
+    cases.append(("one-swap-outside", *twins_model("c", "d", "f(c)")))
+    # every swap is in the carrier, but f(c) and f(d) are not bisimilar
+    cases.append(("full-group-violation", *silenced(*twins_model("c", "d", "f(c)", "f(d)"),
+                                                    "f(d)")))
+    for name, spec, model in cases:
+        for samples in (0, 20, 200):
+            for seed in range(4):
+                want = sampled_congruence(spec, model, samples, 3, seed)
+                assert congruence_test(spec, model, samples, 3, seed) == want, \
+                    (name, samples, seed)
+    assert set(settled) == {True, False}
+    reports = {name: congruence_test(spec, model, 200) for name, spec, model in cases[-3:]}
+    assert reports["broken-lookahead2"].violations
+    assert reports["one-swap-outside"].skipped > 0
+    assert not reports["full-group-violation"].skipped
+    assert reports["full-group-violation"].violations
+
+
+def default_caps_model(name, *seeds):
+    spec = fx(name)
+    start = [App(c) for c in spec.sig.constants()] + [pt(spec, s) for s in seeds]
+    model, report = least_model(spec, start, UniversePolicy())
+    assert report.converged
+    return spec, model
+
+
+def test_settled_congruence_draws_no_sample(monkeypatch):
+    factstream = default_caps_model("factstream")
+    look2 = default_caps_model("lookahead2", "sigma(tau(c))")
+
+    def choice(self, seq):
+        raise AssertionError("congruence_test drew a sample")
+
+    monkeypatch.setattr(random.Random, "choice", choice)
+    for seed in range(3):
+        assert congruence_test(*factstream, 4000, seed=seed) == \
+            CongruenceReport(4000, 4000, 0, ())
+    with pytest.raises(AssertionError, match="drew a sample"):
+        congruence_test(*look2, 4000)
 
 
 # --- law suite -------------------------------------------------------------------------------
@@ -474,23 +608,30 @@ KINDS = {"lts": CountableLTS(frozenset({"a", "b"})),
          "stream": PartialStream(frozenset({1, 2}))}
 
 
+def spec_gen_model(seed):
+    spec = random_monotone_lts_spec(random.Random(seed))
+    universe = [pt(spec, s) for s in UNIVERSE_TEXTS]
+    model, _ = least_model(spec, universe, UniversePolicy(max_count=3, max_size=0))
+    return spec, model
+
+
 def spec_gen_models(count):
     for i in range(count):
-        spec = random_monotone_lts_spec(random.Random(i))
-        universe = [pt(spec, s) for s in UNIVERSE_TEXTS]
-        model, _ = least_model(spec, universe,
-                               UniversePolicy(max_count=3, max_size=0))
-        yield f"spec_gen-{i}", model
+        yield f"spec_gen-{i}", spec_gen_model(i)[1]
+
+
+def wchain_model():
+    spec = fx("wchain")
+    model, report = least_model(spec, [pt(spec, "f(f(f(c)))"), pt(spec, "f(f(d))")],
+                                UniversePolicy(max_count=30, max_size=8))
+    assert report.converged
+    return spec, model
 
 
 def fixture_models():
     yield "lookahead2", look2_model()[1]
     yield "factstream", factstream_model()[1]
-    spec = fx("wchain")
-    model, report = least_model(spec, [pt(spec, "f(f(f(c)))"), pt(spec, "f(f(d))")],
-                                UniversePolicy(max_count=30, max_size=8))
-    assert report.converged
-    yield "wchain", model
+    yield "wchain", wchain_model()[1]
 
 
 def small_models():
