@@ -15,15 +15,25 @@ at the step budget.
 The universe grows by the subterm closures of in-cap conclusion targets,
 since rule heads need their argument subterms' behaviour.
 
-The iteration is semi-naive.  A term's derivation depends only on the value,
-frontier membership and taint of the terms whose step it reads, so
-least_model keeps a reverse index, built from those recorded reads, from each
-read term to the terms whose derivations read it.  After each step the
-changed terms are those whose value or taint changed and those that entered
-or left the frontier; the next step re-derives only their readers and the
-newly promoted terms, and every other term keeps its value and taint.  The
-models are those of full steps, and the loop has converged when nothing
-changed.
+The iteration is semi-naive, and a step costs what it re-derives.  A term's
+derivation depends only on the value, frontier membership and taint of the
+terms whose step it reads, so least_model keeps a reverse index, built from
+those recorded reads, from each read term to the terms whose derivations
+read it.  It keeps the last step's model as mutable state, with a count per
+state of the universe values that reference it.  A step derives the readers
+of the terms the previous step changed, and the newly promoted terms,
+against the previous model, and applies the results only once all have run.
+Only a term whose value or taint changed updates its entry and the reference
+counts; a state outside the universe enters the frontier when its count
+leaves 0 and leaves it when the count reaches 0; promotion examines only the
+terms that just entered.  A step's delta is the earlier value and taint of
+each term it changed and the set of terms that entered or left the
+frontier.  The loop has converged when a delta is empty, and a model equals
+the one two steps back exactly when the two deltas change the same terms,
+the second restores each to its value and taint from before the first, and
+both flip the same frontier terms.  So a step costs O(derivations + changed
+states) rather than O(|universe|), and its models are those of full steps
+(phi_step).
 
 A generator designates opaque variable states whose behaviour is injected
 verbatim each step; running the same iteration over terms with generator
@@ -38,12 +48,13 @@ from typing import Iterable, Mapping, NamedTuple, Union
 
 from .behaviour import BehaviourKind, CountableLTS
 from .errors import (BigsosError, InconsistentStreamError, LabelEvalError,
-                     NonConvergenceError, NonMonotoneError, UnknownStateError)
+                     NonConvergenceError, NonMonotoneError, UnboundVariableError,
+                     UnknownStateError)
 from .speclang import (LabelLit, Positive, Premise, Rule, Spec, check_monotone,
-                       eval_label, instantiate_template, label_vars,
-                       template_param_exprs, template_vars)
+                       compile_label, compile_param, label_vars, template_param_exprs,
+                       template_vars)
 from .terms import (App, Term, UniversePolicy, Var, check_term, print_term, subterms,
-                    substitute, term_key, term_size, variables)
+                    term_key, term_size, variables)
 
 
 @dataclass(frozen=True)
@@ -72,11 +83,6 @@ class Model:
 
     def carrier(self) -> tuple:
         return self.universe + tuple(sorted(self.frontier, key=term_key))
-
-
-def bottom_model(kind: BehaviourKind, universe: Iterable[Term]) -> Model:
-    terms = tuple(sorted(set(universe), key=term_key))
-    return Model(kind, terms, {t: kind.bottom() for t in terms}, frozenset())
 
 
 @dataclass(frozen=True)
@@ -140,14 +146,14 @@ def gen_to_model(kind: BehaviourKind, gen: GenCoalgebra) -> Model:
 # label variables, which live in separate namespaces.
 #
 # The conclusion is compiled as well, into a function from a final environment
-# to its (label, target) pair: a literal label over a target without label
-# parameters builds the target from slots (a bare variable target picks one),
-# and any other conclusion is evaluated per environment.  A term's
-# value is built from its pairs by one kind.from_transitions call, with no value
-# per conclusion.  Premises read their sources' transitions from a table that
-# phi_step shares across one step, and every source read goes into the caller's
-# read set: phi_step takes the term's taint from it, and least_model its reverse
-# index.
+# to its (label, target) pair.  Label expressions and operator parameters are
+# compiled into functions over the label slots, and the target into a builder
+# over the slots, so no conclusion is interpreted per environment; a literal
+# label in the domain is a constant.  A term's value is built from its pairs
+# by one kind.from_transitions call, with no value per conclusion.  Premises
+# read their sources' transitions from a table shared across one step, and
+# every source read goes into the caller's read set: the step takes the
+# term's taint from it, and least_model its reverse index.
 
 
 def _picker(indices: tuple):
@@ -158,10 +164,6 @@ def _picker(indices: tuple):
     if not indices:
         return lambda row: ()
     return itemgetter(*indices)
-
-
-def _names_env(layout: tuple, env: tuple, tag: str) -> dict:
-    return {name: v for (t, name), v in zip(layout, env) if t == tag}
 
 
 class _Rows(dict):
@@ -181,19 +183,21 @@ class _Rows(dict):
 # NamedTuples rather than dataclasses: they are cheaper to define at import and
 # to build, and a spec of a few hundred axioms compiles a plan for each.
 class _PremiseStep(NamedTuple):
-    """One premise against environments laid out as `layout`.
+    """One premise against environments laid out as in its rule plan.
 
     source is the slot of the premise source, or None when no slot binds it
-    (no environment survives).  A premise compares its label with the literal
-    label_lit or, if positive, with slot label_slot, or binds it when both are
-    None; out builds the next environment from env + (target, label).
+    (no environment survives).  A positive premise compares its label with
+    the literal label_lit or with slot label_slot, or binds it when both are
+    None; a negative one reads the label its source must lack from want, a
+    function of the environment.  out builds the next environment from
+    env + (target, label).
     """
 
     premise: Premise
-    layout: tuple
     source: Union[int, None]
     label_lit: object
     label_slot: Union[int, None]
+    want: object
     out: object
 
 
@@ -208,49 +212,76 @@ def _premise_reads(p: Premise) -> set:
     return {("t", p.source)} | {("l", v) for v in label_vars(p.label)}
 
 
+def _label_slots(slot: dict) -> dict:
+    return {name: i for (tag, name), i in slot.items() if tag == "l"}
+
+
 def _builder(target, slot: dict):
-    """Function from an environment to the label-free template target, each
-    variable read from its slot."""
-    if isinstance(target, Var):
-        return itemgetter(slot[("t", target.name)])
-    op = target.op
-    if not target.args:
+    """Function from an environment to the conclusion target, each variable
+    read from its slot and each parameter evaluated from the label slots.
+
+    Evaluation raises what instantiating the template and then substituting
+    into it raises: the parameters' errors in pre-order, then an unbound
+    term variable, the first one in pre-order.
+    """
+    labels = _label_slots(slot)
+    unbound: list = []
+
+    def compile_node(tt):
+        if isinstance(tt, Var):
+            if ("t", tt.name) not in slot:
+                unbound.append(tt.name)
+                return None
+            return itemgetter(slot[("t", tt.name)])
+        op = tt.op
+        params = tuple([compile_param(e, labels) for e in tt.params])
+        kids = tuple([compile_node(a) for a in tt.args])
+        if params:
+            return lambda env: App(op, tuple([p(env) for p in params]),
+                                   tuple([build(env) for build in kids]))
+        if kids:
+            return lambda env: App(op, (), tuple([build(env) for build in kids]))
         leaf = App(op)
         return lambda env: leaf
-    kids = tuple([_builder(a, slot) for a in target.args])
-    return lambda env: App(op, (), tuple([build(env) for build in kids]))
+
+    build = compile_node(target)
+    if not unbound:
+        return build
+    params = [compile_param(e, labels) for e in template_param_exprs(target)]
+    message = f"no binding for variable {unbound[0]!r}"
+
+    def fail(env):
+        for param in params:
+            param(env)
+        raise UnboundVariableError(message)
+    return fail
 
 
-def _compile_conclusion(kind: BehaviourKind, rule: Rule, layout: tuple,
-                        term_vars: frozenset, param_exprs: tuple):
+def _compile_conclusion(kind: BehaviourKind, rule: Rule, layout: tuple):
     """Function from an environment laid out as layout to the pair the rule
-    concludes; a derivation raises the errors evaluating the pair raises.
-    term_vars and param_exprs are the target's variables and parameter
-    expressions."""
-    label, target = rule.concl_label, rule.concl_target
+    concludes.  It raises, in this order, what evaluating the label raises, a
+    label outside the domain, and what building the target raises."""
     slot = {name: i for i, name in enumerate(layout)}
-    if (isinstance(label, LabelLit) and kind.has_label(label.value) and not param_exprs
-            and all(("t", v) in slot for v in term_vars)):
-        lab, build = label.value, _builder(target, slot)
+    build = _builder(rule.concl_target, slot)
+    label = rule.concl_label
+    if isinstance(label, LabelLit) and kind.has_label(label.value):
+        lab = label.value
         return lambda env: (lab, build(env))
+    value, has_label = compile_label(label, _label_slots(slot)), kind.has_label
 
     def conclude(env: tuple) -> tuple:
-        labenv = _names_env(layout, env, "l")
-        lab = eval_label(label, labenv)
-        if not kind.has_label(lab):
+        lab = value(env)
+        if not has_label(lab):
             raise LabelEvalError(
                 f"rule {rule.name}: conclusion label {lab!r} outside the label domain")
-        return lab, substitute(instantiate_template(target, labenv),
-                               _names_env(layout, env, "t"))
+        return lab, build(env)
 
     return conclude
 
 
 def _compile_rule(kind: BehaviourKind, rule: Rule) -> _RulePlan:
-    term_vars = template_vars(rule.concl_target)
-    param_exprs = tuple(template_param_exprs(rule.concl_target))
-    concl = {("t", v) for v in term_vars}
-    for e in (rule.concl_label, *param_exprs):
+    concl = {("t", v) for v in template_vars(rule.concl_target)}
+    for e in (rule.concl_label, *template_param_exprs(rule.concl_target)):
         concl |= {("l", v) for v in label_vars(e)}
     live = [concl]  # live[i]: names read by premise i or anything after it
     for p in reversed(rule.premises):
@@ -281,11 +312,11 @@ def _compile_rule(kind: BehaviourKind, rule: Rule) -> _RulePlan:
         out_layout = tuple(name for name in bound if name in live[i + 1])
         out = _picker(tuple(fresh[name] if name in fresh else slot[name]
                             for name in out_layout))
-        steps.append(_PremiseStep(p, layout, slot.get(("t", p.source)),
-                                  label_lit, label_slot, out))
+        want = None if isinstance(p, Positive) else compile_label(p.label, _label_slots(slot))
+        steps.append(_PremiseStep(p, slot.get(("t", p.source)), label_lit, label_slot,
+                                  want, out))
         layout = out_layout
-    return _RulePlan(rule, head, tuple(steps),
-                     _compile_conclusion(kind, rule, layout, term_vars, param_exprs))
+    return _RulePlan(rule, head, tuple(steps), _compile_conclusion(kind, rule, layout))
 
 
 def _join_plan(spec: Spec) -> dict:
@@ -343,8 +374,7 @@ def apply_rules(spec: Spec, op: str, params: tuple, args: tuple, reads: set,
                 for env in envs:
                     s = env[src]
                     read(s)
-                    want = (lit if lit is not None else
-                            eval_label(p.label, _names_env(step.layout, env, "l")))
+                    want = step.want(env)
                     if all(have != want for have, _ in memo[s]):
                         grown[out(env)] = None
             envs = grown
@@ -358,50 +388,47 @@ def apply_rules(spec: Spec, op: str, params: tuple, args: tuple, reads: set,
             f"{print_term(App(op, params, args))}: {exc}") from None
 
 
+def _derive(spec: Spec, gen: Union[GenCoalgebra, None], memo: _Rows, t: Term) -> tuple:
+    """(value, reads, tainted) of universe term t after one step from the
+    model memo reads: the set of terms its derivation read, and whether one
+    of them is a frontier or tainted term of that model.  A generator
+    variable takes its dynamics verbatim, states injected as variable terms.
+    """
+    read: set = set()
+    if isinstance(t, Var):
+        if gen is None or t.name not in gen.dynamics:
+            raise UnknownStateError(f"variable term {t.name!r} has no generator dynamics")
+        v = spec.kind.map_states(lambda y: Var(y), gen.dynamics[t.name])
+    else:
+        v = apply_rules(spec, t.op, t.params, t.args, read, memo)
+    m = memo.model
+    return v, read, not (read.isdisjoint(m.frontier) and read.isdisjoint(m.tainted))
+
+
 def phi_step(spec: Spec, model: Model, gen: Union[GenCoalgebra, None] = None,
-             dirty: Union[set, frozenset, None] = None,
              reads: Union[dict, None] = None) -> Model:
     """One application of the rule bank across the universe.
 
-    Generator variables take their dynamics verbatim (states injected as
-    variable terms); conclusion targets outside the universe become frontier.
-    Terms whose derivation read a frontier or tainted term are tainted: their
-    value may under-report the untruncated behaviour.
-
-    With a dirty set, only the universe terms in it are recomputed; every
-    other term keeps its value and taint from model.  If reads is given, it
-    receives, in universe order, each recomputed term mapped to the set of
-    terms its derivation read.
+    Conclusion targets outside the universe become frontier.  Terms whose
+    derivation read a frontier or tainted term are tainted: their value may
+    under-report the untruncated behaviour.  If reads is given, it receives,
+    in universe order, each term mapped to the set of terms its derivation
+    read.
     """
     kind = spec.kind
-    old, old_tainted = model.behaviour, model.tainted
-    unresolved = model.frontier | old_tainted
     memo = _Rows(model)
     beh = {}
     referenced: set = set()
     tainted: list = []
     for t in model.universe:
-        if dirty is not None and t not in dirty:
-            v = old[t]
-            if t in old_tainted:
-                tainted.append(t)
-        elif isinstance(t, Var):
-            if gen is None or t.name not in gen.dynamics:
-                raise UnknownStateError(f"variable term {t.name!r} has no generator dynamics")
-            v = kind.map_states(lambda y: Var(y), gen.dynamics[t.name])
-            if reads is not None:
-                reads[t] = set()
-        else:
-            read: set = set()
-            v = apply_rules(spec, t.op, t.params, t.args, read, memo)
-            if not read.isdisjoint(unresolved):
-                tainted.append(t)
-            if reads is not None:
-                reads[t] = read
+        v, read, taint = _derive(spec, gen, memo, t)
         beh[t] = v
         referenced |= kind.states(v)
-    inside = set(model.universe)
-    frontier = frozenset(s for s in referenced if s not in inside)
+        if taint:
+            tainted.append(t)
+        if reads is not None:
+            reads[t] = read
+    frontier = frozenset(referenced.difference(model.universe))
     return Model(kind, model.universe, beh, frontier, frozenset(tainted))
 
 
@@ -415,20 +442,19 @@ def _subterm_closure(seedlike: Iterable[Term]) -> set:
     return out
 
 
-def _promotions(model: Model, policy: UniversePolicy, seen: frozenset) -> list:
-    """Frontier terms (with their subterm closures) that fit the caps.
+def _promotions(inside, entered: Iterable[Term], policy: UniversePolicy) -> list:
+    """Terms that just entered the frontier (with their subterm closures) that
+    fit the caps, given the universe terms inside.
 
-    seen is the frontier of the previous model, whose terms the previous call
-    examined and did not promote; they are skipped, for none of them can fit
-    now.  A term's size is fixed, and for its set of subterms outside the
-    universe, len(new) - budget never decreases: each promoted term lowers
-    budget by one and len(new) by at most one.
+    Every other frontier term was examined when it entered and not promoted,
+    and none of them can fit now.  A term's size is fixed, and for its set of
+    subterms outside the universe, len(new) - budget never decreases: each
+    promoted term lowers budget by one and len(new) by at most one.
     """
-    inside = set(model.universe)
     budget = policy.max_count - len(inside)
     promoted: list = []
     taken: set = set()
-    for t in sorted(model.frontier - seen, key=term_key):
+    for t in sorted(entered, key=term_key):
         if term_size(t) > policy.max_size:
             continue
         # inside and inside | taken are subterm-closed, so stop at their terms
@@ -477,63 +503,89 @@ def least_model(spec: Spec, seeds: Union[Iterable[Term], None] = None,
     if gen is not None:
         seeds.extend(Var(x) for x in gen.states)
 
-    universe = tuple(sorted(_subterm_closure(seeds), key=term_key))
-    m = bottom_model(kind, universe)
+    # The model of the last step, updated in place once each step's
+    # derivations have all run.
+    dirty = sorted(_subterm_closure(seeds), key=term_key)
+    bottom = kind.bottom()
+    beh = dict.fromkeys(dirty, bottom)
+    frontier: set = set()
+    tainted: set = set()
+    held: dict = {}  # universe term -> the states its value references
+    refs: dict = {}  # state -> the number of universe values that reference it
+    view = Model(kind, (), beh, frontier, tainted)  # reads the live state
     # term -> universe terms whose derivations read it.  Entries are never
     # dropped: in a monotone chain a term's reads only grow, and a stale entry
     # costs one needless re-derivation.
     readers: dict = {}
-    dirty: Union[set, None] = None  # None: recompute every term
-    prev_prev: Union[Model, None] = None
+    # (changed, flipped) of the previous step when its universe was this one
+    prev: Union[tuple, None] = None
     converged = oscillating = False
     iters = 0
     while iters < max_iters:
         iters += 1
-        reads: dict = {}
-        m2 = phi_step(spec, m, gen, dirty, reads)
-        changed: set = set()
-        for t, sources in reads.items():
-            for s in sources:
+        memo = _Rows(view)
+        derived = [(t, *_derive(spec, gen, memo, t)) for t in dirty]
+        changed: dict = {}  # term -> (value, taint) before this step
+        touched: set = set()  # states whose reference count changed
+        for t, v, read, taint in derived:
+            for s in read:
                 readers.setdefault(s, set()).add(t)
-            old, new = m.behaviour[t], m2.behaviour[t]
-            if old != new:
-                if mon.monotone and not kind.leq(old, new):
+            old, was = beh[t], t in tainted
+            if old != v:
+                if mon.monotone and not kind.leq(old, v):
                     raise BigsosError(
                         f"internal: iteration chain decreased at {print_term(t)}")
-                changed.add(t)
-            elif (t in m.tainted) != (t in m2.tainted):
-                changed.add(t)
-        promoted = _promotions(m2, policy, m.frontier)
+                beh[t] = v
+                before, after = held.get(t, frozenset()), kind.states(v)
+                held[t] = after
+                gone, new = before - after, after - before
+                for s in gone:
+                    refs[s] -= 1
+                for s in new:
+                    refs[s] = refs.get(s, 0) + 1
+                touched.update(gone, new)
+            elif was == taint:
+                continue
+            changed[t] = (old, was)
+            if taint:
+                tainted.add(t)
+            else:
+                tainted.discard(t)
+        # terms that entered or left the frontier
+        flipped = {s for s in touched
+                   if (refs[s] > 0 and s not in beh) != (s in frontier)}
+        frontier.symmetric_difference_update(flipped)
+        promoted = _promotions(beh, flipped & frontier, policy)
+        beh.update(dict.fromkeys(promoted, bottom))  # a bottom value references nothing
+        moved = frontier.intersection(promoted)
+        frontier.difference_update(moved)
+        flipped.symmetric_difference_update(moved)
         if promoted:
-            new_universe = tuple(sorted(set(m2.universe) | set(promoted), key=term_key))
-            beh = dict(m2.behaviour)
-            for t in promoted:
-                beh[t] = kind.bottom()
-            # a promoted term's value is bottom, so it references nothing
-            m2 = Model(kind, new_universe, beh, m2.frontier.difference(promoted),
-                       m2.tainted)
+            prev = None  # only same-universe models are comparable
+        elif not changed and not flipped:
+            converged = True
+            break
+        # A monotone chain only climbs, so only a non-monotone one can cycle.
+        # This model equals the one two steps back when this step undid the
+        # previous one: it changed the same terms back to their values and
+        # taint from before it, and flipped the same frontier terms back.
+        elif (not mon.monotone and prev is not None and prev[1] == flipped
+              and prev[0].keys() == changed.keys()
+              and all(prev[0][t] == (beh[t], t in tainted) for t in changed)):
+            oscillating = True
+            break
+        else:
+            prev = (changed, flipped)
         # Frontier membership is read like a value.  As long as a term is
         # promoted in the step that first references it or never, a term leaves
         # the frontier only when no value references it any more, so its readers
         # are dirty anyway; the index does not rely on that.
-        changed |= m.frontier ^ m2.frontier
-        if promoted:
-            prev_prev = None  # only same-universe models are comparable
-        elif not changed:
-            converged = True
-            m = m2
-            break
-        # a monotone chain only climbs, so only a non-monotone one can cycle
-        elif not mon.monotone and m2 == prev_prev:
-            oscillating = True
-            m = m2
-            break
-        else:
-            prev_prev = m
-        dirty = {r for s in changed for r in readers.get(s, ())}
-        dirty.update(promoted)
-        m = m2
-    return m, ConvergenceReport(iters, converged, oscillating, len(m.frontier))
+        dirty = {r for s in (*changed, *flipped) for r in readers.get(s, ())}
+        dirty = sorted(dirty.union(promoted), key=term_key)
+    universe = tuple(sorted(beh, key=term_key))
+    model = Model(kind, universe, {t: beh[t] for t in universe}, frozenset(frontier),
+                  frozenset(tainted))
+    return model, ConvergenceReport(iters, converged, oscillating, len(frontier))
 
 
 def lift_coalgebra(spec: Spec, gen: GenCoalgebra,

@@ -36,11 +36,12 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Union
+from operator import add, itemgetter, mul
+from typing import Mapping, Union
 
 from .behaviour import BehaviourKind, CountableLTS, PartialStream, WeightedLTS
 from .errors import LabelEvalError, ParseError, UnboundVariableError
-from .terms import App, Signature, Term, TokenCursor, Var, tokenize
+from .terms import Signature, TokenCursor, Var, tokenize
 
 
 # --- label expressions ----------------------------------------------------------
@@ -71,19 +72,47 @@ class LabelMul:
 LabelExpr = Union[LabelLit, LabelVar, LabelAdd, LabelMul]
 
 
-def eval_label(e: LabelExpr, env) -> Union[int, str]:
+def compile_label(e: LabelExpr, slots: Mapping[str, int]):
+    """Function from an environment tuple to the value of e, each label
+    variable read from its index in slots.
+
+    A variable with no slot raises UnboundVariableError when it is reached,
+    and arithmetic raises LabelEvalError once both operands are evaluated and
+    one is not a natural: left operand first, so the errors come in
+    evaluation order.
+    """
     if isinstance(e, LabelLit):
-        return e.value
+        value = e.value
+        return lambda env: value
     if isinstance(e, LabelVar):
-        try:
-            return env[e.name]
-        except KeyError:
-            raise UnboundVariableError(f"no binding for label variable {e.name!r}") from None
-    left = eval_label(e.left, env)
-    right = eval_label(e.right, env)
-    if not isinstance(left, int) or not isinstance(right, int):
-        raise LabelEvalError("label arithmetic over non-natural labels")
-    return left + right if isinstance(e, LabelAdd) else left * right
+        if e.name in slots:
+            return itemgetter(slots[e.name])
+        message = f"no binding for label variable {e.name!r}"
+
+        def unbound(env):
+            raise UnboundVariableError(message)
+        return unbound
+    left, right = compile_label(e.left, slots), compile_label(e.right, slots)
+    op = add if isinstance(e, LabelAdd) else mul
+
+    def arithmetic(env):
+        a, b = left(env), right(env)
+        if not isinstance(a, int) or not isinstance(b, int):
+            raise LabelEvalError("label arithmetic over non-natural labels")
+        return op(a, b)
+    return arithmetic
+
+
+def compile_param(e: LabelExpr, slots: Mapping[str, int]):
+    """compile_label for an operator parameter, whose value must be a natural."""
+    value = compile_label(e, slots)
+
+    def param(env):
+        v = value(env)
+        if not isinstance(v, int) or v < 0:
+            raise LabelEvalError(f"operator parameter evaluated to {v!r}, expected a natural")
+        return v
+    return param
 
 
 def label_vars(e: LabelExpr) -> frozenset[str]:
@@ -119,19 +148,6 @@ class TemplateApp:
 
 
 TargetTerm = Union[Var, TemplateApp]
-
-
-def instantiate_template(tt: TargetTerm, env) -> Term:
-    """Evaluate the parameter expressions; variables are left in place."""
-    if isinstance(tt, Var):
-        return tt
-    params = []
-    for e in tt.params:
-        v = eval_label(e, env)
-        if not isinstance(v, int) or v < 0:
-            raise LabelEvalError(f"operator parameter evaluated to {v!r}, expected a natural")
-        params.append(v)
-    return App(tt.op, tuple(params), tuple(instantiate_template(a, env) for a in tt.args))
 
 
 def template_vars(tt: TargetTerm) -> frozenset[str]:

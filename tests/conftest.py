@@ -3,7 +3,9 @@ import pathlib
 import pytest
 from hypothesis import settings
 
-from bigsos.speclang import parse_spec
+from bigsos.errors import LabelEvalError, UnboundVariableError
+from bigsos.speclang import LabelAdd, LabelLit, LabelVar, parse_spec
+from bigsos.terms import App, Var
 
 # Exhaustive oracles in some properties are slow on CI boxes; no deadline.
 settings.register_profile("bigsos", deadline=None, max_examples=60)
@@ -25,6 +27,40 @@ def load_spec():
     def load(name: str):
         return parse_spec(fixture_text(name))
     return load
+
+
+# --- reference evaluators ---------------------------------------------------------------
+#
+# Label expressions and conclusion targets interpreted by walking them, the
+# definition the engine's compiled conclusions are checked against.
+
+
+def eval_label(e, env):
+    if isinstance(e, LabelLit):
+        return e.value
+    if isinstance(e, LabelVar):
+        try:
+            return env[e.name]
+        except KeyError:
+            raise UnboundVariableError(f"no binding for label variable {e.name!r}") from None
+    left = eval_label(e.left, env)
+    right = eval_label(e.right, env)
+    if not isinstance(left, int) or not isinstance(right, int):
+        raise LabelEvalError("label arithmetic over non-natural labels")
+    return left + right if isinstance(e, LabelAdd) else left * right
+
+
+def instantiate_template(tt, env):
+    """Evaluate the parameter expressions of a target; variables are left in place."""
+    if isinstance(tt, Var):
+        return tt
+    params = []
+    for e in tt.params:
+        v = eval_label(e, env)
+        if not isinstance(v, int) or v < 0:
+            raise LabelEvalError(f"operator parameter evaluated to {v!r}, expected a natural")
+        params.append(v)
+    return App(tt.op, tuple(params), tuple(instantiate_template(a, env) for a in tt.args))
 
 
 # --- acceptance reporting ------------------------------------------------------------

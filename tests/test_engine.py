@@ -5,21 +5,19 @@ import random
 import pytest
 
 from bigsos import engine, speclang
-from bigsos.behaviour import (BOTTOM, Bottom, CountableLTS, LtsValue, StreamStep,
-                              WtsValue)
-from bigsos.engine import (ConvergenceReport, GenCoalgebra, Model,
-                           bottom_model, gen_to_model, least_model,
-                           lift_coalgebra, model_to_dot, model_to_json,
+from bigsos.behaviour import (BOTTOM, Bottom, CountableLTS, LtsValue, PartialStream,
+                              StreamStep, WtsValue)
+from bigsos.engine import (ConvergenceReport, GenCoalgebra, Model, gen_to_model,
+                           least_model, lift_coalgebra, model_to_dot, model_to_json,
                            phi_step, unfold, unfold_to_json)
 from bigsos.errors import (BigsosError, InconsistentStreamError, LabelEvalError,
                            NonMonotoneError, UnknownStateError)
 from bigsos.relations import default_generators
-from bigsos.speclang import (LabelLit, Positive, check_monotone, eval_label,
-                             ground_fact, instantiate_template, parse_spec,
-                             validate_spec)
+from bigsos.speclang import (LabelLit, LabelVar, Positive, check_monotone, ground_fact,
+                             parse_spec, validate_spec)
 from bigsos.terms import (App, UniversePolicy, Var, parse_term, print_term,
                           substitute, subterms, term_key, term_size)
-from conftest import fixture_text
+from conftest import eval_label, fixture_text, instantiate_template
 from spec_gen import (FACT_HEADER, FACT_SHAPES, UNIVERSE_TEXTS, random_ground_lts_text,
                       random_monotone_lts_spec, random_monotone_lts_text)
 
@@ -30,6 +28,11 @@ def fx(name):
 
 def pt(spec, text):
     return parse_term(text, spec.sig)
+
+
+def bottom_model(kind, universe):
+    terms = tuple(sorted(set(universe), key=term_key))
+    return Model(kind, terms, {t: kind.bottom() for t in terms})
 
 
 # --- independent rule-application oracle ---------------------------------------------
@@ -192,42 +195,80 @@ def test_phi_step_matches_oracle_on_random_specs():
             check_phi_step(spec, Model(spec.kind, last.universe, beh))
 
 
-def test_phi_step_work_per_term_on_the_tower(monkeypatch):
-    """Counts, not times: in every step of the K=18 transclosure tower each
-    read term's transitions are taken once, and each recomputed term's value is
-    built by one from_transitions call, with no value per conclusion."""
-    calls = dict.fromkeys(("transitions", "from_transitions", "conclusion_value", "join"), 0)
+def count_calls(monkeypatch, cls, names):
+    """Counter of calls to the named methods of cls, patched for the test."""
+    calls = dict.fromkeys(names, 0)
 
     def counting(name):
-        inner = getattr(CountableLTS, name)
+        inner = getattr(cls, name)
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
             return inner(*args, **kwargs)
         return wrapper
 
-    for name in calls:
-        monkeypatch.setattr(CountableLTS, name, counting(name))
-    steps = []
+    for name in names:
+        monkeypatch.setattr(cls, name, counting(name))
+    return calls
 
-    def counted_phi_step(spec, model, gen=None, dirty=None, reads=None):
-        reads = {} if reads is None else reads
-        calls.update(dict.fromkeys(calls, 0))
-        nxt = phi_step(spec, model, gen, dirty, reads)
-        steps.append((dict(calls), len(set().union(*reads.values())),
-                      sum(isinstance(t, App) for t in reads)))
-        return nxt
 
-    monkeypatch.setattr(engine, "phi_step", counted_phi_step)
+def spy_derivations(monkeypatch):
+    """The read set of every apply_rules call, in call order."""
+    derivations = []
+
+    def spy(spec, op, params, args, reads, memo):
+        derivations.append(reads)
+        return apply_rules(spec, op, params, args, reads, memo)
+
+    apply_rules = engine.apply_rules
+    monkeypatch.setattr(engine, "apply_rules", spy)
+    return derivations
+
+
+def test_phi_step_work_per_term_on_the_tower(monkeypatch):
+    """Counts, not times: in every iteration of least_model on the K=18
+    transclosure tower each read term's transitions are taken once, and each
+    derived term's value is built by one from_transitions call, with no value
+    per conclusion.  Iteration k's work is that of a run stopped after k
+    iterations less that of a run stopped after k - 1."""
+    calls = count_calls(monkeypatch, CountableLTS,
+                        ("transitions", "from_transitions", "conclusion_value", "join"))
+    derivations = spy_derivations(monkeypatch)
     spec = fx("transclosure")
-    seed = pt(spec, "sigma(" * 18 + "c" + ")" * 18)
-    model, report = least_model(spec, [seed], UniversePolicy(max_count=20, max_size=20))
-    assert report.converged and len(steps) == report.iterations > 2
-    for counts, read, recomputed in steps:
-        assert counts["transitions"] <= read
-        assert counts["from_transitions"] == recomputed
+    seed = pt(spec, _tower(18))
+    policy = UniversePolicy(max_count=20, max_size=20)
+    model, report = least_model(spec, [seed], policy)
+    assert report.converged and report.iterations > 2
+    runs = []
+    for k in range(report.iterations + 1):
+        calls.update(dict.fromkeys(calls, 0))
+        derivations.clear()
+        if k:
+            least_model(spec, [seed], policy, max_iters=k)
+        runs.append((dict(calls), list(derivations)))
+    steps = 0
+    for (before, done), (after, reads) in zip(runs, runs[1:]):
+        assert reads[:len(done)] == done
+        reads = reads[len(done):]
+        counts = {name: after[name] - before[name] for name in calls}
+        assert counts["transitions"] <= len(set().union(*reads))
+        assert counts["from_transitions"] == len(reads)
         assert counts["conclusion_value"] == counts["join"] == 0
-    assert sum(recomputed for _, _, recomputed in steps) > len(model.universe)
+        steps += len(reads)
+    assert steps == len(runs[-1][1]) > len(model.universe)
+
+
+def test_kleene_steps_read_states_of_changed_values_only(monkeypatch):
+    """On the grow-and-lift unfold of sigma(pos) (caps 48/8000) a step reads
+    the states of a value only when the value changes: at most two calls per
+    derivation (228 derivations in 34 iterations), where a walk of the
+    universe makes one call per universe term per iteration (2,355)."""
+    calls = count_calls(monkeypatch, PartialStream, ("states",))
+    derivations = spy_derivations(monkeypatch)
+    spec, seeds, policy, _ = seminaive_case("factstream-sized")
+    model, report = least_model(spec, seeds, policy)
+    assert report.converged and report.iterations > 30
+    assert 0 < calls["states"] <= 2 * len(derivations)
 
 
 def _tower(j):
@@ -264,6 +305,78 @@ def test_deep_tower_matches_an_integer_kleene_oracle():
     assert list(got["behaviour"].items()) == [
         (_tower(j), {"a": [_tower(z) for z in sorted(succ[j])]}) for j in range(top + 1)]
     assert len(succ[1]) == top  # sigma(c) steps to every tower above it
+
+
+# --- compiled conclusions versus the reference evaluators ------------------------------
+
+# Unvalidated rules whose conclusions raise: arithmetic over a non-natural
+# label, a label outside the domain, a parameter from a non-natural label, an
+# unbound label or term variable, and two errors at once (the first to be
+# raised wins).
+CONCLUSION_ERRORS = """behaviour lts labels a, b
+ops c/0, f/1, g/1[1], h/2
+rule arith : x -l-> y |- f(x) -l+1-> y
+rule domain : x -l-> y |- f(x) -1-> y
+rule param : x -l-> y |- f(x) -a-> g[l](y)
+rule free : x -a-> y |- f(x) -m-> y
+rule unbound : x -l-> y |- f(x) -a-> h(y, z)
+rule order : x -l-> y |- f(x) -a-> h(z, g[l](y))
+rule first : x -l-> y |- f(x) -l*2-> g[l](z)
+"""
+
+
+def reference_conclusion(kind, rule, labels, terms):
+    lab = eval_label(rule.concl_label, labels)
+    if not kind.has_label(lab):
+        raise LabelEvalError(
+            f"rule {rule.name}: conclusion label {lab!r} outside the label domain")
+    return lab, substitute(instantiate_template(rule.concl_target, labels), terms)
+
+
+def outcome(thunk):
+    try:
+        return thunk()
+    except BigsosError as exc:
+        return type(exc), str(exc)
+
+
+def test_compiled_conclusions_match_the_reference_evaluators():
+    """Every rule's compiled conclusion, over random layouts and environments,
+    gives the reference's pair or raises its error with the same message."""
+    texts = [fixture_text(name) for name in ("empty", "explicit", "factstream", "lookahead2",
+                                             "negloop", "transclosure", "wchain")]
+    texts += [SHARED_LABELS, HEAD_PARAMS, CONCLUSION_ERRORS]
+    rng = random.Random(3)
+    pool = (App("c"), App("d", (), (App("c"),)), Var("gx"))
+    label_values = (0, 1, 2, 3, 5, "a", "b")
+    seen = set()
+    for text in texts:
+        spec = parse_spec(text)
+        for rule in spec.rules:
+            bound = {("t", v) for v in rule.head_vars}
+            bound |= {("l", v) for v in rule.head_params}
+            for p in rule.premises:
+                if isinstance(p, Positive):
+                    bound.add(("t", p.target))
+                    if isinstance(p.label, LabelVar):
+                        bound.add(("l", p.label.name))
+            layout = sorted(bound)
+            for _ in range(30):
+                rng.shuffle(layout)
+                env = tuple(rng.choice(pool) if tag == "t" else rng.choice(label_values)
+                            for tag, _ in layout)
+                names = {tag: {name: v for (t, name), v in zip(layout, env) if t == tag}
+                         for tag in "tl"}
+                conclude = engine._compile_conclusion(spec.kind, rule, tuple(layout))
+                got = outcome(lambda: conclude(env))
+                want = outcome(lambda: reference_conclusion(spec.kind, rule, names["l"],
+                                                            names["t"]))
+                assert got == want, (rule.name, layout, env)
+                seen.add(got[1] if isinstance(got[0], type) else "pair")
+    assert {"pair", "label arithmetic over non-natural labels",
+            "rule domain: conclusion label 1 outside the label domain",
+            "operator parameter evaluated to 'a', expected a natural",
+            "no binding for label variable 'm'", "no binding for variable 'z'"} <= seen
 
 
 # --- semi-naive iteration versus the naive loop ----------------------------------------
@@ -339,39 +452,69 @@ def assert_same_iteration(spec, seeds, policy, max_iters=200, force=False, gen=N
     return got
 
 
+# sigma(c) moves to d(c') only while c' = sigma(c) has no move, so d(sigma(c))
+# enters the frontier in step 2 and leaves it in step 3, when the value that
+# referenced it is gone.
+LEFT_FRONTIER = """behaviour lts labels a
+ops sigma/1, c/0, d/1
+rule axiom_c : |- c -a-> sigma(c)
+rule sigma : x -a-> x', x' -a-/-> |- sigma(x) -a-> d(x')
+"""
+
+# f(c) goes from bottom to b -> f(c), to a -> f(c) and back to b -> f(c): two
+# steps change the same term before one undoes the step before it.
+SWAP_MOVES = """behaviour lts labels a, b
+ops c/0, f/1
+rule c : |- c -a-> f(c)
+rule flip : x -a-> y, y -b-/-> |- f(x) -b-> y
+rule follow : x -a-> y, y -b-> z |- f(x) -a-> z
+"""
+
 SEMINAIVE_CASES = {
-    # name: (fixture, seed terms, policy, force)
-    "lookahead2": ("lookahead2", ("sigma(tau(c))", "sigma(tau(d))"), UniversePolicy(40, 8), False),
-    "transclosure": ("transclosure", ("sigma(sigma(c))",), UniversePolicy(40, 8), False),
-    "transclosure-capped": ("transclosure", ("sigma(c)",), UniversePolicy(6, 8), False),
-    "transclosure-fixed": ("transclosure", ("sigma(c)",), UniversePolicy(10, 0),
+    # name: (spec text, seed terms, policy, force)
+    "lookahead2": (fixture_text("lookahead2"), ("sigma(tau(c))", "sigma(tau(d))"),
+                   UniversePolicy(40, 8), False),
+    "transclosure": (fixture_text("transclosure"), ("sigma(sigma(c))",),
+                     UniversePolicy(40, 8), False),
+    "transclosure-capped": (fixture_text("transclosure"), ("sigma(c)",), UniversePolicy(6, 8),
+                            False),
+    "transclosure-fixed": (fixture_text("transclosure"), ("sigma(c)",), UniversePolicy(10, 0),
                            False),
-    "factstream": ("factstream", ("c", "pos", "sigma(pos)", "sigma(c)"),
+    "factstream": (fixture_text("factstream"), ("c", "pos", "sigma(pos)", "sigma(c)"),
                    UniversePolicy(400, 16), False),
-    "factstream-capped": ("factstream", ("sigma(pos)",), UniversePolicy(12, 7), False),
-    "factstream-sized": ("factstream", ("sigma(pos)",), UniversePolicy(8000, 48), False),
-    "wchain": ("wchain", ("f(f(c))", "f(d)"), UniversePolicy(40, 8), False),
-    "wchain-capped": ("wchain", ("f(f(f(c)))",), UniversePolicy(4, 8), False),
-    "negloop": ("negloop", ("sigma(sigma(c))",), UniversePolicy(10, 0), True),
-    "negloop-growing": ("negloop", ("sigma(c)",), UniversePolicy(8, 6), True),
-    "empty": ("empty", (), UniversePolicy(), False),
+    "factstream-capped": (fixture_text("factstream"), ("sigma(pos)",), UniversePolicy(12, 7),
+                          False),
+    "factstream-sized": (fixture_text("factstream"), ("sigma(pos)",), UniversePolicy(8000, 48),
+                         False),
+    "wchain": (fixture_text("wchain"), ("f(f(c))", "f(d)"), UniversePolicy(40, 8), False),
+    "wchain-capped": (fixture_text("wchain"), ("f(f(f(c)))",), UniversePolicy(4, 8), False),
+    "negloop": (fixture_text("negloop"), ("sigma(sigma(c))",), UniversePolicy(10, 0), True),
+    "negloop-growing": (fixture_text("negloop"), ("sigma(c)",), UniversePolicy(8, 6), True),
+    "left-frontier": (LEFT_FRONTIER, ("sigma(c)",), UniversePolicy(8, 2), True),
+    "swap-moves": (SWAP_MOVES, ("f(c)",), UniversePolicy(4, 2), True),
+    "empty": (fixture_text("empty"), (), UniversePolicy(), False),
 }
+
+
+def seminaive_case(name):
+    text, seed_texts, policy, force = SEMINAIVE_CASES[name]
+    spec = parse_spec(text)
+    seeds = [App(c) for c in spec.sig.constants()] + [pt(spec, s) for s in seed_texts]
+    return spec, seeds, policy, force
 
 
 @pytest.mark.parametrize("name", sorted(SEMINAIVE_CASES))
 def test_least_model_matches_naive_loop(name):
-    fixture, seed_texts, policy, force = SEMINAIVE_CASES[name]
-    spec = fx(fixture)
-    seeds = [App(c) for c in spec.sig.constants()] + [pt(spec, s) for s in seed_texts]
+    spec, seeds, policy, force = seminaive_case(name)
     assert_same_iteration(spec, seeds, policy, force=force, sweep=name != "factstream-sized")
 
 
 def test_naive_loop_cases_reach_taint_promotion_and_oscillation():
-    """The cases above exercise what the changed set must track."""
+    """The cases above exercise what the changed set must track, a term
+    leaving the frontier included."""
     seen = set()
-    for fixture, seed_texts, policy, force in SEMINAIVE_CASES.values():
-        spec = fx(fixture)
-        seeds = [App(c) for c in spec.sig.constants()] + [pt(spec, s) for s in seed_texts]
+    for name in SEMINAIVE_CASES:
+        spec, seeds, policy, force = seminaive_case(name)
         model, report = least_model(spec, seeds, policy, 200, force=force)
         start = {s for seed in seeds for s in subterms(seed)}
         seen |= {"tainted"} if model.tainted else set()
@@ -379,7 +522,13 @@ def test_naive_loop_cases_reach_taint_promotion_and_oscillation():
         seen |= {"promoted"} if len(model.universe) > len(start) else set()
         seen |= {"oscillation"} if report.oscillation_detected else set()
         seen |= {"unconverged"} if not report.converged else set()
-    assert seen == {"tainted", "frontier", "promoted", "oscillation", "unconverged"}
+        if name != "factstream-sized":
+            frontiers = [least_model(spec, seeds, policy, k, force=force)[0].frontier
+                         for k in range(1, report.iterations + 1)]
+            if any(f - g - set(model.universe) for f, g in zip(frontiers, frontiers[1:])):
+                seen.add("left-frontier")
+    assert seen == {"tainted", "frontier", "promoted", "oscillation", "unconverged",
+                    "left-frontier"}
 
 
 def test_least_model_matches_naive_loop_on_random_specs():
@@ -412,26 +561,6 @@ def test_promotion_counts_a_shared_new_subterm_once():
                       "rule one : |- c -a-> f(g(c))\nrule two : |- c -a-> h(g(c), c)\n")
     model, _ = assert_same_iteration(spec, [App("c")], UniversePolicy(4, 8))
     assert model.universe == tuple(pt(spec, s) for s in ("c", "g(c)", "f(g(c))", "h(g(c), c)"))
-
-
-def test_partial_phi_step_keeps_clean_terms():
-    spec = fx("transclosure")
-    model, _ = least_model(spec, [pt(spec, "sigma(sigma(c))")], UniversePolicy(6, 8))
-    c, sc = pt(spec, "c"), pt(spec, "sigma(c)")
-    stale = Model(spec.kind, model.universe,
-                  {t: spec.kind.bottom() for t in model.universe}, model.frontier,
-                  model.tainted | {c})
-    reads = {}
-    part = phi_step(spec, stale, dirty={sc}, reads=reads)
-    full = phi_step(spec, stale)
-    assert list(reads) == [sc] and reads[sc] >= {c}
-    assert part.behaviour[sc] == full.behaviour[sc]
-    assert (sc in part.tainted) == (sc in full.tainted)
-    for t in model.universe:
-        if t != sc:
-            assert part.behaviour[t] == stale.behaviour[t]
-            assert (t in part.tainted) == (t in stale.tainted)
-    assert phi_step(spec, stale, dirty=set(model.universe)) == full
 
 
 # --- hand-computed Lookahead2 iterations ----------------------------------------------

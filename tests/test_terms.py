@@ -15,9 +15,9 @@ from bigsos.terms import (App, Operator, Signature, Var,
                           print_term, substitute, subterms, term_key, term_size,
                           variables)
 from bigsos import terms
-from bigsos.speclang import LabelLit, LabelVar, TemplateApp, instantiate_template
+from bigsos.speclang import LabelLit, LabelVar, TemplateApp
 from bigsos.terms import _SYMBOLS, Token, tokenize
-from conftest import FIXTURES, fixture_text
+from conftest import FIXTURES, fixture_text, instantiate_template
 from spec_gen import random_monotone_lts_text
 
 SIG = Signature([
