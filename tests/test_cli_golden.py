@@ -60,7 +60,7 @@ def _cases() -> list:
                 cases.append((("model", spec, *seeds) + tail, None))
                 cases.append((("laws", spec) + tail, None))
                 for term in unfolds:
-                    for depth in ("0", "1", "3"):
+                    for depth in ("0", "1", "3", "8"):
                         cases.append((("unfold", spec, term, "-d", depth) + tail, None))
                 for t1, t2 in pairs:
                     for rel in ("sim", "bisim"):
