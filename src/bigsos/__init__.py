@@ -10,9 +10,9 @@ the lifting/monad facts the construction relies on exactly on the models.
 
 from .behaviour import (BOTTOM, CountableLTS, LtsValue, PartialStream, Relation,
                         StreamStep, WeightedLTS, WtsValue)
-from .engine import (ConvergenceReport, GenCoalgebra, Model, UnfoldTree,
-                     gen_to_model, least_model, lift_coalgebra, model_to_dot,
-                     model_to_json, phi_step, unfold, unfold_to_json)
+from .engine import (ConvergenceReport, GenCoalgebra, Model, gen_to_model,
+                     least_model, lift_coalgebra, model_to_dot, model_to_json,
+                     phi_step, unfold, unfold_to_json)
 from .errors import (ArityError, BigsosError, CarrierMismatchError,
                      InconsistentStreamError, LabelEvalError, NonConvergenceError,
                      NonMonotoneError, ParseError, StateMapError,

@@ -11,7 +11,7 @@ kind binds as its rel_lift.
 
 Values are immutable and canonicalized (sorted, empty entries dropped) so
 structural equality and hashing behave.  The carrier is implicit: states can
-be terms, strings, unfolding trees, or class indices.
+be terms, strings, or class indices.
 """
 
 from __future__ import annotations
@@ -262,7 +262,7 @@ class PartialStream:
 
     tree_json = value_json
 
-    def arrow(self, v, lab, target) -> str:
+    def arrow(self, lab, w) -> str:
         return f"-{lab}->"
 
 
@@ -376,7 +376,7 @@ class CountableLTS:
 
     tree_json = value_json
 
-    def arrow(self, v, lab, target) -> str:
+    def arrow(self, lab, w) -> str:
         return f"-{lab}->"
 
 
@@ -485,14 +485,14 @@ class WeightedLTS:
         return {str(lab): {state_repr(s): w for s, w in row} for lab, row in v.moves}
 
     def tree_json(self, v, child_json: Callable):
-        """Like value_json, but the states are unfold trees, which cannot be
-        keys, so each label maps to [{"weight", "next"}] rows."""
+        """Like value_json, but a state's JSON, its unfold document, cannot
+        be a key, so each label maps to [{"weight", "next"}] rows."""
         self._check(v)
         return {str(lab): [{"weight": w, "next": child_json(s)} for s, w in row]
                 for lab, row in v.moves}
 
-    def arrow(self, v, lab, target) -> str:
-        return f"-{lab}[{v.weight(lab, target)}]->"
+    def arrow(self, lab, w) -> str:
+        return f"-{lab}[{w}]->"
 
 
 BehaviourKind = Union[PartialStream, CountableLTS, WeightedLTS]

@@ -3,9 +3,9 @@
 Thin adapter over the library: parse a spec file, build the least model,
 and print unfoldings, equivalence verdicts, or reports.  All output is
 deterministic for a fixed seed; exit codes are 0 (ok), 1 (syntax),
-2 (validation, usage, a term nested or an unfold depth too deep to process,
-or a spec error found while building the model, such as two rules giving one
-term different stream steps or a conclusion label outside the label domain),
+2 (validation, usage, a term nested too deeply to parse, or a spec error
+found while building the model, such as two rules giving one term different
+stream steps or a conclusion label outside the label domain),
 3 (non-monotone), 4 (non-convergence), 5 (internal).
 """
 
@@ -18,7 +18,7 @@ import json
 import os
 import sys
 
-from .behaviour import Bottom, CountableLTS, PartialStream
+from .behaviour import CountableLTS, PartialStream
 from .engine import (least_model, model_to_dot, model_to_json, unfold,
                      unfold_to_json)
 from .errors import (BigsosError, InconsistentStreamError, LabelEvalError,
@@ -138,10 +138,8 @@ def _model_text(model, report) -> list:
         v = model.behaviour[t]
         if model.kind.is_bottom(v):
             lines.append(f"{print_term(t)} ⊥")
-            continue
-        for lab, target in model.kind.transitions(v):
-            lines.append(f"{print_term(t)} {model.kind.arrow(v, lab, target)} "
-                         f"{print_term(target)}")
+        for lab, target, w in model.kind.moves(v):  # none for bottom
+            lines.append(f"{print_term(t)} {model.kind.arrow(lab, w)} {print_term(target)}")
     lines.append(f"-- iterations {report.iterations}, converged "
                  f"{'yes' if report.converged else 'no'}, oscillation "
                  f"{'yes' if report.oscillation_detected else 'no'}, "
@@ -149,35 +147,41 @@ def _model_text(model, report) -> list:
     return lines
 
 
-def _unfold_text(kind, tree) -> list:
+def _unfold_text(kind, rows, depth) -> list:
     if isinstance(kind, PartialStream):  # a stream unfolds to one label path
-        labels = []
-        node = tree
-        while node.step is not None:
-            if isinstance(node.step, Bottom):
-                labels.append("⊥")
-                break
-            labels.append(str(node.step.label))
-            node = node.step.state
-        return [" ".join(labels) if labels else "⊥"]
-    lines = [print_term(tree.root)]
-
-    def walk(node, indent):
-        if node.step is None:
-            return
-        for lab, kid in kind.transitions(node.step):
-            mark = "  # opaque" if kid.opaque else ""
-            lines.append("  " * indent + f"{kind.arrow(node.step, lab, kid)} "
-                         f"{print_term(kid.root)}{mark}")
-            walk(kid, indent + 1)
-
-    walk(tree, 1)
+        labels = [str(lab) for _, lab, _, _, _ in rows[1:]]
+        if len(rows) <= depth:  # the path ends in a bottom step
+            labels.append("⊥")
+        return [" ".join(labels) or "⊥"]
+    lines = [print_term(rows[0][3])]
+    for level, lab, w, s, opaque in rows[1:]:
+        mark = "  # opaque" if opaque else ""
+        lines.append("  " * level + f"{kind.arrow(lab, w)} {print_term(s)}{mark}")
     return lines
 
 
-def _emit(out, lines) -> None:
-    for line in lines:
-        print(line, file=out)
+def _json_text(doc) -> str:
+    """json.dumps(doc, indent=2) for a document of string-keyed dicts, lists
+    and scalars, written from an explicit stack: json.dumps recurses once per
+    nesting level, and an unfold document nests at least two per step."""
+    parts, todo = [], [(doc, "\n")]  # (value, its newline and indent) or (text, None)
+    while todo:
+        v, nl = todo.pop()
+        if nl is None:
+            parts.append(v)
+        elif not (v and isinstance(v, (dict, list))):
+            parts.append(json.dumps(v))
+        else:
+            keyed = isinstance(v, dict)
+            entries = [(json.dumps(k) + ": ", x) for k, x in v.items()] if keyed else \
+                [("", x) for x in v]
+            inner = nl + "  "
+            parts.append("{" if keyed else "[")
+            todo.append((nl + ("}" if keyed else "]"), None))
+            for i in reversed(range(len(entries))):
+                key, x = entries[i]
+                todo += [(x, inner), ("," * (i > 0) + inner + key, None)]
+    return "".join(parts)
 
 
 # --- subcommands -------------------------------------------------------------------
@@ -224,28 +228,21 @@ def _cmd_model(spec, args, out, err) -> int:
     elif fmt == "json":
         print(json.dumps(model_to_json(model, report), indent=2), file=out)
     else:
-        _emit(out, _model_text(model, report))
+        print("\n".join(_model_text(model, report)), file=out)
     return 0 if report.converged else 4
 
 
 def _cmd_unfold(spec, args, out, err) -> int:
     term, = _seed_terms(spec, [args.term])
     model = _converged_model(spec, [term], args)
-    for t in model.carrier():  # smallest first, so each print recurses one level
-        print_term(t)
-    try:  # unfolding and rendering recurse once per depth level
-        tree = unfold(model, term, args.depth)
-        if args.format == "json":
-            lines = [json.dumps(unfold_to_json(model.kind, tree), indent=2)]
-        else:
-            lines = _unfold_text(model.kind, tree)
-    except RecursionError:  # not from the terms: their texts are cached above
-        print(f"error: unfold depth {args.depth} too deep", file=err)
-        return 2
+    rows = unfold(model, term, args.depth)
     if args.format == "dot":
         print("warning: dot export is only defined for models; emitting text",
               file=err)
-    _emit(out, lines)
+    if args.format == "json":
+        print(_json_text(unfold_to_json(model, rows, args.depth)), file=out)
+    else:
+        print("\n".join(_unfold_text(model.kind, rows, args.depth)), file=out)
     return 0
 
 
@@ -326,7 +323,7 @@ def run(argv=None, out=None, err=None) -> int:
             ValueError, OSError) as exc:
         print(f"error: {exc}", file=err)
         return 2
-    except RecursionError:  # the parser, printer and substitution recurse on terms
+    except RecursionError:  # only the parser and substitute recurse on terms
         print("error: term nested too deeply", file=err)
         return 2
     except BigsosError as exc:

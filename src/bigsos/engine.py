@@ -604,35 +604,22 @@ def lift_coalgebra(spec: Spec, gen: GenCoalgebra,
 # --- unfoldings -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class UnfoldTree:
-    """Finite-depth observation tree; step states are child trees.
-
-    depth is the remaining budget at this node (0 means no step recorded);
-    opaque marks a frontier or tainted term, whose step may under-report the
-    untruncated behaviour.
-    """
-
-    root: Term
-    depth: int
-    step: object = None
-    opaque: bool = False
-
-    def sort_key(self):
-        # sibling trees always have distinct roots
-        return ("tree", term_key(self.root))
-
-
-def unfold(model: Model, t: Term, depth: int) -> UnfoldTree:
-    """Observe t in the model for `depth` steps."""
+def unfold(model: Model, t: Term, depth: int) -> list:
+    """Observe t in the model for `depth` steps: one pre-order row (level,
+    label, weight, term, opaque) per node, the root's with level 0 and no
+    label or weight.  A row above level `depth` is followed by one subtree
+    per move of its term, in kind.moves order.  opaque marks a frontier or
+    tainted term, whose step may under-report the untruncated behaviour."""
     if depth < 0:
         raise ValueError("depth must be a natural")
-    value = model.step(t)  # also validates membership
-    opaque = t in model.frontier or t in model.tainted
-    if depth == 0:
-        return UnfoldTree(t, 0, None, opaque)
-    step = model.kind.map_states(lambda s: unfold(model, s, depth - 1), value)
-    return UnfoldTree(t, depth, step, opaque)
+    rows, todo = [], [(0, None, None, t)]
+    while todo:
+        level, lab, w, s = todo.pop()
+        value = model.step(s)  # also validates membership
+        rows.append((level, lab, w, s, s in model.frontier or s in model.tainted))
+        if level < depth:
+            todo += [(level + 1, a, w2, s2) for a, s2, w2 in reversed(model.kind.moves(value))]
+    return rows
 
 
 # --- serialization --------------------------------------------------------------
@@ -665,10 +652,20 @@ def model_to_dot(model: Model) -> str:
     return "\n".join(lines) + "\n"
 
 
-def unfold_to_json(kind: BehaviourKind, tree: UnfoldTree) -> dict:
-    node: dict = {"term": print_term(tree.root), "depth": tree.depth}
-    if tree.opaque:
-        node["opaque"] = True
-    node["step"] = (None if tree.step is None else
-                    kind.tree_json(tree.step, lambda sub: unfold_to_json(kind, sub)))
-    return node
+def unfold_to_json(model: Model, rows: list, depth: int) -> dict:
+    """The document of unfold(model, t, depth)'s rows, built bottom-up: a
+    node's children are the finished subtrees one level down on the stack,
+    and kind.tree_json puts their documents in its step."""
+    done: list = []  # (level, term, document) of finished subtrees
+    for level, _, _, s, opaque in reversed(rows):
+        node: dict = {"term": print_term(s), "depth": depth - level}
+        if opaque:
+            node["opaque"] = True
+        kids = {}
+        while done and done[-1][0] == level + 1:
+            _, kid, doc = done.pop()
+            kids[kid] = doc
+        node["step"] = (model.kind.tree_json(model.step(s), kids.__getitem__)
+                        if level < depth else None)
+        done.append((level, s, node))
+    return done[0][2]

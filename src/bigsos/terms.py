@@ -242,20 +242,17 @@ def term_key(t: Term):
 
 
 def variables(t: Term) -> frozenset[str]:
-    if isinstance(t, Var):
-        return frozenset((t.name,))
-    out: set[str] = set()
-    for a in t.args:
-        out |= variables(a)
-    return frozenset(out)
+    return frozenset(s.name for s in subterms(t) if isinstance(s, Var))
 
 
 def subterms(t: Term) -> Iterator[Term]:
-    """All subterms including t itself, parents first."""
-    yield t
-    if isinstance(t, App):
-        for a in t.args:
-            yield from subterms(a)
+    """All subterms including t itself, in pre-order, from an explicit stack."""
+    todo = [t]
+    while todo:
+        s = todo.pop()
+        yield s
+        if isinstance(s, App):
+            todo.extend(reversed(s.args))
 
 
 def check_term(t: Term, sig: Signature) -> None:
@@ -277,12 +274,19 @@ def print_term(t: Term) -> str:
         return t.name
     out = t._text
     if out is None:
-        out = t.op
-        if t.params:
-            out += "[" + ",".join(str(p) for p in t.params) + "]"
-        if t.args:
-            out += "(" + ", ".join(print_term(a) for a in t.args) + ")"
-        object.__setattr__(t, "_text", out)
+        # the uncached subterms parents first, then printed children first:
+        # no call recurses, since a term can nest past the recursion limit
+        order, todo = [], [t]
+        while todo:
+            order.append(todo.pop())
+            todo += [a for a in order[-1].args if isinstance(a, App) and a._text is None]
+        for s in reversed(order):
+            out = s.op
+            if s.params:
+                out += "[" + ",".join(str(p) for p in s.params) + "]"
+            if s.args:
+                out += "(" + ", ".join(print_term(a) for a in s.args) + ")"
+            object.__setattr__(s, "_text", out)
     return out
 
 

@@ -1,8 +1,10 @@
 import pathlib
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import settings
 
+from bigsos.behaviour import state_key
 from bigsos.errors import LabelEvalError, UnboundVariableError
 from bigsos.speclang import LabelAdd, LabelLit, LabelVar, parse_spec
 from bigsos.terms import App, Var
@@ -62,6 +64,37 @@ def instantiate_template(tt, env):
         params.append(v)
     return App(tt.op, tuple(params), tuple(instantiate_template(a, env) for a in tt.args))
 
+
+
+# --- unfolding trees ----------------------------------------------------------------
+#
+# An unfolding as a tree of nested values, built by mapping each step's states
+# to their subtrees: the shape engine.unfold had before it returned rows.  The
+# renderer and depth-similarity oracles read it.
+
+
+@dataclass(frozen=True)
+class UnfoldTree:
+    """depth is the remaining budget (0: no step recorded); opaque marks a
+    frontier or tainted root."""
+
+    root: object
+    depth: int
+    step: object = None
+    opaque: bool = False
+
+    def sort_key(self):
+        # sibling trees have distinct roots, so they keep the model's order
+        return ("tree", state_key(self.root))
+
+
+def unfold_tree(model, t, depth):
+    value = model.step(t)
+    opaque = t in model.frontier or t in model.tainted
+    if depth == 0:
+        return UnfoldTree(t, 0, None, opaque)
+    step = model.kind.map_states(lambda s: unfold_tree(model, s, depth - 1), value)
+    return UnfoldTree(t, depth, step, opaque)
 
 # --- acceptance reporting ------------------------------------------------------------
 #

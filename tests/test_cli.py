@@ -4,15 +4,22 @@ import io
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, strategies as st
 
 import bigsos
-from bigsos.cli import run
-from bigsos.terms import App
-from conftest import fixture_path
+from bigsos.behaviour import PartialStream
+from bigsos.cli import _json_text, run
+from bigsos.engine import least_model
+from bigsos.speclang import parse_spec
+from bigsos.terms import App, UniversePolicy, print_term
+from conftest import fixture_path, unfold_tree
+from spec_gen import random_monotone_lts_text
+from test_cli_golden import SMALL_CAPS, TERMS
 
 
 def cli(*argv):
@@ -146,9 +153,9 @@ def test_unfold_weighted_text_shows_weights():
     assert out.splitlines() == ["f(c)", "  -b[1.0]-> f(d)"]
 
 
-def test_unfold_and_model_order_successors_differently(tmp_path):
-    # pins today's orders: model lists a term's successors structurally
-    # (state_key), unfold smallest first (term_key), in text and JSON alike
+def test_unfold_and_model_order_successors_alike(tmp_path):
+    # one successor order everywhere: the model's structural order (state_key),
+    # so g(z) comes before the smaller z in model and unfold, text and JSON
     spec = tmp_path / "order.sos"
     spec.write_text("behaviour lts labels a\nops c/0, z/0, g/1\n"
                     "rule c1 : |- c -a-> z\nrule c2 : |- c -a-> g(z)\n")
@@ -159,9 +166,79 @@ def test_unfold_and_model_order_successors_differently(tmp_path):
     assert json.loads(out)["behaviour"]["c"] == {"a": ["g(z)", "z"]}
     code, out, _ = cli("unfold", str(spec), "c", "-d", "1")
     assert code == 0
-    assert out.splitlines() == ["c", "  -a-> z", "  -a-> g(z)"]
+    assert out.splitlines() == ["c", "  -a-> g(z)", "  -a-> z"]
     code, out, _ = cli("unfold", str(spec), "c", "-d", "1", "--format", "json")
-    assert [node["term"] for node in json.loads(out)["step"]["a"]] == ["z", "g(z)"]
+    assert [node["term"] for node in json.loads(out)["step"]["a"]] == ["g(z)", "z"]
+
+
+# The unfold renderer as it was before it read rows: a tree of nested values
+# (conftest.unfold_tree), walked recursively and dumped by json.dumps.
+
+JSON_DOCS = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.text(), kids, max_size=4),
+    max_leaves=30)
+
+
+@given(JSON_DOCS)
+def test_json_text_matches_json_dumps(doc):
+    assert _json_text(doc) == json.dumps(doc, indent=2)
+
+
+def tree_text(kind, tree) -> list:
+    if isinstance(kind, PartialStream):
+        labels = []
+        while tree.step is not None:
+            if kind.is_bottom(tree.step):
+                labels.append("⊥")
+                break
+            labels.append(str(tree.step.label))
+            tree = tree.step.state
+        return [" ".join(labels) if labels else "⊥"]
+    lines = [print_term(tree.root)]
+
+    def walk(node, indent):
+        if node.step is None:
+            return
+        for lab, kid, w in kind.moves(node.step):
+            mark = "  # opaque" if kid.opaque else ""
+            lines.append("  " * indent + f"{kind.arrow(lab, w)} {print_term(kid.root)}{mark}")
+            walk(kid, indent + 1)
+
+    walk(tree, 1)
+    return lines
+
+
+def tree_document(kind, tree) -> dict:
+    node = {"term": print_term(tree.root), "depth": tree.depth}
+    if tree.opaque:
+        node["opaque"] = True
+    node["step"] = (None if tree.step is None else
+                    kind.tree_json(tree.step, lambda sub: tree_document(kind, sub)))
+    return node
+
+
+def test_unfold_matches_the_tree_renderer(tmp_path):
+    # every fixture but the non-monotone negloop, which unfold refuses, and
+    # 30 generated specs; up to six carrier terms each, depths 0-4
+    specs = [(fixture_path(name), SMALL_CAPS[0]) for name in TERMS if name != "negloop"]
+    for seed in range(30):
+        path = tmp_path / f"gen{seed}.sos"
+        path.write_text(random_monotone_lts_text(random.Random(seed)))
+        specs.append((str(path), ("--universe-count", "10", "--universe-size", "3")))
+    for path, caps in specs:
+        spec = parse_spec(pathlib.Path(path).read_text())
+        policy = UniversePolicy(max_count=int(caps[1]), max_size=int(caps[3]))
+        constants = [App(c) for c in spec.sig.constants()]
+        for t in least_model(spec, constants, policy)[0].carrier()[:6]:
+            model, _ = least_model(spec, constants + [t], policy)  # as the CLI seeds it
+            for depth in range(5):
+                tree = unfold_tree(model, t, depth)
+                argv = ("unfold", path, print_term(t), "-d", str(depth)) + caps
+                want = "\n".join(tree_text(spec.kind, tree)) + "\n"
+                assert cli(*argv) == (0, want, ""), argv
+                want = json.dumps(tree_document(spec.kind, tree), indent=2) + "\n"
+                assert cli(*argv, "--format", "json") == (0, want, ""), argv
 
 
 # --- equiv, congruence, laws ---------------------------------------------------------
@@ -446,14 +523,26 @@ def test_deep_seed_is_a_clean_error():
         2, b"", b"error: term nested too deeply\n")
 
 
-def test_deep_unfold_names_the_depth():
-    # c has size 1: the unfold depth, not the term, recurses too deeply
-    want = "error: unfold depth 900 too deep\n"
-    for fmt in ("text", "json"):
-        assert cli("unfold", fixture_path("wchain"), "c", "-d", "900",
-                   "--format", fmt) == (2, "", want)
-    done = _run_module(("unfold", "wchain", "c", "-d", "900"))
-    assert (done.returncode, done.stdout, done.stderr) == (2, b"", want.encode())
+def test_deep_unfolds_succeed():
+    # one walk and an iterative JSON writer: no depth limit but the output's
+    # size, far past the interpreter's recursion limit in text, and past the
+    # 199 levels json.dumps could nest in JSON
+    wchain, stream = fixture_path("wchain"), fixture_path("factstream")
+    code, text, err = cli("unfold", wchain, "c", "-d", "2000")
+    lines = text.splitlines()
+    assert (code, err, len(lines)) == (0, "", 1 + 2 * 2000)  # c -a-> d and c -b-> c
+    assert lines[-2:] == ["  " * 2000 + "-a[1.0]-> d", "  " * 2000 + "-b[1.0]-> c"]
+    assert cli("unfold", stream, "ones", "-d", "2000") == (0, " ".join(["1"] * 2000) + "\n", "")
+    # JSON nests 8 indent levels per wchain step and 4 per stream step; no
+    # json.loads, since the parser recurses too
+    for path, term, per_level, per_line in ((wchain, "c", 8, 21), (stream, "ones", 4, 7)):
+        code, out, err = cli("unfold", path, term, "-d", "500", "--format", "json")
+        lines = out.splitlines()
+        assert (code, err, len(lines)) == (0, "", per_line * 500 + 5)
+        assert " " * (2 + per_level * 500) + '"depth": 0,' in lines
+        assert lines[-1] == "}"
+    done = _run_module(("unfold", "wchain", "c", "-d", "2000"))
+    assert (done.returncode, done.stdout, done.stderr) == (0, text.encode(), b"")
 
 
 def test_unfold_prints_a_seed_as_deep_as_model_does():

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from bigsos import engine, speclang
-from bigsos.behaviour import (BOTTOM, Bottom, CountableLTS, LtsValue, PartialStream,
+from bigsos.behaviour import (BOTTOM, CountableLTS, LtsValue, PartialStream,
                               StreamStep, WtsValue)
 from bigsos.engine import (ConvergenceReport, GenCoalgebra, Model, gen_to_model,
                            least_model, lift_coalgebra, model_to_dot, model_to_json,
@@ -810,11 +810,12 @@ def test_unfold_marks_taint_opaque():
     spec = fx("transclosure")
     policy = UniversePolicy(max_count=10, max_size=0)
     model, _ = least_model(spec, [pt(spec, "sigma(c)")], policy)
-    tree = unfold(model, pt(spec, "sigma(c)"), 1)
-    assert tree.opaque
+    root, *kids = unfold(model, pt(spec, "sigma(c)"), 1)
+    assert root[3] == pt(spec, "sigma(c)") and root[4]
+    assert all(level == 1 for level, *_ in kids)
 
 
-# --- unfolding trees ---------------------------------------------------------------------
+# --- unfoldings --------------------------------------------------------------------------
 
 
 def factstream_model():
@@ -825,27 +826,48 @@ def factstream_model():
     return spec, model
 
 
-def stream_labels(kind, tree):
-    out = []
-    while tree.step is not None and not isinstance(tree.step, Bottom):
-        out.append(tree.step.label)
-        tree = tree.step.state
-    return out
-
-
 def test_factstream_unfoldings():
+    # a stream unfolds to one path: one row per level, each labelled by its step
     spec, model = factstream_model()
-    assert stream_labels(spec.kind, unfold(model, pt(spec, "sigma(pos)"), 3)) == [1, 6, 120]
-    assert stream_labels(spec.kind, unfold(model, pt(spec, "pos"), 5)) == [1, 2, 3, 4, 5]
-    two = unfold(model, pt(spec, "c"), 2)
-    assert two.step.label == 1
-    assert isinstance(two.step.state.step, Bottom)
+    rows = unfold(model, pt(spec, "sigma(pos)"), 3)
+    assert [(level, lab, w) for level, lab, w, _, _ in rows] == [
+        (0, None, None), (1, 1, 1), (2, 6, 1), (3, 120, 1)]
+    assert [lab for _, lab, _, _, _ in unfold(model, pt(spec, "pos"), 5)[1:]] == [1, 2, 3, 4, 5]
+    # c steps once, to a bottom term, whose row has no successor rows
+    rows = unfold(model, pt(spec, "c"), 2)
+    assert [(level, lab) for level, lab, _, _, _ in rows] == [(0, None), (1, 1)]
+    assert spec.kind.is_bottom(model.step(rows[1][3]))
 
 
 def test_unfold_depth_zero_has_no_step():
     spec, model = factstream_model()
-    tree = unfold(model, pt(spec, "pos"), 0)
-    assert tree.step is None and tree.depth == 0
+    assert unfold(model, pt(spec, "pos"), 0) == [(0, None, None, pt(spec, "pos"), False)]
+    with pytest.raises(ValueError):
+        unfold(model, pt(spec, "pos"), -1)
+
+
+def test_unfold_rows_are_the_model_moves_in_preorder():
+    # each row above the depth is followed by one subtree per move, in moves order
+    _, (lmodel, _) = look2_model()
+    wspec = fx("wchain")
+    wmodel, _ = least_model(wspec, [pt(wspec, "f(f(c))")])
+    for model, t in ((m, t) for m in (lmodel, wmodel) for t in m.carrier()):
+        rows = unfold(model, t, 3)
+        assert rows[0][:3] == (0, None, None) and rows[0][3] == t
+        pos = 0
+
+        def subtree(level):
+            nonlocal pos
+            _, _, _, s, opaque = rows[pos]
+            assert opaque == (s in model.frontier or s in model.tainted)
+            pos += 1
+            if level < 3:
+                for lab, target, w in model.kind.moves(model.step(s)):
+                    assert rows[pos][:4] == (level + 1, lab, w, target)
+                    subtree(level + 1)
+
+        subtree(0)
+        assert pos == len(rows)
 
 
 # --- generator coalgebras ------------------------------------------------------------------
@@ -923,18 +945,25 @@ def test_dot_is_lts_only():
 
 def test_unfold_json_shapes():
     spec, model = factstream_model()
-    doc = unfold_to_json(spec.kind, unfold(model, pt(spec, "c"), 2))
+    c = pt(spec, "c")
+    doc = unfold_to_json(model, unfold(model, c, 2), 2)
     assert doc["term"] == "c"
     assert doc["step"]["label"] == 1
+    assert doc["step"]["next"]["depth"] == 1
     assert doc["step"]["next"]["step"] is None  # bottom
+    assert unfold_to_json(model, unfold(model, c, 0), 0) == {"term": "c", "depth": 0,
+                                                              "step": None}
 
     lspec, (lmodel, _) = look2_model()
-    ldoc = unfold_to_json(lspec.kind, unfold(lmodel, pt(lspec, "tau(c)"), 1))
+    tau = pt(lspec, "tau(c)")
+    ldoc = unfold_to_json(lmodel, unfold(lmodel, tau, 1), 1)
     assert list(ldoc["step"]) == ["a"]
+    assert [kid["term"] for kid in ldoc["step"]["a"]] == [
+        print_term(s) for s in lmodel.step(tau).successors("a")]
 
     # weighted steps list {"weight", "next"} rows, since subtrees cannot be keys
     wspec = fx("wchain")
     wmodel, _ = least_model(wspec, [pt(wspec, "f(c)")])
-    wdoc = unfold_to_json(wspec.kind, unfold(wmodel, pt(wspec, "f(c)"), 2))
+    wdoc = unfold_to_json(wmodel, unfold(wmodel, pt(wspec, "f(c)"), 2), 2)
     assert wdoc["step"] == {"b": [{"weight": 1.0,
                                    "next": {"term": "f(d)", "depth": 1, "step": {}}}]}

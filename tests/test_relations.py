@@ -8,8 +8,7 @@ import pytest
 from bigsos import relations
 from bigsos.behaviour import (BOTTOM, CountableLTS, LtsValue, PartialStream,
                               Relation, StreamStep, WeightedLTS, WtsValue)
-from bigsos.engine import (GenCoalgebra, Model, gen_to_model, least_model,
-                           lift_coalgebra, unfold)
+from bigsos.engine import GenCoalgebra, Model, gen_to_model, least_model, lift_coalgebra
 from bigsos.errors import BigsosError, CarrierMismatchError, UnknownStateError
 from bigsos.relations import (LAW_POLICY, CongruenceReport, CongruenceViolation,
                               EquivResult, _lift_seeds,
@@ -21,7 +20,7 @@ from bigsos.relations import (LAW_POLICY, CongruenceReport, CongruenceViolation,
                               law_suite, suite_to_json)
 from bigsos.speclang import parse_spec
 from bigsos.terms import App, UniversePolicy, Var, parse_term, term_key
-from conftest import fixture_text
+from conftest import fixture_text, unfold_tree
 from spec_gen import UNIVERSE_TEXTS, random_monotone_lts_spec
 from test_cli_golden import SMALL_CAPS, TERMS
 
@@ -189,8 +188,9 @@ def test_depth_similarity_rejects_unknown_terms_and_mixed_kinds():
 
 
 def tree_depth_similarity(kind, u1, u2, depth, require_labels=True):
-    """Depth-bounded similarity read off unfolding trees, as it was defined
-    before it read models: an oracle that shares only rel_lift with it."""
+    """Depth-bounded similarity read off unfolding trees (conftest.unfold_tree),
+    as it was defined before it read models: an oracle that shares only
+    rel_lift with it."""
     if depth > u1.depth or depth > u2.depth:
         raise ValueError("depth exceeds a recorded tree depth")
     if depth == 0:
@@ -208,7 +208,7 @@ def test_depth_similarity_matches_the_tree_oracle():
         pairs = list(itertools.product(model.carrier(), repeat=2))
         pairs = random.Random(name).sample(pairs, min(len(pairs), 50))
         for depth in range(4):
-            trees = {s: unfold(model, s, depth) for p in pairs for s in p}
+            trees = {s: unfold_tree(model, s, depth) for p in pairs for s in p}
             for s, t in pairs:
                 for labels in (True, False):
                     want = tree_depth_similarity(model.kind, trees[s], trees[t],
@@ -230,8 +230,9 @@ def test_depth_similarity_decides_deep_levels_without_recursion():
     assert depth_similarity(model, c, model, c, 2000)
     for s, t in itertools.product(model.carrier(), repeat=2):
         for labels in (True, False):
-            tree = [tree_depth_similarity(model.kind, unfold(model, s, d),
-                                          unfold(model, t, d), d, labels) for d in (5, 6)]
+            tree = [tree_depth_similarity(model.kind, unfold_tree(model, s, d),
+                                          unfold_tree(model, t, d), d, labels)
+                    for d in (5, 6)]
             assert tree[0] == tree[1] == depth_similarity(model, s, model, t, 2000, labels)
 
 

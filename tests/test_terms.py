@@ -200,6 +200,18 @@ def test_deep_terms_keep_structural_equality():
     assert tower(200) != tower(199) and {one: 1}[two] == 1
 
 
+def test_deep_terms_print_and_walk_without_recursion():
+    # 5,000 levels, past the interpreter's recursion limit; the operator name
+    # is this test's own, so no subterm's text is cached before it prints
+    u = Var("x")
+    for _ in range(5000):
+        u = App("deep", (), (u,))
+    assert print_term(u) == "deep(" * 5000 + "x" + ")" * 5000
+    assert print_term(u.args[0]) == "deep(" * 4999 + "x" + ")" * 4999
+    assert sum(1 for _ in subterms(u)) == 5001
+    assert variables(u) == frozenset({"x"})
+
+
 # --- hash-consing --------------------------------------------------------------------
 
 ORDER_SIG = Signature(ORDER_OPS)
