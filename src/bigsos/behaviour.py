@@ -3,20 +3,30 @@
 Three kinds are provided: partial streams (one observation then a successor,
 or bottom), finitely-branching labelled transition systems ordered by
 pointwise inclusion, and weighted systems over the complete monoid
-(R+ with infinity, sup).  Each kind bundles its bottom element, the order,
-joins, state relabelling and its moves, plus the rendering helpers the rest
-of the package needs, so no caller dispatches on the kind.  The lax relation
-lifting used by simulations is one function, read off the moves, that every
-kind binds as its rel_lift.
+(R+ with infinity, sup).
 
-Values are immutable and canonicalized (sorted, empty entries dropped) so
-structural equality and hashing behave.  The carrier is implicit: states can
-be terms, strings, or class indices.
+A kind supplies its representation: bottom, _check, and moves(v), the
+(label, state, weight) triples of a value, weight 1 in stream and lts.  It
+supplies one constructor, from_moves, which joins the one-move values:
+equal (label, state) moves merge by the kind's sum, the sup of their weights
+in wts, union in lts, and in a stream the one step they all agree on.  And
+it supplies its rendering (value_json, tree_json, arrow, unfold_lines) and
+rel_lift_search, the definitional oracle of the lax relation lifting.
+Everything else is written once from those, and _derives_from_moves binds it
+into each kind class, so no caller dispatches on the kind: rel_lift, the
+order leq (the lifting of the identity relation; Hughes & Jacobs,
+Simulations in coalgebra, TCS 2004), join, map_states, conclusion_value,
+is_bottom, has_label, states and transitions.
+
+Values are immutable and canonicalized (sorted, empty entries and zero
+weights dropped) so structural equality and hashing behave.  The carrier is
+implicit: states can be terms, strings, or class indices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Any, Callable, Iterable, Mapping, Union
 
 from .errors import CarrierMismatchError, InconsistentStreamError, StateMapError
@@ -73,59 +83,41 @@ class StreamStep:
 
 @dataclass(frozen=True)
 class LtsValue:
-    """Finite successor sets per label; empty entries are never stored."""
+    """Finite successor sets per label, stored as the value's moves:
+    (label, state, 1) triples sorted by label, then by state."""
 
     moves: tuple = ()
 
     @staticmethod
     def make(mapping: Mapping) -> "LtsValue":
-        entries = []
-        for lab in sorted(mapping, key=label_key):
-            states = tuple(sorted(set(mapping[lab]), key=state_key))
-            if states:
-                entries.append((lab, states))
-        return LtsValue(tuple(entries))
+        """The value whose label-successors are mapping[label]."""
+        return CountableLTS.from_moves((lab, s, 1) for lab, states in mapping.items()
+                                       for s in states)
 
     def successors(self, lab) -> tuple:
-        for have, states in self.moves:
-            if have == lab:
-                return states
-        return ()
+        return tuple(s for have, s, _ in self.moves if have == lab)
 
     def labels(self) -> tuple:
-        return tuple(lab for lab, _ in self.moves)
+        return tuple(dict.fromkeys(lab for lab, _, _ in self.moves))
 
 
 @dataclass(frozen=True)
 class WtsValue:
-    """Finitely supported weight maps per label; zero weights are dropped."""
+    """Finitely supported weight maps per label, stored as the value's moves:
+    (label, state, weight > 0) triples sorted by label, then by state."""
 
     moves: tuple = ()
 
     @staticmethod
     def make(mapping: Mapping) -> "WtsValue":
-        entries = []
-        for lab in sorted(mapping, key=label_key):
-            row = tuple((s, float(w)) for s, w in sorted(mapping[lab].items(),
-                                                         key=lambda it: state_key(it[0]))
-                        if w > 0)
-            if row:
-                entries.append((lab, row))
-        return WtsValue(tuple(entries))
+        """The value whose label-weights are mapping[label], a state -> weight map."""
+        return WeightedLTS.from_moves((lab, s, w) for lab, row in mapping.items()
+                                      for s, w in row.items())
 
     def weight(self, lab, state) -> float:
-        for have, row in self.moves:
-            if have == lab:
-                for s, w in row:
-                    if s == state:
-                        return w
-        return 0.0
+        return next((w for have, s, w in self.moves if have == lab and s == state), 0.0)
 
-    def labels(self) -> tuple:
-        return tuple(lab for lab, _ in self.moves)
-
-
-BehaviourValue = Union[Bottom, StreamStep, LtsValue, WtsValue]
+    labels = LtsValue.labels
 
 
 @dataclass(frozen=True)
@@ -154,17 +146,100 @@ def rel_pairs(rel):
     return rel if isinstance(rel, (set, frozenset)) else frozenset(rel)
 
 
+# --- the operations every kind derives from moves and from_moves ----------------------
+
+
+_state_of, _transition_of = itemgetter(1), itemgetter(0, 1)  # of a move
+
+
 def _rel_lift(kind, pairs, b, c) -> bool:
-    """The lax relation lifting of every kind, read off kind.moves: b lifts
-    to c over pairs iff every move (a, s, w) of b is matched by a move
-    (a, t, w') of c with w' >= w and (s, t) in pairs.  Each kind binds it
-    as its rel_lift; its own rel_lift_search is the definitional oracle."""
+    """The lax relation lifting: b lifts to c over pairs iff every move
+    (a, s, w) of b is matched by a move (a, t, w') of c with w' >= w and
+    (s, t) in pairs."""
     pairs = rel_pairs(pairs)
     have = kind.moves(c)
     return all(any(a2 == a and w2 >= w and (s, t) in pairs for a2, t, w2 in have)
                for a, s, w in kind.moves(b))
 
 
+def _leq(kind, b, c) -> bool:
+    """The order, the lifting of the identity relation: every move of b is
+    matched by a move of c with its label and state and at least its weight."""
+    lower, upper = kind.moves(b), kind.moves(c)
+    if not lower:  # bottom is below everything
+        return True
+    have = {(a, t): w for a, t, w in upper}
+    return all(have.get((a, s), 0) >= w for a, s, w in lower)
+
+
+def _join(kind, values: Iterable):
+    """The least upper bound of values, bottom for none."""
+    return kind.from_moves([move for v in values for move in kind.moves(v)])
+
+
+def _map_states(kind, h, v):
+    """v with each state s replaced by h(s), h a function or a mapping;
+    moves that come to coincide merge as in from_moves."""
+    return kind.from_moves([(a, _apply(h, s), w) for a, s, w in kind.moves(v)])
+
+
+def _conclusion_value(kind, label, target):
+    """The value one rule conclusion contributes: its single move."""
+    return kind.from_moves(((label, target, 1),))
+
+
+def _is_bottom(kind, v) -> bool:
+    return not kind.moves(v)
+
+
+def _has_label(kind, lab) -> bool:
+    if kind.labels is None:  # the naturals
+        return isinstance(lab, int) and not isinstance(lab, bool) and lab >= 0
+    return lab in kind.labels
+
+
+def _states(kind, v) -> frozenset:
+    return frozenset(map(_state_of, kind.moves(v)))
+
+
+def _transitions(kind, v) -> tuple:
+    """The (label, state) of each move."""
+    return tuple(map(_transition_of, kind.moves(v)))
+
+
+_DERIVED = {"rel_lift": _rel_lift, "leq": _leq, "join": _join, "map_states": _map_states,
+            "conclusion_value": _conclusion_value, "is_bottom": _is_bottom,
+            "has_label": _has_label, "states": _states, "transitions": _transitions}
+
+
+def _derives_from_moves(cls):
+    """Bind every derived operation in the kind class's own __dict__, not in
+    a shared base, so that patching one kind's method leaves the others."""
+    for name, op in _DERIVED.items():
+        setattr(cls, name, op)
+    return cls
+
+
+# --- rendering shared by kinds -------------------------------------------------------
+
+
+def _plain_arrow(kind, lab, w) -> str:
+    return f"-{lab}->"
+
+
+def _tree_lines(kind, rows: list, depth: int) -> list:
+    """engine.unfold's rows as an indented tree, opaque nodes marked."""
+    lines = [print_term(rows[0][3])]
+    for level, lab, w, s, opaque in rows[1:]:
+        mark = "  # opaque" if opaque else ""
+        lines.append("  " * level + f"{kind.arrow(lab, w)} {print_term(s)}{mark}")
+    return lines
+
+
+# --- the kinds -----------------------------------------------------------------------
+
+
+@_derives_from_moves
 @dataclass(frozen=True)
 class PartialStream:
     """One labelled observation and a successor state, or bottom.
@@ -177,11 +252,6 @@ class PartialStream:
 
     name = "stream"
 
-    def has_label(self, lab) -> bool:
-        if self.labels is None:
-            return isinstance(lab, int) and not isinstance(lab, bool) and lab >= 0
-        return lab in self.labels
-
     def _check(self, v):
         if not isinstance(v, (Bottom, StreamStep)):
             raise CarrierMismatchError(f"not a stream value: {v!r}")
@@ -189,83 +259,49 @@ class PartialStream:
     def bottom(self):
         return BOTTOM
 
-    def is_bottom(self, v) -> bool:
-        return isinstance(v, Bottom)
+    def moves(self, v) -> tuple:
+        if isinstance(v, StreamStep):
+            return ((v.label, v.state, 1),)
+        self._check(v)
+        return ()
 
-    def leq(self, b, c) -> bool:
-        self._check(b)
-        self._check(c)
-        return isinstance(b, Bottom) or b == c
-
-    def join(self, values: Iterable):
-        return self.from_transitions({p for v in values for p in self.transitions(v)})
-
-    def from_transitions(self, pairs: Iterable):
-        """The join of the conclusion values of the (label, state) pairs."""
-        steps = set(pairs)
-        if not steps:
-            return BOTTOM
+    @staticmethod
+    def from_moves(moves: Iterable):
+        """The one step that all moves make, or bottom for none."""
+        steps = set(map(_transition_of, moves))
         if len(steps) > 1:
             shown = ", ".join(f"({lab}, {_show_state(s)})" for lab, s in
                               sorted(steps, key=lambda p: (label_key(p[0]), state_key(p[1]))))
             raise InconsistentStreamError(f"inconsistent stream step: {shown}")
-        return StreamStep(*steps.pop())
-
-    def map_states(self, h, v):
-        self._check(v)
-        if isinstance(v, Bottom):
-            return BOTTOM
-        return StreamStep(v.label, _apply(h, v.state))
-
-    def transitions(self, v) -> tuple:
-        self._check(v)
-        if isinstance(v, Bottom):
-            return ()
-        return ((v.label, v.state),)
-
-    def states(self, v) -> frozenset:
-        self._check(v)
-        return frozenset() if isinstance(v, Bottom) else frozenset((v.state,))
-
-    def moves(self, v) -> tuple:
-        """(label, state, weight) of each move, weight 1 here and in lts;
-        rel_lift and the greatest simulation read the lifting off them."""
-        self._check(v)
-        return () if isinstance(v, Bottom) else ((v.label, v.state, 1),)
-
-    def conclusion_value(self, label, target):
-        return StreamStep(label, target)
-
-    rel_lift = _rel_lift
+        return StreamStep(*steps.pop()) if steps else BOTTOM
 
     def rel_lift_search(self, pairs, b, c) -> bool:
         """Witness enumeration straight from the definition (test oracle)."""
-        pairs = rel_pairs(pairs)
-        self._check(b)
-        self._check(c)
-        labs = {v.label for v in (b, c) if isinstance(v, StreamStep)}
-        candidates: list = [BOTTOM]
-        candidates += [StreamStep(lab, pr) for lab in sorted(labs, key=label_key)
-                       for pr in pairs]
-        for d in candidates:
-            left = self.map_states(lambda p: p[0], d) if isinstance(d, StreamStep) else BOTTOM
-            right = self.map_states(lambda p: p[1], d) if isinstance(d, StreamStep) else BOTTOM
-            if self.leq(b, left) and self.leq(right, c):
+        labs = {lab for v in (b, c) for lab, _, _ in self.moves(v)}
+        for d in [BOTTOM] + [StreamStep(lab, pr) for lab in labs for pr in rel_pairs(pairs)]:
+            if (self.leq(b, self.map_states(lambda p: p[0], d))
+                    and self.leq(self.map_states(lambda p: p[1], d), c)):
                 return True
         return False
 
     def value_json(self, v, state_repr: Callable):
-        self._check(v)
-        if isinstance(v, Bottom):
+        if self.is_bottom(v):
             return None
         return {"label": v.label, "next": state_repr(v.state)}
 
     tree_json = value_json
+    arrow = _plain_arrow
 
-    def arrow(self, lab, w) -> str:
-        return f"-{lab}->"
+    def unfold_lines(self, rows: list, depth: int) -> list:
+        """A stream unfolds to one path, printed as its labels, ending in ⊥
+        where the path stops before depth."""
+        labels = [str(lab) for _, lab, _, _, _ in rows[1:]]
+        if len(rows) <= depth:
+            labels.append("⊥")
+        return [" ".join(labels) or "⊥"]
 
 
+@_derives_from_moves
 @dataclass(frozen=True)
 class CountableLTS:
     """Labelled transition system over a finite alphabet, ordered by inclusion."""
@@ -278,9 +314,6 @@ class CountableLTS:
         if self.labels is None:
             raise ValueError(f"{self.name} needs a finite label alphabet")
 
-    def has_label(self, lab) -> bool:
-        return lab in self.labels
-
     def _check(self, v):
         if not isinstance(v, LtsValue):
             raise CarrierMismatchError(f"not an lts value: {v!r}")
@@ -288,44 +321,18 @@ class CountableLTS:
     def bottom(self):
         return LtsValue()
 
-    def is_bottom(self, v) -> bool:
-        return not v.moves
-
-    def leq(self, b, c) -> bool:
-        self._check(b)
-        self._check(c)
-        return all(set(states) <= set(c.successors(lab)) for lab, states in b.moves)
-
-    def join(self, values: Iterable):
-        return self.from_transitions(p for v in values for p in self.transitions(v))
-
-    def from_transitions(self, pairs: Iterable):
-        """The join of the conclusion values of the (label, state) pairs."""
-        acc: dict = {}
-        for lab, s in pairs:
-            acc.setdefault(lab, set()).add(s)
-        return LtsValue.make(acc)
-
-    def map_states(self, h, v):
-        self._check(v)
-        return LtsValue.make({lab: {_apply(h, s) for s in states} for lab, states in v.moves})
-
-    def transitions(self, v) -> tuple:
-        self._check(v)
-        return tuple((lab, s) for lab, states in v.moves for s in states)
-
-    def states(self, v) -> frozenset:
-        self._check(v)
-        return frozenset(s for _, states in v.moves for s in states)
-
     def moves(self, v) -> tuple:
         self._check(v)
-        return tuple((lab, s, 1) for lab, states in v.moves for s in states)
+        return v.moves
 
-    def conclusion_value(self, label, target):
-        return LtsValue.make({label: {target}})
-
-    rel_lift = _rel_lift
+    @staticmethod
+    def from_moves(moves: Iterable) -> LtsValue:
+        """The union of the moves' (label, state) pairs."""
+        succ: dict = {}
+        for lab, s, _ in moves:
+            succ.setdefault(lab, set()).add(s)
+        return LtsValue(tuple((lab, s, 1) for lab in sorted(succ, key=label_key)
+                              for s in sorted(succ[lab], key=state_key)))
 
     def rel_lift_search(self, pairs, b, c) -> bool:
         """Exhaustive witness search over B(R) (test oracle).
@@ -348,10 +355,8 @@ class CountableLTS:
 
         left = [bits((s,)) for s, _ in rel]
         right = [bits((t,)) for _, t in rel]
-        for lab, states in b.moves:
-            need = bits(states)
-            if not need:
-                continue  # the empty subset is a witness
+        for lab in b.labels():  # the empty subset is a witness for every other label
+            need = bits(b.successors(lab))
             forbidden = ~bits(c.successors(lab))
             # pi1 and pi2 of every subset, each built from one with a bit fewer
             lefts, rights = [0], [0]
@@ -371,15 +376,17 @@ class CountableLTS:
         return True
 
     def value_json(self, v, state_repr: Callable):
-        self._check(v)
-        return {str(lab): [state_repr(s) for s in states] for lab, states in v.moves}
+        out: dict = {}
+        for lab, s, _ in self.moves(v):
+            out.setdefault(str(lab), []).append(state_repr(s))
+        return out
 
     tree_json = value_json
+    arrow = _plain_arrow
+    unfold_lines = _tree_lines
 
-    def arrow(self, lab, w) -> str:
-        return f"-{lab}->"
 
-
+@_derives_from_moves
 @dataclass(frozen=True)
 class WeightedLTS:
     """Weighted transitions over (R+ with infinity, sup); order is pointwise."""
@@ -392,9 +399,6 @@ class WeightedLTS:
         if self.labels is None:
             raise ValueError(f"{self.name} needs a finite label alphabet")
 
-    def has_label(self, lab) -> bool:
-        return lab in self.labels
-
     def _check(self, v):
         if not isinstance(v, WtsValue):
             raise CarrierMismatchError(f"not a weighted value: {v!r}")
@@ -402,58 +406,22 @@ class WeightedLTS:
     def bottom(self):
         return WtsValue()
 
-    def is_bottom(self, v) -> bool:
-        return not v.moves
-
-    def leq(self, b, c) -> bool:
-        self._check(b)
-        self._check(c)
-        return all(w <= c.weight(lab, s) for lab, row in b.moves for s, w in row)
-
-    def join(self, values: Iterable):
-        acc: dict = {}
-        for v in values:
-            self._check(v)
-            for lab, row in v.moves:
-                bucket = acc.setdefault(lab, {})
-                for s, w in row:
-                    bucket[s] = max(bucket.get(s, 0.0), w)
-        return WtsValue.make(acc)
-
-    def from_transitions(self, pairs: Iterable):
-        """The join of the conclusion values of the (label, state) pairs."""
-        acc: dict = {}
-        for lab, s in pairs:
-            acc.setdefault(lab, {})[s] = 1.0
-        return WtsValue.make(acc)
-
-    def map_states(self, h, v):
-        # merged states take the sup of their weights (monoid sum is sup)
-        self._check(v)
-        acc: dict = {}
-        for lab, row in v.moves:
-            bucket = acc.setdefault(lab, {})
-            for s, w in row:
-                t = _apply(h, s)
-                bucket[t] = max(bucket.get(t, 0.0), w)
-        return WtsValue.make(acc)
-
-    def transitions(self, v) -> tuple:
-        self._check(v)
-        return tuple((lab, s) for lab, row in v.moves for s, _ in row)
-
-    def states(self, v) -> frozenset:
-        self._check(v)
-        return frozenset(s for _, row in v.moves for s, _ in row)
-
     def moves(self, v) -> tuple:
         self._check(v)
-        return tuple((lab, s, w) for lab, row in v.moves for s, w in row)
+        return v.moves
 
-    def conclusion_value(self, label, target):
-        return WtsValue.make({label: {target: 1.0}})
-
-    rel_lift = _rel_lift
+    @staticmethod
+    def from_moves(moves: Iterable) -> WtsValue:
+        """Equal (label, state) moves merge by the monoid sum, the sup of
+        their weights; zero weights are dropped."""
+        rows: dict = {}
+        for lab, s, w in moves:
+            row = rows.setdefault(lab, {})
+            row[s] = max(row.get(s, 0.0), w)
+        return WtsValue(tuple((lab, s, float(w)) for lab in sorted(rows, key=label_key)
+                              for s, w in sorted(rows[lab].items(),
+                                                 key=lambda it: state_key(it[0]))
+                              if w > 0))
 
     def rel_lift_search(self, pairs, b, c) -> bool:
         """Dominating-witness check.
@@ -463,36 +431,30 @@ class WeightedLTS:
         witness exists iff d* itself works.
         """
         pairs = rel_pairs(pairs)
-        self._check(b)
-        self._check(c)
-        labs = set(b.labels()) | set(c.labels())
-        star: dict = {}
-        for lab in labs:
-            row = {}
-            for (s, t) in pairs:
-                w = c.weight(lab, t)
-                if w > 0:
-                    row[(s, t)] = max(row.get((s, t), 0.0), w)
-            if row:
-                star[lab] = row
-        d = WtsValue.make(star)
+        d = self.from_moves([(lab, (s, t), w) for lab, u, w in self.moves(c)
+                             for s, t in pairs if t == u])
         left = self.map_states(lambda p: p[0], d)
         right = self.map_states(lambda p: p[1], d)
         return self.leq(b, left) and self.leq(right, c)
 
     def value_json(self, v, state_repr: Callable):
-        self._check(v)
-        return {str(lab): {state_repr(s): w for s, w in row} for lab, row in v.moves}
+        out: dict = {}
+        for lab, s, w in self.moves(v):
+            out.setdefault(str(lab), {})[state_repr(s)] = w
+        return out
 
     def tree_json(self, v, child_json: Callable):
         """Like value_json, but a state's JSON, its unfold document, cannot
         be a key, so each label maps to [{"weight", "next"}] rows."""
-        self._check(v)
-        return {str(lab): [{"weight": w, "next": child_json(s)} for s, w in row]
-                for lab, row in v.moves}
+        out: dict = {}
+        for lab, s, w in self.moves(v):
+            out.setdefault(str(lab), []).append({"weight": w, "next": child_json(s)})
+        return out
 
     def arrow(self, lab, w) -> str:
         return f"-{lab}[{w}]->"
+
+    unfold_lines = _tree_lines
 
 
 BehaviourKind = Union[PartialStream, CountableLTS, WeightedLTS]

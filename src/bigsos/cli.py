@@ -18,7 +18,6 @@ import json
 import os
 import sys
 
-from .behaviour import CountableLTS, PartialStream
 from .engine import (least_model, model_to_dot, model_to_json, unfold,
                      unfold_to_json)
 from .errors import (BigsosError, InconsistentStreamError, LabelEvalError,
@@ -147,41 +146,28 @@ def _model_text(model, report) -> list:
     return lines
 
 
-def _unfold_text(kind, rows, depth) -> list:
-    if isinstance(kind, PartialStream):  # a stream unfolds to one label path
-        labels = [str(lab) for _, lab, _, _, _ in rows[1:]]
-        if len(rows) <= depth:  # the path ends in a bottom step
-            labels.append("⊥")
-        return [" ".join(labels) or "⊥"]
-    lines = [print_term(rows[0][3])]
-    for level, lab, w, s, opaque in rows[1:]:
-        mark = "  # opaque" if opaque else ""
-        lines.append("  " * level + f"{kind.arrow(lab, w)} {print_term(s)}{mark}")
-    return lines
-
-
-def _json_text(doc) -> str:
-    """json.dumps(doc, indent=2) for a document of string-keyed dicts, lists
-    and scalars, written from an explicit stack: json.dumps recurses once per
-    nesting level, and an unfold document nests at least two per step."""
-    parts, todo = [], [(doc, "\n")]  # (value, its newline and indent) or (text, None)
+def _write_json(doc, out) -> None:
+    """Write json.dumps(doc, indent=2) of a document of string-keyed dicts,
+    lists and scalars to out part by part, from an explicit stack: json.dumps
+    recurses once per nesting level, an unfold document nests at least two
+    per step, and its text grows with the square of the depth on one path.
+    The stack holds indent levels, not indent strings, for the same reason."""
+    todo: list = [(False, doc, 0)]  # (is text, value or text, indent level)
     while todo:
-        v, nl = todo.pop()
-        if nl is None:
-            parts.append(v)
+        is_text, v, level = todo.pop()
+        if is_text:  # v is (before, after): before, a newline and indent, after
+            out.write(v[0] + "\n" + "  " * level + v[1])
         elif not (v and isinstance(v, (dict, list))):
-            parts.append(json.dumps(v))
+            out.write(json.dumps(v))
         else:
             keyed = isinstance(v, dict)
             entries = [(json.dumps(k) + ": ", x) for k, x in v.items()] if keyed else \
                 [("", x) for x in v]
-            inner = nl + "  "
-            parts.append("{" if keyed else "[")
-            todo.append((nl + ("}" if keyed else "]"), None))
+            out.write("{" if keyed else "[")
+            todo.append((True, ("", "}" if keyed else "]"), level))
             for i in reversed(range(len(entries))):
                 key, x = entries[i]
-                todo += [(x, inner), ("," * (i > 0) + inner + key, None)]
-    return "".join(parts)
+                todo += [(False, x, level + 1), (True, ("," * (i > 0), key), level + 1)]
 
 
 # --- subcommands -------------------------------------------------------------------
@@ -219,15 +205,15 @@ def _require_valid(spec, err) -> bool:
 def _cmd_model(spec, args, out, err) -> int:
     model, report = _build_model(spec, _seed_terms(spec, args.terms), args)
     fmt = args.format
-    if fmt == "dot" and not isinstance(model.kind, CountableLTS):
-        print("warning: dot export is only defined for lts models; emitting json",
-              file=err)
-        fmt = "json"
     if fmt == "dot":
-        out.write(model_to_dot(model))
-    elif fmt == "json":
+        try:
+            out.write(model_to_dot(model))
+        except ValueError as exc:
+            print(f"warning: {exc}; emitting json", file=err)
+            fmt = "json"
+    if fmt == "json":
         print(json.dumps(model_to_json(model, report), indent=2), file=out)
-    else:
+    elif fmt == "text":
         print("\n".join(_model_text(model, report)), file=out)
     return 0 if report.converged else 4
 
@@ -240,9 +226,10 @@ def _cmd_unfold(spec, args, out, err) -> int:
         print("warning: dot export is only defined for models; emitting text",
               file=err)
     if args.format == "json":
-        print(_json_text(unfold_to_json(model, rows, args.depth)), file=out)
+        _write_json(unfold_to_json(model, rows, args.depth), out)
+        out.write("\n")
     else:
-        print("\n".join(_unfold_text(model.kind, rows, args.depth)), file=out)
+        print("\n".join(model.kind.unfold_lines(rows, args.depth)), file=out)
     return 0
 
 

@@ -5,9 +5,9 @@ variables bind argument subterms, premises are matched by walking the model's
 behaviour map (frontier terms read as bottom, so truncation under-approximates
 soundly), and each complete match contributes its instantiated conclusion.
 Each rule's premises and conclusion are compiled once per spec, so a term's
-value is built in one pass from its derived (label, target) pairs, and the
-join records every term it reads on the way.  A ground fact (see
-speclang.ground_fact and Spec.facts) is stored as its pair and never
+value is built in one pass from its derived (label, target, 1) moves, and
+the join records every term it reads on the way.  A ground fact (see
+speclang.ground_fact and Spec.facts) is stored as its move and never
 compiled.  Iterating from the all-bottom model climbs an increasing chain for
 monotone specs; the loop stops on a fixed point, on a detected period-2
 oscillation (possible only with negative premises, behind the force flag), or
@@ -43,6 +43,7 @@ variables lifts a coalgebra on the generator states to one on all such terms.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from operator import itemgetter
 from typing import Iterable, Mapping, NamedTuple, Union
 
@@ -82,7 +83,17 @@ class Model:
             raise UnknownStateError(f"term {print_term(t)} outside universe and frontier") from None
 
     def carrier(self) -> tuple:
+        """The universe, then the frontier in term order; built once."""
+        return self._carrier
+
+    @cached_property
+    def _carrier(self) -> tuple:
         return self.universe + tuple(sorted(self.frontier, key=term_key))
+
+    @cached_property
+    def index(self) -> dict:
+        """Each carrier state's position in carrier(); built once."""
+        return {s: i for i, s in enumerate(self._carrier)}
 
 
 @dataclass(frozen=True)
@@ -114,11 +125,9 @@ class GenCoalgebra:
                 raise ValueError(f"generator state {x!r} collides with an operator name")
             if x not in self.dynamics:
                 raise ValueError(f"generator dynamics missing for state {x!r}")
-            v = self.dynamics[x]
-            for s in kind.states(v):
+            for lab, s, _ in kind.moves(self.dynamics[x]):
                 if s not in known:
                     raise ValueError(f"dynamics of {x!r} references unknown state {s!r}")
-            for lab, _ in kind.transitions(v):
                 if not kind.has_label(lab):
                     raise ValueError(f"dynamics of {x!r} uses label {lab!r} outside the domain")
 
@@ -132,10 +141,10 @@ def gen_to_model(kind: BehaviourKind, gen: GenCoalgebra) -> Model:
 
 # --- rule application -----------------------------------------------------------
 #
-# A spec's join plan holds, for each head operator, the (label, target) pairs
-# of its ground facts and the compiled plans of its other rules.  A fact reads
-# nothing and binds nothing, so a constant's pairs start from its facts; an
-# explicit LTS written as axioms compiles no plan.
+# A spec's join plan holds, for each head operator, the (label, target, 1)
+# moves of its ground facts and the compiled plans of its other rules.  A fact
+# reads nothing and binds nothing, so a constant's moves start from its facts;
+# an explicit LTS written as axioms compiles no plan.
 #
 # Each other rule is compiled once per spec into a rule plan.  An environment
 # is the tuple of the bindings still live at its point in the premise chain:
@@ -146,12 +155,12 @@ def gen_to_model(kind: BehaviourKind, gen: GenCoalgebra) -> Model:
 # label variables, which live in separate namespaces.
 #
 # The conclusion is compiled as well, into a function from a final environment
-# to its (label, target) pair.  Label expressions and operator parameters are
-# compiled into functions over the label slots, and the target into a builder
-# over the slots, so no conclusion is interpreted per environment; a literal
-# label in the domain is a constant.  A term's value is built from its pairs
-# by one kind.from_transitions call, with no value per conclusion.  Premises
-# read their sources' transitions from a table shared across one step, and
+# to its (label, target, 1) move.  Label expressions and operator parameters
+# are compiled into functions over the label slots, and the target into a
+# builder over the slots, so no conclusion is interpreted per environment; a
+# literal label in the domain is a constant.  A term's value is built from
+# its moves by one kind.from_moves call, with no value per conclusion.
+# Premises read their sources' moves from a table shared across one step, and
 # every source read goes into the caller's read set: the step takes the
 # term's taint from it, and least_model its reverse index.
 
@@ -167,7 +176,7 @@ def _picker(indices: tuple):
 
 
 class _Rows(dict):
-    """Transitions of each term of model, computed on first read."""
+    """kind.moves of each term of model, read on first use."""
 
     __slots__ = ("model",)
 
@@ -176,7 +185,7 @@ class _Rows(dict):
         self.model = model
 
     def __missing__(self, t: Term) -> tuple:
-        row = self[t] = self.model.kind.transitions(self.model.step(t))
+        row = self[t] = self.model.kind.moves(self.model.step(t))
         return row
 
 
@@ -205,7 +214,7 @@ class _RulePlan(NamedTuple):
     rule: Rule
     head: object       # picks the first environment from args + params
     steps: tuple
-    conclude: object   # final environment -> (label, target)
+    conclude: object   # final environment -> (label, target, 1)
 
 
 def _premise_reads(p: Premise) -> set:
@@ -258,7 +267,7 @@ def _builder(target, slot: dict):
 
 
 def _compile_conclusion(kind: BehaviourKind, rule: Rule, layout: tuple):
-    """Function from an environment laid out as layout to the pair the rule
+    """Function from an environment laid out as layout to the move the rule
     concludes.  It raises, in this order, what evaluating the label raises, a
     label outside the domain, and what building the target raises."""
     slot = {name: i for i, name in enumerate(layout)}
@@ -266,7 +275,7 @@ def _compile_conclusion(kind: BehaviourKind, rule: Rule, layout: tuple):
     label = rule.concl_label
     if isinstance(label, LabelLit) and kind.has_label(label.value):
         lab = label.value
-        return lambda env: (lab, build(env))
+        return lambda env: (lab, build(env), 1)
     value, has_label = compile_label(label, _label_slots(slot)), kind.has_label
 
     def conclude(env: tuple) -> tuple:
@@ -274,7 +283,7 @@ def _compile_conclusion(kind: BehaviourKind, rule: Rule, layout: tuple):
         if not has_label(lab):
             raise LabelEvalError(
                 f"rule {rule.name}: conclusion label {lab!r} outside the label domain")
-        return lab, build(env)
+        return lab, build(env), 1
 
     return conclude
 
@@ -321,7 +330,7 @@ def _compile_rule(kind: BehaviourKind, rule: Rule) -> _RulePlan:
 
 def _join_plan(spec: Spec) -> dict:
     """(facts, plans) by head operator, built on first use and kept on the
-    spec: the pairs of the operator's ground facts, and the compiled plans of
+    spec: the moves of the operator's ground facts, and the compiled plans of
     its other rules in rule order."""
     if spec.join_plan is None:
         plan: dict = {}
@@ -331,7 +340,7 @@ def _join_plan(spec: Spec) -> dict:
                 plans.append(_compile_rule(spec.kind, rule))
             else:
                 label, target = fact
-                facts.append((label, App(target)))
+                facts.append((label, App(target), 1))
         spec.join_plan = plan
     return spec.join_plan
 
@@ -339,14 +348,14 @@ def _join_plan(spec: Spec) -> dict:
 def apply_rules(spec: Spec, op: str, params: tuple, args: tuple, reads: set,
                 memo: _Rows):
     """Join of all rule conclusions derivable for op[params](args) in the
-    model whose transition table is memo, which phi_step shares across a step.
+    model whose move table is memo, which phi_step shares across a step.
 
     Every premise source read, negative premises included, is added to reads.
     """
     read = reads.add
     facts, plans = _join_plan(spec).get(op, ((), ()))
-    # (label, target) of every derivation; a fact's head takes no arguments
-    pairs = [] if args or params else list(facts)
+    # the move of every derivation; a fact's head takes no arguments
+    moves = [] if args or params else list(facts)
     for plan in plans:
         rule = plan.rule
         if len(rule.head_vars) != len(args) or len(rule.head_params) != len(params):
@@ -363,7 +372,7 @@ def apply_rules(spec: Spec, op: str, params: tuple, args: tuple, reads: set,
                 for env in envs:
                     s = env[src]
                     read(s)
-                    for lab, target in memo[s]:
+                    for lab, target, _ in memo[s]:
                         if lit is not None:
                             if lab != lit:
                                 continue
@@ -375,14 +384,14 @@ def apply_rules(spec: Spec, op: str, params: tuple, args: tuple, reads: set,
                     s = env[src]
                     read(s)
                     want = step.want(env)
-                    if all(have != want for have, _ in memo[s]):
+                    if all(have != want for have, _, _ in memo[s]):
                         grown[out(env)] = None
             envs = grown
             if not envs:
                 break
-        pairs.extend(map(plan.conclude, envs))
+        moves.extend(map(plan.conclude, envs))
     try:
-        return spec.kind.from_transitions(pairs)
+        return spec.kind.from_moves(moves)
     except InconsistentStreamError as exc:
         raise InconsistentStreamError(
             f"{print_term(App(op, params, args))}: {exc}") from None
@@ -636,18 +645,17 @@ def model_to_json(model: Model, report: Union[ConvergenceReport, None] = None) -
 
 
 def model_to_dot(model: Model) -> str:
-    """Graphviz digraph; labelled transition models only."""
+    """Graphviz digraph; lts models only, ValueError for any other kind."""
     if not isinstance(model.kind, CountableLTS):
         raise ValueError("dot export is only defined for lts models")
     lines = ["digraph model {", "  rankdir=LR;"]
-    carrier = model.carrier()
-    ids = {t: f"n{i}" for i, t in enumerate(carrier)}
-    for t in carrier:
+    ids = model.index
+    for t, i in ids.items():
         style = ', style=dashed' if t in model.frontier else ""
-        lines.append(f'  {ids[t]} [label="{print_term(t)}"{style}];')
+        lines.append(f'  n{i} [label="{print_term(t)}"{style}];')
     for t in model.universe:
-        for lab, target in model.kind.transitions(model.behaviour[t]):
-            lines.append(f'  {ids[t]} -> {ids[target]} [label="{lab}"];')
+        for lab, target, _ in model.kind.moves(model.behaviour[t]):
+            lines.append(f'  n{ids[t]} -> n{ids[target]} [label="{lab}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -59,10 +59,9 @@ def _bits(x: int):
 
 def _indexed_moves(model: Model) -> list:
     """kind.moves of each carrier state, with states as carrier indices."""
-    kind, carrier = model.kind, model.carrier()
-    index = {s: i for i, s in enumerate(carrier)}
+    kind, index = model.kind, model.index
     out = []
-    for s in carrier:
+    for s in index:
         try:
             out.append(tuple((a, index[t], w) for a, t, w in kind.moves(model.step(s))))
         except KeyError as e:
@@ -252,15 +251,14 @@ def check_equivalence(model: Model, t1: Term, t2: Term,
     distinguishing depth.  A related pair's witness is the refined relation,
     which _refine's guard has checked to be a simulation, and for bisim a
     symmetric one: a bisimulation."""
-    index = {s: i for i, s in enumerate(model.carrier())}
     for t in (t1, t2):
-        if t not in index:
+        if t not in model.index:
             raise UnknownStateError(f"term {print_term(t)} is not in the model")
     if relation not in ("sim", "bisim"):
         raise ValueError(f"unknown relation {relation!r}")
     rounds: list = []
     rows = _refine(model, model, relation == "bisim", rounds)
-    depth = _separating_round(rounds, index[t1], index[t2])
+    depth = _separating_round(rounds, model.index[t1], model.index[t2])
     if depth is not None:
         return EquivResult(False, depth)
     return EquivResult(True, _relation(model, model, rows))
@@ -348,13 +346,13 @@ def congruence_test(spec: Spec, model: Model, samples: int, depth: int = 3,
         raise ValueError("samples must be a natural")
     rounds: list = []
     classes = bisimilarity_classes(model, rounds)
-    index = {s: i for i, s in enumerate(model.carrier())}
+    index = model.index
     cls_of = {s: i for i, cl in enumerate(classes) for s in cl}
     apps = [t for t in model.universe
             if isinstance(t, App) and t.args and t.op in spec.sig]
     if not apps or samples <= 0:
         return CongruenceReport(samples, 0, 0, ())
-    if _groups_settle(index, apps, classes, cls_of):
+    if _groups_settle(model.carrier(), apps, classes, cls_of):
         return CongruenceReport(samples, samples, 0, ())
     rng = random.Random(seed)
     members = [sorted(cl, key=term_key) for cl in classes]
@@ -398,15 +396,10 @@ def _fresh_name(name: str, sig) -> str:
     return name
 
 
-def _test_labels(kind) -> list:
-    if kind.labels is not None:
-        return sorted(kind.labels, key=label_key)
-    return [1, 2]  # natural-number stream labels
-
-
 def default_generators(kind: BehaviourKind, sig) -> tuple:
-    """A one-state loop and a two-state chain into a loop, on one label."""
-    lab = _test_labels(kind)[0]
+    """A one-state loop and a two-state chain into a loop, on one label: the
+    least of a finite alphabet, else the natural 1."""
+    lab = 1 if kind.labels is None else min(kind.labels, key=label_key)
 
     def loop(s):
         return kind.conclusion_value(lab, s)
@@ -543,7 +536,6 @@ def doubled_lift(spec: Spec, inner: Model, policy: UniversePolicy) -> tuple:
     are synthetic (q0, q1, ...) because printed terms may collide with
     operator names.
     """
-    kind = spec.kind
     carrier = inner.carrier()
     names: dict = {}
     decode: dict = {}
@@ -551,12 +543,8 @@ def doubled_lift(spec: Spec, inner: Model, policy: UniversePolicy) -> tuple:
         name = _fresh_name(f"q{i}", spec.sig)
         names[t] = name
         decode[name] = t
-    dyn = {}
-    for t in carrier:
-        if t in inner.frontier:
-            dyn[names[t]] = kind.bottom()
-        else:
-            dyn[names[t]] = kind.map_states(names, inner.step(t))
+    # a frontier term's step is bottom, and so is its renaming
+    dyn = {names[t]: spec.kind.map_states(names, inner.step(t)) for t in carrier}
     gen = GenCoalgebra(tuple(names[t] for t in carrier), dyn)
     outer = lift_coalgebra(spec, gen, _lift_seeds(spec, gen), policy)
     return gen, outer, decode

@@ -26,7 +26,7 @@ Blank and comment-only lines are skipped by the same match.
 
 A ground axiom whose label is in the label set and whose head and target are
 declared constants is a plain fact (ground_fact): it can produce no
-diagnostic, so validate_spec passes it by, and the engine stores its pair
+diagnostic, so validate_spec passes it by, and the engine stores its move
 without compiling it; Spec.facts classifies each rule once for both.  A
 closed compound target, as in `c -1-> sigma(c)`, makes the rule no fact.
 """
@@ -474,8 +474,8 @@ def ground_fact(rule: Rule, kind: BehaviourKind, sig: Signature):
 
     A fact has no premises, head variables or head parameters, a literal label
     in the label set, and a declared constant (arity and parameter count 0) as
-    both head and target.  It is valid and concludes the same pair whenever it
-    fires, so validate_spec passes it by and the engine stores its pair
+    both head and target.  It is valid and concludes the same move whenever it
+    fires, so validate_spec passes it by and the engine stores that move
     instead of compiling a join plan.  The target is returned by name: a term
     built here and dropped would cost validate_spec more than the walk it
     skips.

@@ -221,8 +221,8 @@ def shrink_model(kind, model, rng):
         else:
             beh[t] = WtsValue.make(
                 {lab: {s: 0.0 if rng.random() < 0.3 else w * rng.choice((0.5, 1.0))
-                       for s, w in row}
-                 for lab, row in v.moves})
+                       for lab2, s, w in kind.moves(v) if lab2 == lab}
+                 for lab in v.labels()})
     return Model(kind, model.universe, beh, frozenset())
 
 

@@ -13,7 +13,7 @@ from hypothesis import given, strategies as st
 
 import bigsos
 from bigsos.behaviour import PartialStream
-from bigsos.cli import _json_text, run
+from bigsos.cli import _write_json, run
 from bigsos.engine import least_model
 from bigsos.speclang import parse_spec
 from bigsos.terms import App, UniversePolicy, print_term
@@ -182,7 +182,9 @@ JSON_DOCS = st.recursive(
 
 @given(JSON_DOCS)
 def test_json_text_matches_json_dumps(doc):
-    assert _json_text(doc) == json.dumps(doc, indent=2)
+    out = io.StringIO()
+    _write_json(doc, out)
+    assert out.getvalue() == json.dumps(doc, indent=2)
 
 
 def tree_text(kind, tree) -> list:

@@ -208,7 +208,10 @@ def count_calls(monkeypatch, cls, names):
         return wrapper
 
     for name in names:
-        monkeypatch.setattr(cls, name, counting(name))
+        wrapper = counting(name)
+        if isinstance(vars(cls)[name], staticmethod):
+            wrapper = staticmethod(wrapper)
+        monkeypatch.setattr(cls, name, wrapper)
     return calls
 
 
@@ -227,12 +230,12 @@ def spy_derivations(monkeypatch):
 
 def test_phi_step_work_per_term_on_the_tower(monkeypatch):
     """Counts, not times: in every iteration of least_model on the K=18
-    transclosure tower each read term's transitions are taken once, and each
-    derived term's value is built by one from_transitions call, with no value
-    per conclusion.  Iteration k's work is that of a run stopped after k
-    iterations less that of a run stopped after k - 1."""
-    calls = count_calls(monkeypatch, CountableLTS,
-                        ("transitions", "from_transitions", "conclusion_value", "join"))
+    transclosure tower the premise table reads each read term's moves once,
+    and each derived term's value is built by one from_moves call, with no
+    value per conclusion.  Iteration k's work is that of a run stopped after
+    k iterations less that of a run stopped after k - 1."""
+    calls = count_calls(monkeypatch, CountableLTS, ("from_moves", "conclusion_value", "join"))
+    table = count_calls(monkeypatch, engine._Rows, ("__missing__",))
     derivations = spy_derivations(monkeypatch)
     spec = fx("transclosure")
     seed = pt(spec, _tower(18))
@@ -241,18 +244,19 @@ def test_phi_step_work_per_term_on_the_tower(monkeypatch):
     assert report.converged and report.iterations > 2
     runs = []
     for k in range(report.iterations + 1):
-        calls.update(dict.fromkeys(calls, 0))
+        for counter in (calls, table):
+            counter.update(dict.fromkeys(counter, 0))
         derivations.clear()
         if k:
             least_model(spec, [seed], policy, max_iters=k)
-        runs.append((dict(calls), list(derivations)))
+        runs.append(({**calls, **table}, list(derivations)))
     steps = 0
     for (before, done), (after, reads) in zip(runs, runs[1:]):
         assert reads[:len(done)] == done
         reads = reads[len(done):]
-        counts = {name: after[name] - before[name] for name in calls}
-        assert counts["transitions"] <= len(set().union(*reads))
-        assert counts["from_transitions"] == len(reads)
+        counts = {name: after[name] - before[name] for name in after}
+        assert counts["__missing__"] == len(set().union(*reads))
+        assert counts["from_moves"] == len(reads)
         assert counts["conclusion_value"] == counts["join"] == 0
         steps += len(reads)
     assert steps == len(runs[-1][1]) > len(model.universe)
@@ -330,7 +334,7 @@ def reference_conclusion(kind, rule, labels, terms):
     if not kind.has_label(lab):
         raise LabelEvalError(
             f"rule {rule.name}: conclusion label {lab!r} outside the label domain")
-    return lab, substitute(instantiate_template(rule.concl_target, labels), terms)
+    return lab, substitute(instantiate_template(rule.concl_target, labels), terms), 1
 
 
 def outcome(thunk):
