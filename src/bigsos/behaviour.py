@@ -25,9 +25,9 @@ implicit: states can be terms, strings, or class indices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Any, Callable, Iterable, Mapping, Union
+from typing import Any, Callable, Iterable, Union
 
 from .errors import CarrierMismatchError, InconsistentStreamError, StateMapError
 from .terms import App, Var, print_term
@@ -77,8 +77,15 @@ BOTTOM = Bottom()
 
 @dataclass(frozen=True)
 class StreamStep:
+    """One observation and its successor; moves, the step's one move, is
+    built once and left out of equality and hashing."""
+
     label: Any
     state: Any
+    moves: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "moves", ((self.label, self.state, 1),))
 
 
 @dataclass(frozen=True)
@@ -87,12 +94,6 @@ class LtsValue:
     (label, state, 1) triples sorted by label, then by state."""
 
     moves: tuple = ()
-
-    @staticmethod
-    def make(mapping: Mapping) -> "LtsValue":
-        """The value whose label-successors are mapping[label]."""
-        return CountableLTS.from_moves((lab, s, 1) for lab, states in mapping.items()
-                                       for s in states)
 
     def successors(self, lab) -> tuple:
         return tuple(s for have, s, _ in self.moves if have == lab)
@@ -107,15 +108,6 @@ class WtsValue:
     (label, state, weight > 0) triples sorted by label, then by state."""
 
     moves: tuple = ()
-
-    @staticmethod
-    def make(mapping: Mapping) -> "WtsValue":
-        """The value whose label-weights are mapping[label], a state -> weight map."""
-        return WeightedLTS.from_moves((lab, s, w) for lab, row in mapping.items()
-                                      for s, w in row.items())
-
-    def weight(self, lab, state) -> float:
-        return next((w for have, s, w in self.moves if have == lab and s == state), 0.0)
 
     labels = LtsValue.labels
 
@@ -261,7 +253,7 @@ class PartialStream:
 
     def moves(self, v) -> tuple:
         if isinstance(v, StreamStep):
-            return ((v.label, v.state, 1),)
+            return v.moves
         self._check(v)
         return ()
 

@@ -43,9 +43,9 @@ variables lifts a coalgebra on the generator states to one on all such terms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from operator import itemgetter
-from typing import Iterable, Mapping, NamedTuple, Union
+from typing import Iterable, Mapping, Union
 
 from .behaviour import BehaviourKind, CountableLTS
 from .errors import (BigsosError, InconsistentStreamError, LabelEvalError,
@@ -146,33 +146,35 @@ def gen_to_model(kind: BehaviourKind, gen: GenCoalgebra) -> Model:
 # reads nothing and binds nothing, so a constant's moves start from its facts;
 # an explicit LTS written as axioms compiles no plan.
 #
-# Each other rule is compiled once per spec into a rule plan.  An environment
-# is the tuple of the bindings still live at its point in the premise chain:
-# those that a later premise, the conclusion label or the conclusion target
-# reads.  Environments that agree on them are merged, so a chain of premises
-# costs about the number of distinct live bindings rather than the number of
-# premise paths.  Slots are named ("t", x) for term variables and ("l", n) for
-# label variables, which live in separate namespaces.
-#
-# The conclusion is compiled as well, into a function from a final environment
-# to its (label, target, 1) move.  Label expressions and operator parameters
-# are compiled into functions over the label slots, and the target into a
-# builder over the slots, so no conclusion is interpreted per environment; a
-# literal label in the domain is a constant.  A term's value is built from
-# its moves by one kind.from_moves call, with no value per conclusion.
-# Premises read their sources' moves from a table shared across one step, and
-# every source read goes into the caller's read set: the step takes the
+# Each other rule is compiled once per spec into a generated function,
+# run(row, read, memo, moves), which appends the move of every derivation for
+# the head row args + params.  An environment holds the bindings still live
+# at its point in the premise chain, those that a later premise or the
+# conclusion reads; slots are named ("t", x) for term variables and ("l", n)
+# for label variables, and each is a local variable of run.  Each premise
+# runs over all environments and fills a dict whose keys, the one live slot
+# or a tuple of them, are the next environments, so environments that agree
+# on the live slots merge in first-derivation order and a chain of premises
+# costs about the number of distinct live bindings, not of premise paths.
+# Premises read their sources' moves from a table shared across one step,
+# and every source read goes into the caller's read set: the step takes the
 # term's taint from it, and least_model its reverse index.
-
-
-def _picker(indices: tuple):
-    """Function from a sequence to the tuple of its items at indices."""
-    if len(indices) == 1:
-        i, = indices
-        return lambda row: (row[i],)
-    if not indices:
-        return lambda row: ()
-    return itemgetter(*indices)
+#
+# The conclusion is compiled into a function from a final environment to its
+# (label, target, 1) move, with label expressions, operator parameters and
+# the target compiled over the slots.  run calls it, and a negative premise's
+# compiled label, per environment, so errors keep their text and order; only
+# a literal label in the domain with a bound variable as target cannot fail,
+# and run builds that move itself.  A term's value is built from its moves by
+# one kind.from_moves call.
+#
+# No spec text reaches the generated source.  Literal labels and compiled
+# closures are the arguments of a factory that returns run, so the source
+# depends only on the plan's shape (head slots; per premise its source slot,
+# label test, polarity and output slots), and a name such as x''' or `row`
+# never meets the generator's.  Each shape's factory is compiled once per
+# process and kept in a bounded cache, because every spec parse compiles its
+# rules afresh and compiling source costs far more than the join it runs.
 
 
 class _Rows(dict):
@@ -187,34 +189,6 @@ class _Rows(dict):
     def __missing__(self, t: Term) -> tuple:
         row = self[t] = self.model.kind.moves(self.model.step(t))
         return row
-
-
-# NamedTuples rather than dataclasses: they are cheaper to define at import and
-# to build, and a spec of a few hundred axioms compiles a plan for each.
-class _PremiseStep(NamedTuple):
-    """One premise against environments laid out as in its rule plan.
-
-    source is the slot of the premise source, or None when no slot binds it
-    (no environment survives).  A positive premise compares its label with
-    the literal label_lit or with slot label_slot, or binds it when both are
-    None; a negative one reads the label its source must lack from want, a
-    function of the environment.  out builds the next environment from
-    env + (target, label).
-    """
-
-    premise: Premise
-    source: Union[int, None]
-    label_lit: object
-    label_slot: Union[int, None]
-    want: object
-    out: object
-
-
-class _RulePlan(NamedTuple):
-    rule: Rule
-    head: object       # picks the first environment from args + params
-    steps: tuple
-    conclude: object   # final environment -> (label, target, 1)
 
 
 def _premise_reads(p: Premise) -> set:
@@ -288,7 +262,8 @@ def _compile_conclusion(kind: BehaviourKind, rule: Rule, layout: tuple):
     return conclude
 
 
-def _compile_rule(kind: BehaviourKind, rule: Rule) -> _RulePlan:
+def _compile_rule(kind: BehaviourKind, rule: Rule):
+    """The rule's generated run function (see the notes above)."""
     concl = {("t", v) for v in template_vars(rule.concl_target)}
     for e in (rule.concl_label, *template_param_exprs(rule.concl_target)):
         concl |= {("l", v) for v in label_vars(e)}
@@ -301,41 +276,95 @@ def _compile_rule(kind: BehaviourKind, rule: Rule) -> _RulePlan:
     origin = {("t", v): i for i, v in enumerate(rule.head_vars)}
     origin.update({("l", v): len(rule.head_vars) + i for i, v in enumerate(rule.head_params)})
     layout = tuple(name for name in origin if name in live[0])
-    head = _picker(tuple(origin[name] for name in layout))
-    bound = list(origin)  # binding order, so that layouts are deterministic
+    local = {name: i for i, name in enumerate(origin)}  # binding order: slot -> its local
+    head = tuple((local[name], origin[name]) for name in layout)
+    consts: list = []  # the factory's arguments
 
-    steps = []
+    def const(value) -> int:
+        consts.append(value)
+        return len(consts) - 1
+
+    steps = []  # (test, argument, source, target, output locals) per premise
     for i, p in enumerate(rule.premises):
         slot = {name: j for j, name in enumerate(layout)}
-        label_lit = label_slot = None
-        fresh: dict = {}  # names this premise binds -> index in env + (target, label)
-        if isinstance(p.label, LabelLit):
-            label_lit = p.label.value
-        if isinstance(p, Positive):
-            fresh[("t", p.target)] = len(layout)
-            if label_lit is None and ("l", p.label.name) in slot:
-                label_slot = slot[("l", p.label.name)]
-            elif label_lit is None:
-                fresh[("l", p.label.name)] = len(layout) + 1
-            bound += [name for name in fresh if name not in bound]
-        out_layout = tuple(name for name in bound if name in live[i + 1])
-        out = _picker(tuple(fresh[name] if name in fresh else slot[name]
-                            for name in out_layout))
-        want = None if isinstance(p, Positive) else compile_label(p.label, _label_slots(slot))
-        steps.append(_PremiseStep(p, slot.get(("t", p.source)), label_lit, label_slot,
-                                  want, out))
-        layout = out_layout
-    return _RulePlan(rule, head, tuple(steps), _compile_conclusion(kind, rule, layout))
+        if ("t", p.source) not in slot:
+            break  # no environment survives
+        if not isinstance(p, Positive):
+            test, arg, target = "want", const(compile_label(p.label, _label_slots(slot))), None
+        else:
+            target = local.setdefault(("t", p.target), len(local))
+            if isinstance(p.label, LabelLit):
+                test, arg = "lit", const(p.label.value)
+            elif ("l", p.label.name) in slot:
+                test, arg = "slot", local[("l", p.label.name)]
+            else:
+                test, arg = "bind", local.setdefault(("l", p.label.name), len(local))
+        layout = tuple(name for name in local if name in live[i + 1])
+        steps.append((test, arg, local[("t", p.source)], target,
+                      tuple(local[name] for name in layout)))
+    else:  # the conclusion, as a last step
+        label, target = rule.concl_label, rule.concl_target
+        if (isinstance(label, LabelLit) and kind.has_label(label.value)
+                and isinstance(target, Var) and ("t", target.name) in layout):
+            steps.append(("move", const(label.value), None, local[("t", target.name)], None))
+        else:
+            steps.append(("call", const(_compile_conclusion(kind, rule, layout)), None, None,
+                          None))
+    return _rule_factory((len(consts), head, tuple(steps)))(*consts)
+
+
+def _rule_source(shape: tuple) -> str:
+    """Source of the factory from a plan's constants c0, c1, ... to its run
+    function.  Local v<i> holds slot i, and g<n> the environments after
+    step n."""
+    nconst, head, steps = shape
+    env = lambda slots: "(" + "".join(f"v{i}, " for i in slots) + ")"
+    key = lambda slots: f"v{slots[0]}" if len(slots) == 1 else env(slots)
+    lines = [f"def factory({''.join(f'c{k}, ' for k in range(nconst))}):",
+             " def run(row, read, memo, moves):", *(f"  v{i} = row[{j}]" for i, j in head)]
+    layout = tuple(i for i, _ in head)
+    for n, (test, arg, src, target, out) in enumerate(steps):
+        pad = "   " if n else "  "  # under the loop over the last step's environments
+        if out is not None:
+            lines.append(f"  g{n} = {{}}")
+        if n:
+            lines.append(f"  for {key(layout)} in g{n - 1}:")
+        if test == "move":
+            lines.append(f"{pad}moves.append((c{arg}, v{target}, 1))")
+        elif test == "call":
+            lines.append(f"{pad}moves.append(c{arg}({env(layout)}))")
+        else:
+            keep = f"g{n}[{key(out)}] = None"
+            lines.append(f"{pad}read(v{src})")
+            if test == "want":
+                lines += [f"{pad}want = c{arg}({env(layout)})",
+                          f"{pad}if all(lab != want for lab, _, _ in memo[v{src}]): {keep}"]
+            elif test == "bind":
+                lines.append(f"{pad}for v{arg}, v{target}, _ in memo[v{src}]: {keep}")
+            else:
+                lines += [f"{pad}for lab, v{target}, _ in memo[v{src}]:",
+                          f"{pad} if lab == {'c' if test == 'lit' else 'v'}{arg}: {keep}"]
+        layout = out
+    return "\n".join(lines + ["  return", " return run", ""])
+
+
+@lru_cache(maxsize=256)  # an internal bound on the shapes kept
+def _rule_factory(shape: tuple):
+    """The factory of plans of this shape, compiled on first use."""
+    namespace: dict = {}
+    exec(compile(_rule_source(shape), "<rule plan>", "exec"), namespace)
+    return namespace["factory"]
 
 
 def _join_plan(spec: Spec) -> dict:
-    """(facts, plans) by head operator, built on first use and kept on the
-    spec: the moves of the operator's ground facts, and the compiled plans of
-    its other rules in rule order."""
+    """(facts, plans) by head operator, arity and parameter count, built on
+    first use and kept on the spec: the moves of the ground facts, and the
+    run functions of the other rules in rule order."""
     if spec.join_plan is None:
         plan: dict = {}
         for rule, fact in zip(spec.rules, spec.facts):
-            facts, plans = plan.setdefault(rule.head_op, ([], []))
+            facts, plans = plan.setdefault(
+                (rule.head_op, len(rule.head_vars), len(rule.head_params)), ([], []))
             if fact is None:
                 plans.append(_compile_rule(spec.kind, rule))
             else:
@@ -352,44 +381,10 @@ def apply_rules(spec: Spec, op: str, params: tuple, args: tuple, reads: set,
 
     Every premise source read, negative premises included, is added to reads.
     """
-    read = reads.add
-    facts, plans = _join_plan(spec).get(op, ((), ()))
-    # the move of every derivation; a fact's head takes no arguments
-    moves = [] if args or params else list(facts)
-    for plan in plans:
-        rule = plan.rule
-        if len(rule.head_vars) != len(args) or len(rule.head_params) != len(params):
-            continue
-        envs = (plan.head(args + params),)
-        for step in plan.steps:
-            if step.source is None:
-                envs = ()
-                break
-            p, src, lit, out = step.premise, step.source, step.label_lit, step.out
-            grown: dict = {}
-            if isinstance(p, Positive):
-                slot = step.label_slot
-                for env in envs:
-                    s = env[src]
-                    read(s)
-                    for lab, target, _ in memo[s]:
-                        if lit is not None:
-                            if lab != lit:
-                                continue
-                        elif slot is not None and lab != env[slot]:
-                            continue
-                        grown[out(env + (target, lab))] = None
-            else:
-                for env in envs:
-                    s = env[src]
-                    read(s)
-                    want = step.want(env)
-                    if all(have != want for have, _, _ in memo[s]):
-                        grown[out(env)] = None
-            envs = grown
-            if not envs:
-                break
-        moves.extend(map(plan.conclude, envs))
+    facts, plans = _join_plan(spec).get((op, len(args), len(params)), ((), ()))
+    moves = list(facts)  # the move of every derivation
+    for run in plans:
+        run(args + params, reads.add, memo, moves)
     try:
         return spec.kind.from_moves(moves)
     except InconsistentStreamError as exc:

@@ -22,7 +22,8 @@ tokenizing the line.  The recogniser never raises, and it accepts only lines
 the general parser parses to the same rule; every other line, including every
 malformed one, goes to the tokenizer and the general parser, so every
 ParseError comes from there, with the same message, line and column.
-Blank and comment-only lines are skipped by the same match.
+Blank and comment-only lines are skipped by the same match, and a
+well-formed ops line is read from one match of a pattern of its own.
 
 A ground axiom whose label is in the label set and whose head and target are
 declared constants is a plain fact (ground_fact): it can produce no
@@ -402,6 +403,13 @@ _GROUND_AXIOM = re.compile(
     r"[ \t]*(?:#.*)?")
 
 
+# A well-formed ops line, `ops NAME/ARITY[PARAMS], ...`, under the same rules;
+# its entries are read from the match, and any other ops line is tokenized.
+_OP = rf"({_ID})[ \t]*/[ \t]*([0-9]+)(?:[ \t]*\[[ \t]*([0-9]+)[ \t]*\])?"
+_OPS_LINE = re.compile(rf"(?P<indent>[ \t]*)ops(?P<ops>[ \t]+{_OP}(?:[ \t]*,[ \t]*{_OP})*)?"
+                       r"[ \t]*(?:#.*)?")
+
+
 def _ground_axiom(m: re.Match, kind: BehaviourKind, sig: Signature) -> Rule:
     """The rule _parse_rule_line makes of a line _GROUND_AXIOM matched."""
     nat, label, target = m.group("nat", "label", "target")
@@ -429,33 +437,38 @@ def parse_spec(text: str) -> Spec:
         if m and kind is not None:
             rule, col = _ground_axiom(m, kind, sig), m.end("indent") + 1
         else:
-            cur = TokenCursor(tokenize(raw, lineno))
-            first = cur.peek()  # not eof: the pattern took blank lines
-            if first.kind != "ident":
-                raise ParseError(f"expected a declaration, got {first.value!r}", lineno, first.col)
-            keyword = first.value
-            cur.next()
+            ops = _OPS_LINE.fullmatch(raw)
+            if ops:
+                keyword, col = "ops", ops.end("indent") + 1
+            else:
+                cur = TokenCursor(tokenize(raw, lineno))
+                first = cur.next()  # not eof: the pattern took blank lines
+                keyword, col = first.value, first.col
+                if first.kind != "ident":
+                    raise ParseError(f"expected a declaration, got {keyword!r}", lineno, col)
             if keyword == "behaviour":
                 if kind is not None:
-                    raise ParseError("duplicate behaviour line", lineno, first.col)
+                    raise ParseError("duplicate behaviour line", lineno, col)
                 kind = _parse_behaviour_line(cur, lineno)
                 continue
             if keyword == "ops":
                 if has_ops:
-                    raise ParseError("duplicate ops line", lineno, first.col)
+                    raise ParseError("duplicate ops line", lineno, col)
                 if rules:
-                    raise ParseError("ops line must precede rules", lineno, first.col)
+                    raise ParseError("ops line must precede rules", lineno, col)
                 has_ops = True
                 try:
-                    sig = Signature(_parse_ops_line(cur))
+                    sig = Signature([(name, int(arity), int(params or 0)) for name, arity, params
+                                     in re.findall(_OP, ops["ops"] or "")]
+                                    if ops else _parse_ops_line(cur))
                 except ValueError as exc:
-                    raise ParseError(str(exc), lineno, first.col) from None
+                    raise ParseError(str(exc), lineno, col) from None
                 continue
             if keyword != "rule":
-                raise ParseError(f"unknown declaration {keyword!r}", lineno, first.col)
+                raise ParseError(f"unknown declaration {keyword!r}", lineno, col)
             if kind is None:
-                raise ParseError("behaviour line must precede rules", lineno, first.col)
-            rule, col = _parse_rule_line(cur, kind, sig), first.col
+                raise ParseError("behaviour line must precede rules", lineno, col)
+            rule = _parse_rule_line(cur, kind, sig)
         if rule.name in seen:
             raise ParseError(f"duplicate rule name {rule.name!r}", lineno, col)
         seen.add(rule.name)

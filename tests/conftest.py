@@ -4,7 +4,7 @@ from dataclasses import dataclass
 import pytest
 from hypothesis import settings
 
-from bigsos.behaviour import state_key
+from bigsos.behaviour import CountableLTS, WeightedLTS, state_key
 from bigsos.errors import LabelEvalError, UnboundVariableError
 from bigsos.speclang import LabelAdd, LabelLit, LabelVar, parse_spec
 from bigsos.terms import App, Var
@@ -63,6 +63,26 @@ def instantiate_template(tt, env):
             raise LabelEvalError(f"operator parameter evaluated to {v!r}, expected a natural")
         params.append(v)
     return App(tt.op, tuple(params), tuple(instantiate_template(a, env) for a in tt.args))
+
+
+# --- behaviour values from mappings -------------------------------------------------
+
+
+def lts_value(mapping):
+    """The lts value whose label-successors are mapping[label]."""
+    return CountableLTS.from_moves((lab, s, 1) for lab, states in mapping.items()
+                                   for s in states)
+
+
+def wts_value(mapping):
+    """The wts value whose label-weights are mapping[label], a state -> weight map."""
+    return WeightedLTS.from_moves((lab, s, w) for lab, row in mapping.items()
+                                  for s, w in row.items())
+
+
+def wts_weight(v, lab, state) -> float:
+    """The weight of the (lab, state) move of wts value v, 0.0 for none."""
+    return next((w for have, s, w in v.moves if have == lab and s == state), 0.0)
 
 
 

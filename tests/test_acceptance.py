@@ -14,8 +14,7 @@ import time
 
 import pytest
 
-from bigsos.behaviour import (BOTTOM, CountableLTS, LtsValue,
-                              PartialStream, StreamStep, WtsValue)
+from bigsos.behaviour import BOTTOM, CountableLTS, PartialStream, StreamStep
 from bigsos.cli import run as cli_run
 from bigsos.engine import Model, least_model, model_to_json, phi_step
 from bigsos.relations import (LAW_POLICY, bisimilarity_classes, congruence_test,
@@ -23,7 +22,7 @@ from bigsos.relations import (LAW_POLICY, bisimilarity_classes, congruence_test,
                               suite_to_json)
 from bigsos.speclang import parse_spec
 from bigsos.terms import App, UniversePolicy, parse_term, print_term
-from conftest import fixture_path, fixture_text
+from conftest import fixture_path, fixture_text, lts_value, wts_value
 from spec_gen import UNIVERSE_TEXTS, random_monotone_lts_text
 
 _payloads = {}
@@ -198,11 +197,11 @@ def random_model(kind, universe, labels, rng):
             beh[t] = (BOTTOM if rng.random() < 0.3 else
                       StreamStep(rng.choice(labels), rng.choice(universe)))
         elif kind.name == "lts":
-            beh[t] = LtsValue.make(
+            beh[t] = lts_value(
                 {lab: {s for s in universe if rng.random() < 0.4}
                  for lab in labels})
         else:
-            beh[t] = WtsValue.make(
+            beh[t] = wts_value(
                 {lab: {s: rng.choice((0.0, 0.5, 1.0, 2.0)) for s in universe}
                  for lab in labels})
     return Model(kind, universe, beh, frozenset())
@@ -215,11 +214,11 @@ def shrink_model(kind, model, rng):
         if kind.name == "stream":
             beh[t] = BOTTOM if rng.random() < 0.5 else v
         elif kind.name == "lts":
-            beh[t] = LtsValue.make(
+            beh[t] = lts_value(
                 {lab: {s for s in v.successors(lab) if rng.random() < 0.6}
                  for lab in v.labels()})
         else:
-            beh[t] = WtsValue.make(
+            beh[t] = wts_value(
                 {lab: {s: 0.0 if rng.random() < 0.3 else w * rng.choice((0.5, 1.0))
                        for lab2, s, w in kind.moves(v) if lab2 == lab}
                  for lab in v.labels()})
@@ -275,7 +274,7 @@ def test_criterion_6_least_ness():
             assert report.converged, i
             assert not computed.frontier, i
 
-            values = [LtsValue.make({"a": set(sub)}) for k in range(4)
+            values = [lts_value({"a": set(sub)}) for k in range(4)
                       for sub in itertools.combinations(universe, k)]
             fixed = []
             for combo in itertools.product(values, repeat=3):
@@ -337,7 +336,7 @@ def test_criterion_7_lifting_agreement():
             checked += sweep(PartialStream(), values, carrier, rng, digest)
         for n in range(1, 5):
             carrier = tuple(f"s{i}" for i in range(n))
-            values = [LtsValue.make({"a": set(sub)}) for k in range(n + 1)
+            values = [lts_value({"a": set(sub)}) for k in range(n + 1)
                       for sub in itertools.combinations(carrier, k)]
             checked += sweep(CountableLTS(frozenset({"a"})), values, carrier,
                              rng, digest)
@@ -345,7 +344,7 @@ def test_criterion_7_lifting_agreement():
             carrier = tuple(f"s{i}" for i in range(n))
             subsets = [frozenset(sub) for k in range(n + 1)
                        for sub in itertools.combinations(carrier, k)]
-            values = [LtsValue.make({"a": sa, "b": sb})
+            values = [lts_value({"a": sa, "b": sb})
                       for sa in subsets for sb in subsets]
             checked += sweep(CountableLTS(frozenset({"a", "b"})), values,
                              carrier, rng, digest)

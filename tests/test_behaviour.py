@@ -1,5 +1,6 @@
 """Behaviour kinds: order laws, joins, functor laws, relation lifting."""
 
+import dataclasses
 import itertools
 import pathlib
 import re
@@ -8,10 +9,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 import bigsos
-from bigsos.behaviour import (BOTTOM, CountableLTS, LtsValue,
-                              PartialStream, Relation, StreamStep, WeightedLTS,
-                              WtsValue, rel_pairs)
+from bigsos.behaviour import (BOTTOM, CountableLTS, PartialStream, Relation, StreamStep,
+                              WeightedLTS, rel_pairs)
 from bigsos.errors import CarrierMismatchError, InconsistentStreamError
+from conftest import lts_value, wts_value, wts_weight
 
 STREAM = PartialStream()                      # labels drawn from the naturals
 STREAM_AB = PartialStream(frozenset({"a", "b"}))
@@ -36,14 +37,14 @@ stream_ab_values = st.one_of(
 )
 
 lts_values = st.builds(
-    lambda rows: LtsValue.make(rows),
+    lts_value,
     st.dictionaries(st.sampled_from(("a", "b")),
                     st.frozensets(st.sampled_from(STATES), max_size=3),
                     max_size=2),
 )
 
 wts_values = st.builds(
-    lambda rows: WtsValue.make(rows),
+    wts_value,
     st.dictionaries(st.sampled_from(("a", "b")),
                     st.dictionaries(st.sampled_from(STATES),
                                     st.sampled_from((0.0, 0.5, 1.0, 2.0)),
@@ -69,23 +70,23 @@ def kind_labels(kind) -> list:
 
 
 def test_lts_make_drops_empty_rows():
-    v = LtsValue.make({"a": frozenset(), "b": frozenset({"p"})})
+    v = lts_value({"a": frozenset(), "b": frozenset({"p"})})
     assert v.labels() == ("b",)
-    assert v == LtsValue.make({"b": {"p"}})
+    assert v == lts_value({"b": {"p"}})
 
 
 def test_wts_make_drops_zero_weights():
-    v = WtsValue.make({"a": {"p": 0.0, "q": 2.0}})
-    assert v.weight("a", "p") == 0.0
-    assert v.weight("a", "q") == 2.0
-    assert v == WtsValue.make({"a": {"q": 2.0}})
+    v = wts_value({"a": {"p": 0.0, "q": 2.0}})
+    assert wts_weight(v, "a", "p") == 0.0
+    assert wts_weight(v, "a", "q") == 2.0
+    assert v == wts_value({"a": {"q": 2.0}})
 
 
 def test_kind_rejects_foreign_values():
     with pytest.raises(CarrierMismatchError):
         LTS.leq(BOTTOM, LTS.bottom())
     with pytest.raises(CarrierMismatchError):
-        STREAM.leq(LtsValue.make({}), BOTTOM)
+        STREAM.leq(lts_value({}), BOTTOM)
 
 
 def test_stream_label_domain():
@@ -95,6 +96,13 @@ def test_stream_label_domain():
     assert not STREAM.has_label("a")
     assert STREAM_AB.has_label("a")
     assert not STREAM_AB.has_label("c")
+
+
+def test_stream_step_keeps_its_move_outside_equality():
+    a, b = StreamStep(1, "p"), StreamStep(1, "p")
+    assert STREAM.moves(a) is a.moves == ((1, "p", 1),)
+    assert a == b and hash(a) == hash((1, "p")) and repr(a) == "StreamStep(label=1, state='p')"
+    assert dataclasses.replace(a, state="q").moves == ((1, "q", 1),)
 
 
 # --- preorder laws -------------------------------------------------------------------
@@ -129,18 +137,18 @@ def test_stream_order_is_flat():
 
 
 def test_lts_order_is_inclusion():
-    small = LtsValue.make({"a": {"p"}})
-    big = LtsValue.make({"a": {"p", "q"}, "b": {"r"}})
+    small = lts_value({"a": {"p"}})
+    big = lts_value({"a": {"p", "q"}, "b": {"r"}})
     assert LTS.leq(small, big)
     assert not LTS.leq(big, small)
 
 
 def test_wts_order_is_pointwise():
-    lo = WtsValue.make({"a": {"p": 1.0}})
-    hi = WtsValue.make({"a": {"p": 2.0, "q": 0.5}})
+    lo = wts_value({"a": {"p": 1.0}})
+    hi = wts_value({"a": {"p": 2.0, "q": 0.5}})
     assert WTS.leq(lo, hi)
     assert not WTS.leq(hi, lo)
-    assert WTS.leq(hi, WtsValue.make({"a": {"p": float("inf"), "q": 0.5}}))
+    assert WTS.leq(hi, wts_value({"a": {"p": float("inf"), "q": 0.5}}))
 
 
 # --- joins ---------------------------------------------------------------------------
@@ -196,11 +204,11 @@ def test_from_moves_stream_message():
 
 
 def test_wts_join_takes_sup():
-    a = WtsValue.make({"a": {"p": 1.0}})
-    b = WtsValue.make({"a": {"p": 3.0}, "b": {"q": 0.5}})
+    a = wts_value({"a": {"p": 1.0}})
+    b = wts_value({"a": {"p": 3.0}, "b": {"q": 0.5}})
     j = WTS.join([a, b])
-    assert j.weight("a", "p") == 3.0
-    assert j.weight("b", "q") == 0.5
+    assert wts_weight(j, "a", "p") == 3.0
+    assert wts_weight(j, "b", "q") == 0.5
 
 
 # --- functor laws --------------------------------------------------------------------
@@ -228,15 +236,15 @@ def test_map_states_composes(kind):
 
 
 def test_wts_map_states_merges_by_sup():
-    v = WtsValue.make({"a": {"p": 1.0, "q": 3.0}})
+    v = wts_value({"a": {"p": 1.0, "q": 3.0}})
     merged = WTS.map_states({"p": "z", "q": "z"}, v)
-    assert merged.weight("a", "z") == 3.0
+    assert wts_weight(merged, "a", "z") == 3.0
 
 
 def test_lts_map_states_merges():
-    v = LtsValue.make({"a": {"p", "q"}})
+    v = lts_value({"a": {"p", "q"}})
     merged = LTS.map_states({"p": "z", "q": "z"}, v)
-    assert merged == LtsValue.make({"a": {"z"}})
+    assert merged == lts_value({"a": {"z"}})
 
 
 @pytest.mark.parametrize("kind", [STREAM, LTS, WTS], ids=lambda k: k.name)
@@ -254,7 +262,7 @@ def test_map_states_monotone(kind):
 
 
 def test_transitions_enumerate_moves():
-    v = LtsValue.make({"a": {"q", "p"}, "b": {"p"}})
+    v = lts_value({"a": {"q", "p"}, "b": {"p"}})
     assert LTS.transitions(v) == (("a", "p"), ("a", "q"), ("b", "p"))
     assert LTS.states(v) == frozenset({"p", "q"})
     assert STREAM.transitions(BOTTOM) == ()
@@ -263,8 +271,8 @@ def test_transitions_enumerate_moves():
 
 def test_conclusion_value_shapes():
     assert STREAM.conclusion_value(2, "p") == StreamStep(2, "p")
-    assert LTS.conclusion_value("a", "p") == LtsValue.make({"a": {"p"}})
-    assert WTS.conclusion_value("a", "p") == WtsValue.make({"a": {"p": 1.0}})
+    assert LTS.conclusion_value("a", "p") == lts_value({"a": {"p"}})
+    assert WTS.conclusion_value("a", "p") == wts_value({"a": {"p": 1.0}})
 
 
 # --- the kind contract ---------------------------------------------------------------
@@ -282,7 +290,7 @@ def oracle_leq(kind, b, c) -> bool:
         return b == BOTTOM or b == c
     if kind.name == "lts":
         return all(set(b.successors(lab)) <= set(c.successors(lab)) for lab in b.labels())
-    return all(w <= c.weight(lab, s) for lab, s, w in b.moves)
+    return all(w <= wts_weight(c, lab, s) for lab, s, w in b.moves)
 
 
 def oracle_join(kind, values):
@@ -296,30 +304,30 @@ def oracle_join(kind, values):
         for v in values:
             for lab in v.labels():
                 acc.setdefault(lab, set()).update(v.successors(lab))
-        return LtsValue.make(acc)
+        return lts_value(acc)
     acc = {}
     for v in values:
         for lab, s, w in v.moves:
             bucket = acc.setdefault(lab, {})
             bucket[s] = max(bucket.get(s, 0.0), w)
-    return WtsValue.make(acc)
+    return wts_value(acc)
 
 
 def oracle_map_states(kind, h, v):
     if kind.name == "stream":
         return BOTTOM if v == BOTTOM else StreamStep(v.label, h[v.state])
     if kind.name == "lts":
-        return LtsValue.make({lab: {h[s] for s in v.successors(lab)} for lab in v.labels()})
+        return lts_value({lab: {h[s] for s in v.successors(lab)} for lab in v.labels()})
     acc = {}
     for lab, s, w in v.moves:  # merged states take the sup of their weights
         bucket = acc.setdefault(lab, {})
         bucket[h[s]] = max(bucket.get(h[s], 0.0), w)
-    return WtsValue.make(acc)
+    return wts_value(acc)
 
 
 def oracle_conclusion_value(kind, label, target):
-    return {"stream": StreamStep(label, target), "lts": LtsValue.make({label: {target}}),
-            "wts": WtsValue.make({label: {target: 1.0}})}[kind.name]
+    return {"stream": StreamStep(label, target), "lts": lts_value({label: {target}}),
+            "wts": wts_value({label: {target: 1.0}})}[kind.name]
 
 
 def outcome(thunk):
@@ -332,8 +340,8 @@ def outcome(thunk):
 # Value pairs checked on every run besides the random ones: one state under
 # two weights, where dropping the sup in from_moves or the weights in leq
 # gives a wrong answer.
-CONTRACT_CASES = {"wts": [(WtsValue.make({"a": {"p": 2.0}}),
-                           WtsValue.make({"a": {"p": 1.0, "q": 0.5}}))]}
+CONTRACT_CASES = {"wts": [(wts_value({"a": {"p": 2.0}}),
+                           wts_value({"a": {"p": 1.0, "q": 0.5}}))]}
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=ALL_KIND_IDS)
@@ -430,7 +438,7 @@ def test_exhaustive_lift_agreement_tiny_carrier():
     # two states, one label: small enough to sweep every value pair and relation
     kind = CountableLTS(frozenset({"a"}))
     carrier = ("s", "t")
-    values = [LtsValue.make({"a": set(sub)})
+    values = [lts_value({"a": set(sub)})
               for k in range(3)
               for sub in itertools.combinations(carrier, k)]
     rels = [frozenset(sub)

@@ -1,23 +1,27 @@
 """Engine: rule application, Kleene iteration, unfoldings, serialization."""
 
+import dataclasses
+import io
 import random
+import re
+import tokenize
 
 import pytest
 
 from bigsos import engine, speclang
-from bigsos.behaviour import (BOTTOM, CountableLTS, LtsValue, PartialStream,
-                              StreamStep, WtsValue)
+from bigsos.behaviour import BOTTOM, CountableLTS, PartialStream, StreamStep, WeightedLTS
 from bigsos.engine import (ConvergenceReport, GenCoalgebra, Model, gen_to_model,
                            least_model, lift_coalgebra, model_to_dot, model_to_json,
                            phi_step, unfold, unfold_to_json)
 from bigsos.errors import (BigsosError, InconsistentStreamError, LabelEvalError,
                            NonMonotoneError, UnknownStateError)
 from bigsos.relations import default_generators
-from bigsos.speclang import (LabelLit, LabelVar, Positive, check_monotone, ground_fact,
-                             parse_spec, validate_spec)
+from bigsos.speclang import (LabelAdd, LabelLit, LabelVar, Negative, Positive, Spec,
+                             check_monotone, ground_fact, label_vars, parse_spec,
+                             template_param_exprs, template_vars, validate_spec)
 from bigsos.terms import (App, UniversePolicy, Var, parse_term, print_term,
                           substitute, subterms, term_key, term_size)
-from conftest import eval_label, fixture_text, instantiate_template
+from conftest import eval_label, fixture_text, instantiate_template, lts_value, wts_value
 from spec_gen import (FACT_HEADER, FACT_SHAPES, UNIVERSE_TEXTS, random_ground_lts_text,
                       random_monotone_lts_spec, random_monotone_lts_text)
 
@@ -97,8 +101,8 @@ def oracle_value(kind, conclusions):
     for lab, target in conclusions:
         grouped.setdefault(lab, set()).add(target)
     if kind.name == "lts":
-        return LtsValue.make(grouped)
-    return WtsValue.make({lab: dict.fromkeys(targets, 1.0)
+        return lts_value(grouped)
+    return wts_value({lab: dict.fromkeys(targets, 1.0)
                           for lab, targets in grouped.items()})
 
 
@@ -190,7 +194,7 @@ def test_phi_step_matches_oracle_on_random_specs():
         universe = [pt(spec, s) for s in UNIVERSE_TEXTS]
         last = check_iterates(spec, universe, 6)
         for _ in range(4):
-            beh = {t: LtsValue.make({"a": {s for s in universe if rng.random() < 0.5}})
+            beh = {t: lts_value({"a": {s for s in universe if rng.random() < 0.5}})
                    for t in last.universe}
             check_phi_step(spec, Model(spec.kind, last.universe, beh))
 
@@ -381,6 +385,315 @@ def test_compiled_conclusions_match_the_reference_evaluators():
             "rule domain: conclusion label 1 outside the label domain",
             "operator parameter evaluated to 'a', expected a natural",
             "no binding for label variable 'm'", "no binding for variable 'z'"} <= seen
+
+
+# --- generated joins versus the plan interpreter ---------------------------------------
+#
+# The premise-step loop that apply_rules ran before rule plans became generated
+# functions, kept as their reference: the same layouts, one environment tuple per
+# distinct live binding, one premise at a time over all environments, and the
+# same compiled conclusions and negative-premise labels.
+
+
+def _picker(indices):
+    return lambda row: tuple(row[i] for i in indices)
+
+
+def interpreted_plan(kind, rule):
+    """(head, steps, conclude): head picks the first environment from args +
+    params, and each step is (source slot or None, literal label, label slot,
+    want, out), out building the next environment from env + (target, label)."""
+    concl = {("t", v) for v in template_vars(rule.concl_target)}
+    for e in (rule.concl_label, *template_param_exprs(rule.concl_target)):
+        concl |= {("l", v) for v in label_vars(e)}
+    live = [concl]
+    for p in reversed(rule.premises):
+        live.append(live[-1] | {("t", p.source)} | {("l", v) for v in label_vars(p.label)})
+    live.reverse()
+    origin = {("t", v): i for i, v in enumerate(rule.head_vars)}
+    origin.update({("l", v): len(rule.head_vars) + i for i, v in enumerate(rule.head_params)})
+    layout = tuple(name for name in origin if name in live[0])
+    head = _picker(tuple(origin[name] for name in layout))
+    bound = list(origin)
+    steps = []
+    for i, p in enumerate(rule.premises):
+        slot = {name: j for j, name in enumerate(layout)}
+        labels = {name: j for (tag, name), j in slot.items() if tag == "l"}
+        label_lit = p.label.value if isinstance(p.label, LabelLit) else None
+        label_slot, fresh = None, {}
+        if isinstance(p, Positive):
+            fresh[("t", p.target)] = len(layout)
+            if label_lit is None and ("l", p.label.name) in slot:
+                label_slot = slot[("l", p.label.name)]
+            elif label_lit is None:
+                fresh[("l", p.label.name)] = len(layout) + 1
+            bound += [name for name in fresh if name not in bound]
+        out_layout = tuple(name for name in bound if name in live[i + 1])
+        out = _picker(tuple(fresh[name] if name in fresh else slot[name]
+                            for name in out_layout))
+        want = None if isinstance(p, Positive) else speclang.compile_label(p.label, labels)
+        steps.append((slot.get(("t", p.source)), label_lit, label_slot, want, out))
+        layout = out_layout
+    return head, steps, engine._compile_conclusion(kind, rule, layout)
+
+
+def interpreted_apply_rules(spec, op, params, args, reads, memo):
+    """apply_rules by the premise-step loop."""
+    read = reads.add
+    moves = [] if args or params else [
+        (fact[0], App(fact[1]), 1) for rule, fact in zip(spec.rules, spec.facts)
+        if fact is not None and rule.head_op == op]
+    for rule, fact in zip(spec.rules, spec.facts):
+        if (fact is not None or rule.head_op != op or len(rule.head_vars) != len(args)
+                or len(rule.head_params) != len(params)):
+            continue
+        head, steps, conclude = interpreted_plan(spec.kind, rule)
+        envs = (head(args + params),)
+        for source, lit, slot, want, out in steps:
+            if source is None:
+                envs = ()
+                break
+            grown = {}
+            for env in envs:
+                s = env[source]
+                read(s)
+                if want is not None:
+                    label = want(env)
+                    if all(have != label for have, _, _ in memo[s]):
+                        grown[out(env)] = None
+                    continue
+                for lab, target, _ in memo[s]:
+                    if lit is not None:
+                        if lab != lit:
+                            continue
+                    elif slot is not None and lab != env[slot]:
+                        continue
+                    grown[out(env + (target, lab))] = None
+            envs = grown
+            if not envs:
+                break
+        moves.extend(map(conclude, envs))
+    try:
+        return spec.kind.from_moves(moves)
+    except InconsistentStreamError as exc:
+        raise InconsistentStreamError(f"{print_term(App(op, params, args))}: {exc}") from None
+
+
+def record_from_moves(monkeypatch):
+    """The moves of every from_moves call, in call order, as lists."""
+    calls = []
+    for cls in (PartialStream, CountableLTS, WeightedLTS):
+        def spy(moves, inner=cls.from_moves):
+            calls.append(list(moves))
+            return inner(calls[-1])
+        monkeypatch.setattr(cls, "from_moves", staticmethod(spy))
+    return calls
+
+
+def join_outcome(apply, spec, t, memo, calls):
+    """The value or error of one derivation, the terms it read, and the moves
+    it passed to from_moves, in order."""
+    reads = set()
+    calls.clear()
+    try:
+        got = apply(spec, t.op, t.params, t.args, reads, memo)
+    except BigsosError as exc:
+        got = type(exc), str(exc)
+    return got, reads, calls[-1] if calls else None
+
+
+def assert_same_joins(spec, model, calls) -> set:
+    """apply_rules and the interpreter agree on every term of model; returns
+    the error messages seen."""
+    memo, errors = engine._Rows(model), set()
+    for t in model.universe:
+        if isinstance(t, Var):
+            continue
+        want = join_outcome(interpreted_apply_rules, spec, t, memo, calls)
+        assert join_outcome(engine.apply_rules, spec, t, memo, calls) == want, print_term(t)
+        if isinstance(want[0], tuple):
+            errors.add(want[0][1])
+    return errors
+
+
+# Unvalidated rules over models whose labels leave the domain.  The
+# conclusions of some, mixed and lit leave it on some environments only, with
+# one message per label, so the first environment in derivation order decides
+# the error.  neg's negative premise reads an unbound label variable and raises
+# whenever an environment reaches it, after some's errors for f.  mixed's
+# negative premise, built below, reads l+1, which raises on the environments
+# where l is not a natural; every environment passes it before any conclusion.
+JOIN_ERRORS = """behaviour lts labels a, b
+ops c/0, d/0, f/1, g/1, h/2
+rule some : x -l-> y |- f(x) -l-> g(y)
+rule neg : x -a-> y, y -m-/-> |- f(x) -a-> y
+rule mixed : x -l-> y, y -a-/-> |- g(x) -l-> h(y, y)
+rule lit : x -l-> y, y -b-/-> |- h(x, y) -l-> f(y)
+rule pair : x -l-> y, y -l-> z |- h(x, z) -b-> h(z, y)
+"""
+JOIN_ERROR_TERMS = ("c", "d", "f(c)", "f(d)", "g(c)", "g(d)", "h(c, d)", "h(d, d)", "f(f(c))")
+
+
+def join_errors_spec():
+    spec = parse_spec(JOIN_ERRORS)
+    rules = list(spec.rules)
+    first, _ = rules[2].premises
+    plus_one = Negative("y", LabelAdd(LabelVar("l"), LabelLit(1)))
+    rules[2] = dataclasses.replace(rules[2], premises=(first, plus_one))
+    return Spec(spec.kind, spec.sig, tuple(rules))
+
+
+def join_errors_model(spec, moves):
+    universe = tuple(pt(spec, s) for s in JOIN_ERROR_TERMS)
+    return Model(spec.kind, universe,
+                 {t: spec.kind.from_moves(moves.get(t, ())) for t in universe})
+
+
+def test_generated_joins_match_the_plan_interpreter(monkeypatch):
+    calls = record_from_moves(monkeypatch)
+    cases = [(parse_spec(text), seeds, policy, force)
+             for text, seeds, policy, force in ORACLE_SPECS.values()]
+    cases += [(fx(name), (), UniversePolicy(), False) for name in ("explicit", "empty")]
+    cases.append((fx("transclosure"), (_tower(12),), UniversePolicy(14, 14), False))
+    for spec, seed_texts, policy, force in cases:
+        seeds = [App(c) for c in spec.sig.constants()] + [pt(spec, s) for s in seed_texts]
+        model, report = least_model(spec, seeds, policy, max_iters=60, force=force)
+        for k in range(1, min(report.iterations, 6)):
+            assert_same_joins(spec, least_model(spec, seeds, policy, k, force=force)[0], calls)
+        assert_same_joins(spec, model, calls)
+    rng = random.Random(8)
+    for i in range(50):
+        spec = random_monotone_lts_spec(random.Random(i))
+        universe = [pt(spec, s) for s in UNIVERSE_TEXTS]
+        for _ in range(4):
+            beh = {t: lts_value({"a": {s for s in universe if rng.random() < 0.5}})
+                   for t in universe}
+            assert_same_joins(spec, Model(spec.kind, tuple(universe), beh), calls)
+
+    spec = join_errors_spec()
+    universe = [pt(spec, s) for s in JOIN_ERROR_TERMS]
+    errors = set()
+    for _ in range(80):
+        errors |= assert_same_joins(spec, join_errors_model(spec, {
+            t: [(lab, s, 1) for lab in ("a", "b", 1, 2, "z") for s in universe
+                if rng.random() < 0.1] for t in universe}), calls)
+    assert errors >= {"rule some: conclusion label 1 outside the label domain",
+                      "rule some: conclusion label 'z' outside the label domain",
+                      "rule mixed: conclusion label 2 outside the label domain",
+                      "rule lit: conclusion label 'z' outside the label domain",
+                      "no binding for label variable 'm'",
+                      "label arithmetic over non-natural labels"}
+    # g(c): the environment l = 1 comes first and its conclusion would raise,
+    # but the premise raises on l = a before any conclusion runs
+    c, d = App("c"), App("d")
+    model = join_errors_model(spec, {c: [(1, d, 1), ("a", d, 1)]})
+    assert join_outcome(engine.apply_rules, spec, pt(spec, "g(c)"), engine._Rows(model),
+                        calls)[0] == (LabelEvalError, "label arithmetic over non-natural labels")
+
+
+# --- the generated source --------------------------------------------------------------
+#
+# Spec identifiers that are Python keywords or the generated code's own names,
+# and variables with primes, which are not Python names at all.
+
+KEYWORD_OPS = """behaviour lts labels a, b
+ops def/1, None/0, lambda/2, row/1, read/0, memo/1, moves/1, lab/0, s/1
+rule def : x -a-> y |- def(x) -a-> row(y)
+rule None : |- None -a-> def(None)
+rule lambda : x -l-> x', y -l-> y' |- lambda(x, y) -l-> lambda(y', x')
+rule row : x -a-> y, y -a-> z |- row(x) -b-> memo(z)
+rule read : |- read -b-> lambda(read, None)
+rule memo : x -l-> y |- memo(x) -l-> moves(y)
+rule moves : x -a-> y |- moves(x) -a-> s(y)
+rule s : x -b-> y, y -a-/-> |- s(x) -b-> y
+rule lab : |- lab -a-> lab
+"""
+KEYWORD_VARS = """behaviour stream nat
+ops sigma/1, ones/0, pos/0, plus/2, times/1[1]
+rule ones : |- ones -1-> ones
+rule pos : |- pos -1-> plus(ones, pos)
+rule plus : def -None-> def', lambda -lab-> lambda' |- plus(def, lambda) -None+lab-> plus(def', lambda')
+rule sigma : row -read-> row', row' -memo-> row'' |- sigma(row) -read-> times[memo](sigma(row''))
+rule times : s -lab-> s' |- times[moves](s) -moves*lab-> times[moves](s')
+"""
+KEYWORD_CHAIN = """behaviour lts labels a, b
+ops sigma/1, c/0
+rule axiom_c : |- c -a-> sigma(c)
+rule unfold : |- sigma(row) -b-> sigma(sigma(row))
+rule chain3 : read -a-> read', read' -lab-> read'', read'' -lab-> read''' |- sigma(read) -lab-> read'''
+"""
+KEYWORD_CASES = [
+    (KEYWORD_OPS, ("def(None)", "lambda(read, None)", "row(None)", "memo(lab)", "s(lab)"),
+     UniversePolicy(60, 6), True),
+    (KEYWORD_VARS, ("sigma(pos)", "times[2](pos)", "plus(pos, ones)"), UniversePolicy(400, 16),
+     False),
+    (KEYWORD_CHAIN, ("sigma(sigma(c))",), UniversePolicy(40, 8), False),
+]
+# the words of the generated code
+GENERATED_NAME = re.compile(r"[cgv][0-9]+|factory|run|row|read|memo|moves|lab|want|_|all|append"
+                            r"|def|for|in|if|return|None")
+
+
+def generated_sources(monkeypatch) -> list:
+    """The source of every factory built from now on, with the cache emptied."""
+    sources = []
+
+    def spy(shape):
+        sources.append(rule_source(shape))
+        return sources[-1]
+
+    rule_source = engine._rule_source
+    monkeypatch.setattr(engine, "_rule_source", spy)
+    engine._rule_factory.cache_clear()
+    return sources
+
+
+def assert_reference_model(monkeypatch, spec, seeds, policy, force=False):
+    """least_model gives the model it gives with the plan interpreter."""
+    got = least_model(spec, seeds, policy, force=force)
+    with monkeypatch.context() as patched:
+        patched.setattr(engine, "apply_rules", interpreted_apply_rules)
+        assert got == least_model(spec, seeds, policy, force=force)
+    return got
+
+
+def test_generated_source_holds_no_spec_text(monkeypatch):
+    sources = generated_sources(monkeypatch)
+    for text, seed_texts, policy, force in KEYWORD_CASES:
+        spec = parse_spec(text)
+        assert validate_spec(spec) == []
+        seeds = [App(c) for c in spec.sig.constants()] + [pt(spec, s) for s in seed_texts]
+        model, _ = assert_reference_model(monkeypatch, spec, seeds, policy, force)
+        assert sum(not spec.kind.is_bottom(v) for v in model.behaviour.values()) > 5
+    assert len(sources) >= 8
+    for source in sources:
+        tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
+        assert [t for t in tokens if t.type == tokenize.STRING] == []
+        names = {t.string for t in tokens if t.type == tokenize.NAME}
+        assert [name for name in names if not GENERATED_NAME.fullmatch(name)] == [], source
+
+
+# The same plans up to literal labels and operator names.
+TWIN = """behaviour lts labels a, b
+ops {op}/1, {c}/0
+rule axiom : |- {c} -{l}-> {op}({c})
+rule unfold : |- {op}(x) -{l}-> {op}({op}(x))
+rule chain3 : x -{l}-> x', x' -{l}-> x'', x'' -{l}-> x''' |- {op}(x) -{l}-> x'''
+"""
+SHAPE_TWINS = [(TWIN.format(op=op, c=c, l=label), f"{op}({op}({c}))")
+               for op, c, label in (("sigma", "c", "a"), ("tau", "d", "b"))]
+
+
+def test_plans_of_one_shape_share_their_code(monkeypatch):
+    sources = generated_sources(monkeypatch)
+    specs = [parse_spec(text) for text, _ in SHAPE_TWINS]
+    models = [assert_reference_model(monkeypatch, spec, [pt(spec, seed)], UniversePolicy(40, 8))[0]
+              for spec, (_, seed) in zip(specs, SHAPE_TWINS)]
+    assert len(models[0].universe) == len(models[1].universe) > 4
+    codes = [[run.__code__ for _, runs in engine._join_plan(spec).values() for run in runs]
+             for spec in specs]
+    assert len(codes[0]) == 3 and all(a is b for a, b in zip(*codes))
+    assert len(sources) == 3
 
 
 # --- semi-naive iteration versus the naive loop ----------------------------------------
@@ -584,7 +897,7 @@ def test_lookahead2_first_iteration_by_hand():
     seeds = [pt(spec, s) for s in LOOK2_SEEDS]
     m0 = bottom_model(spec.kind, seeds)
     m1 = phi_step(spec, m0)
-    want_tau_c = LtsValue.make({"a": {pt(spec, "sigma(tau(c))")}})
+    want_tau_c = lts_value({"a": {pt(spec, "sigma(tau(c))")}})
     assert m1.behaviour[pt(spec, "tau(c)")] == want_tau_c
     assert spec.kind.is_bottom(m1.behaviour[pt(spec, "c")])
     assert spec.kind.is_bottom(m1.behaviour[pt(spec, "sigma(tau(c))")])
@@ -597,7 +910,7 @@ def test_lookahead2_converges_fast():
     # tau terms move, sigma terms stay silent: two-step lookahead never completes
     for text in ("tau(c)", "tau(d)"):
         t = pt(spec, text)
-        assert model.behaviour[t] == LtsValue.make({"a": {App("sigma", (), (t,))}})
+        assert model.behaviour[t] == lts_value({"a": {App("sigma", (), (t,))}})
     for text in ("sigma(tau(c))", "sigma(tau(d))", "c", "d"):
         assert spec.kind.is_bottom(model.behaviour[pt(spec, text)])
 
@@ -606,8 +919,8 @@ def test_lookahead2_sigma_fires_on_a_two_step_generator():
     # same sigma rule, but a generator state that really has two a-steps ahead
     spec = fx("lookahead2")
     gen = GenCoalgebra(("gp", "gq"), {
-        "gp": LtsValue.make({"a": {"gq"}}),
-        "gq": LtsValue.make({"a": {"gq"}}),
+        "gp": lts_value({"a": {"gq"}}),
+        "gq": lts_value({"a": {"gq"}}),
     })
     model = lift_coalgebra(spec, gen, seeds=[App("sigma", (), (Var("gp"),))],
                            policy=UniversePolicy(max_count=30, max_size=6))
@@ -884,31 +1197,31 @@ def lts_kind():
 def test_gen_validate_rejects_bad_shapes():
     kind = lts_kind()
     sig = fx("lookahead2").sig
-    ok = GenCoalgebra(("gx",), {"gx": LtsValue.make({"a": {"gx"}})})
+    ok = GenCoalgebra(("gx",), {"gx": lts_value({"a": {"gx"}})})
     ok.validate(kind, sig)
     with pytest.raises(ValueError, match="duplicate"):
-        GenCoalgebra(("gx", "gx"), {"gx": LtsValue.make({})}).validate(kind, sig)
+        GenCoalgebra(("gx", "gx"), {"gx": lts_value({})}).validate(kind, sig)
     with pytest.raises(ValueError, match="collides"):
-        GenCoalgebra(("sigma",), {"sigma": LtsValue.make({})}).validate(kind, sig)
+        GenCoalgebra(("sigma",), {"sigma": lts_value({})}).validate(kind, sig)
     with pytest.raises(ValueError, match="missing"):
         GenCoalgebra(("gx",), {}).validate(kind, sig)
     with pytest.raises(ValueError, match="unknown state"):
-        GenCoalgebra(("gx",), {"gx": LtsValue.make({"a": {"gy"}})}).validate(kind, sig)
+        GenCoalgebra(("gx",), {"gx": lts_value({"a": {"gy"}})}).validate(kind, sig)
     with pytest.raises(ValueError, match="label"):
-        GenCoalgebra(("gx",), {"gx": LtsValue.make({"b": {"gx"}})}).validate(kind, sig)
+        GenCoalgebra(("gx",), {"gx": lts_value({"b": {"gx"}})}).validate(kind, sig)
 
 
 def test_gen_to_model_wraps_states():
     kind = lts_kind()
-    gen = GenCoalgebra(("gx",), {"gx": LtsValue.make({"a": {"gx"}})})
+    gen = GenCoalgebra(("gx",), {"gx": lts_value({"a": {"gx"}})})
     model = gen_to_model(kind, gen)
     assert model.universe == (Var("gx"),)
-    assert model.behaviour[Var("gx")] == LtsValue.make({"a": {Var("gx")}})
+    assert model.behaviour[Var("gx")] == lts_value({"a": {Var("gx")}})
 
 
 def test_lift_coalgebra_single_state():
     spec = fx("transclosure")
-    gen = GenCoalgebra(("gx",), {"gx": LtsValue.make({"a": {"gx"}})})
+    gen = GenCoalgebra(("gx",), {"gx": lts_value({"a": {"gx"}})})
     seed = App("sigma", (), (Var("gx"),))
     model = lift_coalgebra(spec, gen, seeds=[seed],
                            policy=UniversePolicy(max_count=25, max_size=6))

@@ -6,8 +6,8 @@ import random
 import pytest
 
 from bigsos import relations
-from bigsos.behaviour import (BOTTOM, CountableLTS, LtsValue, PartialStream,
-                              Relation, StreamStep, WeightedLTS, WtsValue)
+from bigsos.behaviour import (BOTTOM, CountableLTS, PartialStream, Relation, StreamStep,
+                              WeightedLTS)
 from bigsos.engine import GenCoalgebra, Model, gen_to_model, least_model, lift_coalgebra
 from bigsos.errors import BigsosError, CarrierMismatchError, UnknownStateError
 from bigsos.relations import (LAW_POLICY, CongruenceReport, CongruenceViolation,
@@ -20,7 +20,7 @@ from bigsos.relations import (LAW_POLICY, CongruenceReport, CongruenceViolation,
                               law_suite, suite_to_json)
 from bigsos.speclang import parse_spec
 from bigsos.terms import App, UniversePolicy, Var, parse_term, term_key
-from conftest import fixture_text, unfold_tree
+from conftest import fixture_text, lts_value, unfold_tree, wts_value
 from spec_gen import UNIVERSE_TEXTS, random_monotone_lts_spec
 from test_cli_golden import SMALL_CAPS, TERMS
 
@@ -92,7 +92,7 @@ def test_greatest_simulation_kind_mismatch():
 def test_greatest_simulation_rejects_a_successor_outside_the_carrier():
     kind = CountableLTS(frozenset({"a"}))
     gx = Var("gx")
-    model = Model(kind, (gx,), {gx: LtsValue.make({"a": {Var("gy")}})}, frozenset())
+    model = Model(kind, (gx,), {gx: lts_value({"a": {Var("gy")}})}, frozenset())
     with pytest.raises(UnknownStateError, match="gy is outside the carrier"):
         greatest_simulation(model, model)
 
@@ -452,12 +452,12 @@ def test_default_generators_validate():
 def test_is_homomorphism():
     kind = CountableLTS(frozenset({"a"}))
     chain = GenCoalgebra(("gp", "gq"), {
-        "gp": LtsValue.make({"a": {"gq"}}),
-        "gq": LtsValue.make({"a": {"gq"}}),
+        "gp": lts_value({"a": {"gq"}}),
+        "gq": lts_value({"a": {"gq"}}),
     })
-    loop = GenCoalgebra(("gx",), {"gx": LtsValue.make({"a": {"gx"}})})
+    loop = GenCoalgebra(("gx",), {"gx": lts_value({"a": {"gx"}})})
     assert is_homomorphism(kind, chain, loop, {"gp": "gx", "gq": "gx"})
-    silent = GenCoalgebra(("gx",), {"gx": LtsValue.make({})})
+    silent = GenCoalgebra(("gx",), {"gx": lts_value({})})
     assert not is_homomorphism(kind, chain, silent, {"gp": "gx", "gq": "gx"})
 
 
@@ -501,12 +501,12 @@ def test_similarity_law_checks_images(monkeypatch):
     # reached only by waving a non-homomorphism through the precondition
     kind = CountableLTS(frozenset({"a"}))
     chain = GenCoalgebra(("gp", "gq"), {
-        "gp": LtsValue.make({"a": {"gq"}}),
-        "gq": LtsValue.make({"a": {"gq"}}),
+        "gp": lts_value({"a": {"gq"}}),
+        "gq": lts_value({"a": {"gq"}}),
     })
     split = GenCoalgebra(("gx", "gy"), {
-        "gx": LtsValue.make({"a": {"gx"}}),
-        "gy": LtsValue.make({}),
+        "gx": lts_value({"a": {"gx"}}),
+        "gy": lts_value({}),
     })
     hom = {"gp": "gx", "gq": "gy"}
     assert law_hom_preserves_similarity(kind, chain, split, hom).status == "inconclusive"
@@ -595,10 +595,10 @@ def random_gen_model(kind, n, rng):
             dyn[x] = (BOTTOM if rng.random() < 0.15 else
                       StreamStep(rng.choice(labels), rng.choice(names)))
         elif kind.name == "lts":
-            dyn[x] = LtsValue.make({lab: set(rng.sample(names, rng.randrange(3)))
+            dyn[x] = lts_value({lab: set(rng.sample(names, rng.randrange(3)))
                                     for lab in labels})
         else:
-            dyn[x] = WtsValue.make({lab: {y: rng.choice([0.5, 1.0, 2.0])
+            dyn[x] = wts_value({lab: {y: rng.choice([0.5, 1.0, 2.0])
                                           for y in rng.sample(names, rng.randrange(3))}
                                     for lab in labels})
     return gen_to_model(kind, GenCoalgebra(tuple(names), dyn))
@@ -794,7 +794,7 @@ def test_bisim_rounds_match_naive_refinement(name, model):
 def test_bisimilarity_classes_reject_a_successor_outside_the_carrier():
     kind = CountableLTS(frozenset({"a"}))
     gx = Var("gx")
-    model = Model(kind, (gx,), {gx: LtsValue.make({"a": {Var("gy")}})}, frozenset())
+    model = Model(kind, (gx,), {gx: lts_value({"a": {Var("gy")}})}, frozenset())
     with pytest.raises(UnknownStateError, match="gy is outside the carrier"):
         bisimilarity_classes(model)
 
@@ -805,9 +805,9 @@ def test_wts_bisimilarity_merges_weights_into_a_class_by_sup():
     kind = KINDS["wts"]
     loop = {"b": {"z": 1.0}}
     gen = GenCoalgebra(("p", "q", "x", "y", "z"), {
-        "p": WtsValue.make({"a": {"x": 0.5, "y": 1.0}}),
-        "q": WtsValue.make({"a": {"z": 1.0}}),
-        **{s: WtsValue.make(loop) for s in ("x", "y", "z")}})
+        "p": wts_value({"a": {"x": 0.5, "y": 1.0}}),
+        "q": wts_value({"a": {"z": 1.0}}),
+        **{s: wts_value(loop) for s in ("x", "y", "z")}})
     model = gen_to_model(kind, gen)
     p, q, x, y, z = (Var(s) for s in gen.states)
     assert bisimilarity_classes(model) == (frozenset({p, q}), frozenset({x, y, z}))
@@ -815,7 +815,7 @@ def test_wts_bisimilarity_merges_weights_into_a_class_by_sup():
     want, _ = naive_refinement(kind, model, model, both_ways=True)
     assert (p, q) in want
     halved = gen_to_model(kind, GenCoalgebra(gen.states, {
-        **gen.dynamics, "q": WtsValue.make({"a": {"z": 0.5}})}))
+        **gen.dynamics, "q": wts_value({"a": {"z": 0.5}})}))
     assert not check_equivalence(halved, p, q, "bisim").related
 
 

@@ -347,6 +347,45 @@ def test_recogniser_matches_the_general_parser_on_mutated_axioms():
     assert 0 < errors < 400  # both the rule and the error paths ran
 
 
+# ops lines the tokenizer rejects, or reads differently from how they look
+MALFORMED_OPS = ["ops a/", "ops a/1,", "ops a/1 b/2", "ops a/1[", "ops a/1[2", "ops a/1[]",
+                 "ops a/1]", "ops 1/1", "ops a/1\xb2", "ops a/1, a/2", "opsa/1", "ops a/-1",
+                 "ops a//1", "ops \xe9/1", "ops a\xe9/1", "ops a/1\xa0", "ops ,", "ops a/1[2,3]",
+                 "ops a/1 # c", "\tops a'/2 , b/0[ 3 ] #", "ops", "ops#", " ops a/007",
+                 "ops a/1\x0c"]
+
+
+def random_ops_line(rng: random.Random, mutate: float) -> str:
+    """An ops line with random blanks, names, arities and parameter counts;
+    with probability mutate, one character off."""
+    b = [rng.choice(BLANKS) for _ in range(3)]
+    entries = [f"{rng.choice(('f', 'g', 'x', '_h'))}{i}{rng.choice(('', chr(39)))}{b[1]}/"
+               f"{b[2]}{rng.randrange(3)}" + rng.choice(("", "[1]", f"[{b[1]}2{b[2]}]"))
+               for i in range(rng.randrange(4))]
+    line = (b[0] + "ops " + rng.choice((",", f"{b[1]},{b[2]}")).join(entries)
+            + rng.choice(("", " ", " # ops c/0")))
+    if rng.random() < mutate:
+        at = rng.randrange(len(line) + 1)
+        cut = at + rng.randrange(2)
+        line = line[:at] + rng.choice(("",) + tuple(NEAR_MISS_ALPHABET)) + line[cut:]
+    return line
+
+
+def test_ops_recogniser_matches_the_tokenizer_path():
+    rng = random.Random(6)
+    lines = MALFORMED_OPS + [random_ops_line(rng, mutate=0.5) for _ in range(400)]
+    taken = errors = 0
+    for line in lines:
+        for text in (f"behaviour lts labels a\n{line}\nrule r : |- c -a-> c\n",
+                     f"{line}\nbehaviour lts labels a\n{line}\n",  # a duplicate ops line
+                     "behaviour lts labels a\nrule r : |- c -a-> c\n" + line):  # too late
+            assert _outcome(text, parse_spec) == _outcome(text, reference_parse_spec), text
+        outcome = _outcome(f"behaviour lts labels a\n{line}\n", parse_spec)
+        taken += speclang._OPS_LINE.fullmatch(line) is not None
+        errors += outcome[0] == "error"
+    assert taken > 150 and errors > 100  # both paths ran, and both outcomes
+
+
 NEAR_MISS_HEADERS = ("behaviour lts labels a, b\nops s0/0, s1/0, f/1\n",
                      "behaviour stream nat\nops s0/0, s1/0, f/1\n")
 
@@ -451,8 +490,10 @@ def test_undeclared_label_is_a_variable_and_declared_label_a_literal():
 
 
 def test_ground_axiom_specs_tokenize_only_behaviour_and_ops_lines(monkeypatch):
-    # the recogniser's speed-up is invisible to every other test: a pattern
-    # that rejected every axiom would still parse them all correctly
+    # the recognisers' speed-up is invisible to every other test: patterns
+    # that rejected every axiom and ops line would still parse them correctly.
+    # A well-formed ops line is read from its match too, so only the
+    # behaviour line reaches the tokenizer.
     rng = random.Random(1)
     lines = ["# 140 axioms", "behaviour lts labels a, b", "",
              "ops " + ", ".join(f"s{i}/0" for i in range(40)), ""]
@@ -468,4 +509,4 @@ def test_ground_axiom_specs_tokenize_only_behaviour_and_ops_lines(monkeypatch):
     monkeypatch.setattr(speclang, "tokenize", counting_tokenize)
     spec = parse_spec("\n".join(lines) + "\n")
     assert len(spec.rules) == 140
-    assert tokenized == [2, 4]
+    assert tokenized == [2]
