@@ -109,8 +109,6 @@ class WtsValue:
 
     moves: tuple = ()
 
-    labels = LtsValue.labels
-
 
 @dataclass(frozen=True)
 class Relation:

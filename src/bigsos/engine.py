@@ -44,16 +44,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from operator import itemgetter
+from itertools import count
 from typing import Iterable, Mapping, Union
 
 from .behaviour import BehaviourKind, CountableLTS
 from .errors import (BigsosError, InconsistentStreamError, LabelEvalError,
                      NonConvergenceError, NonMonotoneError, UnboundVariableError,
                      UnknownStateError)
-from .speclang import (LabelLit, Positive, Premise, Rule, Spec, check_monotone,
-                       compile_label, compile_param, label_vars, template_param_exprs,
-                       template_vars)
+from .speclang import (LabelAdd, LabelLit, LabelVar, Positive, Premise, Rule, Spec,
+                       check_monotone, label_vars, template_param_exprs, template_vars)
 from .terms import (App, Term, UniversePolicy, Var, check_term, print_term, subterms,
                     term_key, term_size, variables)
 
@@ -151,30 +150,32 @@ def gen_to_model(kind: BehaviourKind, gen: GenCoalgebra) -> Model:
 # the head row args + params.  An environment holds the bindings still live
 # at its point in the premise chain, those that a later premise or the
 # conclusion reads; slots are named ("t", x) for term variables and ("l", n)
-# for label variables, and each is a local variable of run.  Each premise
-# runs over all environments and fills a dict whose keys, the one live slot
-# or a tuple of them, are the next environments, so environments that agree
-# on the live slots merge in first-derivation order and a chain of premises
-# costs about the number of distinct live bindings, not of premise paths.
-# Premises read their sources' moves from a table shared across one step,
-# and every source read goes into the caller's read set: the step takes the
-# term's taint from it, and least_model its reverse index.
+# for label variables, and each is a local variable v<i> of run.  Each premise
+# runs over all environments and fills a dict g<n> whose keys, the one live
+# slot or a tuple of them, are the next environments, so environments that
+# agree on the live slots merge in first-derivation order and a chain of
+# premises costs about the number of distinct live bindings, not of premise
+# paths.  Premises read their sources' moves from a table shared across one
+# step, and every source read goes into the caller's read set: the step takes
+# the term's taint from it, and least_model its reverse index.
 #
-# The conclusion is compiled into a function from a final environment to its
-# (label, target, 1) move, with label expressions, operator parameters and
-# the target compiled over the slots.  run calls it, and a negative premise's
-# compiled label, per environment, so errors keep their text and order; only
-# a literal label in the domain with a bound variable as target cannot fail,
-# and run builds that move itself.  A term's value is built from its moves by
-# one kind.from_moves call.
+# The conclusion, and the label of each negative premise, are straight-line
+# statements of run: one per label operator, operator parameter and target
+# node, each storing its value in a temporary t<n>.  Nested expressions would
+# run into the Python parser's nesting limit on deep templates.  The errors
+# come in evaluation order: the label, its operands left to right and then
+# its operator; a label outside the domain; the parameters in pre-order; the
+# first unbound term variable in pre-order.  The target's nodes are built
+# bottom-up after every parameter, and a term's value is built from its moves
+# by one kind.from_moves call.
 #
-# No spec text reaches the generated source.  Literal labels and compiled
-# closures are the arguments of a factory that returns run, so the source
-# depends only on the plan's shape (head slots; per premise its source slot,
-# label test, polarity and output slots), and a name such as x''' or `row`
-# never meets the generator's.  Each shape's factory is compiled once per
-# process and kept in a bounded cache, because every spec parse compiles its
-# rules afresh and compiling source costs far more than the join it runs.
+# No spec text reaches the generated source.  Literal labels, operator names,
+# rule names, messages and kind.has_label are the arguments c<k> of a factory
+# that returns run, so the source depends only on the rule's shape, and a
+# name such as x''' or `row` never meets the generator's.  Each source's
+# factory is compiled once per process and kept in a bounded cache, because
+# every spec parse compiles its rules afresh and compiling source costs far
+# more than the join it runs.
 
 
 class _Rows(dict):
@@ -195,71 +196,35 @@ def _premise_reads(p: Premise) -> set:
     return {("t", p.source)} | {("l", v) for v in label_vars(p.label)}
 
 
-def _label_slots(slot: dict) -> dict:
-    return {name: i for (tag, name), i in slot.items() if tag == "l"}
+# The helpers the generated code calls, each raising the error of its step.
+
+_NON_NATURAL = "label arithmetic over non-natural labels"
 
 
-def _builder(target, slot: dict):
-    """Function from an environment to the conclusion target, each variable
-    read from its slot and each parameter evaluated from the label slots.
-
-    Evaluation raises what instantiating the template and then substituting
-    into it raises: the parameters' errors in pre-order, then an unbound
-    term variable, the first one in pre-order.
-    """
-    labels = _label_slots(slot)
-    unbound: list = []
-
-    def compile_node(tt):
-        if isinstance(tt, Var):
-            if ("t", tt.name) not in slot:
-                unbound.append(tt.name)
-                return None
-            return itemgetter(slot[("t", tt.name)])
-        op = tt.op
-        params = tuple([compile_param(e, labels) for e in tt.params])
-        kids = tuple([compile_node(a) for a in tt.args])
-        if params:
-            return lambda env: App(op, tuple([p(env) for p in params]),
-                                   tuple([build(env) for build in kids]))
-        if kids:
-            return lambda env: App(op, (), tuple([build(env) for build in kids]))
-        leaf = App(op)
-        return lambda env: leaf
-
-    build = compile_node(target)
-    if not unbound:
-        return build
-    params = [compile_param(e, labels) for e in template_param_exprs(target)]
-    message = f"no binding for variable {unbound[0]!r}"
-
-    def fail(env):
-        for param in params:
-            param(env)
-        raise UnboundVariableError(message)
-    return fail
+def _add(a, b):
+    if isinstance(a, int) and isinstance(b, int):
+        return a + b
+    raise LabelEvalError(_NON_NATURAL)
 
 
-def _compile_conclusion(kind: BehaviourKind, rule: Rule, layout: tuple):
-    """Function from an environment laid out as layout to the move the rule
-    concludes.  It raises, in this order, what evaluating the label raises, a
-    label outside the domain, and what building the target raises."""
-    slot = {name: i for i, name in enumerate(layout)}
-    build = _builder(rule.concl_target, slot)
-    label = rule.concl_label
-    if isinstance(label, LabelLit) and kind.has_label(label.value):
-        lab = label.value
-        return lambda env: (lab, build(env), 1)
-    value, has_label = compile_label(label, _label_slots(slot)), kind.has_label
+def _mul(a, b):
+    if isinstance(a, int) and isinstance(b, int):
+        return a * b
+    raise LabelEvalError(_NON_NATURAL)
 
-    def conclude(env: tuple) -> tuple:
-        lab = value(env)
-        if not has_label(lab):
-            raise LabelEvalError(
-                f"rule {rule.name}: conclusion label {lab!r} outside the label domain")
-        return lab, build(env), 1
 
-    return conclude
+def _nat(v):
+    if isinstance(v, int) and v >= 0:
+        return v
+    raise LabelEvalError(f"operator parameter evaluated to {v!r}, expected a natural")
+
+
+def _unbound(message: str):
+    raise UnboundVariableError(message)
+
+
+def _outside(rule: str, lab):
+    raise LabelEvalError(f"rule {rule}: conclusion label {lab!r} outside the label domain")
 
 
 def _compile_rule(kind: BehaviourKind, rule: Rule):
@@ -275,84 +240,105 @@ def _compile_rule(kind: BehaviourKind, rule: Rule):
     # a repeated head variable keeps its last argument, as a dict would
     origin = {("t", v): i for i, v in enumerate(rule.head_vars)}
     origin.update({("l", v): len(rule.head_vars) + i for i, v in enumerate(rule.head_params)})
-    layout = tuple(name for name in origin if name in live[0])
-    local = {name: i for i, name in enumerate(origin)}  # binding order: slot -> its local
-    head = tuple((local[name], origin[name]) for name in layout)
+    layout = tuple(name for name in origin if name in live[0])  # the bound live slots
+    local = {name: f"v{i}" for i, name in enumerate(origin)}  # binding order: slot -> its local
     consts: list = []  # the factory's arguments
+    body = [f"  {local[name]} = row[{origin[name]}]" for name in layout]
+    pad, temps = "  ", count()
 
-    def const(value) -> int:
+    def tup(operands: list) -> str:
+        return "(" + "".join(f"{x}, " for x in operands) + ")"
+
+    def key(slots: tuple) -> str:
+        return local[slots[0]] if len(slots) == 1 else tup([local[s] for s in slots])
+
+    def const(value) -> str:
         consts.append(value)
-        return len(consts) - 1
+        return f"c{len(consts) - 1}"
 
-    steps = []  # (test, argument, source, target, output locals) per premise
+    def store(expr: str, lines: list) -> str:
+        """A fresh temporary, after appending the statement storing expr in it."""
+        t = f"t{next(temps)}"
+        lines.append(f"{pad}{t} = {expr}")
+        return t
+
+    def label(e) -> str:
+        """An operand holding the value of e, after the statements computing it."""
+        if isinstance(e, LabelLit):
+            return const(e.value)
+        if isinstance(e, LabelVar):
+            if ("l", e.name) in layout:
+                return local[("l", e.name)]
+            return store(f"_unbound({const(f'no binding for label variable {e.name!r}')})", body)
+        a, b = label(e.left), label(e.right)
+        return store(f"{'_add' if isinstance(e, LabelAdd) else '_mul'}({a}, {b})", body)
+
+    def target(tt, builds: list, unbound: list) -> str:
+        """An operand holding tt: its parameters are stored in pre-order, its
+        nodes' statements go to builds in post-order, and its unbound
+        variables to unbound in pre-order.  With one unbound, no node is
+        built and the operand is never read."""
+        if isinstance(tt, Var):
+            if ("t", tt.name) in layout:
+                return local[("t", tt.name)]
+            unbound.append(tt.name)
+            return "None"
+        params = [store(f"_nat({label(e)})", body) for e in tt.params]
+        kids = [target(a, builds, unbound) for a in tt.args]
+        if not params and not kids:
+            return const(App(tt.op))
+        return store(f"App({const(tt.op)}, {tup(params)}, {tup(kids)})", builds)
+
     for i, p in enumerate(rule.premises):
-        slot = {name: j for j, name in enumerate(layout)}
-        if ("t", p.source) not in slot:
+        if ("t", p.source) not in layout:
             break  # no environment survives
-        if not isinstance(p, Positive):
-            test, arg, target = "want", const(compile_label(p.label, _label_slots(slot))), None
-        else:
-            target = local.setdefault(("t", p.target), len(local))
-            if isinstance(p.label, LabelLit):
-                test, arg = "lit", const(p.label.value)
-            elif ("l", p.label.name) in slot:
-                test, arg = "slot", local[("l", p.label.name)]
-            else:
-                test, arg = "bind", local.setdefault(("l", p.label.name), len(local))
+        body.append(f"  g{i} = {{}}")
+        if i:
+            body.append(f"  for {key(layout)} in g{i - 1}:")
+            pad = "   "
+        src = local[("t", p.source)]
+        body.append(f"{pad}read({src})")
+        bind = (isinstance(p, Positive) and isinstance(p.label, LabelVar)
+                and ("l", p.label.name) not in layout)
+        test = None if bind else label(p.label)
+        if isinstance(p, Positive):
+            tgt = local.setdefault(("t", p.target), f"v{len(local)}")
+        if bind:
+            lab = local.setdefault(("l", p.label.name), f"v{len(local)}")
         layout = tuple(name for name in local if name in live[i + 1])
-        steps.append((test, arg, local[("t", p.source)], target,
-                      tuple(local[name] for name in layout)))
-    else:  # the conclusion, as a last step
-        label, target = rule.concl_label, rule.concl_target
-        if (isinstance(label, LabelLit) and kind.has_label(label.value)
-                and isinstance(target, Var) and ("t", target.name) in layout):
-            steps.append(("move", const(label.value), None, local[("t", target.name)], None))
+        keep = f"g{i}[{key(layout)}] = None"
+        if not isinstance(p, Positive):
+            body.append(f"{pad}if all(lab != {test} for lab, _, _ in memo[{src}]): {keep}")
+        elif bind:
+            body.append(f"{pad}for {lab}, {tgt}, _ in memo[{src}]: {keep}")
         else:
-            steps.append(("call", const(_compile_conclusion(kind, rule, layout)), None, None,
-                          None))
-    return _rule_factory((len(consts), head, tuple(steps)))(*consts)
-
-
-def _rule_source(shape: tuple) -> str:
-    """Source of the factory from a plan's constants c0, c1, ... to its run
-    function.  Local v<i> holds slot i, and g<n> the environments after
-    step n."""
-    nconst, head, steps = shape
-    env = lambda slots: "(" + "".join(f"v{i}, " for i in slots) + ")"
-    key = lambda slots: f"v{slots[0]}" if len(slots) == 1 else env(slots)
-    lines = [f"def factory({''.join(f'c{k}, ' for k in range(nconst))}):",
-             " def run(row, read, memo, moves):", *(f"  v{i} = row[{j}]" for i, j in head)]
-    layout = tuple(i for i, _ in head)
-    for n, (test, arg, src, target, out) in enumerate(steps):
-        pad = "   " if n else "  "  # under the loop over the last step's environments
-        if out is not None:
-            lines.append(f"  g{n} = {{}}")
-        if n:
-            lines.append(f"  for {key(layout)} in g{n - 1}:")
-        if test == "move":
-            lines.append(f"{pad}moves.append((c{arg}, v{target}, 1))")
-        elif test == "call":
-            lines.append(f"{pad}moves.append(c{arg}({env(layout)}))")
+            body += [f"{pad}for lab, {tgt}, _ in memo[{src}]:", f"{pad} if lab == {test}: {keep}"]
+    else:  # the conclusion
+        if rule.premises:
+            body.append(f"  for {key(layout)} in g{len(rule.premises) - 1}:")
+            pad = "   "
+        lab = label(rule.concl_label)
+        if not (isinstance(rule.concl_label, LabelLit) and kind.has_label(rule.concl_label.value)):
+            body.append(f"{pad}if not {const(kind.has_label)}({lab}): "
+                        f"_outside({const(rule.name)}, {lab})")
+        builds, unbound = [], []
+        move = target(rule.concl_target, builds, unbound)
+        if unbound:
+            move = store(f"_unbound({const(f'no binding for variable {unbound[0]!r}')})", body)
         else:
-            keep = f"g{n}[{key(out)}] = None"
-            lines.append(f"{pad}read(v{src})")
-            if test == "want":
-                lines += [f"{pad}want = c{arg}({env(layout)})",
-                          f"{pad}if all(lab != want for lab, _, _ in memo[v{src}]): {keep}"]
-            elif test == "bind":
-                lines.append(f"{pad}for v{arg}, v{target}, _ in memo[v{src}]: {keep}")
-            else:
-                lines += [f"{pad}for lab, v{target}, _ in memo[v{src}]:",
-                          f"{pad} if lab == {'c' if test == 'lit' else 'v'}{arg}: {keep}"]
-        layout = out
-    return "\n".join(lines + ["  return", " return run", ""])
+            body += builds
+        body.append(f"{pad}moves.append(({lab}, {move}, 1))")
+    source = "\n".join([f"def factory{tup([f'c{k}' for k in range(len(consts))])}:",
+                        " def run(row, read, memo, moves):", *body, "  return", " return run", ""])
+    return _rule_factory(source)(*consts)
 
 
-@lru_cache(maxsize=256)  # an internal bound on the shapes kept
-def _rule_factory(shape: tuple):
-    """The factory of plans of this shape, compiled on first use."""
-    namespace: dict = {}
-    exec(compile(_rule_source(shape), "<rule plan>", "exec"), namespace)
+@lru_cache(maxsize=256)  # an internal bound on the sources kept
+def _rule_factory(source: str):
+    """The factory that source defines, compiled on first use."""
+    namespace = {"App": App, "_add": _add, "_mul": _mul, "_nat": _nat, "_unbound": _unbound,
+                 "_outside": _outside}
+    exec(compile(source, "<rule plan>", "exec"), namespace)
     return namespace["factory"]
 
 

@@ -37,11 +37,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from operator import add, itemgetter, mul
-from typing import Mapping, Union
+from typing import Union
 
 from .behaviour import BehaviourKind, CountableLTS, PartialStream, WeightedLTS
-from .errors import LabelEvalError, ParseError, UnboundVariableError
+from .errors import ParseError
 from .terms import Signature, TokenCursor, Var, tokenize
 
 
@@ -71,49 +70,6 @@ class LabelMul:
 
 
 LabelExpr = Union[LabelLit, LabelVar, LabelAdd, LabelMul]
-
-
-def compile_label(e: LabelExpr, slots: Mapping[str, int]):
-    """Function from an environment tuple to the value of e, each label
-    variable read from its index in slots.
-
-    A variable with no slot raises UnboundVariableError when it is reached,
-    and arithmetic raises LabelEvalError once both operands are evaluated and
-    one is not a natural: left operand first, so the errors come in
-    evaluation order.
-    """
-    if isinstance(e, LabelLit):
-        value = e.value
-        return lambda env: value
-    if isinstance(e, LabelVar):
-        if e.name in slots:
-            return itemgetter(slots[e.name])
-        message = f"no binding for label variable {e.name!r}"
-
-        def unbound(env):
-            raise UnboundVariableError(message)
-        return unbound
-    left, right = compile_label(e.left, slots), compile_label(e.right, slots)
-    op = add if isinstance(e, LabelAdd) else mul
-
-    def arithmetic(env):
-        a, b = left(env), right(env)
-        if not isinstance(a, int) or not isinstance(b, int):
-            raise LabelEvalError("label arithmetic over non-natural labels")
-        return op(a, b)
-    return arithmetic
-
-
-def compile_param(e: LabelExpr, slots: Mapping[str, int]):
-    """compile_label for an operator parameter, whose value must be a natural."""
-    value = compile_label(e, slots)
-
-    def param(env):
-        v = value(env)
-        if not isinstance(v, int) or v < 0:
-            raise LabelEvalError(f"operator parameter evaluated to {v!r}, expected a natural")
-        return v
-    return param
 
 
 def label_vars(e: LabelExpr) -> frozenset[str]:

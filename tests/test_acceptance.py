@@ -221,7 +221,7 @@ def shrink_model(kind, model, rng):
             beh[t] = wts_value(
                 {lab: {s: 0.0 if rng.random() < 0.3 else w * rng.choice((0.5, 1.0))
                        for lab2, s, w in kind.moves(v) if lab2 == lab}
-                 for lab in v.labels()})
+                 for lab in dict.fromkeys(lab for lab, _, _ in kind.moves(v))})
     return Model(kind, model.universe, beh, frozenset())
 
 

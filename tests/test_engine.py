@@ -4,11 +4,12 @@ import dataclasses
 import io
 import random
 import re
+import sys
 import tokenize
 
 import pytest
 
-from bigsos import engine, speclang
+from bigsos import cli, engine, speclang
 from bigsos.behaviour import BOTTOM, CountableLTS, PartialStream, StreamStep, WeightedLTS
 from bigsos.engine import (ConvergenceReport, GenCoalgebra, Model, gen_to_model,
                            least_model, lift_coalgebra, model_to_dot, model_to_json,
@@ -333,6 +334,11 @@ rule first : x -l-> y |- f(x) -l*2-> g[l](z)
 """
 
 
+def slot_values(layout, env, tag) -> dict:
+    """The values env gives the slots of layout tagged tag, by name."""
+    return {name: v for (t, name), v in zip(layout, env) if t == tag}
+
+
 def reference_conclusion(kind, rule, labels, terms):
     lab = eval_label(rule.concl_label, labels)
     if not kind.has_label(lab):
@@ -348,9 +354,23 @@ def outcome(thunk):
         return type(exc), str(exc)
 
 
+def generated_conclusion(kind, rule, layout, env):
+    """The moves of rule's generated code with its premises dropped and the
+    environment env bound by its head: the term slots of layout as arguments
+    and its label slots as parameters, each in layout order."""
+    args = tuple(v for (tag, _), v in zip(layout, env) if tag == "t")
+    params = tuple(v for (tag, _), v in zip(layout, env) if tag == "l")
+    run = engine._compile_rule(kind, dataclasses.replace(
+        rule, premises=(), head_vars=tuple(name for tag, name in layout if tag == "t"),
+        head_params=tuple(name for tag, name in layout if tag == "l")))
+    moves = []
+    run(args + params, None, None, moves)
+    return moves
+
+
 def test_compiled_conclusions_match_the_reference_evaluators():
-    """Every rule's compiled conclusion, over random layouts and environments,
-    gives the reference's pair or raises its error with the same message."""
+    """Every rule's generated conclusion, over random layouts and environments,
+    gives the reference's move or raises its error with the same message."""
     texts = [fixture_text(name) for name in ("empty", "explicit", "factstream", "lookahead2",
                                              "negloop", "transclosure", "wchain")]
     texts += [SHARED_LABELS, HEAD_PARAMS, CONCLUSION_ERRORS]
@@ -373,12 +393,10 @@ def test_compiled_conclusions_match_the_reference_evaluators():
                 rng.shuffle(layout)
                 env = tuple(rng.choice(pool) if tag == "t" else rng.choice(label_values)
                             for tag, _ in layout)
-                names = {tag: {name: v for (t, name), v in zip(layout, env) if t == tag}
-                         for tag in "tl"}
-                conclude = engine._compile_conclusion(spec.kind, rule, tuple(layout))
-                got = outcome(lambda: conclude(env))
-                want = outcome(lambda: reference_conclusion(spec.kind, rule, names["l"],
-                                                            names["t"]))
+                got = outcome(lambda: generated_conclusion(spec.kind, rule, layout, env))
+                want = outcome(lambda: [reference_conclusion(
+                    spec.kind, rule, slot_values(layout, env, "l"),
+                    slot_values(layout, env, "t"))])
                 assert got == want, (rule.name, layout, env)
                 seen.add(got[1] if isinstance(got[0], type) else "pair")
     assert {"pair", "label arithmetic over non-natural labels",
@@ -391,8 +409,8 @@ def test_compiled_conclusions_match_the_reference_evaluators():
 #
 # The premise-step loop that apply_rules ran before rule plans became generated
 # functions, kept as their reference: the same layouts, one environment tuple per
-# distinct live binding, one premise at a time over all environments, and the
-# same compiled conclusions and negative-premise labels.
+# distinct live binding and one premise at a time over all environments.  Labels
+# and conclusions are read by the reference evaluators, not by generated code.
 
 
 def _picker(indices):
@@ -418,7 +436,6 @@ def interpreted_plan(kind, rule):
     steps = []
     for i, p in enumerate(rule.premises):
         slot = {name: j for j, name in enumerate(layout)}
-        labels = {name: j for (tag, name), j in slot.items() if tag == "l"}
         label_lit = p.label.value if isinstance(p.label, LabelLit) else None
         label_slot, fresh = None, {}
         if isinstance(p, Positive):
@@ -431,10 +448,15 @@ def interpreted_plan(kind, rule):
         out_layout = tuple(name for name in bound if name in live[i + 1])
         out = _picker(tuple(fresh[name] if name in fresh else slot[name]
                             for name in out_layout))
-        want = None if isinstance(p, Positive) else speclang.compile_label(p.label, labels)
+        want = None if isinstance(p, Positive) else reference_label(p.label, layout)
         steps.append((slot.get(("t", p.source)), label_lit, label_slot, want, out))
         layout = out_layout
-    return head, steps, engine._compile_conclusion(kind, rule, layout)
+    return head, steps, lambda env: reference_conclusion(
+        kind, rule, slot_values(layout, env, "l"), slot_values(layout, env, "t"))
+
+
+def reference_label(e, layout):
+    return lambda env: eval_label(e, slot_values(layout, env, "l"))
 
 
 def interpreted_apply_rules(spec, op, params, args, reads, memo):
@@ -597,7 +619,7 @@ def test_generated_joins_match_the_plan_interpreter(monkeypatch):
 # and variables with primes, which are not Python names at all.
 
 KEYWORD_OPS = """behaviour lts labels a, b
-ops def/1, None/0, lambda/2, row/1, read/0, memo/1, moves/1, lab/0, s/1
+ops def/1, None/0, lambda/2, row/1, read/0, memo/1, moves/1, lab/0, s/1, App/2, _nat/0, _add/1, t0/1, _unbound/1, _outside/0
 rule def : x -a-> y |- def(x) -a-> row(y)
 rule None : |- None -a-> def(None)
 rule lambda : x -l-> x', y -l-> y' |- lambda(x, y) -l-> lambda(y', x')
@@ -607,14 +629,21 @@ rule memo : x -l-> y |- memo(x) -l-> moves(y)
 rule moves : x -a-> y |- moves(x) -a-> s(y)
 rule s : x -b-> y, y -a-/-> |- s(x) -b-> y
 rule lab : |- lab -a-> lab
+rule App : x -a-> z |- App(x, y) -b-> _add(t0(z))
+rule _nat : |- _nat -a-> App(_nat, _outside)
+rule _add : x -l-> y |- _add(x) -l-> _unbound(t0(y))
+rule t0 : x -b-> y |- t0(x) -a-> _add(y)
+rule _unbound : x -a-> y |- _unbound(x) -b-> y
+rule _outside : |- _outside -b-> _nat
 """
 KEYWORD_VARS = """behaviour stream nat
-ops sigma/1, ones/0, pos/0, plus/2, times/1[1]
+ops sigma/1, ones/0, pos/0, plus/2, times/1[1], shift/1[1]
 rule ones : |- ones -1-> ones
 rule pos : |- pos -1-> plus(ones, pos)
 rule plus : def -None-> def', lambda -lab-> lambda' |- plus(def, lambda) -None+lab-> plus(def', lambda')
 rule sigma : row -read-> row', row' -memo-> row'' |- sigma(row) -read-> times[memo](sigma(row''))
 rule times : s -lab-> s' |- times[moves](s) -moves*lab-> times[moves](s')
+rule shift : App -_nat-> App', App' -t0-> _add |- shift[_mul](App) -_nat+t0*_mul-> shift[_nat+_mul](shift[t0](_add))
 """
 KEYWORD_CHAIN = """behaviour lts labels a, b
 ops sigma/1, c/0
@@ -623,28 +652,32 @@ rule unfold : |- sigma(row) -b-> sigma(sigma(row))
 rule chain3 : read -a-> read', read' -lab-> read'', read'' -lab-> read''' |- sigma(read) -lab-> read'''
 """
 KEYWORD_CASES = [
-    (KEYWORD_OPS, ("def(None)", "lambda(read, None)", "row(None)", "memo(lab)", "s(lab)"),
+    (KEYWORD_OPS, ("def(None)", "lambda(read, None)", "row(None)", "memo(lab)", "s(lab)",
+                   "App(_nat, lab)", "_add(_nat)", "t0(_outside)", "_unbound(_nat)"),
      UniversePolicy(60, 6), True),
-    (KEYWORD_VARS, ("sigma(pos)", "times[2](pos)", "plus(pos, ones)"), UniversePolicy(400, 16),
-     False),
+    (KEYWORD_VARS, ("sigma(pos)", "times[2](pos)", "plus(pos, ones)", "shift[1](pos)"),
+     UniversePolicy(400, 16), False),
     (KEYWORD_CHAIN, ("sigma(sigma(c))",), UniversePolicy(40, 8), False),
 ]
 # the words of the generated code
-GENERATED_NAME = re.compile(r"[cgv][0-9]+|factory|run|row|read|memo|moves|lab|want|_|all|append"
-                            r"|def|for|in|if|return|None")
+GENERATED_NAME = re.compile(r"[cgtv][0-9]+|factory|run|row|read|memo|moves|lab|_|all|append"
+                            r"|App|_add|_mul|_nat|_unbound|_outside|def|for|in|if|not|return|None")
 
 
 def generated_sources(monkeypatch) -> list:
-    """The source of every factory built from now on, with the cache emptied."""
+    """The source of every factory compiled from now on, with the cache emptied."""
     sources = []
 
-    def spy(shape):
-        sources.append(rule_source(shape))
-        return sources[-1]
+    def spy(source):
+        misses = rule_factory.cache_info().misses
+        factory = rule_factory(source)
+        if rule_factory.cache_info().misses > misses:
+            sources.append(source)
+        return factory
 
-    rule_source = engine._rule_source
-    monkeypatch.setattr(engine, "_rule_source", spy)
-    engine._rule_factory.cache_clear()
+    rule_factory = engine._rule_factory
+    rule_factory.cache_clear()
+    monkeypatch.setattr(engine, "_rule_factory", spy)
     return sources
 
 
@@ -694,6 +727,59 @@ def test_plans_of_one_shape_share_their_code(monkeypatch):
              for spec in specs]
     assert len(codes[0]) == 3 and all(a is b for a, b in zip(*codes))
     assert len(sources) == 3
+
+
+# Deep templates: the generated code stores one value per statement, so a
+# template nests no expression and only the compiler's walk over it recurses.
+# n+1+...+1 parses, without recursion, to the label (((n+1)+1)...+1).
+DEEP_TARGET = """behaviour stream nat
+ops c/0, f/1[1], g/1
+rule c : |- c -1-> c
+rule g : x -n-> y |- g(x) -n-> {}
+"""
+DEEP_LABEL = """behaviour stream nat
+ops c/0, g/1
+rule c : |- c -1-> c
+rule g : x -n-> y |- g(x) -{}-> y
+"""
+
+
+def deep_spec(tmp_path, text) -> str:
+    path = tmp_path / "deep.sos"
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+def cli_model(path) -> tuple:
+    out, err = io.StringIO(), io.StringIO()
+    code = cli.run(["model", path, "g(c)", "--format", "json"], out, err)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("text", [
+    *(DEEP_TARGET.format("f[n](" * n + "y" + ")" * n) for n in (150, 450)),
+    *(DEEP_LABEL.format("n" + "+1" * n) for n in (250, 320))],
+    ids=["target-150", "target-450", "label-250", "label-320"])
+def test_deep_templates_give_the_reference_model(monkeypatch, tmp_path, text):
+    path = deep_spec(tmp_path, text)
+    got = cli_model(path)
+    # the reference evaluators recurse through a generator per target node
+    monkeypatch.setattr(engine, "apply_rules", interpreted_apply_rules)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit * 4)
+    try:
+        want = cli_model(path)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert want[0] == 0 and '"g(c)"' in want[1]
+    assert got == want
+
+
+@pytest.mark.skipif(sys.version_info >= (3, 12), reason="list comprehensions are inlined "
+                    "(PEP 709), so the compiler's walk takes half the frames per node")
+def test_a_target_too_deep_to_compile_is_a_clean_error(tmp_path):
+    path = deep_spec(tmp_path, DEEP_TARGET.format("f[n](" * 500 + "y" + ")" * 500))
+    assert cli_model(path) == (2, "", "error: term nested too deeply\n")
 
 
 # --- semi-naive iteration versus the naive loop ----------------------------------------
