@@ -25,12 +25,11 @@ implicit: states can be terms, strings, or class indices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from operator import itemgetter
-from typing import Any, Callable, Iterable, Union
+from operator import attrgetter, itemgetter
+from typing import Callable, Iterable, Union
 
 from .errors import CarrierMismatchError, InconsistentStreamError, StateMapError
-from .terms import App, Var, print_term
+from .terms import App, Record, Var, _set, print_term
 
 
 def state_key(s):
@@ -45,6 +44,15 @@ def state_key(s):
     if isinstance(s, str):
         return ("s", s)
     return ("r", repr(s))
+
+
+_TERM_TYPES, _term_order = frozenset((App, Var)), attrgetter("_order")
+
+
+def _sorted_states(states) -> list:
+    """states in state_key order, terms with no Python call per state."""
+    terms = _TERM_TYPES.issuperset(map(type, states))
+    return sorted(states, key=_term_order if terms else state_key)
 
 
 def _show_state(s) -> str:
@@ -64,9 +72,10 @@ def _apply(h, s):
         raise StateMapError(f"state map undefined for {s!r}") from None
 
 
-@dataclass(frozen=True)
-class Bottom:
+class Bottom(Record):
     """The undefined stream observation."""
+
+    __slots__ = ()
 
     def __repr__(self):
         return "BOTTOM"
@@ -75,25 +84,27 @@ class Bottom:
 BOTTOM = Bottom()
 
 
-@dataclass(frozen=True)
-class StreamStep:
+class StreamStep(Record):
     """One observation and its successor; moves, the step's one move, is
-    built once and left out of equality and hashing."""
+    built once and left out of equality, hashing and the repr."""
 
-    label: Any
-    state: Any
-    moves: tuple = field(init=False, repr=False, compare=False)
+    __slots__ = ("label", "state", "moves")
+    _fields = ("label", "state")
 
-    def __post_init__(self):
-        object.__setattr__(self, "moves", ((self.label, self.state, 1),))
+    def __init__(self, label, state):
+        _set(self, "label", label)
+        _set(self, "state", state)
+        _set(self, "moves", ((label, state, 1),))
 
 
-@dataclass(frozen=True)
-class LtsValue:
+class LtsValue(Record):
     """Finite successor sets per label, stored as the value's moves:
     (label, state, 1) triples sorted by label, then by state."""
 
-    moves: tuple = ()
+    __slots__ = ("moves",)
+
+    def __init__(self, moves: tuple = ()):
+        _set(self, "moves", moves)
 
     def successors(self, lab) -> tuple:
         return tuple(s for have, s, _ in self.moves if have == lab)
@@ -102,21 +113,20 @@ class LtsValue:
         return tuple(dict.fromkeys(lab for lab, _, _ in self.moves))
 
 
-@dataclass(frozen=True)
-class WtsValue:
+class WtsValue(Record):
     """Finitely supported weight maps per label, stored as the value's moves:
     (label, state, weight > 0) triples sorted by label, then by state."""
 
-    moves: tuple = ()
+    __slots__ = ("moves",)
+
+    def __init__(self, moves: tuple = ()):
+        _set(self, "moves", moves)
 
 
-@dataclass(frozen=True)
-class Relation:
+class Relation(Record):
     """Binary relation between two finite state carriers."""
 
-    left: tuple
-    right: tuple
-    pairs: frozenset
+    __slots__ = ("left", "right", "pairs")
 
     def __post_init__(self):
         ls, rs = set(self.left), set(self.right)
@@ -230,15 +240,15 @@ def _tree_lines(kind, rows: list, depth: int) -> list:
 
 
 @_derives_from_moves
-@dataclass(frozen=True)
-class PartialStream:
+class PartialStream(Record):
     """One labelled observation and a successor state, or bottom.
 
     labels None means the naturals; a frozenset means a finite alphabet.
     The order is flat: bottom below everything, steps only below themselves.
     """
 
-    labels: frozenset | None = None
+    __slots__ = ("labels",)
+    _defaults = {"labels": None}
 
     name = "stream"
 
@@ -292,11 +302,10 @@ class PartialStream:
 
 
 @_derives_from_moves
-@dataclass(frozen=True)
-class CountableLTS:
+class CountableLTS(Record):
     """Labelled transition system over a finite alphabet, ordered by inclusion."""
 
-    labels: frozenset
+    __slots__ = ("labels",)
 
     name = "lts"
 
@@ -322,7 +331,7 @@ class CountableLTS:
         for lab, s, _ in moves:
             succ.setdefault(lab, set()).add(s)
         return LtsValue(tuple((lab, s, 1) for lab in sorted(succ, key=label_key)
-                              for s in sorted(succ[lab], key=state_key)))
+                              for s in _sorted_states(succ[lab])))
 
     def rel_lift_search(self, pairs, b, c) -> bool:
         """Exhaustive witness search over B(R) (test oracle).
@@ -377,17 +386,13 @@ class CountableLTS:
 
 
 @_derives_from_moves
-@dataclass(frozen=True)
-class WeightedLTS:
+class WeightedLTS(Record):
     """Weighted transitions over (R+ with infinity, sup); order is pointwise."""
 
-    labels: frozenset
+    __slots__ = ("labels",)
 
     name = "wts"
-
-    def __post_init__(self):
-        if self.labels is None:
-            raise ValueError(f"{self.name} needs a finite label alphabet")
+    __post_init__ = CountableLTS.__post_init__
 
     def _check(self, v):
         if not isinstance(v, WtsValue):
@@ -408,10 +413,9 @@ class WeightedLTS:
         for lab, s, w in moves:
             row = rows.setdefault(lab, {})
             row[s] = max(row.get(s, 0.0), w)
-        return WtsValue(tuple((lab, s, float(w)) for lab in sorted(rows, key=label_key)
-                              for s, w in sorted(rows[lab].items(),
-                                                 key=lambda it: state_key(it[0]))
-                              if w > 0))
+        return WtsValue(tuple((lab, s, float(row[s])) for lab, row in
+                              sorted(rows.items(), key=lambda it: label_key(it[0]))
+                              for s in _sorted_states(row) if row[s] > 0))
 
     def rel_lift_search(self, pairs, b, c) -> bool:
         """Dominating-witness check.

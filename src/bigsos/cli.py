@@ -3,10 +3,10 @@
 Thin adapter over the library: parse a spec file, build the least model,
 and print unfoldings, equivalence verdicts, or reports.  All output is
 deterministic for a fixed seed; exit codes are 0 (ok), 1 (syntax),
-2 (validation, usage, a term nested too deeply to parse, or a spec error
-found while building the model, such as two rules giving one term different
-stream steps or a conclusion label outside the label domain),
-3 (non-monotone), 4 (non-convergence), 5 (internal).
+2 (validation, usage, a term or label nested too deeply to parse, or a
+spec error found while building the model, such as two rules giving one
+term different stream steps or a conclusion label outside the label
+domain), 3 (non-monotone), 4 (non-convergence), 5 (internal).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import sys
 
 from .engine import (least_model, model_to_dot, model_to_json, unfold,
                      unfold_to_json)
-from .errors import (BigsosError, InconsistentStreamError, LabelEvalError,
+from .errors import (BigsosError, InconsistentStreamError, LabelEvalError, NestingError,
                      NonConvergenceError, NonMonotoneError, ParseError,
                      UnknownStateError)
 from .relations import check_equivalence, congruence_test, law_suite, suite_to_json
@@ -306,11 +306,11 @@ def run(argv=None, out=None, err=None) -> int:
     except NonConvergenceError as exc:
         print(f"error: {exc}", file=err)
         return 4
-    except (UnknownStateError, InconsistentStreamError, LabelEvalError,
+    except (UnknownStateError, InconsistentStreamError, LabelEvalError, NestingError,
             ValueError, OSError) as exc:
         print(f"error: {exc}", file=err)
         return 2
-    except RecursionError:  # only the parser and substitute recurse on terms
+    except RecursionError:  # only the parsers and substitute recurse on terms
         print("error: term nested too deeply", file=err)
         return 2
     except BigsosError as exc:

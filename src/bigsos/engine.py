@@ -42,10 +42,9 @@ variables lifts a coalgebra on the generator states to one on all such terms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import count
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Union
 
 from .behaviour import BehaviourKind, CountableLTS
 from .errors import (BigsosError, InconsistentStreamError, LabelEvalError,
@@ -53,12 +52,11 @@ from .errors import (BigsosError, InconsistentStreamError, LabelEvalError,
                      UnknownStateError)
 from .speclang import (LabelAdd, LabelLit, LabelVar, Positive, Premise, Rule, Spec,
                        check_monotone, label_vars, template_param_exprs, template_vars)
-from .terms import (App, Term, UniversePolicy, Var, check_term, print_term, subterms,
-                    term_key, term_size, variables)
+from .terms import (App, Record, Term, UniversePolicy, Var, check_term, print_term,
+                    subterms, term_key, term_size, variables)
 
 
-@dataclass(frozen=True)
-class Model:
+class Model(Record):
     """A behaviour map over a finite term universe.
 
     Frontier terms are referenced by behaviour values but not solved for;
@@ -67,11 +65,8 @@ class Model:
     be smaller than the untruncated one.
     """
 
-    kind: BehaviourKind
-    universe: tuple
-    behaviour: Mapping
-    frontier: frozenset = frozenset()
-    tainted: frozenset = frozenset()
+    __slots__ = ("kind", "universe", "behaviour", "frontier", "tainted", "__dict__")
+    _defaults = {"frontier": frozenset(), "tainted": frozenset()}
 
     def step(self, t: Term):
         try:
@@ -95,12 +90,8 @@ class Model:
         return {s: i for i, s in enumerate(self._carrier)}
 
 
-@dataclass(frozen=True)
-class ConvergenceReport:
-    iterations: int
-    converged: bool
-    oscillation_detected: bool
-    frontier_size: int
+class ConvergenceReport(Record):
+    __slots__ = ("iterations", "converged", "oscillation_detected", "frontier_size")
 
     def to_json(self) -> dict:
         return {"iterations": self.iterations, "converged": self.converged,
@@ -108,12 +99,10 @@ class ConvergenceReport:
                 "frontier_size": self.frontier_size}
 
 
-@dataclass(frozen=True)
-class GenCoalgebra:
+class GenCoalgebra(Record):
     """Finitely many opaque states with one behaviour value each."""
 
-    states: tuple
-    dynamics: Mapping
+    __slots__ = ("states", "dynamics")
 
     def validate(self, kind: BehaviourKind, sig) -> None:
         if len(set(self.states)) != len(self.states):
@@ -277,17 +266,28 @@ def _compile_rule(kind: BehaviourKind, rule: Rule):
         """An operand holding tt: its parameters are stored in pre-order, its
         nodes' statements go to builds in post-order, and its unbound
         variables to unbound in pre-order.  With one unbound, no node is
-        built and the operand is never read."""
-        if isinstance(tt, Var):
-            if ("t", tt.name) in layout:
-                return local[("t", tt.name)]
-            unbound.append(tt.name)
-            return "None"
-        params = [store(f"_nat({label(e)})", body) for e in tt.params]
-        kids = [target(a, builds, unbound) for a in tt.args]
-        if not params and not kids:
-            return const(App(tt.op))
-        return store(f"App({const(tt.op)}, {tup(params)}, {tup(kids)})", builds)
+        built and the operand is never read.  A template nests as deep as the
+        parser reads, so the walk keeps its own stack of open nodes."""
+        out: list = []
+        stack = [(None, (), iter((tt,)), out)]
+        while stack:
+            node, params, rest, kids = stack[-1]
+            t = next(rest, None)
+            if t is None:
+                stack.pop()
+                if node is not None:
+                    stack[-1][3].append(
+                        const(App(node.op)) if not params and not kids else
+                        store(f"App({const(node.op)}, {tup(params)}, {tup(kids)})", builds))
+            elif not isinstance(t, Var):
+                params = [store(f"_nat({label(e)})", body) for e in t.params]
+                stack.append((t, params, iter(t.args), []))
+            elif ("t", t.name) in layout:
+                kids.append(local[("t", t.name)])
+            else:
+                unbound.append(t.name)
+                kids.append("None")
+        return out[0]
 
     for i, p in enumerate(rule.premises):
         if ("t", p.source) not in layout:

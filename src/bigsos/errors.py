@@ -20,6 +20,10 @@ class ParseError(BigsosError):
         return f"{self.message} (line {self.line}, column {self.col})"
 
 
+class NestingError(BigsosError):
+    """Input nested past the recursion limit of the parser reading it."""
+
+
 class UnboundVariableError(BigsosError):
     """A substitution or evaluation met a variable it has no binding for."""
 

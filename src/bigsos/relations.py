@@ -33,14 +33,13 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Union
 
 from .behaviour import BehaviourKind, Relation, label_key
 from .engine import GenCoalgebra, Model, gen_to_model, lift_coalgebra
 from .errors import BigsosError, CarrierMismatchError, UnknownStateError
 from .speclang import Spec
-from .terms import (App, Term, UniversePolicy, Var, print_term, substitute,
+from .terms import (App, Record, Term, UniversePolicy, Var, print_term, substitute,
                     term_key)
 
 
@@ -224,8 +223,7 @@ def depth_similarity(m1: Model, s: Term, m2: Model, t: Term, depth: int,
 # --- term equivalence --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EquivResult:
+class EquivResult(Record):
     """Verdict plus a witness: the relation itself when related, else the
     distinguishing depth, the first refinement round that separates the
     pair.  For sim that is the least depth to which the second term no
@@ -233,8 +231,8 @@ class EquivResult:
     terms are not k-bisimilar, which can be smaller than the depth at which
     their unfoldings stop being mutually similar."""
 
-    related: bool
-    witness: object = None
+    __slots__ = ("related", "witness")
+    _defaults = {"witness": None}
 
     def to_json(self) -> dict:
         w = self.witness
@@ -277,13 +275,8 @@ def distinguishing_depth(model: Model, t1: Term, t2: Term,
 # --- congruence --------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CongruenceViolation:
-    op: str
-    params: tuple
-    left: Term
-    right: Term
-    depth: Union[int, None]
+class CongruenceViolation(Record):
+    __slots__ = ("op", "params", "left", "right", "depth")
 
     def to_json(self) -> dict:
         return {"op": self.op, "params": list(self.params),
@@ -291,12 +284,8 @@ class CongruenceViolation:
                 "depth": self.depth}
 
 
-@dataclass(frozen=True)
-class CongruenceReport:
-    samples: int
-    checked: int
-    skipped: int
-    violations: tuple
+class CongruenceReport(Record):
+    __slots__ = ("samples", "checked", "skipped", "violations")
 
     def to_json(self) -> dict:
         return {"samples": self.samples, "checked": self.checked,
@@ -380,11 +369,9 @@ LAW_POLICY = UniversePolicy(max_count=240, max_size=14)  # caps the lifted unive
 LAW_MAX_TERMS = 150  # caps the terms whose homomorphism squares T1 and T2-mu check
 
 
-@dataclass(frozen=True)
-class LawResult:
-    law: str
-    status: str  # pass | fail | inconclusive
-    witness: object = None
+class LawResult(Record):
+    __slots__ = ("law", "status", "witness")  # status: pass | fail | inconclusive
+    _defaults = {"witness": None}
 
     def to_json(self) -> dict:
         return {"law": self.law, "status": self.status, "witness": self.witness}

@@ -35,38 +35,34 @@ closed compound target, as in `c -1-> sigma(c)`, makes the rule no fact.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Union
 
 from .behaviour import BehaviourKind, CountableLTS, PartialStream, WeightedLTS
-from .errors import ParseError
-from .terms import Signature, TokenCursor, Var, tokenize
+from .errors import NestingError, ParseError
+from .terms import Record, Signature, TokenCursor, Var, _set, tokenize
 
 
 # --- label expressions ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LabelLit:
-    value: Union[int, str]
+class LabelLit(Record):
+    __slots__ = ("value",)  # a natural or a label name
+
+    def __init__(self, value: Union[int, str]):
+        _set(self, "value", value)
 
 
-@dataclass(frozen=True)
-class LabelVar:
-    name: str
+class LabelVar(Record):
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True)
-class LabelAdd:
-    left: "LabelExpr"
-    right: "LabelExpr"
+class LabelAdd(Record):
+    __slots__ = ("left", "right")  # label expressions
 
 
-@dataclass(frozen=True)
-class LabelMul:
-    left: "LabelExpr"
-    right: "LabelExpr"
+class LabelMul(Record):
+    __slots__ = ("left", "right")  # label expressions
 
 
 LabelExpr = Union[LabelLit, LabelVar, LabelAdd, LabelMul]
@@ -95,13 +91,15 @@ def has_arithmetic(e: LabelExpr) -> bool:
 # --- target templates -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TemplateApp:
+class TemplateApp(Record):
     """Operator node of a conclusion target; params are label expressions."""
 
-    op: str
-    params: tuple = ()
-    args: tuple = ()
+    __slots__ = ("op", "params", "args")
+
+    def __init__(self, op: str, params: tuple = (), args: tuple = ()):
+        _set(self, "op", op)
+        _set(self, "params", params)
+        _set(self, "args", args)
 
 
 TargetTerm = Union[Var, TemplateApp]
@@ -133,31 +131,30 @@ def template_apps(tt: TargetTerm):
 # --- rules and specs ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Positive:
-    source: str
-    label: LabelExpr  # literal or binding variable
-    target: str
+class Positive(Record):
+    __slots__ = ("source", "label", "target")  # label: a literal or binding variable
 
 
-@dataclass(frozen=True)
-class Negative:
-    source: str
-    label: LabelExpr  # literal only (validated)
+class Negative(Record):
+    __slots__ = ("source", "label")  # label: a literal only (validated)
 
 
 Premise = Union[Positive, Negative]
 
 
-@dataclass(frozen=True)
-class Rule:
-    name: str
-    head_op: str
-    head_params: tuple  # parameter variable names
-    head_vars: tuple
-    premises: tuple
-    concl_label: LabelExpr
-    concl_target: TargetTerm
+class Rule(Record):
+    __slots__ = ("name", "head_op", "head_params", "head_vars", "premises", "concl_label",
+                 "concl_target")  # head_params and head_vars: variable names
+
+    def __init__(self, name: str, head_op: str, head_params: tuple, head_vars: tuple,
+                 premises: tuple, concl_label: LabelExpr, concl_target: TargetTerm):
+        _set(self, "name", name)
+        _set(self, "head_op", head_op)
+        _set(self, "head_params", head_params)
+        _set(self, "head_vars", head_vars)
+        _set(self, "premises", premises)
+        _set(self, "concl_label", concl_label)
+        _set(self, "concl_target", concl_target)
 
 
 class Spec:
@@ -177,19 +174,15 @@ class Spec:
         return f"Spec(kind={self.kind.name}, ops={len(self.sig.operators())}, rules={len(self.rules)})"
 
 
-@dataclass(frozen=True)
-class Diagnostic:
-    rule: Union[str, None]
-    message: str
+class Diagnostic(Record):
+    __slots__ = ("rule", "message")  # rule: a rule name or None
 
     def __str__(self):
         return f"rule {self.rule}: {self.message}" if self.rule else self.message
 
 
-@dataclass(frozen=True)
-class MonotoneReport:
-    monotone: bool
-    offending_rules: tuple
+class MonotoneReport(Record):
+    __slots__ = ("monotone", "offending_rules")
 
 
 # --- parser ---------------------------------------------------------------------
@@ -260,7 +253,10 @@ def _label_atom(cur: TokenCursor, kind: BehaviourKind) -> LabelExpr:
 def _label_expr(cur: TokenCursor, kind: BehaviourKind) -> LabelExpr:
     def atom() -> LabelExpr:
         if cur.eat_sym("("):
-            e = addition()
+            try:
+                e = addition()
+            except RecursionError:  # the label's own parentheses filled the stack
+                raise NestingError("label nested too deeply") from None
             cur.expect_sym(")")
             return e
         return _label_atom(cur, kind)

@@ -13,17 +13,84 @@ from __future__ import annotations
 import re
 import threading
 import weakref
-from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple, Union
 
 from .errors import ArityError, ParseError, UnboundVariableError, UnknownOperatorError
 
 
-@dataclass(frozen=True)
-class Operator:
-    name: str
-    arity: int
-    param_count: int = 0
+_set = object.__setattr__  # how a constructor fills a frozen object's slots
+
+
+class _Frozen:
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: {type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: {type(self).__name__} is immutable")
+
+
+class Record(_Frozen):
+    """A frozen dataclass without generated code.  A subclass names its
+    fields in __slots__ (or _fields, if a slot is no field) and their
+    defaults in _defaults.  Records are equal when of one class with equal
+    fields, the hash is the fields' tuple's, and the repr is
+    Name(field=value, ...), unless the class defines its own.  Hot records
+    write their own __init__."""
+
+    __slots__ = ()
+    _defaults: dict = {}
+
+    def __init_subclass__(cls):
+        names = cls._fields = cls.__dict__.get("_fields") or tuple(
+            n for n in cls.__dict__.get("__slots__", ()) if not n.startswith("__"))
+        get = attrgetter(*names) if names else lambda r: ()
+        one = len(names) == 1  # get then returns the field, not a tuple
+
+        def __eq__(self, other):
+            if other.__class__ is self.__class__:
+                return (get(self),) == (get(other),) if one else get(self) == get(other)
+            return NotImplemented
+
+        def __hash__(self):
+            return hash((get(self),) if one else get(self))
+
+        def __repr__(self):
+            shown = ", ".join(f"{n}={getattr(self, n)!r}" for n in names)
+            return f"{type(self).__qualname__}({shown})"
+
+        for method in (__eq__, __hash__, __repr__):
+            if method.__name__ not in cls.__dict__:
+                setattr(cls, method.__name__, method)
+
+    def __init__(self, *args, **kwargs):
+        names = self._fields
+        if kwargs or len(args) != len(names):  # keywords, defaults or an error
+            given = {**self._defaults, **dict(zip(names, args)), **kwargs}
+            if (len(args) > len(names) or given.keys() != set(names)
+                    or not kwargs.keys().isdisjoint(names[:len(args)])):
+                raise TypeError(f"{type(self).__name__}() takes the fields {', '.join(names)}")
+            args = [given[name] for name in names]
+        for name, value in zip(names, args):
+            _set(self, name, value)
+        self.__post_init__()
+
+    def __post_init__(self):
+        """Check the fields; the generic __init__ calls it last."""
+
+    def __reduce__(self):  # the slots cannot be set after construction
+        return (type(self), tuple(getattr(self, name) for name in self._fields))
+
+
+class Operator(Record):
+    __slots__ = ("name", "arity", "param_count")
+
+    def __init__(self, name: str, arity: int, param_count: int = 0):
+        _set(self, "name", name)
+        _set(self, "arity", arity)
+        _set(self, "param_count", param_count)
 
 
 class Signature:
@@ -117,20 +184,10 @@ def _param_code(n: int) -> str:
     return chr(len(b) + 1) + b.decode("latin-1")
 
 
-class _Frozen:
-    __slots__ = ()
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to {name!r}: terms are immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete {name!r}: terms are immutable")
-
-
 class Var(_Frozen):
     """A variable.  Var(name) returns the live variable of that name if any."""
 
-    __slots__ = ("name", "__weakref__")
+    __slots__ = ("name", "_order", "__weakref__")
     name: str
 
     def __new__(cls, name: str):
@@ -141,7 +198,8 @@ class Var(_Frozen):
             if t is not None:
                 return t
         t = object.__new__(cls)
-        object.__setattr__(t, "name", name)
+        _set(t, "name", name)
+        _set(t, "_order", ("var", name))
         return _publish(key, t)
 
     __hash__ = object.__hash__
@@ -150,7 +208,7 @@ class Var(_Frozen):
         return (Var, (self.name,))
 
     def sort_key(self):
-        return ("var", self.name)
+        return self._order
 
     def __repr__(self):
         return f"Var({self.name!r})"
@@ -161,7 +219,7 @@ class App(_Frozen):
     that key if any; otherwise the node count and order key are computed once
     from the children's, so reading them is O(1).
 
-    The order key is ("app", code), where code is one flat string: the
+    The order key (_order) is ("app", code), where code is one flat string: the
     codes of the term's nodes in pre-order.  A variable's code is _VAR, its
     name and _END; an application's is _APP, its operator name, _END, one
     _param_code per parameter and _END.  So
@@ -183,7 +241,7 @@ class App(_Frozen):
     _text holds the printed term once print_term has made it.
     """
 
-    __slots__ = ("op", "params", "args", "_size", "_key", "_text", "__weakref__")
+    __slots__ = ("op", "params", "args", "_size", "_key", "_order", "_text", "__weakref__")
     op: str
     params: tuple[int, ...]
     args: tuple["Term", ...]
@@ -205,15 +263,16 @@ class App(_Frozen):
                 parts += (_VAR, a.name, _END)
             else:
                 size += a._size
-                parts.append(a._key[1][1])
+                parts.append(a._order[1])
         t = object.__new__(cls)
-        set_ = object.__setattr__
-        set_(t, "op", op)
-        set_(t, "params", params)
-        set_(t, "args", args)
-        set_(t, "_size", size)
-        set_(t, "_key", (size, ("app", "".join(parts))))
-        set_(t, "_text", None)
+        order = ("app", "".join(parts))
+        _set(t, "op", op)
+        _set(t, "params", params)
+        _set(t, "args", args)
+        _set(t, "_size", size)
+        _set(t, "_key", (size, order))
+        _set(t, "_order", order)
+        _set(t, "_text", None)
         return _publish(key, t)
 
     __hash__ = object.__hash__
@@ -222,7 +281,7 @@ class App(_Frozen):
         return (App, (self.op, self.params, self.args))
 
     def sort_key(self):
-        return self._key[1]
+        return self._order
 
     def __repr__(self):
         return f"App({print_term(self)!r})"
@@ -286,7 +345,7 @@ def print_term(t: Term) -> str:
                 out += "[" + ",".join(str(p) for p in s.params) + "]"
             if s.args:
                 out += "(" + ", ".join(print_term(a) for a in s.args) + ")"
-            object.__setattr__(s, "_text", out)
+            _set(s, "_text", out)
     return out
 
 
@@ -320,8 +379,8 @@ _TOKEN = re.compile(r"[ \t\r\n]*(?:([^\W\d][\w']*)|("
 _TOKEN_KINDS = (None, "ident", "sym", "nat")
 
 
-# A NamedTuple rather than a dataclass: a spec of a few hundred rules builds
-# thousands of tokens, and a frozen dataclass costs twice as much to build.
+# A NamedTuple rather than a Record: a spec of a few hundred rules builds
+# thousands of tokens, and even a Record with its own __init__ costs twice as much.
 class Token(NamedTuple):
     kind: str  # ident | nat | sym | eof
     value: str
@@ -458,11 +517,10 @@ def parse_term(text: str, sig: Signature, closed: bool = False) -> Term:
 # --- universe caps -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class UniversePolicy:
-    """Caps on the engine's finite universes.  Every term has size at least
-    1, so with max_size 0 the universe stays the subterm closure of the
-    seeds."""
+class UniversePolicy(Record):
+    """Caps on the engine's finite universes, max_count terms of at most
+    max_size nodes.  Every term has size at least 1, so with max_size 0 the
+    universe stays the subterm closure of the seeds."""
 
-    max_count: int = 500
-    max_size: int = 12
+    __slots__ = ("max_count", "max_size")
+    _defaults = {"max_count": 500, "max_size": 12}

@@ -525,6 +525,22 @@ def test_deep_seed_is_a_clean_error():
         2, b"", b"error: term nested too deeply\n")
 
 
+def test_deep_label_is_a_clean_error(tmp_path):
+    # the label parser recurses three frames per parenthesis; past the
+    # recursion limit it names the label, not a term
+    path = tmp_path / "deep.sos"
+    for depth in (100, 400):
+        path.write_text("behaviour stream nat\nops c/0, g/1\nrule c : |- c -1-> c\n"
+                        "rule g : x -n-> y |- g(x) -" + "(" * depth + "n" + "+1)" * depth
+                        + "-> y\n", encoding="utf-8")
+        if depth == 100:
+            code, out, err = cli("model", str(path), "g(c)")
+            assert (code, err) == (0, "") and "g(c) -101-> c" in out
+            continue
+        assert cli("model", str(path), "g(c)") == (2, "", "error: label nested too deeply\n")
+        assert cli("check", str(path)) == (2, "", "error: label nested too deeply\n")
+
+
 def test_deep_unfolds_succeed():
     # one walk and an iterative JSON writer: no depth limit but the output's
     # size, far past the interpreter's recursion limit in text, and past the
