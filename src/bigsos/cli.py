@@ -3,10 +3,11 @@
 Thin adapter over the library: parse a spec file, build the least model,
 and print unfoldings, equivalence verdicts, or reports.  All output is
 deterministic for a fixed seed; exit codes are 0 (ok), 1 (syntax),
-2 (validation, usage, a term or label nested too deeply to parse, or a
-spec error found while building the model, such as two rules giving one
-term different stream steps or a conclusion label outside the label
-domain), 3 (non-monotone), 4 (non-convergence), 5 (internal).
+2 (validation, usage, input nested too deeply to parse, or a spec error
+found while building the model, such as two rules giving one term
+different stream steps or a conclusion label outside the label domain),
+3 (non-monotone), 4 (non-convergence), 5 (internal).  Each domain error
+class carries its code as exit_code.
 """
 
 from __future__ import annotations
@@ -18,23 +19,22 @@ import json
 import os
 import sys
 
-from .engine import (least_model, model_to_dot, model_to_json, unfold,
+from .engine import (MAX_ITERS, least_model, model_to_dot, model_to_json, unfold,
                      unfold_to_json)
-from .errors import (BigsosError, InconsistentStreamError, LabelEvalError, NestingError,
-                     NonConvergenceError, NonMonotoneError, ParseError,
-                     UnknownStateError)
+from .errors import BigsosError, NonConvergenceError
 from .relations import check_equivalence, congruence_test, law_suite, suite_to_json
 from .speclang import check_monotone, parse_spec, validate_spec
 from .terms import App, UniversePolicy, parse_term, print_term
 
 
 def _add_common(sp) -> None:
+    caps = UniversePolicy()
     sp.add_argument("spec_file", help="rule specification file")
-    sp.add_argument("--universe-count", type=int, default=500, metavar="N",
-                    help="universe term budget (default 500)")
-    sp.add_argument("--universe-size", type=int, default=12, metavar="N",
-                    help="largest term admitted into the universe (default 12)")
-    sp.add_argument("--max-iters", type=int, default=1000, metavar="N")
+    sp.add_argument("--universe-count", type=int, default=caps.max_count, metavar="N",
+                    help="universe term budget (default %(default)s)")
+    sp.add_argument("--universe-size", type=int, default=caps.max_size, metavar="N",
+                    help="largest term admitted into the universe (default %(default)s)")
+    sp.add_argument("--max-iters", type=int, default=MAX_ITERS, metavar="N")
     sp.add_argument("-d", "--depth", type=int, default=3, metavar="D",
                     help="observation depth (default 3)")
     sp.add_argument("--seed", type=int, default=None, metavar="S",
@@ -297,25 +297,15 @@ def run(argv=None, out=None, err=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return _dispatch(args, out, err)
-    except ParseError as exc:
-        print(f"error: {exc}", file=err)
-        return 1
-    except NonMonotoneError as exc:
-        print(f"error: {exc}", file=err)
-        return 3
-    except NonConvergenceError as exc:
-        print(f"error: {exc}", file=err)
-        return 4
-    except (UnknownStateError, InconsistentStreamError, LabelEvalError, NestingError,
-            ValueError, OSError) as exc:
-        print(f"error: {exc}", file=err)
-        return 2
-    except RecursionError:  # only the parsers and substitute recurse on terms
-        print("error: term nested too deeply", file=err)
-        return 2
     except BigsosError as exc:
-        print(f"internal error: {exc}", file=err)
-        return 5
+        print(f"{'internal error' if exc.exit_code == 5 else 'error'}: {exc}", file=err)
+        return exc.exit_code
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=err)
+        return 2
+    except RecursionError:  # only the parsers, validation and substitute recurse
+        print("error: input nested too deeply", file=err)
+        return 2
 
 
 def main() -> None:

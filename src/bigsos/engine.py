@@ -55,6 +55,8 @@ from .speclang import (LabelAdd, LabelLit, LabelVar, Positive, Premise, Rule, Sp
 from .terms import (App, Record, Term, UniversePolicy, Var, check_term, print_term,
                     subterms, term_key, term_size, variables)
 
+MAX_ITERS = 1000  # the iteration budget least_model and lift_coalgebra default to
+
 
 class Model(Record):
     """A behaviour map over a finite term universe.
@@ -466,7 +468,7 @@ def _promotions(inside, entered: Iterable[Term], policy: UniversePolicy) -> list
 
 
 def least_model(spec: Spec, seeds: Union[Iterable[Term], None] = None,
-                policy: UniversePolicy = UniversePolicy(), max_iters: int = 1000,
+                policy: UniversePolicy = UniversePolicy(), max_iters: int = MAX_ITERS,
                 force: bool = False,
                 gen: Union[GenCoalgebra, None] = None) -> tuple:
     """Kleene iteration from the all-bottom model; returns (model, report).
@@ -581,7 +583,7 @@ def least_model(spec: Spec, seeds: Union[Iterable[Term], None] = None,
 def lift_coalgebra(spec: Spec, gen: GenCoalgebra,
                    seeds: Union[Iterable[Term], None] = None,
                    policy: UniversePolicy = UniversePolicy(),
-                   max_iters: int = 1000) -> Model:
+                   max_iters: int = MAX_ITERS) -> Model:
     """Extend the generator's behaviour to all universe terms over its states."""
     gen.validate(spec.kind, spec.sig)
     model, report = least_model(spec, seeds, policy, max_iters, gen=gen)

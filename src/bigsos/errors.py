@@ -1,12 +1,18 @@
-"""Exception types shared across the workbench."""
+"""Exception types shared across the workbench.  Each names in exit_code the
+status the command line exits with; 5, an internal error, unless it names
+another."""
 
 
 class BigsosError(Exception):
     """Base class for all domain errors raised by this package."""
 
+    exit_code = 5
+
 
 class ParseError(BigsosError):
     """Syntax error with an optional 1-based source position."""
+
+    exit_code = 1
 
     def __init__(self, message, line=None, col=None):
         self.message = message
@@ -18,10 +24,6 @@ class ParseError(BigsosError):
         if self.line is None:
             return self.message
         return f"{self.message} (line {self.line}, column {self.col})"
-
-
-class NestingError(BigsosError):
-    """Input nested past the recursion limit of the parser reading it."""
 
 
 class UnboundVariableError(BigsosError):
@@ -43,6 +45,8 @@ class CarrierMismatchError(BigsosError):
 class InconsistentStreamError(BigsosError):
     """Join of two distinct non-bottom stream steps; streams have no such lub."""
 
+    exit_code = 2
+
 
 class StateMapError(BigsosError):
     """map_states got a mapping that is undefined on an occurring state."""
@@ -51,9 +55,13 @@ class StateMapError(BigsosError):
 class LabelEvalError(BigsosError):
     """A conclusion label expression evaluated outside the label domain."""
 
+    exit_code = 2
+
 
 class NonMonotoneError(BigsosError):
     """Least-model construction refused: the spec has negative premises."""
+
+    exit_code = 3
 
     def __init__(self, offending_rules):
         self.offending_rules = tuple(offending_rules)
@@ -64,6 +72,10 @@ class NonMonotoneError(BigsosError):
 class NonConvergenceError(BigsosError):
     """Fixed-point iteration hit its step budget without stabilizing."""
 
+    exit_code = 4
+
 
 class UnknownStateError(BigsosError):
     """A term outside the model's universe and frontier was dereferenced."""
+
+    exit_code = 2

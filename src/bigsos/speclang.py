@@ -39,7 +39,7 @@ from functools import cached_property
 from typing import Union
 
 from .behaviour import BehaviourKind, CountableLTS, PartialStream, WeightedLTS
-from .errors import NestingError, ParseError
+from .errors import ParseError
 from .terms import Record, Signature, TokenCursor, Var, _set, tokenize
 
 
@@ -204,37 +204,27 @@ def _parse_behaviour_line(cur: TokenCursor, line: int) -> BehaviourKind:
         cur.next()
         labels = None
     else:
-        names = [cur.expect("ident").value]
-        while cur.eat_sym(","):
-            names.append(cur.expect("ident").value)
-        labels = frozenset(names)
-    if cur.peek().kind != "eof":
-        tok = cur.peek()
-        raise ParseError(f"trailing input {tok.value!r}", tok.line, tok.col)
+        labels = frozenset(cur.items(cur.ident))
+    cur.expect_eof()
     try:
         return kind_cls(labels)
     except ValueError as exc:  # a finite-alphabet kind given nat
         raise ParseError(str(exc), line, 1) from None
 
 
-def _parse_ops_line(cur: TokenCursor) -> list:
-    entries = []
-    if cur.peek().kind == "eof":
-        return entries
-    while True:
-        name = cur.expect("ident").value
+def _parse_ops_line(cur: TokenCursor) -> tuple:
+    def entry() -> tuple:
+        name = cur.ident()
         cur.expect_sym("/")
         arity = cur.nat()
         param_count = 0
         if cur.eat_sym("["):
             param_count = cur.nat()
             cur.expect_sym("]")
-        entries.append((name, arity, param_count))
-        if not cur.eat_sym(","):
-            break
-    tok = cur.peek()
-    if tok.kind != "eof":
-        raise ParseError(f"trailing input {tok.value!r}", tok.line, tok.col)
+        return name, arity, param_count
+
+    entries = () if cur.peek().kind == "eof" else cur.items(entry)
+    cur.expect_eof()
     return entries
 
 
@@ -244,7 +234,7 @@ def _label_atom(cur: TokenCursor, kind: BehaviourKind) -> LabelExpr:
         return LabelLit(cur.nat())
     if tok.kind == "ident":
         cur.next()
-        if kind.labels is not None and tok.value in kind.labels:
+        if kind.has_label(tok.value):
             return LabelLit(tok.value)
         return LabelVar(tok.value)
     raise ParseError(f"expected a label, got {tok.value!r}", tok.line, tok.col)
@@ -253,10 +243,7 @@ def _label_atom(cur: TokenCursor, kind: BehaviourKind) -> LabelExpr:
 def _label_expr(cur: TokenCursor, kind: BehaviourKind) -> LabelExpr:
     def atom() -> LabelExpr:
         if cur.eat_sym("("):
-            try:
-                e = addition()
-            except RecursionError:  # the label's own parentheses filled the stack
-                raise NestingError("label nested too deeply") from None
+            e = addition()
             cur.expect_sym(")")
             return e
         return _label_atom(cur, kind)
@@ -278,69 +265,54 @@ def _label_expr(cur: TokenCursor, kind: BehaviourKind) -> LabelExpr:
 
 def _parse_template(cur: TokenCursor, kind: BehaviourKind, sig: Signature) -> TargetTerm:
     tok = cur.expect("ident")
+    # lists inline, as in parse_term_tokens: a helper's frame per level costs depth
     params: tuple = ()
-    if cur.at_sym("["):
-        cur.next()
+    if cur.eat_sym("["):
         acc = [_label_expr(cur, kind)]
         while cur.eat_sym(","):
             acc.append(_label_expr(cur, kind))
         cur.expect_sym("]")
         params = tuple(acc)
     args: list = []
-    has_args = False
     if cur.eat_sym("("):
-        has_args = True
         args.append(_parse_template(cur, kind, sig))
         while cur.eat_sym(","):
             args.append(_parse_template(cur, kind, sig))
         cur.expect_sym(")")
-    if tok.value in sig or params or has_args:
+    if tok.value in sig or params or args:
         return TemplateApp(tok.value, params, tuple(args))
     return Var(tok.value)
 
 
 def _parse_rule_line(cur: TokenCursor, kind: BehaviourKind, sig: Signature) -> Rule:
-    name = cur.expect("ident").value
+    name = cur.ident()
     cur.expect_sym(":")
 
     premises: list = []
     while not cur.at_sym("|-"):
-        source = cur.expect("ident").value
+        source = cur.ident()
         cur.expect_sym("-")
         label = _label_atom(cur, kind)
         if cur.eat_sym("-/->"):
             premises.append(Negative(source, label))
         else:
             cur.expect_sym("->")
-            target = cur.expect("ident").value
-            premises.append(Positive(source, label, target))
+            premises.append(Positive(source, label, cur.ident()))
         if not cur.eat_sym(","):
             break
     cur.expect_sym("|-")
 
-    head_tok = cur.expect("ident")
-    head_params: list = []
-    if cur.eat_sym("["):
-        head_params.append(cur.expect("ident").value)
-        while cur.eat_sym(","):
-            head_params.append(cur.expect("ident").value)
-        cur.expect_sym("]")
-    head_vars: list = []
-    if cur.eat_sym("("):
-        head_vars.append(cur.expect("ident").value)
-        while cur.eat_sym(","):
-            head_vars.append(cur.expect("ident").value)
-        cur.expect_sym(")")
+    head_op = cur.ident()
+    head_params = cur.bracketed("[", cur.ident, "]")
+    head_vars = cur.bracketed("(", cur.ident, ")")
 
     cur.expect_sym("-")
     concl_label = _label_expr(cur, kind)
     cur.expect_sym("->")
     concl_target = _parse_template(cur, kind, sig)
-    tok = cur.peek()
-    if tok.kind != "eof":
-        raise ParseError(f"trailing input {tok.value!r}", tok.line, tok.col)
-    return Rule(name, head_tok.value, tuple(head_params), tuple(head_vars),
-                tuple(premises), concl_label, concl_target)
+    cur.expect_eof()
+    return Rule(name, head_op, head_params, head_vars, tuple(premises), concl_label,
+                concl_target)
 
 
 # A ground axiom line, `rule NAME : |- HEAD -LABEL-> TARGET`, or a line with no
@@ -367,7 +339,7 @@ def _ground_axiom(m: re.Match, kind: BehaviourKind, sig: Signature) -> Rule:
     nat, label, target = m.group("nat", "label", "target")
     if nat is not None:
         lab: LabelExpr = LabelLit(int(nat))
-    elif kind.labels is not None and label in kind.labels:
+    elif kind.has_label(label):
         lab = LabelLit(label)
     else:
         lab = LabelVar(label)

@@ -465,25 +465,36 @@ class TokenCursor:
         except ValueError:
             raise ParseError(f"expected nat, got {tok.value!r}", tok.line, tok.col) from None
 
+    def ident(self) -> str:
+        return self.expect("ident").value
 
-def _parse_nat_list(cur: TokenCursor) -> tuple[int, ...]:
-    cur.expect_sym("[")
-    vals = [cur.nat()]
-    while cur.eat_sym(","):
-        vals.append(cur.nat())
-    cur.expect_sym("]")
-    return tuple(vals)
+    def items(self, item) -> tuple:
+        """item() once, then once more after each comma: a list that is not empty."""
+        out = [item()]
+        while self.eat_sym(","):
+            out.append(item())
+        return tuple(out)
+
+    def bracketed(self, open: str, item, close: str) -> tuple:
+        """items(item) between the symbols open and close, or () if the next
+        token is not open."""
+        if not self.eat_sym(open):
+            return ()
+        out = self.items(item)
+        self.expect_sym(close)
+        return out
+
+    def expect_eof(self) -> None:
+        tok = self.peek()
+        if tok.kind != "eof":
+            raise ParseError(f"trailing input {tok.value!r}", tok.line, tok.col)
 
 
 def parse_term_tokens(cur: TokenCursor, sig: Signature, closed: bool = False) -> Term:
     tok = cur.expect("ident")
-    params: tuple[int, ...] = ()
-    if cur.at_sym("["):
-        params = _parse_nat_list(cur)
+    params = cur.bracketed("[", cur.nat, "]")
     args: list[Term] = []
-    has_args = False
     if cur.eat_sym("("):
-        has_args = True
         args.append(parse_term_tokens(cur, sig, closed))
         while cur.eat_sym(","):
             args.append(parse_term_tokens(cur, sig, closed))
@@ -498,7 +509,7 @@ def parse_term_tokens(cur: TokenCursor, sig: Signature, closed: bool = False) ->
             raise ArityError(f"operator {name!r} has arity {op.arity}, got {len(args)} "
                              f"argument(s)", tok.line, tok.col)
         return App(name, params, tuple(args))
-    if params or has_args or closed:
+    if params or args or closed:
         raise UnknownOperatorError(f"unknown operator {name!r}", tok.line, tok.col)
     return Var(name)
 
@@ -508,9 +519,7 @@ def parse_term(text: str, sig: Signature, closed: bool = False) -> Term:
     or, in a closed term, unknown operators."""
     cur = TokenCursor(tokenize(text))
     t = parse_term_tokens(cur, sig, closed)
-    tok = cur.peek()
-    if tok.kind != "eof":
-        raise ParseError(f"trailing input {tok.value!r}", tok.line, tok.col)
+    cur.expect_eof()
     return t
 
 

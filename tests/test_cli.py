@@ -13,8 +13,8 @@ from hypothesis import given, strategies as st
 
 import bigsos
 from bigsos.behaviour import PartialStream
-from bigsos.cli import _write_json, run
-from bigsos.engine import least_model
+from bigsos.cli import _parser, _write_json, run
+from bigsos.engine import MAX_ITERS, least_model
 from bigsos.speclang import parse_spec
 from bigsos.terms import App, UniversePolicy, print_term
 from conftest import fixture_path, unfold_tree
@@ -335,6 +335,62 @@ def test_nat_int_cannot_read_exits_1(tmp_path):
         1, "", "error: expected nat, got '2²' (line 1, column 8)\n")
 
 
+@pytest.mark.parametrize("text, want", [
+    ("behaviour stream\n", "behaviour line needs a label domain (line 1, column 17)"),
+    ("behaviour lts labels\n", "behaviour line needs a label domain (line 1, column 21)"),
+    ("behaviour lts labels a b\n", "trailing input 'b' (line 1, column 24)"),
+    ("behaviour stream nat 1\n", "trailing input '1' (line 1, column 22)"),
+    ("behaviour lts labels a\nbehaviour lts labels a\n",
+     "duplicate behaviour line (line 2, column 1)"),
+    ("ops c/0\n", "missing behaviour line"),
+    ("", "missing behaviour line"),
+    # not the ops pattern's shape, so the ops line is tokenized
+    ("behaviour lts labels a\nops c/0 d/0\n", "trailing input 'd' (line 2, column 9)"),
+    ("behaviour lts labels a\nops c/0, d/1[1] )\n", "trailing input ')' (line 2, column 17)"),
+    ("behaviour lts labels a\nops c/0\nrule c : |- c -a-> c c\n",
+     "trailing input 'c' (line 3, column 22)"),
+    ("behaviour stream nat\nops c/0, g/1\nrule g : x -n-> y |- g(x) -n+1-> y )\n",
+     "trailing input ')' (line 3, column 36)"),
+], ids=["no-domain", "no-label-names", "behaviour-trailing", "nat-trailing",
+        "duplicate-behaviour", "missing-behaviour", "empty-file", "ops-trailing",
+        "ops-trailing-bracket", "axiom-trailing", "rule-trailing"])
+def test_spec_syntax_errors_exit_1(tmp_path, text, want):
+    path = tmp_path / "bad.sos"
+    path.write_text(text, encoding="utf-8")
+    assert cli("check", str(path)) == (1, "", f"error: {want}\n")
+
+
+def test_trailing_input_after_a_term_exits_1():
+    stream = fixture_path("factstream")
+    assert cli("model", stream, "ones ones") == (
+        1, "", "error: trailing input 'ones' (line 1, column 6)\n")
+    assert cli("model", stream, "oplus(ones, pos))") == (
+        1, "", "error: trailing input ')' (line 1, column 17)\n")
+
+
+@pytest.mark.parametrize("text, want", [
+    ("behaviour stream nat\nops c/0, f/1[2]\nrule c : |- c -1-> c\n"
+     "rule f : |- f[m, m](x) -m-> x\n",
+     "rule f: head parameter variables not distinct\nmonotone: yes\n"),
+    ("behaviour stream nat\nops c/0, g/1\nrule g : x -n-> x |- g(x) -n-> x\n",
+     "rule g: premise target 'x' not fresh\nmonotone: yes\n"),
+    ("behaviour lts labels a\nops c/0, g/1\nrule g : x -l-/-> |- g(x) -a-> x\n",
+     "rule g: negative premise requires a literal label\nmonotone: no (g)\n"),
+    ("behaviour stream nat\nops c/0, g/1\nrule g : x -n-> y |- g(x) -n-> h(y)\n",
+     "rule g: unknown operator 'h' in conclusion target\nmonotone: yes\n"),
+    ("behaviour stream nat\nops c/0, g/1, f/1[1]\nrule g : x -n-> y |- g(x) -n-> f[k](y)\n",
+     "rule g: operator parameter uses variable 'k' that cannot be a natural here\n"
+     "monotone: yes\n"),
+    ("behaviour lts labels a\nops c/0, g/1, f/1[1]\nrule g : |- g(x) -a-> f[a](x)\n",
+     "rule g: operator parameter literal 'a' is not a natural\nmonotone: yes\n"),
+], ids=["head-params", "not-fresh", "negative-variable", "unknown-target-op",
+        "param-variable", "param-literal"])
+def test_check_prints_diagnostics_and_exits_2(tmp_path, text, want):
+    path = tmp_path / "diag.sos"
+    path.write_text(text, encoding="utf-8")
+    assert cli("check", str(path)) == (2, want, "")
+
+
 def test_validation_diagnostics_exit_2(tmp_path):
     bad = tmp_path / "diag.sos"
     bad.write_text("behaviour lts labels a\nops c/0\nrule r: |- c -b-> c\n")
@@ -376,6 +432,16 @@ def test_usage_errors_and_help_go_to_runs_streams(capsys):
     # the parser is shared between runs and keeps no state from them
     assert cli("model", "--help") == cli("model", "--help")
     assert cli("check", fixture_path("lookahead2"))[0] == 0
+
+
+def test_cap_defaults_are_the_librarys():
+    args = _parser().parse_args(["model", "spec.sos"])
+    caps = UniversePolicy()
+    assert (args.universe_count, args.universe_size, args.max_iters) == (
+        caps.max_count, caps.max_size, MAX_ITERS) == (500, 12, 1000)
+    text = " ".join(cli("model", "--help")[1].split())
+    assert "--universe-count N universe term budget (default 500)" in text
+    assert "--universe-size N largest term admitted into the universe (default 12)" in text
 
 
 def test_bad_bounds_rejected():
@@ -519,15 +585,15 @@ def test_deep_seed_is_a_clean_error():
     # deeper than the interpreter's recursion limit: the parser cannot build it
     deep = "sigma(" * 1200 + "c" + ")" * 1200
     assert cli("model", fixture_path("transclosure"), deep) == (
-        2, "", "error: term nested too deeply\n")
+        2, "", "error: input nested too deeply\n")
     done = _run_module(("model", "transclosure", deep))
     assert (done.returncode, done.stdout, done.stderr) == (
-        2, b"", b"error: term nested too deeply\n")
+        2, b"", b"error: input nested too deeply\n")
 
 
 def test_deep_label_is_a_clean_error(tmp_path):
     # the label parser recurses three frames per parenthesis; past the
-    # recursion limit it names the label, not a term
+    # recursion limit it is refused like any other input too deep to parse
     path = tmp_path / "deep.sos"
     for depth in (100, 400):
         path.write_text("behaviour stream nat\nops c/0, g/1\nrule c : |- c -1-> c\n"
@@ -537,8 +603,8 @@ def test_deep_label_is_a_clean_error(tmp_path):
             code, out, err = cli("model", str(path), "g(c)")
             assert (code, err) == (0, "") and "g(c) -101-> c" in out
             continue
-        assert cli("model", str(path), "g(c)") == (2, "", "error: label nested too deeply\n")
-        assert cli("check", str(path)) == (2, "", "error: label nested too deeply\n")
+        assert cli("model", str(path), "g(c)") == (2, "", "error: input nested too deeply\n")
+        assert cli("check", str(path)) == (2, "", "error: input nested too deeply\n")
 
 
 def test_deep_unfolds_succeed():

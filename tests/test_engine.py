@@ -813,7 +813,17 @@ def test_a_target_too_deep_to_parse_is_a_clean_error(tmp_path):
     # the compiler walks a target from its own stack, so only the parser
     # bounds its depth; the label n at the bottom nests nothing itself
     path = deep_spec(tmp_path, DEEP_TARGET.format("f[n](" * 1200 + "y" + ")" * 1200))
-    assert cli_model(path) == (2, "", "error: term nested too deeply\n")
+    assert cli_model(path) == (2, "", "error: input nested too deeply\n")
+
+
+def test_a_label_at_the_bottom_of_a_deep_target_is_not_blamed(tmp_path):
+    # the target fills the stack and the label's one parenthesis takes the
+    # last frames: the message names no part of the input
+    path = deep_spec(tmp_path, DEEP_TARGET.format("f[n](" * 1200 + "f[(n)](y)" + ")" * 1200))
+    assert cli_model(path) == (2, "", "error: input nested too deeply\n")
+    out, err = io.StringIO(), io.StringIO()
+    assert cli.run(["check", path], out, err) == 2
+    assert (out.getvalue(), err.getvalue()) == ("", "error: input nested too deeply\n")
 
 
 # --- semi-naive iteration versus the naive loop ----------------------------------------
