@@ -6,8 +6,8 @@ behaviour map (frontier terms read as bottom, so truncation under-approximates
 soundly), and each complete match contributes its instantiated conclusion.
 Each rule's premises and conclusion are compiled once per spec, so a term's
 value is built in one pass from its derived (label, target, 1) moves, and
-the join records every term it reads on the way.  A ground fact (see
-speclang.ground_fact and Spec.facts) is stored as its move and never
+the join records every term it reads on the way.  A ground fact (a rule
+with a move in Spec.facts, see speclang) is stored as its move and never
 compiled.  Iterating from the all-bottom model climbs an increasing chain for
 monotone specs; the loop stops on a fixed point, on a detected period-2
 oscillation (possible only with negative premises, behind the force flag), or

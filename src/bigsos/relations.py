@@ -425,8 +425,6 @@ def _lift_seeds(spec: Spec, gen: GenCoalgebra) -> list:
 
 def _prune_gen(kind, gen: GenCoalgebra) -> GenCoalgebra:
     # erase the last state's behaviour: pointwise below the original
-    if not gen.states:
-        return gen
     dyn = dict(gen.dynamics)
     dyn[gen.states[-1]] = kind.bottom()
     return GenCoalgebra(gen.states, dyn)

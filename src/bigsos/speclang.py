@@ -25,17 +25,17 @@ ParseError comes from there, with the same message, line and column.
 Blank and comment-only lines are skipped by the same match, and a
 well-formed ops line is read from one match of a pattern of its own.
 
-A ground axiom whose label is in the label set and whose head and target are
-declared constants is a plain fact (ground_fact): it can produce no
-diagnostic, so validate_spec passes it by, and the engine stores its move
-without compiling it; Spec.facts classifies each rule once for both.  A
-closed compound target, as in `c -1-> sigma(c)`, makes the rule no fact.
+A recognised ground axiom whose label is in the label set and whose head and
+target are declared constants is a plain fact: it can produce no diagnostic,
+so validate_spec passes it by, and the engine stores its move without
+compiling it.  parse_spec keeps one fact or None per rule in Spec.facts.  A
+rule the tokenizer reads, such as `c -1-> sigma(c)` with its closed compound
+target, is no fact, and a Spec built directly from rules has no facts.
 """
 
 from __future__ import annotations
 
 import re
-from functools import cached_property
 from typing import Union
 
 from .behaviour import BehaviourKind, CountableLTS, PartialStream, WeightedLTS
@@ -162,13 +162,8 @@ class Spec:
         self.kind = kind
         self.sig = sig
         self.rules = tuple(rules)
+        self.facts = (None,) * len(self.rules)  # parse_spec sets those it recognised
         self.join_plan = None  # compiled by the engine on first use
-
-    @cached_property
-    def facts(self) -> tuple:
-        """ground_fact of each rule, in rule order, computed on first use and
-        shared by validate_spec and the engine's join plan."""
-        return tuple(ground_fact(r, self.kind, self.sig) for r in self.rules)
 
     def __repr__(self):
         return f"Spec(kind={self.kind.name}, ops={len(self.sig.operators())}, rules={len(self.rules)})"
@@ -288,18 +283,16 @@ def _parse_rule_line(cur: TokenCursor, kind: BehaviourKind, sig: Signature) -> R
     name = cur.ident()
     cur.expect_sym(":")
 
-    premises: list = []
-    while not cur.at_sym("|-"):
+    def premise() -> Premise:
         source = cur.ident()
         cur.expect_sym("-")
         label = _label_atom(cur, kind)
         if cur.eat_sym("-/->"):
-            premises.append(Negative(source, label))
-        else:
-            cur.expect_sym("->")
-            premises.append(Positive(source, label, cur.ident()))
-        if not cur.eat_sym(","):
-            break
+            return Negative(source, label)
+        cur.expect_sym("->")
+        return Positive(source, label, cur.ident())
+
+    premises = () if cur.at_sym("|-") else cur.items(premise)
     cur.expect_sym("|-")
 
     head_op = cur.ident()
@@ -311,8 +304,7 @@ def _parse_rule_line(cur: TokenCursor, kind: BehaviourKind, sig: Signature) -> R
     cur.expect_sym("->")
     concl_target = _parse_template(cur, kind, sig)
     cur.expect_eof()
-    return Rule(name, head_op, head_params, head_vars, tuple(premises), concl_label,
-                concl_target)
+    return Rule(name, head_op, head_params, head_vars, premises, concl_label, concl_target)
 
 
 # A ground axiom line, `rule NAME : |- HEAD -LABEL-> TARGET`, or a line with no
@@ -334,17 +326,23 @@ _OPS_LINE = re.compile(rf"(?P<indent>[ \t]*)ops(?P<ops>[ \t]+{_OP}(?:[ \t]*,[ \t
                        r"[ \t]*(?:#.*)?")
 
 
-def _ground_axiom(m: re.Match, kind: BehaviourKind, sig: Signature) -> Rule:
-    """The rule _parse_rule_line makes of a line _GROUND_AXIOM matched."""
-    nat, label, target = m.group("nat", "label", "target")
-    if nat is not None:
-        lab: LabelExpr = LabelLit(int(nat))
-    elif kind.has_label(label):
-        lab = LabelLit(label)
-    else:
-        lab = LabelVar(label)
-    tgt = TemplateApp(target) if target in sig else Var(target)
-    return Rule(m["name"], m["head"], (), (), (), lab, tgt)
+def _ground_axiom(m: re.Match, kind: BehaviourKind, sig: Signature) -> tuple:
+    """The rule _parse_rule_line makes of a line _GROUND_AXIOM matched, and its
+    fact: (label, target name) if the label is a literal in the label set and
+    the head and target are declared constants, else None.  The target goes
+    by name, since only the engine's join plan needs it as a term."""
+    nat, label, head, target = m.group("nat", "label", "head", "target")
+    value = label if nat is None else int(nat)
+    in_set = kind.has_label(value)
+    rule = Rule(m["name"], head, (), (), (),
+                LabelLit(value) if in_set or nat is not None else LabelVar(label),
+                TemplateApp(target) if target in sig else Var(target))
+    if not in_set:
+        return rule, None
+    for name in (head, target):
+        if name not in sig or sig[name].arity or sig[name].param_count:
+            return rule, None
+    return rule, (value, target)
 
 
 def parse_spec(text: str) -> Spec:
@@ -353,13 +351,14 @@ def parse_spec(text: str) -> Spec:
     sig = Signature(())
     has_ops = False
     rules: list = []
+    facts: list = []
     seen: set = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         m = _GROUND_AXIOM.fullmatch(raw)
         if m and m["name"] is None:
             continue  # blank or comment only
         if m and kind is not None:
-            rule, col = _ground_axiom(m, kind, sig), m.end("indent") + 1
+            (rule, fact), col = _ground_axiom(m, kind, sig), m.end("indent") + 1
         else:
             ops = _OPS_LINE.fullmatch(raw)
             if ops:
@@ -392,44 +391,20 @@ def parse_spec(text: str) -> Spec:
                 raise ParseError(f"unknown declaration {keyword!r}", lineno, col)
             if kind is None:
                 raise ParseError("behaviour line must precede rules", lineno, col)
-            rule = _parse_rule_line(cur, kind, sig)
+            rule, fact = _parse_rule_line(cur, kind, sig), None
         if rule.name in seen:
             raise ParseError(f"duplicate rule name {rule.name!r}", lineno, col)
         seen.add(rule.name)
         rules.append(rule)
+        facts.append(fact)
     if kind is None:
         raise ParseError("missing behaviour line")
-    return Spec(kind, sig, tuple(rules))
+    spec = Spec(kind, sig, tuple(rules))
+    spec.facts = tuple(facts)
+    return spec
 
 
 # --- validation -----------------------------------------------------------------
-
-
-def ground_fact(rule: Rule, kind: BehaviourKind, sig: Signature):
-    """The label and target operator name of a rule that is a plain fact,
-    else None.
-
-    A fact has no premises, head variables or head parameters, a literal label
-    in the label set, and a declared constant (arity and parameter count 0) as
-    both head and target.  It is valid and concludes the same move whenever it
-    fires, so validate_spec passes it by and the engine stores that move
-    instead of compiling a join plan.  The target is returned by name: a term
-    built here and dropped would cost validate_spec more than the walk it
-    skips.
-    """
-    if rule.premises or rule.head_vars or rule.head_params:
-        return None
-    label, target = rule.concl_label, rule.concl_target
-    if (not isinstance(label, LabelLit) or not kind.has_label(label.value)
-            or not isinstance(target, TemplateApp) or target.args or target.params):
-        return None
-    for name in (rule.head_op, target.op):
-        if name not in sig:
-            return None
-        op = sig[name]
-        if op.arity or op.param_count:
-            return None
-    return label.value, target.op
 
 
 def _check_label_literals(kind, expr, rule, out, where):

@@ -5,8 +5,8 @@ Used by the least-fixed-point oracle: every generated spec keeps rule targets
 inside the universe {c, d, u(c)}, so the full candidate-model space is the
 8^3 assignments of successor sets and can be enumerated outright.
 
-The fact-path tests use FACT_SHAPES, rules that speclang.ground_fact does and
-does not take, and random_ground_lts_text, explicit LTS specs.
+The fact-path tests use FACT_SHAPES, rules that parse_spec does and does not
+read as plain facts, and random_ground_lts_text, explicit LTS specs.
 """
 
 import random
@@ -54,7 +54,7 @@ def random_monotone_lts_spec(rng: random.Random):
 
 FACT_HEADER = "behaviour lts labels a, b\nops c/0, d/0, f/1, p/0[1]\n"
 
-# (rule line, what ground_fact returns for it)
+# (rule line, its entry in Spec.facts)
 FACT_SHAPES = [
     ("rule r : |- c -a-> d", ("a", "d")),
     ("rule r : |- c -b-> c", ("b", "c")),

@@ -15,6 +15,7 @@ import bigsos
 from bigsos.behaviour import PartialStream
 from bigsos.cli import _parser, _write_json, run
 from bigsos.engine import MAX_ITERS, least_model
+from bigsos.relations import CongruenceReport, CongruenceViolation
 from bigsos.speclang import parse_spec
 from bigsos.terms import App, UniversePolicy, print_term
 from conftest import fixture_path, unfold_tree
@@ -273,6 +274,28 @@ def test_congruence_clean():
     assert "violations 0" in out
 
 
+def test_congruence_prints_each_violation(monkeypatch):
+    # hand-made: on a monotone spec every violation today comes from truncation
+    ones = App("ones")
+    report = CongruenceReport(9, 7, 2, (
+        CongruenceViolation("otimes", (2,), App("otimes", (2,), (ones,)),
+                            App("otimes", (2,), (App("pos"),)), 2),
+        CongruenceViolation("oplus", (), App("oplus", (), (ones, ones)),
+                            App("oplus", (), (ones, App("c"))), None)))
+    monkeypatch.setattr(bigsos.cli, "congruence_test",
+                        lambda spec, model, samples, depth, seed: report)
+    argv = ("congruence", fixture_path("factstream"), "ones")
+    assert cli(*argv) == (0, "checked 7 skipped 2 violations 2\n"
+                             "  otimes[2](ones) !~ otimes[2](pos)\n"
+                             "  oplus(ones, ones) !~ oplus(ones, c)\n", "")
+    assert cli(*argv, "--format", "json") == (0, json.dumps({
+        "samples": 9, "checked": 7, "skipped": 2, "violations": [
+            {"op": "otimes", "params": [2], "left": "otimes[2](ones)",
+             "right": "otimes[2](pos)", "depth": 2},
+            {"op": "oplus", "params": [], "left": "oplus(ones, ones)",
+             "right": "oplus(ones, c)", "depth": None}]}, indent=2) + "\n", "")
+
+
 def test_laws_all_pass():
     code, out, _ = cli("laws", fixture_path("lookahead2"))
     assert code == 0
@@ -351,9 +374,15 @@ def test_nat_int_cannot_read_exits_1(tmp_path):
      "trailing input 'c' (line 3, column 22)"),
     ("behaviour stream nat\nops c/0, g/1\nrule g : x -n-> y |- g(x) -n+1-> y )\n",
      "trailing input ')' (line 3, column 36)"),
+    # premises are separated by commas, with none before the first or after the last
+    ("behaviour stream nat\nops c/0, g/1\nrule c : |- c -1-> c\n"
+     "rule g : x -n-> y, |- g(x) -n-> y\n", "expected ident, got '|-' (line 4, column 20)"),
+    ("behaviour stream nat\nops c/0, g/1\nrule c : |- c -1-> c\nrule g : , |- g(x) -n-> x\n",
+     "expected ident, got ',' (line 4, column 10)"),
 ], ids=["no-domain", "no-label-names", "behaviour-trailing", "nat-trailing",
         "duplicate-behaviour", "missing-behaviour", "empty-file", "ops-trailing",
-        "ops-trailing-bracket", "axiom-trailing", "rule-trailing"])
+        "ops-trailing-bracket", "axiom-trailing", "rule-trailing", "premise-trailing-comma",
+        "premise-leading-comma"])
 def test_spec_syntax_errors_exit_1(tmp_path, text, want):
     path = tmp_path / "bad.sos"
     path.write_text(text, encoding="utf-8")

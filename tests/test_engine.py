@@ -8,7 +8,7 @@ import tokenize
 
 import pytest
 
-from bigsos import cli, engine, speclang
+from bigsos import cli, engine
 from bigsos.behaviour import BOTTOM, CountableLTS, PartialStream, StreamStep, WeightedLTS
 from bigsos.engine import (ConvergenceReport, GenCoalgebra, Model, gen_to_model,
                            least_model, lift_coalgebra, model_to_dot, model_to_json,
@@ -17,8 +17,8 @@ from bigsos.errors import (BigsosError, InconsistentStreamError, LabelEvalError,
                            NonMonotoneError, UnboundVariableError, UnknownStateError)
 from bigsos.relations import default_generators
 from bigsos.speclang import (LabelAdd, LabelLit, LabelVar, Negative, Positive, Rule, Spec,
-                             check_monotone, ground_fact, label_vars, parse_spec,
-                             template_param_exprs, template_vars, validate_spec)
+                             check_monotone, label_vars, parse_spec, template_param_exprs,
+                             template_vars, validate_spec)
 from bigsos.terms import (App, UniversePolicy, Var, parse_term, print_term,
                           substitute, subterms, term_key, term_size)
 from conftest import eval_label, fixture_text, instantiate_template, lts_value, wts_value
@@ -1084,7 +1084,7 @@ def test_bad_axiom_fails_only_when_it_fires():
     # an unvalidated spec: the axiom for d concludes a label outside the domain
     spec = parse_spec("behaviour lts labels a\nops c/0, d/0\n"
                       "rule r : |- d -1-> c\nrule s : |- c -a-> c\n")
-    assert [ground_fact(r, spec.kind, spec.sig) for r in spec.rules] == [None, ("a", "c")]
+    assert spec.facts == (None, ("a", "c"))
     model, report = least_model(spec, [App("c")])
     assert report.converged and list(model.universe) == [App("c")]
     with pytest.raises(LabelEvalError,
@@ -1094,13 +1094,13 @@ def test_bad_axiom_fails_only_when_it_fires():
 
 # --- ground facts -------------------------------------------------------------------
 #
-# Rules that speclang.ground_fact accepts are stored as (label, target) pairs and
-# never compiled.  With ground_fact patched to accept nothing, every rule takes
-# the general path, which is the reference the fact path must agree with.
+# Rules that parse_spec recognises as facts are stored as (label, target) pairs
+# and never compiled.  The same rules in a Spec built directly have no facts,
+# so every rule takes the general path, which is the reference the fact path
+# must agree with.
 
 
-def _outcome(text, seed_texts=()):
-    spec = parse_spec(text)
+def _outcome(spec, seed_texts=()):
     seeds = [App(c) for c in spec.sig.constants()] + [pt(spec, s) for s in seed_texts]
     try:
         model, report = least_model(spec, seeds, UniversePolicy(max_count=30, max_size=6))
@@ -1110,7 +1110,7 @@ def _outcome(text, seed_texts=()):
             report.to_json())
 
 
-def test_fact_path_matches_the_compiled_path(monkeypatch):
+def test_fact_path_matches_the_compiled_path():
     cases = [(fixture_text(name), ()) for name in
              ("factstream", "lookahead2", "transclosure", "wchain", "empty", "explicit")]
     cases += [(random_monotone_lts_text(random.Random(seed)), ("u(c)",)) for seed in range(40)]
@@ -1118,39 +1118,28 @@ def test_fact_path_matches_the_compiled_path(monkeypatch):
     cases += [(random_ground_lts_text(rng), ("f(s0)",)) for _ in range(60)]
     header = FACT_HEADER + "rule q : |- c -b-> d\n"  # each shape beside a fact for c
     cases += [(header + line + "\n", ()) for line, _ in FACT_SHAPES]
-    fast = [_outcome(text, seeds) for text, seeds in cases]
-    facts = sum(ground_fact(r, spec.kind, spec.sig) is not None
-                for spec in (parse_spec(text) for text, _ in cases) for r in spec.rules)
-    monkeypatch.setattr(speclang, "ground_fact", lambda rule, kind, sig: None)
-    assert [_outcome(text, seeds) for text, seeds in cases] == fast
+    facts, fast = 0, []
+    for text, seeds in cases:
+        spec = parse_spec(text)
+        facts += sum(fact is not None for fact in spec.facts)
+        fast.append(_outcome(spec, seeds))
+        assert fast[-1] == _outcome(Spec(spec.kind, spec.sig, spec.rules), seeds), text
     assert facts > 500
     assert sum(isinstance(o[0], type) for o in fast) >= 2  # the error outcomes ran
 
 
-def test_each_rule_is_classified_once(monkeypatch):
-    classified = []
-
-    def counting_ground_fact(rule, kind, sig):
-        classified.append(rule.name)
-        return ground_fact(rule, kind, sig)
-
-    monkeypatch.setattr(speclang, "ground_fact", counting_ground_fact)
-    texts = [fixture_text(name) for name in ("explicit", "transclosure", "factstream")]
-    texts += [random_ground_lts_text(random.Random(seed)) for seed in range(3)]
-    for text in texts:
-        spec = parse_spec(text)
-        assert validate_spec(spec) == validate_spec(spec) == []
-        least_model(spec, [App(c) for c in spec.sig.constants()],
-                    UniversePolicy(max_count=30, max_size=6))
-        assert sorted(classified) == sorted(r.name for r in spec.rules)
-        classified.clear()
+def test_a_fact_the_tokenizer_reads_compiles_to_the_same_move():
+    # non-ASCII names fail the recogniser's pattern, so the rule is no fact
+    spec = parse_spec("behaviour lts labels a\nops c\u00e9/0, d/0\nrule r : |- c\u00e9 -a-> d\n")
+    assert spec.facts == (None,)
+    model, _ = least_model(spec, [App("c\u00e9")])
+    assert model.behaviour[App("c\u00e9")] == lts_value({"a": [App("d")]})
 
 
 def test_conflicting_stream_facts_keep_the_error_text():
     spec = parse_spec("behaviour stream nat\nops c/0, d/0\n"
                       "rule a : |- c -1-> c\nrule b : |- c -2-> d\n")
-    assert [ground_fact(r, spec.kind, spec.sig) for r in spec.rules] == [
-        (1, "c"), (2, "d")]
+    assert spec.facts == ((1, "c"), (2, "d"))
     with pytest.raises(InconsistentStreamError) as got:
         least_model(spec, [App("c")])
     assert str(got.value) == "c: inconsistent stream step: (1, c), (2, d)"

@@ -8,16 +8,19 @@ import pytest
 from bigsos import relations
 from bigsos.behaviour import (BOTTOM, CountableLTS, PartialStream, Relation, StreamStep,
                               WeightedLTS)
-from bigsos.engine import GenCoalgebra, Model, gen_to_model, least_model, lift_coalgebra
-from bigsos.errors import BigsosError, CarrierMismatchError, UnknownStateError
+from bigsos.engine import (GenCoalgebra, Model, gen_to_model, least_model, lift_coalgebra,
+                           phi_step)
+from bigsos.errors import (BigsosError, CarrierMismatchError, NonConvergenceError,
+                           UnknownStateError)
 from bigsos.relations import (LAW_POLICY, CongruenceReport, CongruenceViolation,
-                              EquivResult, _lift_seeds,
+                              EquivResult, _lift_seeds, _square,
                               bisimilarity_classes, check_equivalence,
                               congruence_test, default_generators,
                               depth_similarity, distinguishing_depth,
                               doubled_lift, greatest_simulation, is_homomorphism,
                               law_flatten_hom, law_hom_preserves_similarity,
-                              law_suite, suite_to_json)
+                              law_pointwise_unfolding, law_suite, law_unit_hom,
+                              suite_to_json)
 from bigsos.speclang import parse_spec
 from bigsos.terms import App, UniversePolicy, Var, parse_term, term_key
 from conftest import fixture_text, lts_value, unfold_tree, wts_value
@@ -524,6 +527,69 @@ def test_suite_json_shape():
         {"law": "T2-eta", "status": "pass", "witness": {"states": 1}},
         {"law": "T2-mu", "status": "pass", "witness": {"checked": 8, "skipped": 3}},
     ]
+
+
+def test_default_generators_avoid_declared_names():
+    spec = parse_spec("behaviour lts labels a\nops gx/0, gp/0, gq/0, gx_/0, f/1\n"
+                      "rule gx : |- gx -a-> gp\nrule f : x -a-> y |- f(x) -a-> f(y)\n")
+    gsmall, gbig = default_generators(spec.kind, spec.sig)
+    assert (gsmall.states, gbig.states) == (("gx__",), ("gp_", "gq_"))
+    assert [(r.law, r.status) for r in law_suite(spec)] == [
+        ("L3", "pass"), ("L2", "pass"), ("T1", "pass"), ("T2-eta", "pass"), ("T2-mu", "pass")]
+
+
+def test_a_state_without_an_image_is_no_homomorphism():
+    kind = CountableLTS(frozenset({"a"}))
+    loop = GenCoalgebra(("gx",), {"gx": lts_value({"a": {"gx"}})})
+    assert is_homomorphism(kind, loop, loop, {"gx": "gx"})
+    assert not is_homomorphism(kind, loop, loop, {})
+
+
+EMPTY_GEN = GenCoalgebra((), {})
+LOOP_GEN = GenCoalgebra(("gx",), {"gx": lts_value({"a": {"gx"}})})
+LTS_A = CountableLTS(frozenset({"a"}))
+
+
+@pytest.mark.parametrize("check, want", [
+    (lambda: law_pointwise_unfolding(LTS_A, EMPTY_GEN), ("L3", "inconclusive", "empty generator")),
+    (lambda: law_hom_preserves_similarity(LTS_A, EMPTY_GEN, EMPTY_GEN, {}),
+     ("L2", "inconclusive", "no similar pairs")),
+    (lambda: law_unit_hom(EMPTY_GEN, gen_to_model(LTS_A, EMPTY_GEN)),
+     ("T2-eta", "inconclusive", "empty generator")),
+    # a lifted model that dropped the generator state's dynamics
+    (lambda: law_unit_hom(LOOP_GEN, Model(LTS_A, (Var("gx"),), {Var("gx"): BOTTOM},
+                                          frozenset())),
+     ("T2-eta", "fail", {"state": "gx"})),
+    # no source term has an image in the target's universe
+    (lambda: _square("T1", gen_to_model(LTS_A, LOOP_GEN), gen_to_model(LTS_A, EMPTY_GEN),
+                     lambda t: t),
+     ("T1", "inconclusive", "universe too small")),
+], ids=["L3-empty", "L2-empty", "T2-eta-empty", "T2-eta-fail", "square-too-small"])
+def test_law_results_off_the_suite_path(check, want):
+    r = check()
+    assert (r.law, r.status, r.witness) == want
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda spec, model: check_equivalence(model, pt(spec, "c"), pt(spec, "d"), "trace"),
+     ValueError, "unknown relation 'trace'"),
+    (lambda spec, model: congruence_test(spec, model, -1),
+     ValueError, "samples must be a natural"),
+    (lambda spec, model: lift_coalgebra(spec, default_generators(spec.kind, spec.sig)[0],
+                                        max_iters=1),
+     NonConvergenceError, "lifting did not stabilize within 1 iterations"),
+    (lambda spec, model: least_model(spec, [App("tau", (), (Var("y"),))]),
+     ValueError, "seed tau(y) has unbound variables ['y']"),
+    (lambda spec, model: phi_step(spec, Model(spec.kind, (Var("y"),), {Var("y"): BOTTOM},
+                                              frozenset())),
+     UnknownStateError, "variable term 'y' has no generator dynamics"),
+], ids=["unknown-relation", "negative-samples", "lift-budget", "unbound-seed",
+        "variable-without-dynamics"])
+def test_library_checks_refuse_bad_arguments(call, error, message):
+    spec, model = look2_model()
+    with pytest.raises(error) as got:
+        call(spec, model)
+    assert str(got.value) == message
 
 
 # --- similarity versus depth-bounded unfolding similarity -------------------------------------

@@ -7,9 +7,9 @@ import pytest
 
 from bigsos import speclang, terms
 from bigsos.errors import ParseError
-from bigsos.speclang import (_GROUND_AXIOM, Negative, Positive, Spec, _ground_axiom,
-                             _parse_behaviour_line, _parse_ops_line, _parse_rule_line,
-                             check_monotone, ground_fact, lookahead_depth, parse_spec,
+from bigsos.speclang import (_GROUND_AXIOM, LabelLit, Negative, Positive, Spec, TemplateApp,
+                             _ground_axiom, _parse_behaviour_line, _parse_ops_line,
+                             _parse_rule_line, check_monotone, lookahead_depth, parse_spec,
                              validate_spec)
 from bigsos.terms import Signature, TokenCursor, parse_term, tokenize
 from conftest import fixture_text
@@ -277,15 +277,30 @@ def _outcome(text, parse):
     return spec.kind, spec.sig.operators(), spec.rules
 
 
+def reference_fact(rule, kind, sig):
+    """(label, target name) if rule is a plain fact, else None: no premises,
+    head variables or parameters, a literal label in the label set, and
+    declared constants as head and target."""
+    label, target, constants = rule.concl_label, rule.concl_target, sig.constants()
+    if (rule.premises or rule.head_vars or rule.head_params
+            or not isinstance(label, LabelLit) or not kind.has_label(label.value)
+            or not isinstance(target, TemplateApp) or target.args or target.params
+            or rule.head_op not in constants or target.op not in constants):
+        return None
+    return label.value, target.op
+
+
 def _recognised(raw, kind, sig) -> bool:
     """Whether the recogniser takes raw as a ground axiom; if it does, the rule
-    it builds must be the one the general parser builds."""
+    it builds must be the one the general parser builds, with its fact."""
     m = _GROUND_AXIOM.fullmatch(raw)
     if m is None or m["name"] is None:
         return False
     cur = TokenCursor(tokenize(raw))
     assert cur.next().value == "rule", repr(raw)
-    assert _ground_axiom(m, kind, sig) == _parse_rule_line(cur, kind, sig), repr(raw)
+    rule, fact = _ground_axiom(m, kind, sig)
+    assert rule == _parse_rule_line(cur, kind, sig), repr(raw)
+    assert fact == reference_fact(rule, kind, sig), repr(raw)
     return True
 
 
@@ -453,8 +468,7 @@ def test_recogniser_near_misses(line, taken):
 @pytest.mark.parametrize("line,fact", FACT_SHAPES, ids=[repr(s[0]) for s in FACT_SHAPES])
 def test_ground_fact_shapes(line, fact):
     spec = parse_spec(FACT_HEADER + line + "\n")
-    rule, = spec.rules
-    assert ground_fact(rule, spec.kind, spec.sig) == fact
+    assert spec.facts == (fact,)
     if fact is not None:
         assert validate_spec(spec) == []
 
@@ -466,26 +480,25 @@ def _parse_or_none(text):
         return None
 
 
-def test_validation_diagnostics_do_not_depend_on_the_fact_test(monkeypatch):
-    # a rule ground_fact accepts is passed by; every other rule is walked
+def test_validation_diagnostics_do_not_depend_on_the_fact_test():
+    # a fact is passed by; every other rule, and every rule of a Spec built
+    # directly, is walked
     texts = [fixture_text(name) for name in ALL_FIXTURES]
     texts += [random_monotone_lts_text(random.Random(seed)) for seed in range(50)]
     rng = random.Random(3)
     texts += [random_axiom_spec_text(rng, rng.randrange(1, 12)) for _ in range(100)]
     texts += [FACT_HEADER + line + "\n" for line, _ in FACT_SHAPES]
     texts += [header + line + "\n" for header in NEAR_MISS_HEADERS for line, _ in NEAR_MISSES]
-    texts = [text for text in texts if _parse_or_none(text) is not None]
-    diags = [validate_spec(parse_spec(text)) for text in texts]
-    # fresh specs: each Spec classifies its rules once and keeps the answers
-    monkeypatch.setattr(speclang, "ground_fact", lambda rule, kind, sig: None)
-    assert [validate_spec(parse_spec(text)) for text in texts] == diags
+    specs = [spec for spec in map(_parse_or_none, texts) if spec is not None]
+    diags = [validate_spec(spec) for spec in specs]
+    assert [validate_spec(Spec(spec.kind, spec.sig, spec.rules)) for spec in specs] == diags
     assert sum(map(len, diags)) > 100
 
 
 def test_undeclared_label_is_a_variable_and_declared_label_a_literal():
     spec = parse_spec(NEAR_MISS_HEADERS[0] + "rule r : |- s0 -a-> s1\nrule q : |- s0 -c-> d\n")
     assert [(r.concl_label, r.concl_target) for r in spec.rules] == [
-        (speclang.LabelLit("a"), speclang.TemplateApp("s1")),
+        (LabelLit("a"), TemplateApp("s1")),
         (speclang.LabelVar("c"), terms.Var("d"))]
 
 
