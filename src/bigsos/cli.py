@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import itertools
 import json
 import os
 import sys
@@ -146,28 +147,66 @@ def _model_text(model, report) -> list:
     return lines
 
 
+_CHUNK = 1 << 16  # characters per out.write
+_enc = json.encoder.encode_basestring_ascii
+_SCALARS = {str, int, float, bool, type(None)}
+_FIXED = {bool: ("false", "true"), type(None): ("null",), dict: ("{}",), list: ("[]",)}
+
+
+def _scalar(v) -> str:
+    """json.dumps(v) of a scalar or an empty container; floats go through it."""
+    t = type(v)
+    return _enc(v) if t is str else int.__repr__(v) if t is int else \
+        _FIXED[t][bool(v)] if t in _FIXED else json.dumps(v)
+
+
+def _flat(v, level: int):
+    """The text of container v at indent level in one join, if v holds only
+    scalars or only non-empty string arrays; else None."""
+    vals = v.values() if (keyed := isinstance(v, dict)) else v
+    kinds = set(map(type, vals))
+    sep = ",\n" + "  " * (level + 1)  # sep[1:-2] is the closing line's indent
+    if kinds <= _SCALARS:
+        texts = list(map(_scalar, vals))
+    elif kinds <= {list, tuple} and all(vals) and set(map(type, itertools.chain(*vals))) == {str}:
+        texts = ["[" + sep[1:] + "  " + (sep + "  ").join(map(_enc, x)) + sep[1:] + "]"
+                 for x in vals]
+    else:
+        return None
+    if keyed:
+        texts = [_enc(k) + ": " + x for k, x in zip(v, texts)]
+    return "[{"[keyed] + sep[1:] + sep.join(texts) + sep[1:-2] + "]}"[keyed]
+
+
 def _write_json(doc, out) -> None:
-    """Write json.dumps(doc, indent=2) of a document of string-keyed dicts,
-    lists and scalars to out part by part, from an explicit stack: json.dumps
-    recurses once per nesting level, an unfold document nests at least two
-    per step, and its text grows with the square of the depth on one path.
-    The stack holds indent levels, not indent strings, for the same reason."""
+    """Write print(json.dumps(doc, indent=2)) of a document with string keys
+    to out, in writes of _CHUNK characters but the last.  Containers _flat
+    cannot make are walked from a stack of indent levels, so deep ones work."""
     todo: list = [(False, doc, 0)]  # (is text, value or text, indent level)
+    buf, size = [], 0
     while todo:
         is_text, v, level = todo.pop()
         if is_text:  # v is (before, after): before, a newline and indent, after
-            out.write(v[0] + "\n" + "  " * level + v[1])
-        elif not (v and isinstance(v, (dict, list))):
-            out.write(json.dumps(v))
-        else:
+            text = v[0] + "\n" + "  " * level + v[1]
+        elif not (v and isinstance(v, (dict, list, tuple))):
+            text = _scalar(v)
+        elif (text := _flat(v, level)) is None:
             keyed = isinstance(v, dict)
-            entries = [(json.dumps(k) + ": ", x) for k, x in v.items()] if keyed else \
-                [("", x) for x in v]
-            out.write("{" if keyed else "[")
-            todo.append((True, ("", "}" if keyed else "]"), level))
+            entries = [(_enc(k) + ": ", x) for k, x in v.items()] if keyed else [("", x) for x in v]
+            text, closing = "{}" if keyed else "[]"
+            todo.append((True, ("", closing), level))
             for i in reversed(range(len(entries))):
                 key, x = entries[i]
                 todo += [(False, x, level + 1), (True, ("," * (i > 0), key), level + 1)]
+        buf.append(text)
+        size += len(text)
+        if size >= _CHUNK:
+            text, size = "".join(buf), size % _CHUNK
+            for i in range(0, len(text) - size, _CHUNK):
+                out.write(text[i:i + _CHUNK])
+            buf = [text[len(text) - size:]]
+    buf.append("\n")
+    out.write("".join(buf))
 
 
 # --- subcommands -------------------------------------------------------------------
@@ -177,10 +216,8 @@ def _cmd_check(spec, args, out, err) -> int:
     diags = validate_spec(spec)
     mon = check_monotone(spec)
     if args.format == "json":
-        print(json.dumps({"diagnostics": [str(d) for d in diags],
-                          "monotone": mon.monotone,
-                          "offending_rules": list(mon.offending_rules)},
-                         indent=2), file=out)
+        _write_json({"diagnostics": [str(d) for d in diags], "monotone": mon.monotone,
+                     "offending_rules": list(mon.offending_rules)}, out)
     else:
         for d in diags:
             print(str(d), file=out)
@@ -212,7 +249,7 @@ def _cmd_model(spec, args, out, err) -> int:
             print(f"warning: {exc}; emitting json", file=err)
             fmt = "json"
     if fmt == "json":
-        print(json.dumps(model_to_json(model, report), indent=2), file=out)
+        _write_json(model_to_json(model, report), out)
     elif fmt == "text":
         print("\n".join(_model_text(model, report)), file=out)
     return 0 if report.converged else 4
@@ -227,7 +264,6 @@ def _cmd_unfold(spec, args, out, err) -> int:
               file=err)
     if args.format == "json":
         _write_json(unfold_to_json(model, rows, args.depth), out)
-        out.write("\n")
     else:
         print("\n".join(model.kind.unfold_lines(rows, args.depth)), file=out)
     return 0
@@ -238,9 +274,7 @@ def _cmd_equiv(spec, args, out, err) -> int:
     model = _converged_model(spec, [t1, t2], args)
     res = check_equivalence(model, t1, t2, relation=args.rel)
     if args.format == "json":
-        payload = res.to_json()
-        payload["relation"] = args.rel
-        print(json.dumps(payload, indent=2), file=out)
+        _write_json({**res.to_json(), "relation": args.rel}, out)
     else:
         print(f"related: {'yes' if res.related else 'no'}", file=out)
         if res.related:
@@ -255,7 +289,7 @@ def _cmd_congruence(spec, args, out, err) -> int:
     model = _converged_model(spec, _seed_terms(spec, args.terms), args)
     rep = congruence_test(spec, model, args.samples, depth=args.depth, seed=args.seed)
     if args.format == "json":
-        print(json.dumps(rep.to_json(), indent=2), file=out)
+        _write_json(rep.to_json(), out)
     else:
         print(f"checked {rep.checked} skipped {rep.skipped} "
               f"violations {len(rep.violations)}", file=out)
@@ -267,7 +301,7 @@ def _cmd_congruence(spec, args, out, err) -> int:
 def _cmd_laws(spec, args, out, err) -> int:
     results = law_suite(spec, _policy(args))
     if args.format == "json":
-        print(json.dumps(suite_to_json(results), indent=2), file=out)
+        _write_json(suite_to_json(results), out)
     else:
         for r in results:
             print(f"{r.law}: {r.status}", file=out)

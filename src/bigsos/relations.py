@@ -235,9 +235,15 @@ class EquivResult(Record):
     _defaults = {"witness": None}
 
     def to_json(self) -> dict:
+        """A relation witness as its sorted pairs of printed terms; right names
+        are grouped by left name, so states that print alike interleave."""
         w = self.witness
         if isinstance(w, Relation):
-            w = {"pairs": sorted([print_term(s), print_term(t)] for s, t in w.pairs)}
+            names = {s: print_term(s) for s in {*w.left, *w.right}}
+            right_of: dict = {}
+            for s, t in w.pairs:
+                right_of.setdefault(names[s], []).append(names[t])
+            w = {"pairs": [[a, b] for a in sorted(right_of) for b in sorted(right_of[a])]}
         return {"related": self.related, "witness": w}
 
 

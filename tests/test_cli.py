@@ -1,7 +1,9 @@
 """Command line driver: exit codes, output formats, determinism."""
 
+import ast
 import io
 import json
+import math
 import os
 import pathlib
 import random
@@ -13,7 +15,7 @@ from hypothesis import given, strategies as st
 
 import bigsos
 from bigsos.behaviour import PartialStream
-from bigsos.cli import _parser, _write_json, run
+from bigsos.cli import _CHUNK, _parser, _write_json, run
 from bigsos.engine import MAX_ITERS, least_model
 from bigsos.relations import CongruenceReport, CongruenceViolation
 from bigsos.speclang import parse_spec
@@ -185,7 +187,78 @@ JSON_DOCS = st.recursive(
 def test_json_text_matches_json_dumps(doc):
     out = io.StringIO()
     _write_json(doc, out)
-    assert out.getvalue() == json.dumps(doc, indent=2)
+    assert out.getvalue() == json.dumps(doc, indent=2) + "\n"
+
+
+# The writer's one-join shapes (containers of scalars, arrays of non-empty
+# string arrays) and their near misses, which take the general path.
+FAST_PATH_DOCS = [
+    [["s1", "s2"], ["s1", "s3"], ["s2", "s2"]],
+    {"related": True, "witness": {"pairs": [["c", "c"], ["c", "d"]]}, "relation": "sim"},
+    {"a": ["sigma(c)", "c"], "b": ["d"]},
+    {"c": {}, "d": {"a": ["x"]}, "e": [], "f": ()},
+    [[]],
+    [["a"], []],
+    [[], ["a"]],
+    [],
+    {},
+    ("a", "b"),
+    (("a", "b"), ["c"]),
+    [("a",), ("b", "c")],
+    ["a", 1, 2.5, None, True, "b"],
+    [["a", 1], ["b"]],
+    [["a"], [None]],
+    [["a"], "b"],
+    [["a"], {"b": "c"}],
+    [[["a"]]],
+    {"nan": math.nan, "inf": math.inf, "-inf": -math.inf, "zero": -0.0,
+     "big": 10 ** 40, "neg": -(10 ** 40), "yes": True, "no": False, "none": None},
+    [math.nan, math.inf, -math.inf, -0.0, 10 ** 40, True, None],
+    {"é\u2028\x00\x1f\"\\": "ü\x7f\ud800\n\t", "ключ": ["平", "\x01"], "": ""},
+    ["é", "\u2029", "\x1b"],
+    [["\U0001f600", "\\\""], ["\x00"]],
+]
+
+
+@pytest.mark.parametrize("doc", FAST_PATH_DOCS, ids=range(len(FAST_PATH_DOCS)))
+def test_json_fast_paths_match_json_dumps(doc):
+    for level in (doc, [doc], {"k": [0, doc]}):  # at indent 0, 1 and 3
+        out = io.StringIO()
+        _write_json(level, out)
+        assert out.getvalue() == json.dumps(level, indent=2) + "\n"
+
+
+class CountingOut:
+    def __init__(self):
+        self.parts: list = []
+
+    def write(self, text):
+        self.parts.append(text)
+
+
+def test_json_is_written_in_bounded_chunks():
+    # a witness-shaped array, one container of 40,000 pairs, and a deep
+    # general-path tree: both are cut into writes of at most _CHUNK characters
+    pairs = [[f"s{i}", f"s{j}"] for i in range(200) for j in range(200)]
+    tree: dict = {"leaf": None}
+    for i in range(300):
+        tree = {"depth": i, "step": [tree, "x" * 50]}
+    for doc in ({"pairs": pairs}, tree):
+        out = CountingOut()
+        _write_json(doc, out)
+        sizes = [len(part) for part in out.parts]
+        assert len(sizes) >= 5 and max(sizes) <= _CHUNK
+        assert "".join(out.parts) == json.dumps(doc, indent=2) + "\n"
+
+
+def test_one_json_writer():
+    # every JSON document goes through _write_json: no json.dumps with indent
+    for path in sorted(pathlib.Path(bigsos.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Attribute, ast.Name)) \
+                    and getattr(node.func, "attr", getattr(node.func, "id", None)) == "dumps":
+                assert "indent" not in {k.arg for k in node.keywords}, \
+                    f"{path.name}:{node.lineno} calls dumps with indent"
 
 
 def tree_text(kind, tree) -> list:

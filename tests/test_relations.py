@@ -22,7 +22,7 @@ from bigsos.relations import (LAW_POLICY, CongruenceReport, CongruenceViolation,
                               law_pointwise_unfolding, law_suite, law_unit_hom,
                               suite_to_json)
 from bigsos.speclang import parse_spec
-from bigsos.terms import App, UniversePolicy, Var, parse_term, term_key
+from bigsos.terms import App, UniversePolicy, Var, parse_term, print_term, term_key
 from conftest import fixture_text, lts_value, unfold_tree, wts_value
 from spec_gen import UNIVERSE_TEXTS, random_monotone_lts_spec
 from test_cli_golden import SMALL_CAPS, TERMS
@@ -251,6 +251,58 @@ def test_equiv_bisim_positive():
     doc = res.to_json()
     assert doc["related"] is True
     assert ["c", "c"] in doc["witness"]["pairs"]
+
+
+def witness_pairs_oracle(rel):
+    """EquivResult.to_json's pairs as first defined: every pair printed, then
+    one sort."""
+    return sorted([print_term(s), print_term(t)] for s, t in rel.pairs)
+
+
+def dense_lts_model(rng, n):
+    """The least model of n constants: s0, s1 and s2 move on a and b to
+    each of them, and every other state to one or two of them, but on a
+    quarter of its labels not at all.  s0-s2 simulate every state, and s
+    is simulated by t when t moves on every label s moves on, so the
+    greatest simulation holds about two thirds of all pairs."""
+    lines = ["behaviour lts labels a, b", "ops " + ", ".join(f"s{i}/0" for i in range(n))]
+    for i in range(n):
+        for lab in "ab":
+            if i < 3:
+                targets = range(3)
+            else:
+                targets = rng.sample(range(3), rng.randrange(1, 3)) if rng.random() < 0.75 else ()
+            lines += [f"rule r{i}{lab}{j} : |- s{i} -{lab}-> s{j}" for j in targets]
+    model, report = least_model(parse_spec("\n".join(lines) + "\n"))
+    assert report.converged
+    return model
+
+
+def test_witness_pairs_match_one_sort_of_the_printed_pairs():
+    for seed in range(6):
+        rng = random.Random(seed)
+        model = dense_lts_model(rng, rng.randrange(30, 51))
+        s = rng.choice(model.carrier())
+        res = check_equivalence(model, s, s, "sim")
+        assert len(res.witness.pairs) > len(model.carrier()) ** 2 // 2
+        assert res.to_json()["witness"]["pairs"] == witness_pairs_oracle(res.witness)
+        across = greatest_simulation(model, dense_lts_model(rng, 30))
+        assert across.pairs
+        assert (EquivResult(True, across).to_json()["witness"]["pairs"]
+                == witness_pairs_oracle(across))
+
+
+def test_witness_pairs_interleave_states_that_print_alike():
+    # Var("c") and App("c") both print "c": their right names are sorted
+    # together under "c", not one state's after the other's
+    kind = CountableLTS(frozenset({"a"}))
+    vc, ac, b, d = Var("c"), App("c"), Var("b"), App("d")
+    model = Model(kind, (vc, ac, b, d), {vc: lts_value({"a": {b}}), ac: lts_value({"a": {d}}),
+                                         b: lts_value({}), d: lts_value({"a": {d}})})
+    rel = greatest_simulation(model, model)
+    pairs = EquivResult(True, rel).to_json()["witness"]["pairs"]
+    assert pairs == witness_pairs_oracle(rel)
+    assert [p for p in pairs if p[0] == "c"] == [["c", "c"]] * 3 + [["c", "d"]] * 2
 
 
 def test_equiv_bisim_negative_gives_depth():
