@@ -227,13 +227,13 @@ def _plain_arrow(kind, lab, w) -> str:
     return f"-{lab}->"
 
 
-def _tree_lines(kind, rows: list, depth: int) -> list:
-    """engine.unfold's rows as an indented tree, opaque nodes marked."""
-    lines = [print_term(rows[0][3])]
+def _tree_lines(kind, rows: list, depth: int):
+    """engine.unfold's rows as an indented tree, opaque nodes marked, one line
+    at a time."""
+    yield print_term(rows[0][3])
     for level, lab, w, s, opaque in rows[1:]:
         mark = "  # opaque" if opaque else ""
-        lines.append("  " * level + f"{kind.arrow(lab, w)} {print_term(s)}{mark}")
-    return lines
+        yield "  " * level + f"{kind.arrow(lab, w)} {print_term(s)}{mark}"
 
 
 # --- the kinds -----------------------------------------------------------------------

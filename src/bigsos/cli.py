@@ -132,22 +132,20 @@ def _converged_model(spec, extra_seeds, args):
 # --- rendering ---------------------------------------------------------------------
 
 
-def _model_text(model, report) -> list:
-    lines = []
+def _model_text(model, report):
+    """The model's lines, one at a time."""
     for t in model.universe:
         v = model.behaviour[t]
         if model.kind.is_bottom(v):
-            lines.append(f"{print_term(t)} ⊥")
+            yield f"{print_term(t)} ⊥"
         for lab, target, w in model.kind.moves(v):  # none for bottom
-            lines.append(f"{print_term(t)} {model.kind.arrow(lab, w)} {print_term(target)}")
-    lines.append(f"-- iterations {report.iterations}, converged "
-                 f"{'yes' if report.converged else 'no'}, oscillation "
-                 f"{'yes' if report.oscillation_detected else 'no'}, "
-                 f"frontier {report.frontier_size}")
-    return lines
+            yield f"{print_term(t)} {model.kind.arrow(lab, w)} {print_term(target)}"
+    yield (f"-- iterations {report.iterations}, converged "
+           f"{'yes' if report.converged else 'no'}, oscillation "
+           f"{'yes' if report.oscillation_detected else 'no'}, "
+           f"frontier {report.frontier_size}")
 
 
-_CHUNK = 1 << 16  # characters per out.write
 _enc = json.encoder.encode_basestring_ascii
 _SCALARS = {str, int, float, bool, type(None)}
 _FIXED = {bool: ("false", "true"), type(None): ("null",), dict: ("{}",), list: ("[]",)}
@@ -180,10 +178,9 @@ def _flat(v, level: int):
 
 def _write_json(doc, out) -> None:
     """Write print(json.dumps(doc, indent=2)) of a document with string keys
-    to out, in writes of _CHUNK characters but the last.  Containers _flat
-    cannot make are walked from a stack of indent levels, so deep ones work."""
+    to out, one piece per write as it is made.  Containers _flat cannot make
+    are walked from a stack of indent levels, so deep ones work."""
     todo: list = [(False, doc, 0)]  # (is text, value or text, indent level)
-    buf, size = [], 0
     while todo:
         is_text, v, level = todo.pop()
         if is_text:  # v is (before, after): before, a newline and indent, after
@@ -198,15 +195,8 @@ def _write_json(doc, out) -> None:
             for i in reversed(range(len(entries))):
                 key, x = entries[i]
                 todo += [(False, x, level + 1), (True, ("," * (i > 0), key), level + 1)]
-        buf.append(text)
-        size += len(text)
-        if size >= _CHUNK:
-            text, size = "".join(buf), size % _CHUNK
-            for i in range(0, len(text) - size, _CHUNK):
-                out.write(text[i:i + _CHUNK])
-            buf = [text[len(text) - size:]]
-    buf.append("\n")
-    out.write("".join(buf))
+        out.write(text)
+    out.write("\n")
 
 
 # --- subcommands -------------------------------------------------------------------
@@ -251,7 +241,8 @@ def _cmd_model(spec, args, out, err) -> int:
     if fmt == "json":
         _write_json(model_to_json(model, report), out)
     elif fmt == "text":
-        print("\n".join(_model_text(model, report)), file=out)
+        for line in _model_text(model, report):
+            out.write(line + "\n")
     return 0 if report.converged else 4
 
 
@@ -265,7 +256,8 @@ def _cmd_unfold(spec, args, out, err) -> int:
     if args.format == "json":
         _write_json(unfold_to_json(model, rows, args.depth), out)
     else:
-        print("\n".join(model.kind.unfold_lines(rows, args.depth)), file=out)
+        for line in model.kind.unfold_lines(rows, args.depth):
+            out.write(line + "\n")
     return 0
 
 

@@ -407,14 +407,12 @@ def default_generators(kind: BehaviourKind, sig) -> tuple:
 
 def is_homomorphism(kind: BehaviourKind, gsrc: GenCoalgebra, gdst: GenCoalgebra,
                     hom: Mapping) -> bool:
-    """Relabelling the source dynamics must give the target dynamics."""
-    for x in gsrc.states:
-        y = hom.get(x)
-        if y is None or y not in gdst.dynamics:
-            return False
-        if kind.map_states(hom, gsrc.dynamics[x]) != gdst.dynamics[y]:
-            return False
-    return True
+    """Every source state has an image in the target, and relabelling the
+    source dynamics gives the target dynamics."""
+    if any(hom.get(x) not in gdst.dynamics for x in gsrc.states):
+        return False
+    return all(kind.map_states(hom, gsrc.dynamics[x]) == gdst.dynamics[hom[x]]
+               for x in gsrc.states)
 
 
 def _lift_seeds(spec: Spec, gen: GenCoalgebra) -> list:

@@ -1,6 +1,7 @@
 """Command line driver: exit codes, output formats, determinism."""
 
 import ast
+import hashlib
 import io
 import json
 import math
@@ -15,7 +16,7 @@ from hypothesis import given, strategies as st
 
 import bigsos
 from bigsos.behaviour import PartialStream
-from bigsos.cli import _CHUNK, _parser, _write_json, run
+from bigsos.cli import _parser, _write_json, run
 from bigsos.engine import MAX_ITERS, least_model
 from bigsos.relations import CongruenceReport, CongruenceViolation
 from bigsos.speclang import parse_spec
@@ -236,9 +237,9 @@ class CountingOut:
         self.parts.append(text)
 
 
-def test_json_is_written_in_bounded_chunks():
+def test_json_is_written_piece_by_piece():
     # a witness-shaped array, one container of 40,000 pairs, and a deep
-    # general-path tree: both are cut into writes of at most _CHUNK characters
+    # general-path tree: both reach out in many writes, none the whole document
     pairs = [[f"s{i}", f"s{j}"] for i in range(200) for j in range(200)]
     tree: dict = {"leaf": None}
     for i in range(300):
@@ -246,9 +247,55 @@ def test_json_is_written_in_bounded_chunks():
     for doc in ({"pairs": pairs}, tree):
         out = CountingOut()
         _write_json(doc, out)
-        sizes = [len(part) for part in out.parts]
-        assert len(sizes) >= 5 and max(sizes) <= _CHUNK
-        assert "".join(out.parts) == json.dumps(doc, indent=2) + "\n"
+        want = json.dumps(doc, indent=2) + "\n"
+        assert len(out.parts) >= 5 and max(map(len, out.parts)) < len(want)
+        assert "".join(out.parts) == want
+
+
+# sha256 of the text of `model transclosure.sos` under the default caps
+TRANSCLOSURE_MODEL_SHA256 = "537e2cd11964999b500d407a185e25fc669b8167414cc4db9a0c740710daf8fc"
+
+
+def test_text_is_written_line_by_line():
+    # every write is one line; the lines join to the whole output
+    unfold = "c\n" + "".join("  " * k + "-a[1.0]-> d\n" + "  " * k + "-b[1.0]-> c\n"
+                             for k in range(1, 2001))
+    for argv, check in (
+            (("unfold", fixture_path("wchain"), "c", "-d", "2000"), lambda text: text == unfold),
+            (("model", fixture_path("transclosure")),
+             lambda text: hashlib.sha256(text.encode()).hexdigest() == TRANSCLOSURE_MODEL_SHA256)):
+        out = CountingOut()
+        assert run(list(argv), out=out, err=io.StringIO()) == 0
+        assert len(out.parts) > 60
+        assert all(part.endswith("\n") and part.count("\n") == 1 for part in out.parts)
+        assert check("".join(out.parts)), argv
+
+
+# The child's own peak: VmHWM belongs to the process image that exec made,
+# while ru_maxrss starts from the peak of the parent that spawned it.
+PEAK_RSS_KIB = """
+import os, sys
+from bigsos.cli import run
+with open(os.devnull, "w") as out:
+    run(sys.argv[1:], out=out)
+with open("/proc/self/status") as fh:
+    print(next(line.split()[1] for line in fh if line.startswith("VmHWM:")))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_text_peak_memory_does_not_grow_with_output():
+    # unfold -d 6000 prints about 70 MB of text, -d 500 about 0.5 MB
+    src = str(pathlib.Path(bigsos.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    peaks = []
+    for depth in ("6000", "500"):
+        argv = ["unfold", fixture_path("wchain"), "c", "-d", depth]
+        proc = subprocess.run([sys.executable, "-c", PEAK_RSS_KIB, *argv], env=env,
+                              capture_output=True, text=True, check=True)
+        peaks.append(int(proc.stdout) / 1024)
+    assert peaks[0] - peaks[1] < 20, peaks
 
 
 def test_one_json_writer():

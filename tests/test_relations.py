@@ -19,8 +19,8 @@ from bigsos.relations import (LAW_POLICY, CongruenceReport, CongruenceViolation,
                               depth_similarity, distinguishing_depth,
                               doubled_lift, greatest_simulation, is_homomorphism,
                               law_flatten_hom, law_hom_preserves_similarity,
-                              law_pointwise_unfolding, law_suite, law_unit_hom,
-                              suite_to_json)
+                              law_pointwise_unfolding, law_suite, law_term_map_hom,
+                              law_unit_hom, suite_to_json)
 from bigsos.speclang import parse_spec
 from bigsos.terms import App, UniversePolicy, Var, parse_term, print_term, term_key
 from conftest import fixture_text, lts_value, unfold_tree, wts_value
@@ -595,10 +595,14 @@ def test_a_state_without_an_image_is_no_homomorphism():
     loop = GenCoalgebra(("gx",), {"gx": lts_value({"a": {"gx"}})})
     assert is_homomorphism(kind, loop, loop, {"gx": "gx"})
     assert not is_homomorphism(kind, loop, loop, {})
+    # gp's dynamics reach gq, which the map leaves out
+    assert not is_homomorphism(kind, CHAIN_GEN, loop, {"gp": "gx"})
 
 
 EMPTY_GEN = GenCoalgebra((), {})
 LOOP_GEN = GenCoalgebra(("gx",), {"gx": lts_value({"a": {"gx"}})})
+CHAIN_GEN = GenCoalgebra(("gp", "gq"), {"gp": lts_value({"a": {"gq"}}),
+                                        "gq": lts_value({"a": {"gq"}})})
 LTS_A = CountableLTS(frozenset({"a"}))
 
 
@@ -616,7 +620,13 @@ LTS_A = CountableLTS(frozenset({"a"}))
     (lambda: _square("T1", gen_to_model(LTS_A, LOOP_GEN), gen_to_model(LTS_A, EMPTY_GEN),
                      lambda t: t),
      ("T1", "inconclusive", "universe too small")),
-], ids=["L3-empty", "L2-empty", "T2-eta-empty", "T2-eta-fail", "square-too-small"])
+    # a partial map: gq has no image
+    (lambda: law_hom_preserves_similarity(LTS_A, CHAIN_GEN, LOOP_GEN, {"gp": "gx"}),
+     ("L2", "inconclusive", "supplied map is not a homomorphism")),
+    (lambda: law_term_map_hom(fx("lookahead2"), CHAIN_GEN, LOOP_GEN, {"gp": "gx"}, LAW_POLICY),
+     ("T1", "inconclusive", "supplied map is not a homomorphism")),
+], ids=["L3-empty", "L2-empty", "T2-eta-empty", "T2-eta-fail", "square-too-small",
+        "L2-partial-map", "T1-partial-map"])
 def test_law_results_off_the_suite_path(check, want):
     r = check()
     assert (r.law, r.status, r.witness) == want
