@@ -25,6 +25,8 @@ implicit: states can be terms, strings, or class indices.
 
 from __future__ import annotations
 
+from functools import cached_property
+from itertools import compress, count
 from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, Union
 
@@ -123,19 +125,53 @@ class WtsValue(Record):
         _set(self, "moves", moves)
 
 
-class Relation(Record):
-    """Binary relation between two finite state carriers."""
+_BIT = bytes.maketrans(b"01", b"\0\1")
 
-    __slots__ = ("left", "right", "pairs")
+
+def _bits(x: int):
+    """Indices of the set bits of x (a natural), lowest first.  The binary
+    digits become 0/1 bytes for compress, so a dense 400-bit row is read
+    in C, about six times faster than by peeling its lowest bit."""
+    return compress(count(), bin(x)[:1:-1].encode().translate(_BIT))
+
+
+class Relation(Record):
+    """Binary relation between two finite state carriers, held as rows: one
+    int bitset per left state over the right carrier's indices.  pairs, the
+    set of (left, right) states, is built on first read."""
+
+    __slots__ = ("left", "right", "rows", "__dict__")
 
     def __post_init__(self):
-        ls, rs = set(self.left), set(self.right)
-        for s, t in self.pairs:
-            if s not in ls or t not in rs:
+        if len(self.rows) != len(self.left) or any(row >> len(self.right)
+                                                   for row in self.rows):
+            raise ValueError("relation rows do not fit its carriers")
+
+    @classmethod
+    def from_pairs(cls, left: tuple, right: tuple, pairs: Iterable) -> Relation:
+        left_index = {s: i for i, s in enumerate(left)}
+        right_index = {t: j for j, t in enumerate(right)}
+        rows = [0] * len(left)
+        for s, t in pairs:
+            i, j = left_index.get(s), right_index.get(t)
+            if i is None or j is None:
                 raise ValueError(f"relation pair ({s!r}, {t!r}) outside its carriers")
+            rows[i] |= 1 << j
+        return cls(left, right, tuple(rows))
+
+    @cached_property
+    def pairs(self) -> frozenset:
+        right = self.right
+        return frozenset((s, right[j]) for s, row in zip(self.left, self.rows)
+                         for j in _bits(row))
 
     def __contains__(self, pair) -> bool:
-        return pair in self.pairs
+        s, t = pair
+        return (s in self.left and t in self.right
+                and bool(self.rows[self.left.index(s)] >> self.right.index(t) & 1))
+
+    def __len__(self) -> int:
+        return sum(map(int.bit_count, self.rows))
 
 
 def rel_pairs(rel):

@@ -6,8 +6,9 @@ deterministic for a fixed seed; exit codes are 0 (ok), 1 (syntax),
 2 (validation, usage, input nested too deeply to parse, or a spec error
 found while building the model, such as two rules giving one term
 different stream steps or a conclusion label outside the label domain),
-3 (non-monotone), 4 (non-convergence), 5 (internal).  Each domain error
-class carries its code as exit_code.
+3 (non-monotone), 4 (non-convergence, or a run that exhausts memory:
+error: out of memory), 5 (internal).  Each domain error class carries its
+code as exit_code.
 """
 
 from __future__ import annotations
@@ -167,8 +168,8 @@ def _flat(v, level: int):
     if kinds <= _SCALARS:
         texts = list(map(_scalar, vals))
     elif kinds <= {list, tuple} and all(vals) and set(map(type, itertools.chain(*vals))) == {str}:
-        texts = ["[" + sep[1:] + "  " + (sep + "  ").join(map(_enc, x)) + sep[1:] + "]"
-                 for x in vals]
+        start, inner, end = "[" + sep[1:] + "  ", sep + "  ", sep[1:] + "]"
+        texts = [start + inner.join(map(_enc, x)) + end for x in vals]
     else:
         return None
     if keyed:
@@ -270,7 +271,7 @@ def _cmd_equiv(spec, args, out, err) -> int:
     else:
         print(f"related: {'yes' if res.related else 'no'}", file=out)
         if res.related:
-            print(f"witness: {args.rel} relation with {len(res.witness.pairs)} pairs",
+            print(f"witness: {args.rel} relation with {len(res.witness)} pairs",
                   file=out)
         else:
             print(f"witness: distinguishing depth {res.witness}", file=out)
@@ -323,6 +324,8 @@ def run(argv=None, out=None, err=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return _dispatch(args, out, err)
+    except MemoryError:  # matched first, since matching (ValueError, OSError) allocates
+        pass  # reported below, once leaving the handler frees the run's frames
     except BigsosError as exc:
         print(f"{'internal error' if exc.exit_code == 5 else 'error'}: {exc}", file=err)
         return exc.exit_code
@@ -332,6 +335,8 @@ def run(argv=None, out=None, err=None) -> int:
     except RecursionError:  # only the parsers, validation and substitute recurse
         print("error: input nested too deeply", file=err)
         return 2
+    print("error: out of memory", file=err)
+    return 4
 
 
 def main() -> None:

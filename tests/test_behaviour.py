@@ -366,17 +366,20 @@ def test_kind_contract(kind):
 
 
 def test_relation_type_checks_carriers():
-    r = Relation(("p", "q"), ("x",), frozenset({("p", "x")}))
+    r = Relation(("p", "q"), ("x",), (1, 0))
     assert ("p", "x") in r
-    assert ("q", "x") not in r
+    assert ("q", "x") not in r and ("z", "x") not in r and ("p", "z") not in r
+    assert r == Relation.from_pairs(("p", "q"), ("x",), frozenset({("p", "x")}))
     with pytest.raises(ValueError):
-        Relation(("p",), ("x",), frozenset({("q", "x")}))
+        Relation.from_pairs(("p",), ("x",), frozenset({("q", "x")}))
+    with pytest.raises(ValueError):
+        Relation(("p",), ("x",), (2,))
 
 
 def test_rel_pairs_accepts_both():
     raw = frozenset({("p", "x")})
     assert rel_pairs(raw) == raw
-    assert rel_pairs(Relation(("p",), ("x",), raw)) == raw
+    assert rel_pairs(Relation.from_pairs(("p",), ("x",), raw)) == raw
     assert rel_pairs([("p", "x")]) == raw
 
 

@@ -298,6 +298,29 @@ def test_text_peak_memory_does_not_grow_with_output():
     assert peaks[0] - peaks[1] < 20, peaks
 
 
+def _limit_address_space(mib):
+    def limit():
+        import resource
+        resource.setrlimit(resource.RLIMIT_AS, (mib << 20, mib << 20))
+    return limit
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="sets RLIMIT_AS")
+def test_running_out_of_memory_exits_4_without_a_traceback():
+    # the unfold rows of a million steps outgrow a 300 MB address space; the
+    # limit is set in the child only
+    src = str(pathlib.Path(bigsos.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-m", "bigsos", "unfold", fixture_path("wchain"),
+                           "c", "-d", "1000000", "--format", "json"],
+                          env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                          text=True, timeout=120, preexec_fn=_limit_address_space(300))
+    assert proc.returncode == 4
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == "error: out of memory\n"
+
+
 def test_one_json_writer():
     # every JSON document goes through _write_json: no json.dumps with indent
     for path in sorted(pathlib.Path(bigsos.__file__).parent.glob("*.py")):

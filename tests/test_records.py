@@ -34,8 +34,7 @@ RECORDS = [
     (StreamStep, (1, "p"), "StreamStep(label=1, state='p')"),
     (LtsValue, (MOVES,), "LtsValue(moves=(('a', 'p', 1),))"),
     (WtsValue, (MOVES,), "WtsValue(moves=(('a', 'p', 1),))"),
-    (Relation, (("p",), ("q",), frozenset({("p", "q")})),
-     "Relation(left=('p',), right=('q',), pairs=frozenset({('p', 'q')}))"),
+    (Relation, (("p",), ("q",), (1,)), "Relation(left=('p',), right=('q',), rows=(1,))"),
     (PartialStream, (A,), "PartialStream(labels=frozenset({'a'}))"),
     (CountableLTS, (A,), "CountableLTS(labels=frozenset({'a'}))"),
     (WeightedLTS, (A,), "WeightedLTS(labels=frozenset({'a'}))"),
@@ -125,7 +124,10 @@ def test_record_constructors_take_keywords_and_defaults():
         with pytest.raises(TypeError):
             bad()
     with pytest.raises(ValueError, match="relation pair"):
-        Relation(("p",), ("q",), frozenset({("q", "p")}))
+        Relation.from_pairs(("p",), ("q",), frozenset({("q", "p")}))
+    for rows in ((), (1, 0), (2,), (-1,)):
+        with pytest.raises(ValueError, match="relation rows"):
+            Relation(("p",), ("q",), rows)
     with pytest.raises(ValueError, match="finite label alphabet"):
         CountableLTS(None)
 

@@ -1,11 +1,14 @@
 """Relations: simulation, bisimilarity, congruence, law suite."""
 
+import copy
+import io
 import itertools
+import pickle
 import random
 
 import pytest
 
-from bigsos import relations
+from bigsos import cli, relations
 from bigsos.behaviour import (BOTTOM, CountableLTS, PartialStream, Relation, StreamStep,
                               WeightedLTS)
 from bigsos.engine import (GenCoalgebra, Model, gen_to_model, least_model, lift_coalgebra,
@@ -23,7 +26,7 @@ from bigsos.relations import (LAW_POLICY, CongruenceReport, CongruenceViolation,
                               law_unit_hom, suite_to_json)
 from bigsos.speclang import parse_spec
 from bigsos.terms import App, UniversePolicy, Var, parse_term, print_term, term_key
-from conftest import fixture_text, lts_value, unfold_tree, wts_value
+from conftest import fixture_path, fixture_text, lts_value, unfold_tree, wts_value
 from spec_gen import UNIVERSE_TEXTS, random_monotone_lts_spec
 from test_cli_golden import SMALL_CAPS, TERMS
 
@@ -303,6 +306,53 @@ def test_witness_pairs_interleave_states_that_print_alike():
     pairs = EquivResult(True, rel).to_json()["witness"]["pairs"]
     assert pairs == witness_pairs_oracle(rel)
     assert [p for p in pairs if p[0] == "c"] == [["c", "c"]] * 3 + [["c", "d"]] * 2
+
+
+def random_relation(rng, left, right):
+    """A relation between left and right built both ways: from rows and
+    from the same pairs."""
+    rows = tuple(rng.getrandbits(len(right)) if rng.random() < 0.8 else 0 for _ in left)
+    pairs = [(s, t) for s, row in zip(left, rows) for j, t in enumerate(right) if row >> j & 1]
+    rng.shuffle(pairs)
+    return Relation(left, right, rows), Relation.from_pairs(left, right, pairs), set(pairs)
+
+
+def test_relation_from_rows_and_from_pairs_agree():
+    # Var("c") and App("c") print alike; the carriers differ and may overlap
+    states = [Var("c"), App("c"), App("d"), Var("b"), App("e", (), (App("c"),)), App("f")]
+    rng = random.Random(7)
+    for _ in range(60):
+        left = tuple(rng.sample(states, rng.randrange(0, len(states) + 1)))
+        right = left if rng.random() < 0.3 else tuple(
+            rng.sample(states, rng.randrange(0, len(states) + 1)))
+        rel, built, pairs = random_relation(rng, left, right)
+        assert rel == built and hash(rel) == hash(built) and len(rel) == len(pairs)
+        assert bool(rel) == bool(pairs)
+        for s, t in itertools.product(states, repeat=2):
+            assert ((s, t) in rel) == ((s, t) in built) == ((s, t) in pairs)
+        for back in (copy.copy(rel), copy.deepcopy(rel), pickle.loads(pickle.dumps(rel)), rel):
+            assert back == built and back.pairs == built.pairs == pairs
+        doc = EquivResult(True, built).to_json()
+        assert doc == EquivResult(True, rel).to_json()
+        assert doc["witness"]["pairs"] == witness_pairs_oracle(rel)
+
+
+def test_related_equiv_never_builds_the_pair_set(monkeypatch):
+    seen = []
+
+    def spy(*args, **kwargs):
+        seen.append(check_equivalence(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(cli, "check_equivalence", spy)
+    for fmt in ("json", "text"):
+        for rel in ("sim", "bisim"):
+            out, err = io.StringIO(), io.StringIO()
+            argv = ["equiv", fixture_path("lookahead2"), "tau(c)", "tau(d)", "--rel", rel]
+            assert cli.run(argv + ["--format", fmt], out=out, err=err) == 0
+            assert isinstance(seen[-1].witness, Relation)
+            assert "pairs" not in vars(seen[-1].witness), (fmt, rel)
+    assert len(seen) == 4
 
 
 def test_equiv_bisim_negative_gives_depth():
