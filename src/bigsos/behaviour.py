@@ -147,18 +147,6 @@ class Relation(Record):
                                                    for row in self.rows):
             raise ValueError("relation rows do not fit its carriers")
 
-    @classmethod
-    def from_pairs(cls, left: tuple, right: tuple, pairs: Iterable) -> Relation:
-        left_index = {s: i for i, s in enumerate(left)}
-        right_index = {t: j for j, t in enumerate(right)}
-        rows = [0] * len(left)
-        for s, t in pairs:
-            i, j = left_index.get(s), right_index.get(t)
-            if i is None or j is None:
-                raise ValueError(f"relation pair ({s!r}, {t!r}) outside its carriers")
-            rows[i] |= 1 << j
-        return cls(left, right, tuple(rows))
-
     @cached_property
     def pairs(self) -> frozenset:
         right = self.right

@@ -2,13 +2,13 @@
 
 Thin adapter over the library: parse a spec file, build the least model,
 and print unfoldings, equivalence verdicts, or reports.  All output is
-deterministic for a fixed seed; exit codes are 0 (ok), 1 (syntax),
-2 (validation, usage, input nested too deeply to parse, or a spec error
-found while building the model, such as two rules giving one term
+deterministic for a fixed seed; exit codes are 0 (ok), 1 (syntax, or input
+nested past terms.MAX_NESTING brackets), 2 (validation, usage, or a spec
+error found while building the model, such as two rules giving one term
 different stream steps or a conclusion label outside the label domain),
 3 (non-monotone), 4 (non-convergence, or a run that exhausts memory:
-error: out of memory), 5 (internal).  Each domain error class carries its
-code as exit_code.
+error: out of memory), 5 (internal), 141 (the output pipe closed: nothing
+more is printed).  Each domain error class carries its code as exit_code.
 """
 
 from __future__ import annotations
@@ -27,6 +27,8 @@ from .errors import BigsosError, NonConvergenceError
 from .relations import check_equivalence, congruence_test, law_suite, suite_to_json
 from .speclang import check_monotone, parse_spec, validate_spec
 from .terms import App, UniversePolicy, parse_term, print_term
+
+PIPE_CLOSED = 141  # the exit code when the output pipe closes: 128 + SIGPIPE
 
 
 def _add_common(sp) -> None:
@@ -326,18 +328,24 @@ def run(argv=None, out=None, err=None) -> int:
         return _dispatch(args, out, err)
     except MemoryError:  # matched first, since matching (ValueError, OSError) allocates
         pass  # reported below, once leaving the handler frees the run's frames
+    except BrokenPipeError:  # the reader stopped reading: stop quietly too
+        return PIPE_CLOSED
     except BigsosError as exc:
         print(f"{'internal error' if exc.exit_code == 5 else 'error'}: {exc}", file=err)
         return exc.exit_code
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=err)
         return 2
-    except RecursionError:  # only the parsers, validation and substitute recurse
-        print("error: input nested too deeply", file=err)
-        return 2
     print("error: out of memory", file=err)
     return 4
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()  # here, where a closed pipe can be caught, not at exit
+    except BrokenPipeError:
+        code = PIPE_CLOSED
+    if code == PIPE_CLOSED:  # the flush at exit retries what is buffered
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)

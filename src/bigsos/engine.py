@@ -50,8 +50,8 @@ from .behaviour import BehaviourKind, CountableLTS
 from .errors import (BigsosError, InconsistentStreamError, LabelEvalError,
                      NonConvergenceError, NonMonotoneError, UnboundVariableError,
                      UnknownStateError)
-from .speclang import (LabelAdd, LabelLit, LabelVar, Positive, Premise, Rule, Spec,
-                       check_monotone, label_vars, template_param_exprs, template_vars)
+from .speclang import (LabelLit, LabelVar, Positive, Rule, Spec, check_monotone,
+                       fold_label, label_vars, template_param_exprs, template_vars)
 from .terms import (App, Record, Term, UniversePolicy, Var, check_term, print_term,
                     subterms, term_key, term_size, variables)
 
@@ -183,10 +183,6 @@ class _Rows(dict):
         return row
 
 
-def _premise_reads(p: Premise) -> set:
-    return {("t", p.source)} | {("l", v) for v in label_vars(p.label)}
-
-
 # The helpers the generated code calls, each raising the error of its step.
 
 _NON_NATURAL = "label arithmetic over non-natural labels"
@@ -225,7 +221,7 @@ def _compile_rule(kind: BehaviourKind, rule: Rule):
         concl |= {("l", v) for v in label_vars(e)}
     live = [concl]  # live[i]: names read by premise i or anything after it
     for p in reversed(rule.premises):
-        live.append(live[-1] | _premise_reads(p))
+        live.append(live[-1] | {("t", p.source)} | {("l", v) for v in label_vars(p.label)})
     live.reverse()
 
     # a repeated head variable keeps its last argument, as a dict would
@@ -253,16 +249,18 @@ def _compile_rule(kind: BehaviourKind, rule: Rule):
         lines.append(f"{pad}{t} = {expr}")
         return t
 
-    def label(e) -> str:
-        """An operand holding the value of e, after the statements computing it."""
+    def leaf(e) -> str:
         if isinstance(e, LabelLit):
             return const(e.value)
-        if isinstance(e, LabelVar):
-            if ("l", e.name) in layout:
-                return local[("l", e.name)]
-            return store(f"_unbound({const(f'no binding for label variable {e.name!r}')})", body)
-        a, b = label(e.left), label(e.right)
-        return store(f"{'_add' if isinstance(e, LabelAdd) else '_mul'}({a}, {b})", body)
+        if ("l", e.name) in layout:
+            return local[("l", e.name)]
+        return store(f"_unbound({const(f'no binding for label variable {e.name!r}')})", body)
+
+    def label(e) -> str:
+        """An operand holding the value of e, after the statements computing
+        it: the operands left to right, then their operator."""
+        return fold_label(e, leaf, lambda a, b: store(f"_add({a}, {b})", body),
+                          lambda a, b: store(f"_mul({a}, {b})", body))
 
     def target(tt, builds: list, unbound: list) -> str:
         """An operand holding tt: its parameters are stored in pre-order, its
@@ -427,13 +425,6 @@ def phi_step(spec: Spec, model: Model, gen: Union[GenCoalgebra, None] = None,
 # --- fixed-point iteration ------------------------------------------------------
 
 
-def _subterm_closure(seedlike: Iterable[Term]) -> set:
-    out: set = set()
-    for t in seedlike:
-        out.update(subterms(t))
-    return out
-
-
 def _promotions(inside, entered: Iterable[Term], policy: UniversePolicy) -> list:
     """Terms that just entered the frontier (with their subterm closures) that
     fit the caps, given the universe terms inside.
@@ -497,7 +488,7 @@ def least_model(spec: Spec, seeds: Union[Iterable[Term], None] = None,
 
     # The model of the last step, updated in place once each step's
     # derivations have all run.
-    dirty = sorted(_subterm_closure(seeds), key=term_key)
+    dirty = sorted({s for t in seeds for s in subterms(t)}, key=term_key)
     bottom = kind.bottom()
     beh = dict.fromkeys(dirty, bottom)
     frontier: set = set()

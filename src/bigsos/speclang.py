@@ -40,7 +40,7 @@ from typing import Union
 
 from .behaviour import BehaviourKind, CountableLTS, PartialStream, WeightedLTS
 from .errors import ParseError
-from .terms import Record, Signature, TokenCursor, Var, _set, tokenize
+from .terms import Record, Signature, TokenCursor, Var, _set, subterms, tokenize, variables
 
 
 # --- label expressions ----------------------------------------------------------
@@ -68,24 +68,33 @@ class LabelMul(Record):
 LabelExpr = Union[LabelLit, LabelVar, LabelAdd, LabelMul]
 
 
+def fold_label(e: LabelExpr, leaf, add, mul):
+    """add(left, right) and mul(left, right) over the values leaf(x) of the
+    literals and variables x of e, operands left to right before their
+    operator, from a stack where True marks an operator whose operands are done."""
+    todo, done = [(e, False)], []
+    while todo:
+        e, ready = todo.pop()
+        if ready:
+            right = done.pop()
+            done[-1] = (add if isinstance(e, LabelAdd) else mul)(done[-1], right)
+        elif isinstance(e, (LabelAdd, LabelMul)):
+            todo += ((e, True), (e.right, False), (e.left, False))
+        else:
+            done.append(leaf(e))
+    return done[0]
+
+
+# + and * alike join leaf sets as left | right: several literals report in one order
+_JOIN = (frozenset.union, frozenset.union)
+
+
 def label_vars(e: LabelExpr) -> frozenset[str]:
-    if isinstance(e, LabelLit):
-        return frozenset()
-    if isinstance(e, LabelVar):
-        return frozenset((e.name,))
-    return label_vars(e.left) | label_vars(e.right)
+    return fold_label(e, lambda x: frozenset((x.name,) if isinstance(x, LabelVar) else ()), *_JOIN)
 
 
 def label_lits(e: LabelExpr) -> frozenset:
-    if isinstance(e, LabelLit):
-        return frozenset((e.value,))
-    if isinstance(e, LabelVar):
-        return frozenset()
-    return label_lits(e.left) | label_lits(e.right)
-
-
-def has_arithmetic(e: LabelExpr) -> bool:
-    return isinstance(e, (LabelAdd, LabelMul))
+    return fold_label(e, lambda x: frozenset((x.value,) if isinstance(x, LabelLit) else ()), *_JOIN)
 
 
 # --- target templates -----------------------------------------------------------
@@ -105,27 +114,15 @@ class TemplateApp(Record):
 TargetTerm = Union[Var, TemplateApp]
 
 
-def template_vars(tt: TargetTerm) -> frozenset[str]:
-    if isinstance(tt, Var):
-        return frozenset((tt.name,))
-    out: frozenset[str] = frozenset()
-    for a in tt.args:
-        out |= template_vars(a)
-    return out
+template_vars = variables  # a target's variables, walked as a term's
 
 
 def template_param_exprs(tt: TargetTerm):
-    if isinstance(tt, TemplateApp):
-        yield from tt.params
-        for a in tt.args:
-            yield from template_param_exprs(a)
+    return (e for n in template_apps(tt) for e in n.params)
 
 
 def template_apps(tt: TargetTerm):
-    if isinstance(tt, TemplateApp):
-        yield tt
-        for a in tt.args:
-            yield from template_apps(a)
+    return (n for n in subterms(tt) if isinstance(n, TemplateApp))
 
 
 # --- rules and specs ------------------------------------------------------------
@@ -236,47 +233,28 @@ def _label_atom(cur: TokenCursor, kind: BehaviourKind) -> LabelExpr:
 
 
 def _label_expr(cur: TokenCursor, kind: BehaviourKind) -> LabelExpr:
-    def atom() -> LabelExpr:
+    """A sum of products of atoms, an atom being a label or a parenthesised
+    expression; both operators associate to the left.  Read by precedence in
+    loop form: each open parenthesis saves the sum and product before it."""
+    outer: list = []
+    total = product = None
+    while True:
         if cur.eat_sym("("):
-            e = addition()
+            outer.append((total, product))
+            total = product = None
+            continue
+        e = _label_atom(cur, kind)
+        while True:
+            product = e if product is None else LabelMul(product, e)
+            if cur.eat_sym("*"):
+                break
+            total, product = product if total is None else LabelAdd(total, product), None
+            if cur.eat_sym("+"):
+                break
+            if not outer:
+                return total
             cur.expect_sym(")")
-            return e
-        return _label_atom(cur, kind)
-
-    def multiplication() -> LabelExpr:
-        e = atom()
-        while cur.eat_sym("*"):
-            e = LabelMul(e, atom())
-        return e
-
-    def addition() -> LabelExpr:
-        e = multiplication()
-        while cur.eat_sym("+"):
-            e = LabelAdd(e, multiplication())
-        return e
-
-    return addition()
-
-
-def _parse_template(cur: TokenCursor, kind: BehaviourKind, sig: Signature) -> TargetTerm:
-    tok = cur.expect("ident")
-    # lists inline, as in parse_term_tokens: a helper's frame per level costs depth
-    params: tuple = ()
-    if cur.eat_sym("["):
-        acc = [_label_expr(cur, kind)]
-        while cur.eat_sym(","):
-            acc.append(_label_expr(cur, kind))
-        cur.expect_sym("]")
-        params = tuple(acc)
-    args: list = []
-    if cur.eat_sym("("):
-        args.append(_parse_template(cur, kind, sig))
-        while cur.eat_sym(","):
-            args.append(_parse_template(cur, kind, sig))
-        cur.expect_sym(")")
-    if tok.value in sig or params or args:
-        return TemplateApp(tok.value, params, tuple(args))
-    return Var(tok.value)
+            e, (total, product) = total, outer.pop()
 
 
 def _parse_rule_line(cur: TokenCursor, kind: BehaviourKind, sig: Signature) -> Rule:
@@ -292,6 +270,11 @@ def _parse_rule_line(cur: TokenCursor, kind: BehaviourKind, sig: Signature) -> R
         cur.expect_sym("->")
         return Positive(source, label, cur.ident())
 
+    def node(tok, params: tuple, args: tuple) -> TargetTerm:  # a conclusion target node
+        if tok.value in sig or params or args:
+            return TemplateApp(tok.value, params, args)
+        return Var(tok.value)
+
     premises = () if cur.at_sym("|-") else cur.items(premise)
     cur.expect_sym("|-")
 
@@ -302,7 +285,7 @@ def _parse_rule_line(cur: TokenCursor, kind: BehaviourKind, sig: Signature) -> R
     cur.expect_sym("-")
     concl_label = _label_expr(cur, kind)
     cur.expect_sym("->")
-    concl_target = _parse_template(cur, kind, sig)
+    concl_target = cur.tree(lambda: _label_expr(cur, kind), node)
     cur.expect_eof()
     return Rule(name, head_op, head_params, head_vars, premises, concl_label, concl_target)
 
@@ -458,7 +441,7 @@ def validate_spec(spec: Spec) -> list:
                 out.append(Diagnostic(r.name, f"conclusion label {v!r} is not in the label "
                                               "set and no premise binds it"))
         _check_label_literals(kind, r.concl_label, r.name, out, "conclusion")
-        if not nat_labels and has_arithmetic(r.concl_label):
+        if not nat_labels and isinstance(r.concl_label, (LabelAdd, LabelMul)):
             out.append(Diagnostic(r.name, "label arithmetic needs natural labels"))
 
         for v in sorted(template_vars(r.concl_target) - set(bound)):

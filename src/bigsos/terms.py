@@ -305,12 +305,13 @@ def variables(t: Term) -> frozenset[str]:
 
 
 def subterms(t: Term) -> Iterator[Term]:
-    """All subterms including t itself, in pre-order, from an explicit stack."""
+    """All subterms including t itself, in pre-order, from an explicit stack;
+    the nodes of a rule's target template (see speclang) alike."""
     todo = [t]
     while todo:
         s = todo.pop()
         yield s
-        if isinstance(s, App):
+        if not isinstance(s, Var):
             todo.extend(reversed(s.args))
 
 
@@ -350,15 +351,19 @@ def print_term(t: Term) -> str:
 
 
 def substitute(t: Term, binding: Mapping[str, Term]) -> Term:
-    """Replace every variable of t via binding; the binding must cover them all."""
-    if isinstance(t, Var):
-        try:
-            return binding[t.name]
-        except KeyError:
-            raise UnboundVariableError(f"no binding for variable {t.name!r}") from None
-    if not t.args:
-        return t
-    return App(t.op, t.params, tuple(substitute(a, binding) for a in t.args))
+    """Replace every variable of t via binding; the binding must cover them
+    all.  The subterms are listed parents first, then imaged children first."""
+    order, image = list(subterms(t)), {}
+    for s in order:
+        if isinstance(s, Var):
+            try:
+                image[s] = binding[s.name]
+            except KeyError:
+                raise UnboundVariableError(f"no binding for variable {s.name!r}") from None
+    for s in reversed(order):
+        if isinstance(s, App):
+            image[s] = App(s.op, s.params, tuple([image[a] for a in s.args])) if s.args else s
+    return image[t]
 
 
 # --- tokenizer, shared with the rule language ---------------------------------
@@ -417,12 +422,20 @@ def tokenize(text: str, line: int = 1) -> list[Token]:
     return toks
 
 
+# The open brackets, "(" and "[" together, that any input may nest.  No reader
+# recurses; the limit bounds memory, as a chain d deep keeps d*d/2 key characters.
+MAX_NESTING = 1000
+_NESTING = {"(": 1, "[": 1, ")": -1, "]": -1}
+
+
 class TokenCursor:
-    """Minimal LL(1) helper over a token list."""
+    """Minimal LL(1) helper over a token list.  It counts the open brackets,
+    and the bracket that opens more than MAX_NESTING is a parse error."""
 
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -431,6 +444,10 @@ class TokenCursor:
         tok = self.tokens[self.pos]
         if tok.kind != "eof":
             self.pos += 1
+            if tok.kind == "sym":
+                self.depth += _NESTING.get(tok.value, 0)
+                if self.depth > MAX_NESTING:
+                    raise ParseError("input nested too deeply", tok.line, tok.col)
         return tok
 
     def at_sym(self, value: str) -> bool:
@@ -489,36 +506,49 @@ class TokenCursor:
         if tok.kind != "eof":
             raise ParseError(f"trailing input {tok.value!r}", tok.line, tok.col)
 
-
-def parse_term_tokens(cur: TokenCursor, sig: Signature, closed: bool = False) -> Term:
-    tok = cur.expect("ident")
-    params = cur.bracketed("[", cur.nat, "]")
-    args: list[Term] = []
-    if cur.eat_sym("("):
-        args.append(parse_term_tokens(cur, sig, closed))
-        while cur.eat_sym(","):
-            args.append(parse_term_tokens(cur, sig, closed))
-        cur.expect_sym(")")
-    name = tok.value
-    if name in sig:
-        op = sig[name]
-        if len(params) != op.param_count:
-            raise ArityError(f"operator {name!r} takes {op.param_count} parameter(s), "
-                             f"got {len(params)}", tok.line, tok.col)
-        if len(args) != op.arity:
-            raise ArityError(f"operator {name!r} has arity {op.arity}, got {len(args)} "
-                             f"argument(s)", tok.line, tok.col)
-        return App(name, params, tuple(args))
-    if params or args or closed:
-        raise UnknownOperatorError(f"unknown operator {name!r}", tok.line, tok.col)
-    return Var(name)
+    def tree(self, param, node):
+        """One tree `ident [param, ...] (tree, ...)`, either list optional,
+        read from a stack of open nodes: node(ident token, params, args)
+        makes each node once its arguments are read."""
+        stack: list = []  # (ident token, params, arguments so far) per open node
+        while True:
+            tok = self.expect("ident")
+            params = self.bracketed("[", param, "]")
+            if self.eat_sym("("):
+                stack.append((tok, params, []))
+                continue
+            made = node(tok, params, ())
+            while stack:
+                stack[-1][2].append(made)
+                if self.eat_sym(","):
+                    break
+                self.expect_sym(")")
+                tok, params, args = stack.pop()
+                made = node(tok, params, tuple(args))
+            else:
+                return made
 
 
 def parse_term(text: str, sig: Signature, closed: bool = False) -> Term:
     """Parse one term. Identifiers outside the signature become variables,
     or, in a closed term, unknown operators."""
+    def node(tok: Token, params: tuple, args: tuple) -> Term:
+        name = tok.value
+        if name in sig:
+            op = sig[name]
+            if len(params) != op.param_count:
+                raise ArityError(f"operator {name!r} takes {op.param_count} parameter(s), "
+                                 f"got {len(params)}", tok.line, tok.col)
+            if len(args) != op.arity:
+                raise ArityError(f"operator {name!r} has arity {op.arity}, got {len(args)} "
+                                 f"argument(s)", tok.line, tok.col)
+            return App(name, params, args)
+        if params or args or closed:
+            raise UnknownOperatorError(f"unknown operator {name!r}", tok.line, tok.col)
+        return Var(name)
+
     cur = TokenCursor(tokenize(text))
-    t = parse_term_tokens(cur, sig, closed)
+    t = cur.tree(cur.nat, node)
     cur.expect_eof()
     return t
 

@@ -4,7 +4,7 @@ from dataclasses import dataclass
 import pytest
 from hypothesis import settings
 
-from bigsos.behaviour import CountableLTS, WeightedLTS, state_key
+from bigsos.behaviour import CountableLTS, Relation, WeightedLTS, state_key
 from bigsos.errors import LabelEvalError, UnboundVariableError
 from bigsos.speclang import LabelAdd, LabelLit, LabelVar, parse_spec
 from bigsos.terms import App, Var
@@ -66,6 +66,14 @@ def instantiate_template(tt, env):
 
 
 # --- behaviour values from mappings -------------------------------------------------
+
+
+def relation_from_pairs(left, right, pairs):
+    """The Relation between carriers left and right that holds pairs."""
+    rows = [0] * len(left)
+    for s, t in pairs:
+        rows[left.index(s)] |= 1 << right.index(t)
+    return Relation(left, right, tuple(rows))
 
 
 def lts_value(mapping):

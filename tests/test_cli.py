@@ -16,11 +16,11 @@ from hypothesis import given, strategies as st
 
 import bigsos
 from bigsos.behaviour import PartialStream
-from bigsos.cli import _parser, _write_json, run
+from bigsos.cli import PIPE_CLOSED, _parser, _write_json, run
 from bigsos.engine import MAX_ITERS, least_model
 from bigsos.relations import CongruenceReport, CongruenceViolation
 from bigsos.speclang import parse_spec
-from bigsos.terms import App, UniversePolicy, print_term
+from bigsos.terms import MAX_NESTING, App, UniversePolicy, print_term
 from conftest import fixture_path, unfold_tree
 from spec_gen import random_monotone_lts_text
 from test_cli_golden import SMALL_CAPS, TERMS
@@ -754,29 +754,46 @@ def test_output_identical_after_term_churn_in_one_process():
 
 
 def test_deep_seed_is_a_clean_error():
-    # deeper than the interpreter's recursion limit: the parser cannot build it
+    # past MAX_NESTING brackets: a parse error at the bracket that went over
     deep = "sigma(" * 1200 + "c" + ")" * 1200
-    assert cli("model", fixture_path("transclosure"), deep) == (
-        2, "", "error: input nested too deeply\n")
+    message = f"error: input nested too deeply (line 1, column {6 * (MAX_NESTING + 1)})\n"
+    assert cli("model", fixture_path("transclosure"), deep) == (1, "", message)
     done = _run_module(("model", "transclosure", deep))
-    assert (done.returncode, done.stdout, done.stderr) == (
-        2, b"", b"error: input nested too deeply\n")
+    assert (done.returncode, done.stdout, done.stderr) == (1, b"", message.encode())
 
 
 def test_deep_label_is_a_clean_error(tmp_path):
-    # the label parser recurses three frames per parenthesis; past the
-    # recursion limit it is refused like any other input too deep to parse
+    # the label reader keeps no frame per parenthesis; past MAX_NESTING it is
+    # refused like any other input nested too deeply
     path = tmp_path / "deep.sos"
-    for depth in (100, 400):
+    for depth in (100, 400, 1200):
+        line = "rule g : x -n-> y |- g(x) -" + "(" * depth + "n" + "+1)" * depth + "-> y"
         path.write_text("behaviour stream nat\nops c/0, g/1\nrule c : |- c -1-> c\n"
-                        "rule g : x -n-> y |- g(x) -" + "(" * depth + "n" + "+1)" * depth
-                        + "-> y\n", encoding="utf-8")
-        if depth == 100:
+                        + line + "\n", encoding="utf-8")
+        if depth < 1200:
             code, out, err = cli("model", str(path), "g(c)")
-            assert (code, err) == (0, "") and "g(c) -101-> c" in out
+            assert (code, err) == (0, "") and f"g(c) -{depth + 1}-> c" in out
             continue
-        assert cli("model", str(path), "g(c)") == (2, "", "error: input nested too deeply\n")
-        assert cli("check", str(path)) == (2, "", "error: input nested too deeply\n")
+        column = line.index("-(") + 2 + MAX_NESTING  # that of the (MAX_NESTING + 1)-th "("
+        message = f"error: input nested too deeply (line 4, column {column})\n"
+        assert cli("model", str(path), "g(c)") == (1, "", message)
+        assert cli("check", str(path)) == (1, "", message)
+
+
+def test_a_closed_pipe_stops_quietly():
+    # the reader takes one line and closes the pipe: no message, exit 141
+    src = str(pathlib.Path(bigsos.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
+    for argv in (("unfold", fixture_path("wchain"), "c", "-d", "3000"),
+                 ("unfold", fixture_path("wchain"), "c", "-d", "300", "--format", "json")):
+        proc = subprocess.Popen([sys.executable, "-m", "bigsos", *argv], env=env,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(timeout=60), err) == (PIPE_CLOSED, b"")
 
 
 def test_deep_unfolds_succeed():

@@ -1,5 +1,6 @@
 """Engine: rule application, Kleene iteration, unfoldings, serialization."""
 
+import inspect
 import io
 import random
 import re
@@ -19,9 +20,10 @@ from bigsos.relations import default_generators
 from bigsos.speclang import (LabelAdd, LabelLit, LabelVar, Negative, Positive, Rule, Spec,
                              check_monotone, label_vars, parse_spec, template_param_exprs,
                              template_vars, validate_spec)
-from bigsos.terms import (App, UniversePolicy, Var, parse_term, print_term,
+from bigsos.terms import (MAX_NESTING, App, UniversePolicy, Var, parse_term, print_term,
                           substitute, subterms, term_key, term_size)
-from conftest import eval_label, fixture_text, instantiate_template, lts_value, wts_value
+from conftest import (eval_label, fixture_path, fixture_text, instantiate_template, lts_value,
+                      wts_value)
 from spec_gen import (FACT_HEADER, FACT_SHAPES, UNIVERSE_TEXTS, random_ground_lts_text,
                       random_monotone_lts_spec, random_monotone_lts_text)
 
@@ -809,21 +811,73 @@ def test_deep_templates_give_the_reference_model(monkeypatch, tmp_path, text):
     assert got == want
 
 
+def too_deep(line: int, column: int) -> tuple:
+    return 1, "", f"error: input nested too deeply (line {line}, column {column})\n"
+
+
+# The bracket past MAX_NESTING in a deep target is the "[" of its
+# (MAX_NESTING + 1)-th f; each f starts 5 columns after the one before.
+TARGET_OVER = too_deep(4, DEEP_TARGET.splitlines()[3].index("{") + 2 + 5 * MAX_NESTING)
+
+
 def test_a_target_too_deep_to_parse_is_a_clean_error(tmp_path):
-    # the compiler walks a target from its own stack, so only the parser
-    # bounds its depth; the label n at the bottom nests nothing itself
     path = deep_spec(tmp_path, DEEP_TARGET.format("f[n](" * 1200 + "y" + ")" * 1200))
-    assert cli_model(path) == (2, "", "error: input nested too deeply\n")
+    assert cli_model(path) == TARGET_OVER
 
 
 def test_a_label_at_the_bottom_of_a_deep_target_is_not_blamed(tmp_path):
-    # the target fills the stack and the label's one parenthesis takes the
-    # last frames: the message names no part of the input
+    # the target goes over the limit long before the label at its bottom
     path = deep_spec(tmp_path, DEEP_TARGET.format("f[n](" * 1200 + "f[(n)](y)" + ")" * 1200))
-    assert cli_model(path) == (2, "", "error: input nested too deeply\n")
+    assert cli_model(path) == TARGET_OVER
     out, err = io.StringIO(), io.StringIO()
-    assert cli.run(["check", path], out, err) == 2
-    assert (out.getvalue(), err.getvalue()) == ("", "error: input nested too deeply\n")
+    assert cli.run(["check", path], out, err) == 1
+    assert ("", err.getvalue()) == TARGET_OVER[1:]
+
+
+def test_no_step_takes_stack_in_proportion_to_depth(tmp_path):
+    # Parsing, validation, compilation, iteration and printing each take
+    # input MAX_NESTING brackets deep, or a label of 5000 terms, with 100
+    # frames to spare; one bracket more is refused at that bracket.  The laws
+    # substitute into the lifted terms of a 60-deep target, about 500 deep.
+    target, label = str(tmp_path / "target.sos"), str(tmp_path / "label.sos")
+    total = deep_spec(tmp_path, DEEP_LABEL.format("n" + "+1" * 5000))
+    tower = tmp_path / "tower.sos"
+    tower.write_text("behaviour lts labels a\nops s/1\nrule r : |- s(x) -a-> "
+                     + "s(" * 60 + "x" + ")" * 60 + "\n", encoding="utf-8")
+
+    def outcomes(depth):
+        seed = "sigma(" * depth + "c" + ")" * depth
+        with open(target, "w", encoding="utf-8") as fh:
+            fh.write(DEEP_TARGET.format("f[n](" * depth + "y" + ")" * depth))
+        with open(label, "w", encoding="utf-8") as fh:
+            fh.write(DEEP_LABEL.format("(" * depth + "n" + "+1)" * depth))
+        runs = [["unfold", fixture_path("lookahead2"), seed, "-d", "1"],
+                *(argv for path in (target, label, total)
+                  for argv in (["model", path, "g(c)"], ["check", path])),
+                ["laws", str(tower), "--universe-size", "500", "--universe-count", "500"]]
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack()) + 100)
+        try:
+            got = []
+            for argv in runs:
+                out, err = io.StringIO(), io.StringIO()
+                got.append((cli.run(argv, out, err), out.getvalue(), err.getvalue()))
+            return got
+        finally:
+            sys.setrecursionlimit(limit)
+
+    n = MAX_NESTING
+    model = "c -1-> c\ng(c) -{}\n-- iterations 3, converged yes, oscillation no, frontier {}\n"
+    checked = (0, "monotone: yes\n", "")
+    fixed = [(0, model.format("5001-> c", 0), ""), checked,
+             (0, "L3: pass\nL2: pass\nT1: pass\nT2-eta: pass\nT2-mu: pass\n", "")]
+    assert outcomes(n) == [
+        (0, "sigma(" * n + "c" + ")" * n + "\n", ""),
+        (0, model.format("1-> " + "f[1](" * n + "c" + ")" * n, 1), ""), checked,
+        (0, model.format(f"{n + 1}-> c", 0), ""), checked, *fixed]
+    label_over = too_deep(4, DEEP_LABEL.splitlines()[3].index("{") + n + 1)
+    assert outcomes(n + 1) == [too_deep(1, 6 * (n + 1)), TARGET_OVER, TARGET_OVER,
+                               label_over, label_over, *fixed]
 
 
 # --- semi-naive iteration versus the naive loop ----------------------------------------

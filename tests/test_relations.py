@@ -26,7 +26,8 @@ from bigsos.relations import (LAW_POLICY, CongruenceReport, CongruenceViolation,
                               law_unit_hom, suite_to_json)
 from bigsos.speclang import parse_spec
 from bigsos.terms import App, UniversePolicy, Var, parse_term, print_term, term_key
-from conftest import fixture_path, fixture_text, lts_value, unfold_tree, wts_value
+from conftest import (fixture_path, fixture_text, lts_value, relation_from_pairs, unfold_tree,
+                      wts_value)
 from spec_gen import UNIVERSE_TEXTS, random_monotone_lts_spec
 from test_cli_golden import SMALL_CAPS, TERMS
 
@@ -314,7 +315,7 @@ def random_relation(rng, left, right):
     rows = tuple(rng.getrandbits(len(right)) if rng.random() < 0.8 else 0 for _ in left)
     pairs = [(s, t) for s, row in zip(left, rows) for j, t in enumerate(right) if row >> j & 1]
     rng.shuffle(pairs)
-    return Relation(left, right, rows), Relation.from_pairs(left, right, pairs), set(pairs)
+    return Relation(left, right, rows), relation_from_pairs(left, right, pairs), set(pairs)
 
 
 def test_relation_from_rows_and_from_pairs_agree():
