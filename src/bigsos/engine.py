@@ -19,21 +19,19 @@ The iteration is semi-naive, and a step costs what it re-derives.  A term's
 derivation depends only on the value, frontier membership and taint of the
 terms whose step it reads, so least_model keeps a reverse index, built from
 those recorded reads, from each read term to the terms whose derivations
-read it.  It keeps the last step's model as mutable state, with a count per
-state of the universe values that reference it.  A step derives the readers
-of the terms the previous step changed, and the newly promoted terms,
-against the previous model, and applies the results only once all have run.
-Only a term whose value or taint changed updates its entry and the reference
-counts; a state outside the universe enters the frontier when its count
-leaves 0 and leaves it when the count reaches 0; promotion examines only the
-terms that just entered.  A step's delta is the earlier value and taint of
-each term it changed and the set of terms that entered or left the
-frontier.  The loop has converged when a delta is empty, and a model equals
-the one two steps back exactly when the two deltas change the same terms,
-the second restores each to its value and taint from before the first, and
-both flip the same frontier terms.  So a step costs O(derivations + changed
-states) rather than O(|universe|), and its models are those of full steps
-(phi_step).
+read it.  It keeps one model, the last step's, as mutable state, with a
+count per state of the universe values that reference it.  A step derives
+the readers of the terms the previous step changed or flipped, and the newly
+promoted terms, against that model, and applies the results only once all
+have run.  Only a term whose value or taint changed updates its entry, and
+the states its old and new values reference update the counts; a state
+outside the universe enters the frontier when its count leaves 0 and leaves
+it when the count reaches 0; promotion examines only the terms that just
+entered.  The loop has converged when a step changed, flipped and promoted
+nothing.  So a monotone step costs O(derivations + changed states) rather
+than O(|universe|), and its models are those of full steps (phi_step).  A
+forced non-monotone run also copies its last two models' values and taint,
+at O(|universe|) a step, and stops when a step gives the one two steps back.
 
 A generator designates opaque variable states whose behaviour is injected
 verbatim each step; running the same iteration over terms with generator
@@ -493,43 +491,38 @@ def least_model(spec: Spec, seeds: Union[Iterable[Term], None] = None,
     beh = dict.fromkeys(dirty, bottom)
     frontier: set = set()
     tainted: set = set()
-    held: dict = {}  # universe term -> the states its value references
     refs: dict = {}  # state -> the number of universe values that reference it
     view = Model(kind, (), beh, frontier, tainted)  # reads the live state
     # term -> universe terms whose derivations read it.  Entries are never
     # dropped: in a monotone chain a term's reads only grow, and a stale entry
     # costs one needless re-derivation.
     readers: dict = {}
-    # (changed, flipped) of the previous step when its universe was this one
-    prev: Union[tuple, None] = None
+    recent: list = []  # a forced run's last two models, oldest first
     converged = oscillating = False
-    iters = 0
-    while iters < max_iters:
-        iters += 1
+    for iters in range(1, max_iters + 1):
         memo = _Rows(view)
         derived = [(t, *_derive(spec, gen, memo, t)) for t in dirty]
-        changed: dict = {}  # term -> (value, taint) before this step
+        changed: set = set()  # terms whose value or taint this step changed
         touched: set = set()  # states whose reference count changed
         for t, v, read, taint in derived:
             for s in read:
                 readers.setdefault(s, set()).add(t)
-            old, was = beh[t], t in tainted
+            old = beh[t]
             if old != v:
                 if mon.monotone and not kind.leq(old, v):
                     raise BigsosError(
                         f"internal: iteration chain decreased at {print_term(t)}")
                 beh[t] = v
-                before, after = held.get(t, frozenset()), kind.states(v)
-                held[t] = after
+                before, after = kind.states(old), kind.states(v)
                 gone, new = before - after, after - before
                 for s in gone:
                     refs[s] -= 1
                 for s in new:
                     refs[s] = refs.get(s, 0) + 1
                 touched.update(gone, new)
-            elif was == taint:
+            elif (t in tainted) == taint:
                 continue
-            changed[t] = (old, was)
+            changed.add(t)
             if taint:
                 tainted.add(t)
             else:
@@ -543,22 +536,18 @@ def least_model(spec: Spec, seeds: Union[Iterable[Term], None] = None,
         moved = frontier.intersection(promoted)
         frontier.difference_update(moved)
         flipped.symmetric_difference_update(moved)
-        if promoted:
-            prev = None  # only same-universe models are comparable
-        elif not changed and not flipped:
+        if not (changed or flipped or promoted):
             converged = True
             break
-        # A monotone chain only climbs, so only a non-monotone one can cycle.
-        # This model equals the one two steps back when this step undid the
-        # previous one: it changed the same terms back to their values and
-        # taint from before it, and flipped the same frontier terms back.
-        elif (not mon.monotone and prev is not None and prev[1] == flipped
-              and prev[0].keys() == changed.keys()
-              and all(prev[0][t] == (beh[t], t in tainted) for t in changed)):
-            oscillating = True
-            break
-        else:
-            prev = (changed, flipped)
+        # A monotone chain only climbs, so only a non-monotone one can cycle:
+        # it does when a step gives the model from two steps back.  The
+        # frontier follows from the values, so they and the taint suffice.
+        if not mon.monotone:
+            now = (dict(beh), frozenset(tainted))
+            if len(recent) == 2 and recent[0] == now:
+                oscillating = True
+                break
+            recent = [*recent[-1:], now]
         # Frontier membership is read like a value.  As long as a term is
         # promoted in the step that first references it or never, a term leaves
         # the frontier only when no value references it any more, so its readers

@@ -36,6 +36,7 @@ target, is no fact, and a Spec built directly from rules has no facts.
 from __future__ import annotations
 
 import re
+from operator import ior
 from typing import Union
 
 from .behaviour import BehaviourKind, CountableLTS, PartialStream, WeightedLTS
@@ -85,16 +86,14 @@ def fold_label(e: LabelExpr, leaf, add, mul):
     return done[0]
 
 
-# + and * alike join leaf sets as left | right: several literals report in one order
-_JOIN = (frozenset.union, frozenset.union)
-
-
 def label_vars(e: LabelExpr) -> frozenset[str]:
-    return fold_label(e, lambda x: frozenset((x.name,) if isinstance(x, LabelVar) else ()), *_JOIN)
+    return fold_label(e, lambda x: frozenset((x.name,) if isinstance(x, LabelVar) else ()),
+                      frozenset.union, frozenset.union)
 
 
-def label_lits(e: LabelExpr) -> frozenset:
-    return fold_label(e, lambda x: frozenset((x.value,) if isinstance(x, LabelLit) else ()), *_JOIN)
+def label_lits(e: LabelExpr) -> tuple:
+    """The literal values of e, left to right, each once (ior keeps key order)."""
+    return tuple(fold_label(e, lambda x: {x.value: 0} if isinstance(x, LabelLit) else {}, ior, ior))
 
 
 # --- target templates -----------------------------------------------------------
@@ -309,13 +308,17 @@ _OPS_LINE = re.compile(rf"(?P<indent>[ \t]*)ops(?P<ops>[ \t]+{_OP}(?:[ \t]*,[ \t
                        r"[ \t]*(?:#.*)?")
 
 
-def _ground_axiom(m: re.Match, kind: BehaviourKind, sig: Signature) -> tuple:
+def _ground_axiom(m: re.Match, kind: BehaviourKind, sig: Signature) -> Union[tuple, None]:
     """The rule _parse_rule_line makes of a line _GROUND_AXIOM matched, and its
     fact: (label, target name) if the label is a literal in the label set and
-    the head and target are declared constants, else None.  The target goes
-    by name, since only the engine's join plan needs it as a term."""
+    the head and target are declared constants, else None.  The whole result
+    is None if int() cannot read the label.  The target goes by name: only the
+    engine's join plan needs it as a term."""
     nat, label, head, target = m.group("nat", "label", "head", "target")
-    value = label if nat is None else int(nat)
+    try:
+        value = label if nat is None else int(nat)
+    except ValueError:
+        return None
     in_set = kind.has_label(value)
     rule = Rule(m["name"], head, (), (), (),
                 LabelLit(value) if in_set or nat is not None else LabelVar(label),
@@ -336,19 +339,27 @@ def parse_spec(text: str) -> Spec:
     rules: list = []
     facts: list = []
     seen: set = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):  # "\f", "\x85"... end no line
         m = _GROUND_AXIOM.fullmatch(raw)
         if m and m["name"] is None:
             continue  # blank or comment only
-        if m and kind is not None:
-            (rule, fact), col = _ground_axiom(m, kind, sig), m.end("indent") + 1
+        axiom = _ground_axiom(m, kind, sig) if m and kind is not None else None
+        if axiom is not None:
+            (rule, fact), col = axiom, m.end("indent") + 1
         else:
             ops = _OPS_LINE.fullmatch(raw)
-            if ops:
+            try:  # None if not matched, or if int() cannot convert a number
+                entries = ops and [(name, int(arity), int(params or 0)) for name, arity, params
+                                   in re.findall(_OP, ops["ops"] or "")]
+            except ValueError:
+                entries = None
+            if entries is not None:
                 keyword, col = "ops", ops.end("indent") + 1
             else:
                 cur = TokenCursor(tokenize(raw, lineno))
-                first = cur.next()  # not eof: the pattern took blank lines
+                first = cur.next()
+                if first.kind == "eof":
+                    continue  # blank or comment only, with blanks the pattern lacks
                 keyword, col = first.value, first.col
                 if first.kind != "ident":
                     raise ParseError(f"expected a declaration, got {keyword!r}", lineno, col)
@@ -364,9 +375,7 @@ def parse_spec(text: str) -> Spec:
                     raise ParseError("ops line must precede rules", lineno, col)
                 has_ops = True
                 try:
-                    sig = Signature([(name, int(arity), int(params or 0)) for name, arity, params
-                                     in re.findall(_OP, ops["ops"] or "")]
-                                    if ops else _parse_ops_line(cur))
+                    sig = Signature(entries if entries is not None else _parse_ops_line(cur))
                 except ValueError as exc:
                     raise ParseError(str(exc), lineno, col) from None
                 continue

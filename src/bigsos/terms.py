@@ -377,10 +377,11 @@ _SYMBOLS = ("-/->", "|-", "->", "(", ")", "[", "]", ",", ":", "/", "+", "*", "-"
 # str.isdecimal(), so [^\W\d] also admits numerals such as "²" that are not
 # letters; tokenize sends those to the natural or error branch itself.  So a
 # natural can hold digits that int() cannot read ("1²"); TokenCursor.nat
-# reports those as a parse error at the token.
-_TOKEN = re.compile(r"[ \t\r\n]*(?:([^\W\d][\w']*)|("
+# reports those as a parse error at the token, as it does a natural with more
+# digits than int() converts.  Form feed and vertical tab are blanks too.
+_TOKEN = re.compile(r"[ \t\r\n\f\v]*(?:([^\W\d][\w']*)|("
                     + "|".join(re.escape(sym) for sym in _SYMBOLS)
-                    + r")|(\d+)|(#)|([^ \t\r\n]))")
+                    + r")|(\d+)|(#)|([^ \t\r\n\f\v]))")
 _TOKEN_KINDS = (None, "ident", "sym", "nat")
 
 

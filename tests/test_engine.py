@@ -971,6 +971,29 @@ rule flip : x -a-> y, y -b-/-> |- f(x) -b-> y
 rule follow : x -a-> y, y -b-> z |- f(x) -a-> z
 """
 
+# c moves to sigma(c), and sigma(c) to h(c') only while c' = sigma(c) has no
+# move.  h(x) loops, so a promoted h(sigma(c)) grows the universe before the
+# run settles into its 2-cycle; under a cap of 2 terms, h(sigma(c)) only
+# enters and leaves the frontier.
+GROWING_CYCLE = """behaviour lts labels a
+ops sigma/1, c/0, h/1
+rule axiom_c : |- c -a-> sigma(c)
+rule sigma : x -a-> x', x' -a-/-> |- sigma(x) -a-> h(x')
+rule h : |- h(x) -a-> h(x)
+"""
+
+# sigma(c) oscillates from step 2, while g(c), which reads the frontier term
+# k(c), is tainted in step 2 and each h above it one step later: the
+# behaviour repeats long before the taint does.
+SLOW_TAINT = """behaviour lts labels a, b
+ops sigma/1, c/0, k/1, g/1, h/1
+rule axiom_c : |- c -a-> sigma(c)
+rule sigma : x -a-> x', x' -a-/-> |- sigma(x) -a-> x'
+rule k : |- c -b-> k(c)
+rule g : x -b-> y, y -b-> z |- g(x) -b-> z
+rule h : x -b-> y |- h(x) -b-> y
+"""
+
 SEMINAIVE_CASES = {
     # name: (spec text, seed terms, policy, force)
     "lookahead2": (fixture_text("lookahead2"), ("sigma(tau(c))", "sigma(tau(d))"),
@@ -993,6 +1016,9 @@ SEMINAIVE_CASES = {
     "negloop-growing": (fixture_text("negloop"), ("sigma(c)",), UniversePolicy(8, 6), True),
     "left-frontier": (LEFT_FRONTIER, ("sigma(c)",), UniversePolicy(8, 2), True),
     "swap-moves": (SWAP_MOVES, ("f(c)",), UniversePolicy(4, 2), True),
+    "growing-cycle": (GROWING_CYCLE, ("c", "sigma(c)"), UniversePolicy(10, 4), True),
+    "growing-cycle-capped": (GROWING_CYCLE, ("c", "sigma(c)"), UniversePolicy(2, 4), True),
+    "slow-taint": (SLOW_TAINT, ("sigma(c)", "h(h(h(h(g(c)))))"), UniversePolicy(20, 0), True),
     "empty": (fixture_text("empty"), (), UniversePolicy(), False),
 }
 
@@ -1012,7 +1038,7 @@ def test_least_model_matches_naive_loop(name):
 
 def test_naive_loop_cases_reach_taint_promotion_and_oscillation():
     """The cases above exercise what the changed set must track, a term
-    leaving the frontier included."""
+    leaving the frontier included, and a 2-cycle after the universe grew."""
     seen = set()
     for name in SEMINAIVE_CASES:
         spec, seeds, policy, force = seminaive_case(name)
@@ -1022,6 +1048,8 @@ def test_naive_loop_cases_reach_taint_promotion_and_oscillation():
         seen |= {"frontier"} if model.frontier else set()
         seen |= {"promoted"} if len(model.universe) > len(start) else set()
         seen |= {"oscillation"} if report.oscillation_detected else set()
+        if report.oscillation_detected and len(model.universe) > len(start):
+            seen.add("grown-oscillation")
         seen |= {"unconverged"} if not report.converged else set()
         if name != "factstream-sized":
             frontiers = [least_model(spec, seeds, policy, k, force=force)[0].frontier
@@ -1029,7 +1057,7 @@ def test_naive_loop_cases_reach_taint_promotion_and_oscillation():
             if any(f - g - set(model.universe) for f, g in zip(frontiers, frontiers[1:])):
                 seen.add("left-frontier")
     assert seen == {"tainted", "frontier", "promoted", "oscillation", "unconverged",
-                    "left-frontier"}
+                    "left-frontier", "grown-oscillation"}
 
 
 def test_least_model_matches_naive_loop_on_random_specs():

@@ -2,6 +2,7 @@
 
 import random
 import re
+import sys
 
 import pytest
 
@@ -143,6 +144,42 @@ def test_nat_int_cannot_read_is_a_parse_error(text, message):
         parse_spec("behaviour stream nat\n" + text)
 
 
+# A natural with more digits than int() converts once the tests lower Python's
+# limit to 640 digits; a Python without that limit converts it.
+HUGE = "9" * 641
+INT_DIGIT_LIMIT = hasattr(sys, "set_int_max_str_digits")
+
+
+@pytest.fixture
+def int_digits_640():
+    """int()'s digit limit at 640 for the test, where Python has one."""
+    if not INT_DIGIT_LIMIT:
+        yield
+        return
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
+@pytest.mark.skipif(not INT_DIGIT_LIMIT, reason="int() converts naturals of any length")
+@pytest.mark.parametrize("text,line,col", [
+    (f"ops c/0, f/1\nrule big : |- c -{HUGE}-> c\n", 3, 18),
+    (f"ops c/0, f/1\nrule big : |- f(x) -{HUGE}-> x\n", 3, 21),
+    (f"ops c/{HUGE}\n", 2, 7),
+    (f"ops c/0[{HUGE}]\n", 2, 9),
+], ids=("ground-axiom", "rule", "arity", "params"))
+def test_oversized_natural_is_read_by_the_general_parser(int_digits_640, text, line, col):
+    # the recognisers leave such a line to the general parser, so every path
+    # reports TokenCursor.nat's error at the literal
+    text = "behaviour stream nat\n" + text
+    want = ("error", f"expected nat, got '{HUGE}' (line {line}, column {col})", line, col)
+    assert _outcome(text, parse_spec) == want
+    assert _outcome(text, reference_parse_spec) == want
+
+
 @pytest.mark.parametrize("text,col", [("f[2², 1]", 3), ("f[1, 2²]", 6)], ids=("first", "later"))
 def test_term_parameter_int_cannot_read_is_a_parse_error(text, col):
     with pytest.raises(ParseError,
@@ -156,6 +193,55 @@ def test_ops_line_after_a_rule_rejected():
     with pytest.raises(ParseError,
                        match=r"^ops line must precede rules \(line 3, column 1\)$"):
         parse_spec(text)
+
+
+# every character str.splitlines() breaks at besides "\n", "\r" and "\r\n"
+OTHER_LINE_BREAKS = ("\f", "\v", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+
+
+def test_a_comment_runs_to_newline():
+    header = "behaviour lts labels a\nops c/0\n"
+    with pytest.raises(ParseError, match=re.escape("unknown declaration 'oops' (line 4, column 1)")):
+        parse_spec(header + "# page\fbreak\noops\n")
+    assert parse_spec(header + "# note\x85rule r : |- c -a-> c\n").rules == ()
+    for ch in OTHER_LINE_BREAKS:
+        spec = parse_spec(header + f"# one{ch}rule r : |- c -a-> c\n"
+                                   f"rule s : |- c -a-> c # two{ch}\n")
+        assert [r.name for r in spec.rules] == ["s"], repr(ch)
+
+
+@pytest.mark.parametrize("line", ["rule r : |- c -a->{}c", "rule r : |- f(x){}-a-> x",
+                                  "ops c/0,{}f/1", "{}behaviour lts labels a"])
+@pytest.mark.parametrize("ch", OTHER_LINE_BREAKS, ids=repr)
+def test_other_line_breaks_are_blanks_or_errors(line, ch):
+    # form feed and vertical tab are blanks; every other one is the
+    # tokenizer's error at its own line and column
+    body = ["ops c/0, f/1", "rule q : |- c -a-> c"]
+    lines = ([line.format(ch)] + body if line.startswith("{}")
+             else ["behaviour lts labels a"] + body + [line.format(ch)])
+    text = "\n".join(lines) + "\n"
+    at = lines.index(line.format(ch))
+    if ch in "\f\v":
+        assert _outcome(text, parse_spec) == _outcome(text.replace(ch, " "), parse_spec)
+    else:
+        with pytest.raises(ParseError, match=re.escape(
+                f"unexpected character {ch!r} (line {at + 1}, column {line.index('{}') + 1})")):
+            parse_spec(text)
+    _assert_agrees(text)
+
+
+@pytest.mark.parametrize("blank", ["\f", "\v", "\f# page", "\v # c", " \f\t", "\r"], ids=repr)
+def test_a_line_of_other_blanks_is_blank(blank):
+    lines = ["behaviour lts labels a", blank, "ops c/0", blank, "rule q : |- c -a-> c", blank]
+    text = "\n".join(lines) + "\n"
+    assert _outcome(text, parse_spec) == _outcome(text.replace(blank, ""), parse_spec)
+    _assert_agrees(text)
+
+
+def test_crlf_text_parses_like_lf_text():
+    text = "behaviour lts labels a\n\nops c/0 # c\n\nrule q : |- c -a-> c\n"
+    assert _outcome(text.replace("\n", "\r\n"), parse_spec) == _outcome(text, parse_spec)
+    _assert_agrees(text.replace("\n", "\r\n"))
 
 
 # --- validation diagnostics ----------------------------------------------------------
@@ -190,6 +276,14 @@ def test_negative_premise_needs_bound_source():
 
 def test_clean_gsos_rule_passes():
     assert diags_for("rule ok: x -a-> y |- f(x) -a-> f(y)") == []
+
+
+def test_bad_label_literals_report_in_source_order_once_each():
+    diags = diags_for("rule r : |- c -(516698*189768*37*(15+20797+1034443)+a+37)-> c")
+    assert [str(d) for d in diags] == [
+        f"rule r: conclusion: label literal {n} not in label set"
+        for n in (516698, 189768, 37, 15, 20797, 1034443)] + [
+        "rule r: label arithmetic needs natural labels"]
 
 
 def test_misspelt_label_is_named_as_outside_the_label_set():
@@ -229,7 +323,7 @@ def reference_parse_spec(text):
     has_ops = False
     rules = []
     seen = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         cur = TokenCursor(tokenize(raw, lineno))
         first = cur.peek()
         if first.kind == "eof":
@@ -296,9 +390,12 @@ def _recognised(raw, kind, sig) -> bool:
     m = _GROUND_AXIOM.fullmatch(raw)
     if m is None or m["name"] is None:
         return False
+    axiom = _ground_axiom(m, kind, sig)
+    if axiom is None:  # a label int() cannot convert
+        return False
     cur = TokenCursor(tokenize(raw))
     assert cur.next().value == "rule", repr(raw)
-    rule, fact = _ground_axiom(m, kind, sig)
+    rule, fact = axiom
     assert rule == _parse_rule_line(cur, kind, sig), repr(raw)
     assert fact == reference_fact(rule, kind, sig), repr(raw)
     return True
@@ -312,7 +409,7 @@ def _assert_agrees(text) -> int:
     if expected[0] == "error":
         return 0
     spec = reference_parse_spec(text)
-    return sum(_recognised(raw, spec.kind, spec.sig) for raw in text.splitlines())
+    return sum(_recognised(raw, spec.kind, spec.sig) for raw in text.split("\n"))
 
 
 LABEL_CHOICES = ("a", "b", "tau", "a'", "_x", "0", "7", "007", "zz")  # zz: undeclared
@@ -367,7 +464,7 @@ MALFORMED_OPS = ["ops a/", "ops a/1,", "ops a/1 b/2", "ops a/1[", "ops a/1[2", "
                  "ops a/1]", "ops 1/1", "ops a/1\xb2", "ops a/1, a/2", "opsa/1", "ops a/-1",
                  "ops a//1", "ops \xe9/1", "ops a\xe9/1", "ops a/1\xa0", "ops ,", "ops a/1[2,3]",
                  "ops a/1 # c", "\tops a'/2 , b/0[ 3 ] #", "ops", "ops#", " ops a/007",
-                 "ops a/1\x0c"]
+                 "ops a/1\x0c", f"ops a/{HUGE}", f"ops a/1[{HUGE}]"]
 
 
 def random_ops_line(rng: random.Random, mutate: float) -> str:
@@ -386,7 +483,7 @@ def random_ops_line(rng: random.Random, mutate: float) -> str:
     return line
 
 
-def test_ops_recogniser_matches_the_tokenizer_path():
+def test_ops_recogniser_matches_the_tokenizer_path(int_digits_640):
     rng = random.Random(6)
     lines = MALFORMED_OPS + [random_ops_line(rng, mutate=0.5) for _ in range(400)]
     taken = errors = 0
@@ -448,11 +545,13 @@ NEAR_MISSES = [
     ("rule 1r : |- s0 -a-> s1", False),
     ("rule r : |- 1 -a-> s1", False),
     ("rule r : |- s0 -a-> 1", False),
+    (f"rule r : |- s0 -{HUGE}-> s1", not INT_DIGIT_LIMIT),
 ]
 
 
-@pytest.mark.parametrize("line,taken", NEAR_MISSES, ids=[repr(m[0]) for m in NEAR_MISSES])
-def test_recogniser_near_misses(line, taken):
+@pytest.mark.parametrize("line,taken", NEAR_MISSES,
+                         ids=[repr(m[0]).replace(HUGE, "9...9") for m in NEAR_MISSES])
+def test_recogniser_near_misses(line, taken, int_digits_640):
     for header in NEAR_MISS_HEADERS:
         spec = parse_spec(header)
         assert _recognised(line, spec.kind, spec.sig) == taken

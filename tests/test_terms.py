@@ -383,7 +383,7 @@ def walk_tokens(text, line=1):
         ch = text[i]
         if ch == "#":
             break
-        if ch in " \t\r\n":
+        if ch in " \t\r\n\f\v":
             i += 1
             col += 1
             continue
@@ -438,9 +438,10 @@ def test_tokenize_matches_walker_on_fixtures_and_generated_specs():
 
 
 # Letters, digits and symbols, plus characters where the regex classes and
-# str methods part ways: "\f" is no blank here, "²" is a digit but not
-# decimal, "٣" is a decimal digit, "½" is numeric but no digit.
-TOKEN_ALPHABET = (list("abxyzAZ_019'#|/ \t\r\n\f") + ["é", "²", "٣", "½"]
+# str methods part ways: "\f" and "\v" are blanks, "\x85" is no blank here,
+# "²" is a digit but not decimal, "٣" is a decimal digit, "½" is numeric but
+# no digit.
+TOKEN_ALPHABET = (list("abxyzAZ_019'#|/ \t\r\n\f\v\x85") + ["é", "²", "٣", "½"]
                   + list(_SYMBOLS))
 
 
@@ -458,7 +459,10 @@ def test_tokenize_odd_characters():
     assert tokenize("x²1 ²3 ٣4") == [Token("ident", "x²1", 1, 1), Token("nat", "²3", 1, 5),
                                     Token("nat", "٣4", 1, 8), Token("eof", "", 1, 10)]
     assert tokenize("1² # note") == [Token("nat", "1²", 1, 1), Token("eof", "", 1, 4)]
-    for bad, col in (("c \f", 3), ("½", 1), ("'x", 1)):
+    # form feed and vertical tab are blanks; NEL and the line separator are not
+    assert tokenize("c\f\vd") == [Token("ident", "c", 1, 1), Token("ident", "d", 1, 4),
+                                  Token("eof", "", 1, 5)]
+    for bad, col in (("c \x85", 3), ("c\u2028", 2), ("½", 1), ("'x", 1)):
         with pytest.raises(ParseError) as info:
             tokenize(bad)
         assert info.value.col == col
