@@ -14,8 +14,8 @@ from .engine import (ConvergenceReport, GenCoalgebra, Model, gen_to_model,
                      least_model, lift_coalgebra, model_to_dot, model_to_json,
                      phi_step, unfold, unfold_to_json)
 from .errors import (ArityError, BigsosError, CarrierMismatchError,
-                     InconsistentStreamError, LabelEvalError, NonConvergenceError,
-                     NonMonotoneError, ParseError, StateMapError,
+                     InconsistentStreamError, InvalidSpecError, LabelEvalError,
+                     NonConvergenceError, NonMonotoneError, ParseError, StateMapError,
                      UnboundVariableError, UnknownOperatorError, UnknownStateError)
 from .relations import (CongruenceReport, EquivResult, LawResult, bisimilarity_classes,
                         check_equivalence, congruence_test, depth_similarity,

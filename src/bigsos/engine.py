@@ -45,11 +45,10 @@ from itertools import count
 from typing import Iterable, Union
 
 from .behaviour import BehaviourKind, CountableLTS
-from .errors import (BigsosError, InconsistentStreamError, LabelEvalError,
-                     NonConvergenceError, NonMonotoneError, UnboundVariableError,
-                     UnknownStateError)
-from .speclang import (LabelLit, LabelVar, Positive, Rule, Spec, check_monotone,
-                       fold_label, label_vars, template_param_exprs, template_vars)
+from .errors import (BigsosError, InconsistentStreamError, InvalidSpecError, LabelEvalError,
+                     NonConvergenceError, NonMonotoneError, UnknownStateError)
+from .speclang import (LabelLit, LabelVar, Positive, Rule, Spec, check_monotone, fold_label,
+                       label_vars, template_param_exprs, template_vars, validate_spec)
 from .terms import (App, Record, Term, UniversePolicy, Var, check_term, print_term,
                     subterms, term_key, term_size, variables)
 
@@ -148,23 +147,26 @@ def gen_to_model(kind: BehaviourKind, gen: GenCoalgebra) -> Model:
 # step, and every source read goes into the caller's read set: the step takes
 # the term's taint from it, and least_model its reverse index.
 #
-# The conclusion, and the label of each negative premise, are straight-line
-# statements of run: one per label operator, operator parameter and target
-# node, each storing its value in a temporary t<n>.  Nested expressions would
-# run into the Python parser's nesting limit on deep templates.  The errors
-# come in evaluation order: the label, its operands left to right and then
-# its operator; a label outside the domain; the parameters in pre-order; the
-# first unbound term variable in pre-order.  The target's nodes are built
-# bottom-up after every parameter, and a term's value is built from its moves
-# by one kind.from_moves call.
+# The conclusion is straight-line statements of run: one per label operator
+# and target node, each storing its value in a temporary t<n>.  Nested
+# expressions would run into the Python parser's nesting limit on deep
+# templates.  The plan is built only for a spec validate_spec accepts, so
+# every variable is bound and arithmetic sees naturals.  Two checks are left:
+# a conclusion label that is not a literal must be in the domain, as a head
+# parameter is a natural whatever the alphabet, and a natural that arithmetic
+# computes, the only source of new ones, must stay below 2**_MAX_BITS, which
+# Python prints within its default digit limit.  They run in evaluation
+# order: the label, its bound and domain, then the parameters in pre-order.  The target's nodes are built bottom-up after
+# every parameter, and a term's value is built from its moves by one
+# kind.from_moves call.
 #
 # No spec text reaches the generated source.  Literal labels, operator names,
-# rule names, messages and kind.has_label are the arguments c<k> of a factory
-# that returns run, so the source depends only on the rule's shape, and a
-# name such as x''' or `row` never meets the generator's.  Each source's
-# factory is compiled once per process and kept in a bounded cache, because
-# every spec parse compiles its rules afresh and compiling source costs far
-# more than the join it runs.
+# rule names and kind.has_label are the arguments c<k> of a factory that
+# returns run, so the source depends only on the rule's shape, and a name such
+# as x''' or `row` never meets the generator's.  Each source's factory is
+# compiled once per process and kept in a bounded cache, because every spec
+# parse compiles its rules afresh and compiling source costs far more than the
+# join it runs.
 
 
 class _Rows(dict):
@@ -181,31 +183,14 @@ class _Rows(dict):
         return row
 
 
-# The helpers the generated code calls, each raising the error of its step.
+# The helpers the generated code calls, each raising the error of its check.
 
-_NON_NATURAL = "label arithmetic over non-natural labels"
-
-
-def _add(a, b):
-    if isinstance(a, int) and isinstance(b, int):
-        return a + b
-    raise LabelEvalError(_NON_NATURAL)
+_MAX_BITS = 14284  # 2**14284 - 1 has 4300 digits, Python's default limit for str()
 
 
-def _mul(a, b):
-    if isinstance(a, int) and isinstance(b, int):
-        return a * b
-    raise LabelEvalError(_NON_NATURAL)
-
-
-def _nat(v):
-    if isinstance(v, int) and v >= 0:
-        return v
-    raise LabelEvalError(f"operator parameter evaluated to {v!r}, expected a natural")
-
-
-def _unbound(message: str):
-    raise UnboundVariableError(message)
+def _too_big(rule: str):
+    raise NonConvergenceError(f"rule {rule}: label arithmetic made a natural of "
+                              f"more than {_MAX_BITS} bits")
 
 
 def _outside(rule: str, lab):
@@ -222,7 +207,6 @@ def _compile_rule(kind: BehaviourKind, rule: Rule):
         live.append(live[-1] | {("t", p.source)} | {("l", v) for v in label_vars(p.label)})
     live.reverse()
 
-    # a repeated head variable keeps its last argument, as a dict would
     origin = {("t", v): i for i, v in enumerate(rule.head_vars)}
     origin.update({("l", v): len(rule.head_vars) + i for i, v in enumerate(rule.head_params)})
     layout = tuple(name for name in origin if name in live[0])  # the bound live slots
@@ -241,55 +225,40 @@ def _compile_rule(kind: BehaviourKind, rule: Rule):
         consts.append(value)
         return f"c{len(consts) - 1}"
 
-    def store(expr: str, lines: list) -> str:
+    def store(expr: str) -> str:
         """A fresh temporary, after appending the statement storing expr in it."""
         t = f"t{next(temps)}"
-        lines.append(f"{pad}{t} = {expr}")
+        body.append(f"{pad}{t} = {expr}")
         return t
 
     def leaf(e) -> str:
-        if isinstance(e, LabelLit):
-            return const(e.value)
-        if ("l", e.name) in layout:
-            return local[("l", e.name)]
-        return store(f"_unbound({const(f'no binding for label variable {e.name!r}')})", body)
+        return const(e.value) if isinstance(e, LabelLit) else local[("l", e.name)]
 
     def label(e) -> str:
         """An operand holding the value of e, after the statements computing
-        it: the operands left to right, then their operator."""
-        return fold_label(e, leaf, lambda a, b: store(f"_add({a}, {b})", body),
-                          lambda a, b: store(f"_mul({a}, {b})", body))
+        it: the operands left to right, then their operator, then the bound."""
+        value = fold_label(e, leaf, lambda a, b: store(f"{a} + {b}"),
+                           lambda a, b: store(f"{a} * {b}"))
+        if not isinstance(e, (LabelLit, LabelVar)):
+            body.append(f"{pad}if {value}.bit_length() > {_MAX_BITS}: _too_big({const(rule.name)})")
+        return value
 
-    def target(tt, builds: list, unbound: list) -> str:
-        """An operand holding tt: its parameters are stored in pre-order, its
-        nodes' statements go to builds in post-order, and its unbound
-        variables to unbound in pre-order.  With one unbound, no node is
-        built and the operand is never read.  A template nests as deep as the
-        parser reads, so the walk keeps its own stack of open nodes."""
-        out: list = []
-        stack = [(None, (), iter((tt,)), out)]
-        while stack:
-            node, params, rest, kids = stack[-1]
-            t = next(rest, None)
-            if t is None:
-                stack.pop()
-                if node is not None:
-                    stack[-1][3].append(
-                        const(App(node.op)) if not params and not kids else
-                        store(f"App({const(node.op)}, {tup(params)}, {tup(kids)})", builds))
-            elif not isinstance(t, Var):
-                params = [store(f"_nat({label(e)})", body) for e in t.params]
-                stack.append((t, params, iter(t.args), []))
-            elif ("t", t.name) in layout:
-                kids.append(local[("t", t.name)])
-            else:
-                unbound.append(t.name)
-                kids.append("None")
-        return out[0]
+    def target(tt) -> str:
+        """An operand holding tt, after the statements computing its
+        parameters in pre-order and then building its nodes bottom-up.  A
+        template nests as deep as the parser reads, so its nodes are walked
+        as a list, keyed by identity."""
+        nodes = list(subterms(tt))  # pre-order
+        params = {id(n): [label(e) for e in n.params] for n in nodes if not isinstance(n, Var)}
+        value: dict = {}
+        for n in reversed(nodes):
+            value[id(n)] = (local[("t", n.name)] if isinstance(n, Var) else
+                            const(App(n.op)) if not n.params and not n.args else
+                            store(f"App({const(n.op)}, {tup(params[id(n)])}, "
+                                  f"{tup([value[id(a)] for a in n.args])})"))
+        return value[id(tt)]
 
     for i, p in enumerate(rule.premises):
-        if ("t", p.source) not in layout:
-            break  # no environment survives
         body.append(f"  g{i} = {{}}")
         if i:
             body.append(f"  for {key(layout)} in g{i - 1}:")
@@ -311,21 +280,14 @@ def _compile_rule(kind: BehaviourKind, rule: Rule):
             body.append(f"{pad}for {lab}, {tgt}, _ in memo[{src}]: {keep}")
         else:
             body += [f"{pad}for lab, {tgt}, _ in memo[{src}]:", f"{pad} if lab == {test}: {keep}"]
-    else:  # the conclusion
-        if rule.premises:
-            body.append(f"  for {key(layout)} in g{len(rule.premises) - 1}:")
-            pad = "   "
-        lab = label(rule.concl_label)
-        if not (isinstance(rule.concl_label, LabelLit) and kind.has_label(rule.concl_label.value)):
-            body.append(f"{pad}if not {const(kind.has_label)}({lab}): "
-                        f"_outside({const(rule.name)}, {lab})")
-        builds, unbound = [], []
-        move = target(rule.concl_target, builds, unbound)
-        if unbound:
-            move = store(f"_unbound({const(f'no binding for variable {unbound[0]!r}')})", body)
-        else:
-            body += builds
-        body.append(f"{pad}moves.append(({lab}, {move}, 1))")
+    if rule.premises:  # the conclusion, once per environment
+        body.append(f"  for {key(layout)} in g{len(rule.premises) - 1}:")
+        pad = "   "
+    lab = label(rule.concl_label)
+    if not isinstance(rule.concl_label, LabelLit):
+        body.append(f"{pad}if not {const(kind.has_label)}({lab}): "
+                    f"_outside({const(rule.name)}, {lab})")
+    body.append(f"{pad}moves.append(({lab}, {target(rule.concl_target)}, 1))")
     source = "\n".join([f"def factory{tup([f'c{k}' for k in range(len(consts))])}:",
                         " def run(row, read, memo, moves):", *body, "  return", " return run", ""])
     return _rule_factory(source)(*consts)
@@ -334,21 +296,23 @@ def _compile_rule(kind: BehaviourKind, rule: Rule):
 @lru_cache(maxsize=256)  # an internal bound on the sources kept
 def _rule_factory(source: str):
     """The factory that source defines, compiled on first use."""
-    namespace = {"App": App, "_add": _add, "_mul": _mul, "_nat": _nat, "_unbound": _unbound,
-                 "_outside": _outside}
+    namespace = {"App": App, "_too_big": _too_big, "_outside": _outside}
     exec(compile(source, "<rule plan>", "exec"), namespace)
     return namespace["factory"]
 
 
 def _join_plan(spec: Spec) -> dict:
-    """(facts, plans) by head operator, arity and parameter count, built on
-    first use and kept on the spec: the moves of the ground facts, and the
-    run functions of the other rules in rule order."""
+    """(facts, plans) by head operator, built on first use and kept on the
+    spec: the moves of the ground facts, and the run functions of the other
+    rules in rule order.  A spec with diagnostics compiles nothing and
+    raises InvalidSpecError."""
     if spec.join_plan is None:
+        diagnostics = validate_spec(spec)
+        if diagnostics:
+            raise InvalidSpecError(diagnostics)
         plan: dict = {}
         for rule, fact in zip(spec.rules, spec.facts):
-            facts, plans = plan.setdefault(
-                (rule.head_op, len(rule.head_vars), len(rule.head_params)), ([], []))
+            facts, plans = plan.setdefault(rule.head_op, ([], []))
             if fact is None:
                 plans.append(_compile_rule(spec.kind, rule))
             else:
@@ -365,7 +329,7 @@ def apply_rules(spec: Spec, op: str, params: tuple, args: tuple, reads: set,
 
     Every premise source read, negative premises included, is added to reads.
     """
-    facts, plans = _join_plan(spec).get((op, len(args), len(params)), ((), ()))
+    facts, plans = _join_plan(spec).get(op, ((), ()))
     moves = list(facts)  # the move of every derivation
     for run in plans:
         run(args + params, reads.add, memo, moves)

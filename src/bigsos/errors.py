@@ -58,6 +58,16 @@ class LabelEvalError(BigsosError):
     exit_code = 2
 
 
+class InvalidSpecError(BigsosError):
+    """Rules of a spec with validate_spec diagnostics were to be run."""
+
+    exit_code = 2
+
+    def __init__(self, diagnostics):
+        self.diagnostics = list(diagnostics)
+        super().__init__("; ".join(map(str, self.diagnostics)))
+
+
 class NonMonotoneError(BigsosError):
     """Least-model construction refused: the spec has negative premises."""
 

@@ -41,7 +41,8 @@ from typing import Union
 
 from .behaviour import BehaviourKind, CountableLTS, PartialStream, WeightedLTS
 from .errors import ParseError
-from .terms import Record, Signature, TokenCursor, Var, _set, subterms, tokenize, variables
+from .terms import (Record, Signature, TokenCursor, Var, _set, quoted, subterms, tokenize,
+                    variables)
 
 
 # --- label expressions ----------------------------------------------------------
@@ -184,7 +185,7 @@ _KINDS = {cls.name: cls for cls in (CountableLTS, PartialStream, WeightedLTS)}
 def _parse_behaviour_line(cur: TokenCursor, line: int) -> BehaviourKind:
     tok = cur.expect("ident")
     if tok.value not in _KINDS:
-        raise ParseError(f"unknown behaviour kind {tok.value!r}", tok.line, tok.col)
+        raise ParseError(f"unknown behaviour kind {quoted(tok.value)}", tok.line, tok.col)
     kind_cls = _KINDS[tok.value]
     if cur.peek().kind == "ident" and cur.peek().value == "labels":
         cur.next()
@@ -228,7 +229,7 @@ def _label_atom(cur: TokenCursor, kind: BehaviourKind) -> LabelExpr:
         if kind.has_label(tok.value):
             return LabelLit(tok.value)
         return LabelVar(tok.value)
-    raise ParseError(f"expected a label, got {tok.value!r}", tok.line, tok.col)
+    raise ParseError(f"expected a label, got {quoted(tok.value)}", tok.line, tok.col)
 
 
 def _label_expr(cur: TokenCursor, kind: BehaviourKind) -> LabelExpr:
@@ -362,7 +363,7 @@ def parse_spec(text: str) -> Spec:
                     continue  # blank or comment only, with blanks the pattern lacks
                 keyword, col = first.value, first.col
                 if first.kind != "ident":
-                    raise ParseError(f"expected a declaration, got {keyword!r}", lineno, col)
+                    raise ParseError(f"expected a declaration, got {quoted(keyword)}", lineno, col)
             if keyword == "behaviour":
                 if kind is not None:
                     raise ParseError("duplicate behaviour line", lineno, col)
@@ -380,12 +381,12 @@ def parse_spec(text: str) -> Spec:
                     raise ParseError(str(exc), lineno, col) from None
                 continue
             if keyword != "rule":
-                raise ParseError(f"unknown declaration {keyword!r}", lineno, col)
+                raise ParseError(f"unknown declaration {quoted(keyword)}", lineno, col)
             if kind is None:
                 raise ParseError("behaviour line must precede rules", lineno, col)
             rule, fact = _parse_rule_line(cur, kind, sig), None
         if rule.name in seen:
-            raise ParseError(f"duplicate rule name {rule.name!r}", lineno, col)
+            raise ParseError(f"duplicate rule name {quoted(rule.name)}", lineno, col)
         seen.add(rule.name)
         rules.append(rule)
         facts.append(fact)
@@ -434,6 +435,8 @@ def validate_spec(spec: Spec) -> list:
             if p.source not in bound:
                 out.append(Diagnostic(r.name, f"unbound premise source {p.source!r}"))
             _check_label_literals(kind, p.label, r.name, out, "premise")
+            if isinstance(p.label, (LabelAdd, LabelMul)):  # only a Spec built directly
+                out.append(Diagnostic(r.name, "premise label must be a literal or a variable"))
             if isinstance(p, Positive):
                 if p.target in bound:
                     out.append(Diagnostic(r.name, f"premise target {p.target!r} not fresh"))
@@ -470,7 +473,7 @@ def validate_spec(spec: Spec) -> list:
                 out.append(Diagnostic(r.name, f"operator parameter uses variable {v!r} "
                                               "that cannot be a natural here"))
             for lit in label_lits(e):
-                if not isinstance(lit, int):
+                if not (isinstance(lit, int) and lit >= 0):
                     out.append(Diagnostic(r.name, f"operator parameter literal {lit!r} "
                                                   "is not a natural"))
     return out

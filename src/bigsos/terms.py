@@ -101,7 +101,7 @@ class Signature:
         for entry in operators:
             op = entry if isinstance(entry, Operator) else Operator(*entry)
             if op.name in ops:
-                raise ValueError(f"duplicate operator {op.name!r}")
+                raise ValueError(f"duplicate operator {quoted(op.name)}")
             if op.arity < 0 or op.param_count < 0:
                 raise ValueError(f"negative arity or param count for {op.name!r}")
             ops[op.name] = op
@@ -321,11 +321,11 @@ def check_term(t: Term, sig: Signature) -> None:
         if isinstance(s, Var):
             continue
         if s.op not in sig:
-            raise UnknownOperatorError(f"unknown operator {s.op!r}")
+            raise UnknownOperatorError(f"unknown operator {quoted(s.op)}")
         op = sig[s.op]
         if len(s.args) != op.arity or len(s.params) != op.param_count:
             raise ArityError(
-                f"operator {s.op!r} expects arity {op.arity} and "
+                f"operator {quoted(s.op)} expects arity {op.arity} and "
                 f"{op.param_count} parameter(s), got {len(s.args)}/{len(s.params)}")
 
 
@@ -367,6 +367,15 @@ def substitute(t: Term, binding: Mapping[str, Term]) -> Term:
 
 
 # --- tokenizer, shared with the rule language ---------------------------------
+
+
+def quoted(text: str) -> str:
+    """text as a parse error quotes it: repr(text) up to 40 characters, and
+    beyond that its first 20 and last 10 around "…", then its length."""
+    if len(text) <= 40:
+        return repr(text)
+    return f"{text[:20] + '…' + text[-10:]!r} ({len(text)} characters)"
+
 
 _SYMBOLS = ("-/->", "|-", "->", "(", ")", "[", "]", ",", ":", "/", "+", "*", "-")
 
@@ -414,7 +423,7 @@ def tokenize(text: str, line: int = 1) -> list[Token]:
         elif group == 4:
             break
         elif group == 5:
-            raise ParseError(f"unexpected character {ch!r}", line, pos + 1)
+            raise ParseError(f"unexpected character {quoted(ch)}", line, pos + 1)
         toks.append(Token(_TOKEN_KINDS[group], text[pos:end], line, pos + 1))
         m = match(text, end)
     else:
@@ -464,7 +473,7 @@ class TokenCursor:
     def expect_sym(self, value: str) -> Token:
         tok = self.peek()
         if tok.kind != "sym" or tok.value != value:
-            raise ParseError(f"expected {value!r}, got {tok.value!r}" if tok.kind != "eof"
+            raise ParseError(f"expected {value!r}, got {quoted(tok.value)}" if tok.kind != "eof"
                              else f"expected {value!r}, got end of input", tok.line, tok.col)
         return self.next()
 
@@ -472,7 +481,7 @@ class TokenCursor:
         tok = self.peek()
         if tok.kind != kind:
             what = tok.value if tok.kind != "eof" else "end of input"
-            raise ParseError(f"expected {kind}, got {what!r}", tok.line, tok.col)
+            raise ParseError(f"expected {kind}, got {quoted(what)}", tok.line, tok.col)
         return self.next()
 
     def nat(self) -> int:
@@ -481,7 +490,7 @@ class TokenCursor:
         try:
             return int(tok.value)
         except ValueError:
-            raise ParseError(f"expected nat, got {tok.value!r}", tok.line, tok.col) from None
+            raise ParseError(f"expected nat, got {quoted(tok.value)}", tok.line, tok.col) from None
 
     def ident(self) -> str:
         return self.expect("ident").value
@@ -505,7 +514,7 @@ class TokenCursor:
     def expect_eof(self) -> None:
         tok = self.peek()
         if tok.kind != "eof":
-            raise ParseError(f"trailing input {tok.value!r}", tok.line, tok.col)
+            raise ParseError(f"trailing input {quoted(tok.value)}", tok.line, tok.col)
 
     def tree(self, param, node):
         """One tree `ident [param, ...] (tree, ...)`, either list optional,
@@ -538,14 +547,14 @@ def parse_term(text: str, sig: Signature, closed: bool = False) -> Term:
         if name in sig:
             op = sig[name]
             if len(params) != op.param_count:
-                raise ArityError(f"operator {name!r} takes {op.param_count} parameter(s), "
+                raise ArityError(f"operator {quoted(name)} takes {op.param_count} parameter(s), "
                                  f"got {len(params)}", tok.line, tok.col)
             if len(args) != op.arity:
-                raise ArityError(f"operator {name!r} has arity {op.arity}, got {len(args)} "
+                raise ArityError(f"operator {quoted(name)} has arity {op.arity}, got {len(args)} "
                                  f"argument(s)", tok.line, tok.col)
             return App(name, params, args)
         if params or args or closed:
-            raise UnknownOperatorError(f"unknown operator {name!r}", tok.line, tok.col)
+            raise UnknownOperatorError(f"unknown operator {quoted(name)}", tok.line, tok.col)
         return Var(name)
 
     cur = TokenCursor(tokenize(text))

@@ -90,3 +90,72 @@ def random_ground_lts_text(rng: random.Random) -> str:
             target = f"f({target})"
         lines.append(f"rule r{i} : |- s{rng.randrange(n)} -{rng.choice('ab')}-> {target}")
     return "\n".join(lines) + "\n"
+
+
+# --- random rule specs ----------------------------------------------------------------
+#
+# Rules over c/0, d/0, f/1, g/1[1] and h/2 with premise chains that bind and
+# test label variables, negative premises, a head parameter, and label
+# arithmetic in conclusion labels and operator parameters, under four kinds.
+# Some of them are invalid (arithmetic or a parameter from a premise label
+# over a finite alphabet); validate_spec sorts those out.
+
+RULE_KINDS = ("lts labels a, b", "wts labels a, b", "stream labels a, b", "stream nat")
+RULE_SEEDS = ("f(c)", "g[2](c)", "g[3](f(d))", "h(c, d)", "h(g[1](d), c)")
+
+
+def _label(rng, labels, lits, depth=0) -> str:
+    """A label expression over the label variables labels and literals lits."""
+    if depth < 2 and rng.random() < 0.4:
+        op = rng.choice((" + ", " * "))
+        return _label(rng, labels, lits, depth + 1) + op + _label(rng, labels, lits, depth + 1)
+    return rng.choice(labels) if labels and rng.random() < 0.7 else rng.choice(lits)
+
+
+def _target(rng, terms, labels, depth=0) -> str:
+    """A conclusion target over the term variables terms; parameters draw on
+    labels and naturals."""
+    shape = rng.randrange(5) if depth < 2 else rng.randrange(2)
+    if shape == 0:
+        return rng.choice(terms)
+    if shape == 1:
+        return rng.choice(("c", "d"))
+    if shape == 2:
+        return f"f({_target(rng, terms, labels, depth + 1)})"
+    if shape == 3:
+        param = _label(rng, labels, ["0", "1", "2"])
+        return f"g[{param}]({_target(rng, terms, labels, depth + 1)})"
+    return f"h({_target(rng, terms, labels, depth + 1)}, {_target(rng, terms, labels, depth + 1)})"
+
+
+def _rule(rng, lits) -> str:
+    head, terms, params = rng.choice((("f(x)", ["x"], []), ("g[p](x)", ["x"], ["p"]),
+                                      ("h(x, y)", ["x", "y"], [])))
+    labels = list(params)  # label variables bound so far
+    premises = []
+    for i in range(rng.randrange(3)):
+        source = rng.choice(terms)
+        if rng.random() < 0.25:
+            premises.append(f"{source} -{rng.choice(lits)}-/->")
+            continue
+        label = rng.choice((rng.choice(lits), f"n{i}", *labels))
+        if label == f"n{i}":
+            labels.append(label)
+        terms.append(f"z{i}")
+        premises.append(f"{source} -{label}-> z{i}")
+    # squaring p from the seed g[2](c) passes the bound on computed naturals;
+    # a conclusion label p is a natural, outside a finite alphabet
+    target = "g[p * p](x)" if params and rng.random() < 0.3 else _target(rng, terms, labels)
+    return " ".join([", ".join(premises)] * bool(premises)
+                    + ["|-", head, f"-{_label(rng, labels, lits)}->", target])
+
+
+def random_rule_spec_text(rng: random.Random) -> str:
+    """One random spec as source text; deterministic in the rng state."""
+    kind = rng.choice(RULE_KINDS)
+    lits = ["0", "1", "2"] if kind.endswith("nat") else ["a", "b"]
+    lines = [f"behaviour {kind}", "ops c/0, d/0, f/1, g/1[1], h/2",
+             f"rule c : |- c -{rng.choice(lits)}-> {rng.choice(('c', 'd', 'f(c)', 'g[1](d)'))}",
+             f"rule d : |- d -{rng.choice(lits)}-> {rng.choice(('c', 'd', 'h(c, d)'))}"]
+    lines += [f"rule r{i} : {_rule(rng, lits)}" for i in range(rng.randrange(1, 4))]
+    return "\n".join(lines) + "\n"

@@ -590,6 +590,37 @@ def test_conclusion_label_outside_domain_is_a_user_error(tmp_path):
     assert err.startswith("error: rule r: conclusion label 1 outside the label domain")
 
 
+# Repeated squaring of a parameter or a label: the natural that label
+# arithmetic makes stops the run at the rule that made it, before the program
+# builds a term (chr() of its byte count) or prints a label (int to str).
+SQUARE_PARAM = ("behaviour stream nat\nops c/0, g/1[1]\nrule c : |- c -1-> c\n"
+                "rule g : x -n-> y |- g[m](x) -n-> g[m*m](y)\n")
+SQUARE_LABEL = ("behaviour stream nat\nops c/0, g/1\nrule c : |- c -2-> c\n"
+                "rule g : x -n-> y |- g(x) -n*n-> g(y)\n")
+TOO_BIG = "error: rule g: label arithmetic made a natural of more than 14284 bits\n"
+
+
+@pytest.mark.parametrize("text,argv", [
+    (SQUARE_PARAM, ("model", "g[2](c)", "--universe-size", "4")),
+    (SQUARE_PARAM, ("model", "g[2](c)", "--universe-count", "16")),
+    (SQUARE_LABEL, ("model", "g(" * 14 + "c" + ")" * 14, "--universe-size", "16")),
+    (SQUARE_LABEL, ("unfold", "g(" * 14 + "c" + ")" * 14, "-d", "1", "--universe-size", "16")),
+], ids=("param", "param-count", "label-model", "label-unfold"))
+def test_a_runaway_natural_stops_the_run(tmp_path, text, argv):
+    spec = tmp_path / "sq.sos"
+    spec.write_text(text)
+    assert cli(argv[0], str(spec), *argv[1:]) == (4, "", TOO_BIG)
+
+
+def test_a_natural_below_the_bound_prints(tmp_path):
+    # g^13(c) steps by 2**8192, a label of 2467 digits
+    spec = tmp_path / "sq.sos"
+    spec.write_text(SQUARE_LABEL)
+    code, out, err = cli("unfold", str(spec), "g(" * 13 + "c" + ")" * 13, "-d", "1",
+                         "--universe-size", "16")
+    assert (code, err) == (0, "") and str(2 ** 8192) in out
+
+
 def test_usage_errors_and_help_go_to_runs_streams(capsys):
     code, out, err = cli("model")
     assert code == 2 and out == ""

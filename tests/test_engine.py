@@ -6,6 +6,7 @@ import random
 import re
 import sys
 import tokenize
+from itertools import count
 
 import pytest
 
@@ -14,8 +15,9 @@ from bigsos.behaviour import BOTTOM, CountableLTS, PartialStream, StreamStep, We
 from bigsos.engine import (ConvergenceReport, GenCoalgebra, Model, gen_to_model,
                            least_model, lift_coalgebra, model_to_dot, model_to_json,
                            phi_step, unfold, unfold_to_json)
-from bigsos.errors import (BigsosError, InconsistentStreamError, LabelEvalError,
-                           NonMonotoneError, UnboundVariableError, UnknownStateError)
+from bigsos.errors import (BigsosError, InconsistentStreamError, InvalidSpecError,
+                           LabelEvalError, NonConvergenceError, NonMonotoneError,
+                           UnknownStateError)
 from bigsos.relations import default_generators
 from bigsos.speclang import (LabelAdd, LabelLit, LabelVar, Negative, Positive, Rule, Spec,
                              check_monotone, label_vars, parse_spec, template_param_exprs,
@@ -24,8 +26,9 @@ from bigsos.terms import (MAX_NESTING, App, UniversePolicy, Var, parse_term, pri
                           substitute, subterms, term_key, term_size)
 from conftest import (eval_label, fixture_path, fixture_text, instantiate_template, lts_value,
                       wts_value)
-from spec_gen import (FACT_HEADER, FACT_SHAPES, UNIVERSE_TEXTS, random_ground_lts_text,
-                      random_monotone_lts_spec, random_monotone_lts_text)
+from spec_gen import (FACT_HEADER, FACT_SHAPES, RULE_SEEDS, UNIVERSE_TEXTS,
+                      random_ground_lts_text, random_monotone_lts_spec, random_monotone_lts_text,
+                      random_rule_spec_text)
 
 
 def fx(name):
@@ -319,20 +322,18 @@ def test_deep_tower_matches_an_integer_kleene_oracle():
 
 # --- compiled conclusions versus the reference evaluators ------------------------------
 
-# Unvalidated rules whose conclusions raise: arithmetic over a non-natural
-# label, a label outside the domain, a parameter from a non-natural label, an
-# unbound label or term variable, and two errors at once (the first to be
-# raised wins).
-CONCLUSION_ERRORS = """behaviour lts labels a, b
-ops c/0, f/1, g/1[1], h/2
-rule arith : x -l-> y |- f(x) -l+1-> y
-rule domain : x -l-> y |- f(x) -1-> y
-rule param : x -l-> y |- f(x) -a-> g[l](y)
-rule free : x -a-> y |- f(x) -m-> y
-rule unbound : x -l-> y |- f(x) -a-> h(y, z)
-rule order : x -l-> y |- f(x) -a-> h(z, g[l](y))
-rule first : x -l-> y |- f(x) -l*2-> g[l](z)
+# Valid rules whose conclusions raise: a head parameter used as the label of a
+# finite alphabet, and squares that can pass the engine's bound on computed
+# naturals.
+PARAM_LABEL = """behaviour lts labels a, b
+ops c/0, p/1[1]
+rule p : x -a-> y |- p[n](x) -n-> p[n](y)
 """
+SQUARES = """behaviour stream nat
+ops c/0, sq/1[1]
+rule sq : x -n-> y |- sq[m](x) -n*n-> sq[m*m](y)
+"""
+MAX_BITS = 14284  # the engine's bound on the bit length of a computed natural
 
 
 def slot_values(layout, env, tag) -> dict:
@@ -340,11 +341,22 @@ def slot_values(layout, env, tag) -> dict:
     return {name: v for (t, name), v in zip(layout, env) if t == tag}
 
 
+def reference_value(rule, e, labels):
+    """e's value under labels, held below the bound if arithmetic computes it."""
+    v = eval_label(e, labels)
+    if not isinstance(e, (LabelLit, LabelVar)) and v.bit_length() > MAX_BITS:
+        raise NonConvergenceError(f"rule {rule.name}: label arithmetic made a natural of "
+                                  f"more than {MAX_BITS} bits")
+    return v
+
+
 def reference_conclusion(kind, rule, labels, terms):
-    lab = eval_label(rule.concl_label, labels)
+    lab = reference_value(rule, rule.concl_label, labels)
     if not kind.has_label(lab):
         raise LabelEvalError(
             f"rule {rule.name}: conclusion label {lab!r} outside the label domain")
+    for e in template_param_exprs(rule.concl_target):  # in pre-order
+        reference_value(rule, e, labels)
     return lab, substitute(instantiate_template(rule.concl_target, labels), terms), 1
 
 
@@ -371,17 +383,20 @@ def generated_conclusion(kind, rule, layout, env):
 
 
 def test_compiled_conclusions_match_the_reference_evaluators():
-    """Every rule's generated conclusion, over random layouts and environments,
-    gives the reference's move or raises its error with the same message."""
+    """Every valid rule's generated conclusion, over random layouts and
+    environments whose slots hold values of their types, gives the
+    reference's move or raises its error with the same message."""
     texts = [fixture_text(name) for name in ("empty", "explicit", "factstream", "lookahead2",
                                              "negloop", "transclosure", "wchain")]
-    texts += [SHARED_LABELS, HEAD_PARAMS, CONCLUSION_ERRORS]
+    texts += [SHARED_LABELS, HEAD_PARAMS, PARAM_LABEL, SQUARES]
     rng = random.Random(3)
     pool = (App("c"), App("d", (), (App("c"),)), Var("gx"))
-    label_values = (0, 1, 2, 3, 5, "a", "b")
+    naturals = (0, 1, 2, 3, 5, 2 ** (MAX_BITS // 2) - 1, 2 ** (MAX_BITS // 2))
     seen = set()
     for text in texts:
         spec = parse_spec(text)
+        assert validate_spec(spec) == []
+        labels = naturals if spec.kind.labels is None else sorted(spec.kind.labels)
         for rule in spec.rules:
             bound = {("t", v) for v in rule.head_vars}
             bound |= {("l", v) for v in rule.head_params}
@@ -393,18 +408,17 @@ def test_compiled_conclusions_match_the_reference_evaluators():
             layout = sorted(bound)
             for _ in range(30):
                 rng.shuffle(layout)
-                env = tuple(rng.choice(pool) if tag == "t" else rng.choice(label_values)
-                            for tag, _ in layout)
+                env = tuple(rng.choice(pool) if tag == "t" else
+                            rng.choice(naturals if name in rule.head_params else labels)
+                            for tag, name in layout)
                 got = outcome(lambda: generated_conclusion(spec.kind, rule, layout, env))
                 want = outcome(lambda: [reference_conclusion(
                     spec.kind, rule, slot_values(layout, env, "l"),
                     slot_values(layout, env, "t"))])
                 assert got == want, (rule.name, layout, env)
                 seen.add(got[1] if isinstance(got[0], type) else "pair")
-    assert {"pair", "label arithmetic over non-natural labels",
-            "rule domain: conclusion label 1 outside the label domain",
-            "operator parameter evaluated to 'a', expected a natural",
-            "no binding for label variable 'm'", "no binding for variable 'z'"} <= seen
+    assert {"pair", "rule p: conclusion label 0 outside the label domain",
+            f"rule sq: label arithmetic made a natural of more than {MAX_BITS} bits"} <= seen
 
 
 # --- generated joins versus the plan interpreter ---------------------------------------
@@ -540,33 +554,21 @@ def assert_same_joins(spec, model, calls) -> set:
     return errors
 
 
-# Unvalidated rules over models whose labels leave the domain.  The
+# Valid rules over hand-built models whose labels leave the domain.  The
 # conclusions of some, mixed and lit leave it on some environments only, with
 # one message per label, so the first environment in derivation order decides
-# the error.  neg's negative premise reads an unbound label variable and raises
-# whenever an environment reaches it, after some's errors for f.  mixed's
-# negative premise, built below, reads l+1, which raises on the environments
-# where l is not a natural; every environment passes it before any conclusion.
+# the error.  neg, mixed and lit test a literal label by a negative premise
+# before their conclusions run, and pair reads the head variable w after two
+# premises.
 JOIN_ERRORS = """behaviour lts labels a, b
 ops c/0, d/0, f/1, g/1, h/2
 rule some : x -l-> y |- f(x) -l-> g(y)
-rule neg : x -a-> y, y -m-/-> |- f(x) -a-> y
+rule neg : x -a-> y, y -b-/-> |- f(x) -a-> y
 rule mixed : x -l-> y, y -a-/-> |- g(x) -l-> h(y, y)
-rule lit : x -l-> y, y -b-/-> |- h(x, y) -l-> f(y)
-rule pair : x -l-> y, y -l-> z |- h(x, z) -b-> h(z, y)
+rule lit : x -l-> y, y -b-/-> |- h(x, w) -l-> f(y)
+rule pair : x -l-> y, y -l-> z |- h(x, w) -b-> h(w, z)
 """
 JOIN_ERROR_TERMS = ("c", "d", "f(c)", "f(d)", "g(c)", "g(d)", "h(c, d)", "h(d, d)", "f(f(c))")
-
-
-def join_errors_spec():
-    spec = parse_spec(JOIN_ERRORS)
-    rules = list(spec.rules)
-    first, _ = rules[2].premises
-    plus_one = Negative("y", LabelAdd(LabelVar("l"), LabelLit(1)))
-    r = rules[2]
-    rules[2] = Rule(r.name, r.head_op, r.head_params, r.head_vars, (first, plus_one),
-                    r.concl_label, r.concl_target)
-    return Spec(spec.kind, spec.sig, tuple(rules))
 
 
 def join_errors_model(spec, moves):
@@ -596,7 +598,8 @@ def test_generated_joins_match_the_plan_interpreter(monkeypatch):
                    for t in universe}
             assert_same_joins(spec, Model(spec.kind, tuple(universe), beh), calls)
 
-    spec = join_errors_spec()
+    spec = parse_spec(JOIN_ERRORS)
+    assert validate_spec(spec) == []
     universe = [pt(spec, s) for s in JOIN_ERROR_TERMS]
     errors = set()
     for _ in range(80):
@@ -606,15 +609,7 @@ def test_generated_joins_match_the_plan_interpreter(monkeypatch):
     assert errors >= {"rule some: conclusion label 1 outside the label domain",
                       "rule some: conclusion label 'z' outside the label domain",
                       "rule mixed: conclusion label 2 outside the label domain",
-                      "rule lit: conclusion label 'z' outside the label domain",
-                      "no binding for label variable 'm'",
-                      "label arithmetic over non-natural labels"}
-    # g(c): the environment l = 1 comes first and its conclusion would raise,
-    # but the premise raises on l = a before any conclusion runs
-    c, d = App("c"), App("d")
-    model = join_errors_model(spec, {c: [(1, d, 1), ("a", d, 1)]})
-    assert join_outcome(engine.apply_rules, spec, pt(spec, "g(c)"), engine._Rows(model),
-                        calls)[0] == (LabelEvalError, "label arithmetic over non-natural labels")
+                      "rule lit: conclusion label 'z' outside the label domain"}
 
 
 # --- the generated source --------------------------------------------------------------
@@ -665,7 +660,7 @@ KEYWORD_CASES = [
 ]
 # the words of the generated code
 GENERATED_NAME = re.compile(r"[cgtv][0-9]+|factory|run|row|read|memo|moves|lab|_|all|append"
-                            r"|App|_add|_mul|_nat|_unbound|_outside|def|for|in|if|not|return|None")
+                            r"|App|_too_big|_outside|bit_length|def|for|in|if|not|return|None")
 
 
 def generated_sources(monkeypatch) -> list:
@@ -710,6 +705,34 @@ def test_generated_source_holds_no_spec_text(monkeypatch):
         assert [name for name in names if not GENERATED_NAME.fullmatch(name)] == [], source
 
 
+# The errors a valid spec's run may end in: a conclusion label outside a finite
+# alphabet, two stream steps, and a computed natural past the bound.
+RUN_ERRORS = re.compile(r"rule r[0-9]: conclusion label .* outside the label domain"
+                        r"|.*: inconsistent stream step: .*"
+                        r"|rule r[0-9]: label arithmetic made a natural of more than "
+                        rf"{MAX_BITS} bits")
+
+
+def test_generated_code_matches_the_plan_interpreter_on_random_valid_specs(monkeypatch):
+    valid, errors = 0, set()
+    for i in count():
+        text = random_rule_spec_text(random.Random(i))
+        spec = parse_spec(text)
+        if validate_spec(spec):
+            continue
+        got = _outcome(spec, RULE_SEEDS, force=True)
+        with monkeypatch.context() as patched:
+            patched.setattr(engine, "apply_rules", interpreted_apply_rules)
+            assert got == _outcome(spec, RULE_SEEDS, force=True), text
+        if isinstance(got[0], type):
+            assert RUN_ERRORS.fullmatch(got[1]), got
+            errors.add(got[0])
+        valid += 1
+        if valid == 400:
+            break
+    assert errors == {LabelEvalError, InconsistentStreamError, NonConvergenceError}
+
+
 # The same plans up to literal labels and operator names.
 TWIN = """behaviour lts labels a, b
 ops {op}/1, {c}/0
@@ -734,34 +757,33 @@ def test_plans_of_one_shape_share_their_code(monkeypatch):
 
 
 # A target's statements: its parameters in pre-order, with each label's
-# operands before its operator, then its nodes in post-order; with an unbound
-# variable, the parameters and then the first unbound variable in pre-order.
+# operands before its operator and its bound after it, then its nodes in
+# reverse pre-order, each after its arguments.
 MIXED_TARGETS = """behaviour stream nat
 ops c/0, f/1[1], h/2[2], k/0[1], g/1
 rule a : x -n-> y, y -m-> w |- g(x) -n+m-> h[n*m, n+1](f[n](c), h[m, 2](k[n], w))
-rule b : x -n-> y |- f[p](x) -p-> h[1, p](z, f[n](q))
 """
 MIXED_STATEMENTS = [
-    ["t0 = _add(v2, v4)", "if not c0(t0): _outside(c1, t0)", "t1 = _mul(v2, v4)",
-     "t2 = _nat(t1)", "t3 = _add(v2, c2)", "t4 = _nat(t3)", "t5 = _nat(v2)", "t7 = _nat(v4)",
-     "t8 = _nat(c5)", "t9 = _nat(v2)", "t6 = App(c4, (t5, ), (c3, ))",
-     "t10 = App(c6, (t9, ), ())", "t11 = App(c7, (t7, t8, ), (t10, v3, ))",
-     "t12 = App(c8, (t2, t4, ), (t6, t11, ))", "moves.append((t0, t12, 1))"],
-    ["if not c0(v1): _outside(c1, v1)", "t0 = _nat(c2)", "t1 = _nat(v1)", "t2 = _nat(v3)",
-     "t5 = _unbound(c5)", "moves.append((v1, t5, 1))"]]
+    "t0 = v2 + v4", "if t0.bit_length() > 14284: _too_big(c0)",
+    "if not c1(t0): _outside(c2, t0)",
+    "t1 = v2 * v4", "if t1.bit_length() > 14284: _too_big(c3)",
+    "t2 = v2 + c4", "if t2.bit_length() > 14284: _too_big(c5)",
+    "t3 = App(c7, (v2, ), ())", "t4 = App(c8, (v4, c6, ), (t3, v3, ))",
+    "t5 = App(c10, (v2, ), (c9, ))", "t6 = App(c11, (t1, t2, ), (t5, t4, ))",
+    "moves.append((t0, t6, 1))"]
 
 
 def test_target_statements_keep_their_order(monkeypatch):
     sources = generated_sources(monkeypatch)
     spec = parse_spec(MIXED_TARGETS)
-    runs = [engine._compile_rule(spec.kind, rule) for rule in spec.rules]
-    for source, want in zip(sources, MIXED_STATEMENTS):
-        lines = [line.strip() for line in source.splitlines()]
-        start = lines.index(want[0])
-        assert lines[start:start + len(want)] == want, source
-    assert len(sources) == len(runs) == 2
-    with pytest.raises(UnboundVariableError, match="'z'"):
-        runs[1](("x", 2), lambda s: None, {"x": [(1, "y", 1)]}, [])
+    run = engine._compile_rule(spec.kind, spec.rules[0])
+    lines = [line.strip() for line in sources[0].splitlines()]
+    start = lines.index(MIXED_STATEMENTS[0])
+    assert lines[start:start + len(MIXED_STATEMENTS)] == MIXED_STATEMENTS, sources[0]
+    assert len(sources) == 1
+    c, moves = App("c"), []
+    run((c,), lambda s: None, {c: [(2, c, 1)]}, moves)
+    assert moves == [(4, pt(spec, "h[4, 3](f[2](c), h[2, 2](k[2], c))"), 1)]
 
 
 # Deep templates: the generated code stores one value per statement, so a
@@ -1162,16 +1184,47 @@ def test_empty_spec_is_all_bottom():
     assert all(spec.kind.is_bottom(v) for v in model.behaviour.values())
 
 
-def test_bad_axiom_fails_only_when_it_fires():
-    # an unvalidated spec: the axiom for d concludes a label outside the domain
+def test_bad_axiom_stops_every_run():
+    # the axiom for d concludes a label outside the domain: the engine runs no
+    # rule of the spec, whatever the seeds
     spec = parse_spec("behaviour lts labels a\nops c/0, d/0\n"
                       "rule r : |- d -1-> c\nrule s : |- c -a-> c\n")
     assert spec.facts == (None, ("a", "c"))
-    model, report = least_model(spec, [App("c")])
-    assert report.converged and list(model.universe) == [App("c")]
-    with pytest.raises(LabelEvalError,
-                       match="^rule r: conclusion label 1 outside the label domain$"):
-        least_model(spec, [App("d")])
+    for seeds in ([App("c")], [App("d")], None):
+        with pytest.raises(InvalidSpecError,
+                           match="^rule r: conclusion: label literal 1 not in label set$"):
+            least_model(spec, seeds)
+
+
+# Unbound variables, arithmetic over a finite alphabet, a literal outside it.
+INVALID = """behaviour lts labels a, b
+ops c/0, f/1, g/1[1]
+rule r : x -m-> w |- f(x) -a-> y
+rule s : x -a-> y |- g[p](x) -p+1-> g[q](z)
+rule t : |- c -1-> c
+"""
+
+
+def test_an_invalid_spec_runs_no_rule(monkeypatch):
+    compiled = []
+    monkeypatch.setattr(engine, "_compile_rule", lambda kind, rule: compiled.append(rule))
+    spec = parse_spec(INVALID)
+    diagnostics = validate_spec(spec)
+    assert len(diagnostics) >= 6
+    with pytest.raises(NonMonotoneError):  # refused before any rule runs
+        least_model(parse_spec(INVALID + "rule n : x -a-/-> |- f(x) -a-> x\n"))
+    gen = GenCoalgebra(("v",), {"v": lts_value({"a": ["v"]})})
+    for run in (lambda: least_model(spec),
+                lambda: phi_step(spec, bottom_model(spec.kind, [App("c")])),
+                lambda: lift_coalgebra(spec, gen, [pt(spec, "f(v)")])):
+        with pytest.raises(InvalidSpecError) as got:
+            run()
+        assert got.value.diagnostics == diagnostics
+        assert str(got.value) == "; ".join(map(str, diagnostics))
+        assert got.value.exit_code == 2
+    assert compiled == [] and spec.join_plan is None
+    # with no rule to apply, nothing is checked
+    assert phi_step(spec, bottom_model(spec.kind, ())).universe == ()
 
 
 # --- ground facts -------------------------------------------------------------------
@@ -1182,10 +1235,11 @@ def test_bad_axiom_fails_only_when_it_fires():
 # must agree with.
 
 
-def _outcome(spec, seed_texts=()):
+def _outcome(spec, seed_texts=(), force=False):
     seeds = [App(c) for c in spec.sig.constants()] + [pt(spec, s) for s in seed_texts]
     try:
-        model, report = least_model(spec, seeds, UniversePolicy(max_count=30, max_size=6))
+        model, report = least_model(spec, seeds, UniversePolicy(max_count=30, max_size=6),
+                                    force=force)
     except BigsosError as exc:  # the reference must raise the same error
         return type(exc), str(exc)
     return (model.universe, dict(model.behaviour), model.frontier, model.tainted,

@@ -8,11 +8,11 @@ import pytest
 
 from bigsos import speclang, terms
 from bigsos.errors import ParseError
-from bigsos.speclang import (_GROUND_AXIOM, LabelLit, Negative, Positive, Spec, TemplateApp,
-                             _ground_axiom, _parse_behaviour_line, _parse_ops_line,
-                             _parse_rule_line, check_monotone, lookahead_depth, parse_spec,
-                             validate_spec)
-from bigsos.terms import Signature, TokenCursor, parse_term, tokenize
+from bigsos.speclang import (_GROUND_AXIOM, LabelAdd, LabelLit, LabelVar, Negative, Positive,
+                             Rule, Spec, TemplateApp, _ground_axiom, _parse_behaviour_line,
+                             _parse_ops_line, _parse_rule_line, check_monotone, lookahead_depth,
+                             parse_spec, validate_spec)
+from bigsos.terms import Signature, TokenCursor, Var, parse_term, quoted, tokenize
 from conftest import fixture_text
 from spec_gen import FACT_HEADER, FACT_SHAPES, random_monotone_lts_text
 
@@ -175,9 +175,42 @@ def test_oversized_natural_is_read_by_the_general_parser(int_digits_640, text, l
     # the recognisers leave such a line to the general parser, so every path
     # reports TokenCursor.nat's error at the literal
     text = "behaviour stream nat\n" + text
-    want = ("error", f"expected nat, got '{HUGE}' (line {line}, column {col})", line, col)
+    want = ("error", f"expected nat, got '{HUGE[:20]}…{HUGE[-10:]}' (641 characters) "
+                     f"(line {line}, column {col})", line, col)
     assert _outcome(text, parse_spec) == want
     assert _outcome(text, reference_parse_spec) == want
+
+
+# A token longer than 40 characters is quoted by its first 20 and last 10.
+LONG_TOKENS = [
+    pytest.param("behaviour stream nat\nops c/0\nrule big : |- c -" + "9" * 5000 + "-> c\n",
+                 "expected nat, got '" + "9" * 20 + "…" + "9" * 10
+                 + "' (5000 characters) (line 3, column 18)",
+                 marks=pytest.mark.skipif(not INT_DIGIT_LIMIT,
+                                          reason="int() converts naturals of any length")),
+    ("behaviour lts labels a\nops c/0\n" + "x" * 5000 + "\n",
+     "unknown declaration '" + "x" * 20 + "…" + "x" * 10
+     + "' (5000 characters) (line 3, column 1)"),
+    ("behaviour lts labels a\nops c/0\nrule r : |- c -a-> c " + "y" * 41 + "\n",
+     "trailing input '" + "y" * 20 + "…" + "y" * 10 + "' (41 characters) (line 3, column 22)"),
+    ("behaviour lts labels a\nops c/0\nrule r : |- c -a-> c " + "y" * 40 + "\n",
+     "trailing input '" + "y" * 40 + "' (line 3, column 22)"),
+]
+
+
+@pytest.mark.parametrize("text,message", LONG_TOKENS,
+                         ids=("label-5000", "identifier-5000", "identifier-41", "identifier-40"))
+def test_a_long_token_is_quoted_in_part(int_digits_640, text, message):
+    assert _outcome(text, parse_spec)[1] == message
+    assert _outcome(text, reference_parse_spec)[1] == message
+
+
+def test_a_long_operator_name_is_quoted_in_part():
+    name = "f" * 5000
+    with pytest.raises(ParseError) as got:
+        parse_term(name + "(c)", Signature([("c", 0, 0)]))
+    assert str(got.value) == ("unknown operator '" + "f" * 20 + "…" + "f" * 10
+                              + "' (5000 characters) (line 1, column 1)")
 
 
 @pytest.mark.parametrize("text,col", [("f[2², 1]", 3), ("f[1, 2²]", 6)], ids=("first", "later"))
@@ -269,6 +302,20 @@ def test_unbound_conclusion_variable():
     assert any("q" in d.message for d in diags)
 
 
+def test_a_built_rule_keeps_to_what_the_parser_can_write():
+    # a Spec built directly can hold a compound premise label and a negative
+    # parameter literal, which the engine must never compile
+    spec = parse_spec("behaviour stream nat\nops f/1, g/1[1]\n"
+                      "rule f : x -n-> y |- f(x) -n-> g[1](y)\n")
+    r = spec.rules[0]
+    rule = Rule(r.name, r.head_op, (), r.head_vars,
+                (Positive("x", LabelAdd(LabelVar("n"), LabelLit(1)), "y"),), r.concl_label,
+                TemplateApp("g", (LabelLit(-1),), (Var("y"),)))
+    assert [str(d) for d in validate_spec(Spec(spec.kind, spec.sig, (rule,)))] == [
+        "rule f: premise label must be a literal or a variable",
+        "rule f: operator parameter literal -1 is not a natural"]
+
+
 def test_negative_premise_needs_bound_source():
     diags = diags_for("rule bad: u -a-/-> |- f(x) -a-> x")
     assert any("unbound premise source 'u'" in d.message for d in diags)
@@ -329,7 +376,8 @@ def reference_parse_spec(text):
         if first.kind == "eof":
             continue
         if first.kind != "ident":
-            raise ParseError(f"expected a declaration, got {first.value!r}", lineno, first.col)
+            raise ParseError(f"expected a declaration, got {quoted(first.value)}", lineno,
+                             first.col)
         keyword = first.value
         if keyword == "behaviour":
             cur.next()
@@ -353,11 +401,11 @@ def reference_parse_spec(text):
                 raise ParseError("behaviour line must precede rules", lineno, first.col)
             rule = _parse_rule_line(cur, kind, sig)
             if rule.name in seen:
-                raise ParseError(f"duplicate rule name {rule.name!r}", lineno, first.col)
+                raise ParseError(f"duplicate rule name {quoted(rule.name)}", lineno, first.col)
             seen.add(rule.name)
             rules.append(rule)
         else:
-            raise ParseError(f"unknown declaration {keyword!r}", lineno, first.col)
+            raise ParseError(f"unknown declaration {quoted(keyword)}", lineno, first.col)
     if kind is None:
         raise ParseError("missing behaviour line")
     return Spec(kind, sig, tuple(rules))
