@@ -3,12 +3,13 @@
 Thin adapter over the library: parse a spec file, build the least model,
 and print unfoldings, equivalence verdicts, or reports.  All output is
 deterministic for a fixed seed; exit codes are 0 (ok), 1 (syntax, or input
-nested past terms.MAX_NESTING brackets), 2 (validation, usage, or a spec
-error found while building the model, such as two rules giving one term
-different stream steps or a conclusion label outside the label domain),
-3 (non-monotone), 4 (non-convergence, or a run that exhausts memory:
-error: out of memory), 5 (internal), 141 (the output pipe closed: nothing
-more is printed).  Each domain error class carries its code as exit_code.
+nested past terms.MAX_NESTING brackets), 2 (validation, usage, an option
+the subcommand does not take among them, or a spec error found while
+building the model, such as two rules giving one term different stream
+steps or a conclusion label outside the label domain), 3 (non-monotone),
+4 (non-convergence, or a run that exhausts memory: error: out of memory),
+5 (internal), 141 (the output pipe closed: nothing more is printed).  Each
+domain error class carries its code as exit_code.
 """
 
 from __future__ import annotations
@@ -21,9 +22,9 @@ import json
 import os
 import sys
 
-from .engine import (MAX_ITERS, least_model, model_to_dot, model_to_json, unfold,
+from .engine import (MAX_ITERS, _join_plan, least_model, model_to_dot, model_to_json, unfold,
                      unfold_to_json)
-from .errors import BigsosError, NonConvergenceError
+from .errors import BigsosError, InvalidSpecError, NonConvergenceError
 from .relations import check_equivalence, congruence_test, law_suite, suite_to_json
 from .speclang import check_monotone, parse_spec, validate_spec
 from .terms import App, UniversePolicy, parse_term, print_term
@@ -31,77 +32,79 @@ from .terms import App, UniversePolicy, parse_term, print_term
 PIPE_CLOSED = 141  # the exit code when the output pipe closes: 128 + SIGPIPE
 
 
-def _add_common(sp) -> None:
+def _subcommand(sub, name: str, help: str, reads=(), formats=("json", "text")):
+    """The parser of subcommand name: the spec file, then the options of each
+    group in reads ("caps": the universe caps, "iters": --max-iters and
+    --force, "depth", "seed"), then --format with its choices."""
     caps = UniversePolicy()
+    sp = sub.add_parser(name, help=help)
     sp.add_argument("spec_file", help="rule specification file")
-    sp.add_argument("--universe-count", type=int, default=caps.max_count, metavar="N",
-                    help="universe term budget (default %(default)s)")
-    sp.add_argument("--universe-size", type=int, default=caps.max_size, metavar="N",
-                    help="largest term admitted into the universe (default %(default)s)")
-    sp.add_argument("--max-iters", type=int, default=MAX_ITERS, metavar="N")
-    sp.add_argument("-d", "--depth", type=int, default=3, metavar="D",
-                    help="observation depth (default 3)")
-    sp.add_argument("--seed", type=int, default=None, metavar="S",
-                    help="PRNG seed; falls back to $BIGSOS_SEED, then 0")
-    sp.add_argument("--format", choices=("json", "dot", "text"), default="text")
-    sp.add_argument("--force", action="store_true",
-                    help="iterate non-monotone specs anyway")
+    if "caps" in reads:
+        sp.add_argument("--universe-count", type=int, default=caps.max_count, metavar="N",
+                        help="universe term budget (default %(default)s)")
+        sp.add_argument("--universe-size", type=int, default=caps.max_size, metavar="N",
+                        help="largest term admitted into the universe (default %(default)s)")
+    if "iters" in reads:
+        sp.add_argument("--max-iters", type=int, default=MAX_ITERS, metavar="N")
+        sp.add_argument("--force", action="store_true", help="iterate non-monotone specs anyway")
+    if "depth" in reads:
+        sp.add_argument("-d", "--depth", type=int, default=3, metavar="D",
+                        help="observation depth (default 3)")
+    if "seed" in reads:
+        sp.add_argument("--seed", type=int, default=None, metavar="S",
+                        help="PRNG seed; falls back to $BIGSOS_SEED, then 0")
+    sp.add_argument("--format", choices=formats, default="text")
+    return sp
 
 
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
-    """The argument parser, built on first use and shared by every run."""
+    """The argument parser, built on first use and shared by every run.  Each
+    subcommand takes only the options it reads."""
     p = argparse.ArgumentParser(prog="bigsos",
                                 description="monotone biGSOS specifications: "
                                             "least models, unfoldings, and laws")
     sub = p.add_subparsers(dest="cmd", required=True)
 
-    sp = sub.add_parser("check", help="validate a spec and report monotonicity")
-    _add_common(sp)
+    _subcommand(sub, "check", "validate a spec and report monotonicity")
 
-    sp = sub.add_parser("model", help="compute and print the least model")
-    _add_common(sp)
+    sp = _subcommand(sub, "model", "compute and print the least model", ("caps", "iters"),
+                     ("json", "dot", "text"))
     sp.add_argument("terms", nargs="*", metavar="TERM",
                     help="extra closed seed terms for the universe")
 
-    sp = sub.add_parser("unfold", help="observe a term for a few steps")
-    _add_common(sp)
+    sp = _subcommand(sub, "unfold", "observe a term for a few steps", ("caps", "iters", "depth"))
     sp.add_argument("term", metavar="TERM")
 
-    sp = sub.add_parser("equiv", help="compare two terms in the least model")
-    _add_common(sp)
+    sp = _subcommand(sub, "equiv", "compare two terms in the least model", ("caps", "iters"))
     sp.add_argument("term1", metavar="TERM1")
     sp.add_argument("term2", metavar="TERM2")
     sp.add_argument("--rel", choices=("sim", "bisim"), default="bisim")
 
-    sp = sub.add_parser("congruence", help="sampled congruence check")
-    _add_common(sp)
+    sp = _subcommand(sub, "congruence", "sampled congruence check",
+                     ("caps", "iters", "depth", "seed"))
     sp.add_argument("terms", nargs="*", metavar="TERM",
                     help="extra closed seed terms for the universe")
     sp.add_argument("--samples", type=int, default=50, metavar="N")
 
-    sp = sub.add_parser("laws", help="check the lifting laws exactly on small generators")
-    _add_common(sp)
-
+    _subcommand(sub, "laws", "check the lifting laws exactly on small generators", ("caps",))
     return p
 
 
 def _check_settings(args) -> None:
-    """Fill in the seed from $BIGSOS_SEED and reject bad counts, before the
-    spec is read or its model built."""
-    if args.seed is None:
+    """Fill in the seed from $BIGSOS_SEED and reject bad counts, among the
+    options the subcommand takes, before the spec is read or its model built."""
+    if "seed" in args and args.seed is None:
         text = os.environ.get("BIGSOS_SEED", "0")
         try:
             args.seed = int(text)
         except ValueError:
             raise ValueError(f"BIGSOS_SEED must be an integer, got {text!r}") from None
-    for dest in ("universe_count", "universe_size", "max_iters"):
-        if getattr(args, dest) < 1:
-            raise ValueError(f"--{dest.replace('_', '-')} must be positive")
-    if args.depth < 0:
-        raise ValueError("--depth must be a natural")
-    if getattr(args, "samples", 0) < 0:
-        raise ValueError("--samples must be a natural")
+    for dest, least in (("universe_count", 1), ("universe_size", 1), ("max_iters", 1),
+                        ("depth", 0), ("samples", 0)):
+        if getattr(args, dest, least) < least:
+            raise ValueError(f"--{dest.replace('_', '-')} must be "
+                             f"{'positive' if least else 'a natural'}")
 
 
 def _load_spec(path: str):
@@ -225,13 +228,6 @@ def _cmd_check(spec, args, out, err) -> int:
     return 0
 
 
-def _require_valid(spec, err) -> bool:
-    diags = validate_spec(spec)
-    for d in diags:
-        print(str(d), file=err)
-    return not diags
-
-
 def _cmd_model(spec, args, out, err) -> int:
     model, report = _build_model(spec, _seed_terms(spec, args.terms), args)
     fmt = args.format
@@ -253,9 +249,6 @@ def _cmd_unfold(spec, args, out, err) -> int:
     term, = _seed_terms(spec, [args.term])
     model = _converged_model(spec, [term], args)
     rows = unfold(model, term, args.depth)
-    if args.format == "dot":
-        print("warning: dot export is only defined for models; emitting text",
-              file=err)
     if args.format == "json":
         _write_json(unfold_to_json(model, rows, args.depth), out)
     else:
@@ -310,8 +303,12 @@ _COMMANDS = {"check": _cmd_check, "model": _cmd_model, "unfold": _cmd_unfold,
 def _dispatch(args, out, err) -> int:
     _check_settings(args)
     spec = _load_spec(args.spec_file)
-    if args.cmd != "check" and not _require_valid(spec, err):
-        return 2
+    if args.cmd != "check":
+        try:
+            _join_plan(spec)  # the engine's door: validates the spec once per run
+        except InvalidSpecError as exc:
+            print(*exc.diagnostics, sep="\n", file=err)
+            return exc.exit_code
     return _COMMANDS[args.cmd](spec, args, out, err)
 
 

@@ -403,7 +403,7 @@ def parse_spec(text: str) -> Spec:
 def _check_label_literals(kind, expr, rule, out, where):
     for lit in label_lits(expr):
         if not kind.has_label(lit):
-            out.append(Diagnostic(rule, f"{where}: label literal {lit!r} not in label set"))
+            out.append(Diagnostic(rule, f"{where}: label literal {quoted(lit)} not in label set"))
 
 
 def validate_spec(spec: Spec) -> list:
@@ -415,14 +415,14 @@ def validate_spec(spec: Spec) -> list:
         if fact is not None:
             continue
         if r.head_op not in spec.sig:
-            out.append(Diagnostic(r.name, f"unknown head operator {r.head_op!r}"))
+            out.append(Diagnostic(r.name, f"unknown head operator {quoted(r.head_op)}"))
             continue
         op = spec.sig[r.head_op]
         if len(r.head_vars) != op.arity:
-            out.append(Diagnostic(r.name, f"head arity mismatch: {r.head_op!r} has arity "
+            out.append(Diagnostic(r.name, f"head arity mismatch: {quoted(r.head_op)} has arity "
                                           f"{op.arity}, head binds {len(r.head_vars)}"))
         if len(r.head_params) != op.param_count:
-            out.append(Diagnostic(r.name, f"head parameter mismatch: {r.head_op!r} takes "
+            out.append(Diagnostic(r.name, f"head parameter mismatch: {quoted(r.head_op)} takes "
                                           f"{op.param_count}, head binds {len(r.head_params)}"))
         if len(set(r.head_vars)) != len(r.head_vars):
             out.append(Diagnostic(r.name, "head variables not distinct"))
@@ -433,13 +433,13 @@ def validate_spec(spec: Spec) -> list:
         lab_vars = set(r.head_params)
         for p in r.premises:
             if p.source not in bound:
-                out.append(Diagnostic(r.name, f"unbound premise source {p.source!r}"))
+                out.append(Diagnostic(r.name, f"unbound premise source {quoted(p.source)}"))
             _check_label_literals(kind, p.label, r.name, out, "premise")
             if isinstance(p.label, (LabelAdd, LabelMul)):  # only a Spec built directly
                 out.append(Diagnostic(r.name, "premise label must be a literal or a variable"))
             if isinstance(p, Positive):
                 if p.target in bound:
-                    out.append(Diagnostic(r.name, f"premise target {p.target!r} not fresh"))
+                    out.append(Diagnostic(r.name, f"premise target {quoted(p.target)} not fresh"))
                 bound.append(p.target)
                 lab_vars |= label_vars(p.label)
             else:
@@ -448,33 +448,35 @@ def validate_spec(spec: Spec) -> list:
 
         for v in sorted(label_vars(r.concl_label) - lab_vars):
             if nat_labels or kind.has_label(v):
-                out.append(Diagnostic(r.name, f"conclusion label uses unbound variable {v!r}"))
+                out.append(Diagnostic(r.name, "conclusion label uses unbound variable "
+                                              + quoted(v)))
             else:  # most likely a misspelt label
-                out.append(Diagnostic(r.name, f"conclusion label {v!r} is not in the label "
+                out.append(Diagnostic(r.name, f"conclusion label {quoted(v)} is not in the label "
                                               "set and no premise binds it"))
         _check_label_literals(kind, r.concl_label, r.name, out, "conclusion")
         if not nat_labels and isinstance(r.concl_label, (LabelAdd, LabelMul)):
             out.append(Diagnostic(r.name, "label arithmetic needs natural labels"))
 
         for v in sorted(template_vars(r.concl_target) - set(bound)):
-            out.append(Diagnostic(r.name, f"conclusion target uses unbound variable {v!r}"))
+            out.append(Diagnostic(r.name, f"conclusion target uses unbound variable {quoted(v)}"))
         for node in template_apps(r.concl_target):
             if node.op not in spec.sig:
-                out.append(Diagnostic(r.name, f"unknown operator {node.op!r} in conclusion target"))
+                out.append(Diagnostic(r.name, f"unknown operator {quoted(node.op)} "
+                                              "in conclusion target"))
                 continue
             node_op = spec.sig[node.op]
             if len(node.args) != node_op.arity or len(node.params) != node_op.param_count:
-                out.append(Diagnostic(r.name, f"arity/param mismatch for {node.op!r} "
+                out.append(Diagnostic(r.name, f"arity/param mismatch for {quoted(node.op)} "
                                               "in conclusion target"))
         # operator parameters must evaluate to naturals
         param_ok = set(r.head_params) | (lab_vars if nat_labels else set())
         for e in template_param_exprs(r.concl_target):
             for v in sorted(label_vars(e) - param_ok):
-                out.append(Diagnostic(r.name, f"operator parameter uses variable {v!r} "
+                out.append(Diagnostic(r.name, f"operator parameter uses variable {quoted(v)} "
                                               "that cannot be a natural here"))
             for lit in label_lits(e):
                 if not (isinstance(lit, int) and lit >= 0):
-                    out.append(Diagnostic(r.name, f"operator parameter literal {lit!r} "
+                    out.append(Diagnostic(r.name, f"operator parameter literal {quoted(lit)} "
                                                   "is not a natural"))
     return out
 

@@ -369,11 +369,12 @@ def substitute(t: Term, binding: Mapping[str, Term]) -> Term:
 # --- tokenizer, shared with the rule language ---------------------------------
 
 
-def quoted(text: str) -> str:
-    """text as a parse error quotes it: repr(text) up to 40 characters, and
-    beyond that its first 20 and last 10 around "…", then its length."""
-    if len(text) <= 40:
-        return repr(text)
+def quoted(v) -> str:
+    """A name or literal v as an error message quotes it: repr(v) while its
+    text is up to 40 characters (so an integer unquoted), and beyond that the
+    text's first 20 and last 10 characters around "…", then its length."""
+    if len(text := str(v)) <= 40:
+        return repr(v)
     return f"{text[:20] + '…' + text[-10:]!r} ({len(text)} characters)"
 
 

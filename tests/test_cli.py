@@ -15,11 +15,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 import bigsos
+from bigsos import cli as cli_module, engine
 from bigsos.behaviour import PartialStream
 from bigsos.cli import PIPE_CLOSED, _parser, _write_json, run
 from bigsos.engine import MAX_ITERS, least_model
 from bigsos.relations import CongruenceReport, CongruenceViolation
-from bigsos.speclang import parse_spec
+from bigsos.speclang import parse_spec, validate_spec
 from bigsos.terms import MAX_NESTING, App, UniversePolicy, print_term
 from conftest import fixture_path, unfold_tree
 from spec_gen import random_monotone_lts_text
@@ -48,8 +49,10 @@ def test_check_negative_spec_names_rule():
 
 
 def test_check_force_does_not_silence_verdict():
-    code, _, _ = cli("check", fixture_path("negloop"), "--force")
-    assert code == 3
+    # check takes no --force: it is a usage error, not a way past the verdict
+    code, out, err = cli("check", fixture_path("negloop"), "--force")
+    assert (code, out) == (2, "") and err.endswith("error: unrecognized arguments: --force\n")
+    assert cli("check", fixture_path("negloop"))[0] == 3
 
 
 def test_check_json_format():
@@ -446,12 +449,12 @@ def test_laws_all_pass():
         assert f"{law}: pass" in out
 
 
-def test_laws_json_is_exact_and_ignores_depth():
+def test_laws_json_is_exact_and_takes_no_depth():
     argv = ("laws", fixture_path("transclosure"), "--universe-size", "9",
             "--universe-count", "40", "--format", "json")
-    shallow, deep = cli(*argv, "-d", "1"), cli(*argv, "-d", "5")
-    assert shallow == deep
-    code, out, _ = shallow
+    code, out, err = cli(*argv, "-d", "1")
+    assert (code, out) == (2, "") and err.endswith("error: unrecognized arguments: -d 1\n")
+    code, out, _ = cli(*argv)
     assert code == 0
     doc = json.loads(out)
     assert all(r["status"] == "pass" for r in doc)
@@ -555,8 +558,20 @@ def test_trailing_input_after_a_term_exits_1():
      "monotone: yes\n"),
     ("behaviour lts labels a\nops c/0, g/1, f/1[1]\nrule g : |- g(x) -a-> f[a](x)\n",
      "rule g: operator parameter literal 'a' is not a natural\nmonotone: yes\n"),
+    # past 40 characters, a name or literal is quoted by its first 20 and last 10
+    ("behaviour lts labels a\nops f/1\nrule r : |- f(x) -a-> " + "y" * 5000 + "\n",
+     "rule r: conclusion target uses unbound variable '" + "y" * 20 + "…" + "y" * 10
+     + "' (5000 characters)\nmonotone: yes\n"),
+    ("behaviour lts labels a\nops f/1\nrule r : |- f(x) -" + "9" * 4000 + "-> x\n",
+     "rule r: conclusion: label literal '" + "9" * 20 + "…" + "9" * 10
+     + "' (4000 characters) not in label set\nmonotone: yes\n"),
+    ("behaviour lts labels a\nops f/1\nrule r : |- f(x) -a-> " + "y" * 40 + "\n",
+     "rule r: conclusion target uses unbound variable '" + "y" * 40 + "'\nmonotone: yes\n"),
+    ("behaviour lts labels a\nops f/1\nrule r : |- f(x) -" + "9" * 40 + "-> x\n",
+     "rule r: conclusion: label literal " + "9" * 40 + " not in label set\nmonotone: yes\n"),
 ], ids=["head-params", "not-fresh", "negative-variable", "unknown-target-op",
-        "param-variable", "param-literal"])
+        "param-variable", "param-literal", "long-variable", "long-literal",
+        "variable-of-40", "literal-of-40"])
 def test_check_prints_diagnostics_and_exits_2(tmp_path, text, want):
     path = tmp_path / "diag.sos"
     path.write_text(text, encoding="utf-8")
@@ -569,6 +584,18 @@ def test_validation_diagnostics_exit_2(tmp_path):
     code, _, err = cli("model", str(bad))
     assert code == 2
     assert "label" in err
+
+
+@pytest.mark.parametrize("argv", [("model",), ("unfold", "c"), ("equiv", "c", "d"),
+                                  ("congruence",), ("laws",)])
+def test_a_spec_is_validated_once_per_run(monkeypatch, argv):
+    calls = []
+    monkeypatch.setattr(engine, "validate_spec",
+                        lambda spec: calls.append(spec) or validate_spec(spec))
+    monkeypatch.setattr(cli_module, "validate_spec", engine.validate_spec)
+    cmd, *terms = argv
+    assert cli(cmd, fixture_path("lookahead2"), *terms)[0] == 0
+    assert len(calls) == 1
 
 
 def test_inconsistent_stream_spec_is_a_user_error(tmp_path):
@@ -637,6 +664,38 @@ def test_usage_errors_and_help_go_to_runs_streams(capsys):
     assert cli("check", fixture_path("lookahead2"))[0] == 0
 
 
+CAPS = {"--universe-count", "--universe-size"}
+ITERS = CAPS | {"--max-iters", "--force"}
+OPTIONS = {  # each subcommand's options, besides -h/--help
+    "check": {"--format"},
+    "model": ITERS | {"--format"},
+    "unfold": ITERS | {"-d", "--depth", "--format"},
+    "equiv": ITERS | {"--rel", "--format"},
+    "congruence": ITERS | {"-d", "--depth", "--seed", "--samples", "--format"},
+    "laws": CAPS | {"--format"},
+}
+POSITIONALS = {"unfold": ("c",), "equiv": ("c", "c")}
+
+
+def test_each_subcommand_takes_only_the_options_it_reads():
+    subparsers, = (a for a in _parser()._actions if a.dest == "cmd")
+    declared = {cmd: {s for a in sp._actions for s in a.option_strings} - {"-h", "--help"}
+                for cmd, sp in subparsers.choices.items()}
+    assert declared == OPTIONS
+    spec = fixture_path("lookahead2")
+    for cmd, takes in OPTIONS.items():
+        for flag in sorted(set().union(*OPTIONS.values()) - takes):
+            value = () if flag == "--force" else ("sim",) if flag == "--rel" else ("1",)
+            code, out, err = cli(cmd, spec, *POSITIONALS.get(cmd, ()), flag, *value)
+            assert (code, out) == (2, ""), (cmd, flag)
+            assert err.endswith(f"error: unrecognized arguments: {' '.join((flag, *value))}\n")
+        code, out, err = cli(cmd, spec, *POSITIONALS.get(cmd, ()), "--format", "dot")
+        if cmd == "model":  # the one subcommand with a dot format
+            assert code == 0 and out.startswith("digraph model {")
+        else:
+            assert (code, out) == (2, "") and "argument --format: invalid choice: 'dot'" in err
+
+
 def test_cap_defaults_are_the_librarys():
     args = _parser().parse_args(["model", "spec.sos"])
     caps = UniversePolicy()
@@ -652,7 +711,9 @@ def test_bad_bounds_rejected():
         want = (2, "", f"error: {flag} must be positive\n")
         assert cli("model", fixture_path("lookahead2"), flag, "0") == want
         # checked before the spec is read: negloop alone would exit 3
-        assert cli("laws", fixture_path("negloop"), flag, "-1") == want
+        assert cli("equiv", fixture_path("negloop"), "c", "c", flag, "-1") == want
+        if flag != "--max-iters":  # laws takes only the caps
+            assert cli("laws", fixture_path("negloop"), flag, "-1") == want
 
 
 def test_counts_are_checked_in_flag_order():
@@ -670,9 +731,13 @@ def test_bad_seed_env_names_the_variable(monkeypatch):
     want = (2, "", "error: BIGSOS_SEED must be an integer, got 'x'\n")
     assert cli("congruence", fixture_path("lookahead2")) == want
     # the seed is checked before the counts
-    assert cli("model", fixture_path("lookahead2"), "--universe-count", "0") == want
+    assert cli("congruence", fixture_path("lookahead2"), "--universe-count", "0") == want
     # an explicit --seed leaves the variable unread
-    assert cli("check", fixture_path("lookahead2"), "--seed", "3")[0] == 0
+    assert cli("congruence", fixture_path("lookahead2"), "--seed", "3")[0] == 0
+    # the subcommands that draw nothing never read it
+    for argv in (("check",), ("model",), ("unfold", "c"), ("equiv", "c", "c"), ("laws",)):
+        cmd, *terms = argv
+        assert cli(cmd, fixture_path("lookahead2"), *terms)[::2] == (0, "")
 
 
 def test_negative_samples_rejected():

@@ -48,16 +48,20 @@ TERMS = {
 
 
 def _cases() -> list:
-    """(argv, BIGSOS_SEED or None) for every golden invocation."""
+    """(argv, BIGSOS_SEED or None) for every golden invocation.  Each argv
+    gives only options its subcommand takes, and --format dot only to model."""
     cases = []
     for name, (unfolds, pairs, seeds) in TERMS.items():
         spec = f"{name}.sos"
+        for fmt in FORMATS[:2]:
+            cases.append((("check", spec, "--format", fmt), None))
         for caps in SMALL_CAPS:
             for fmt in FORMATS:
                 tail = caps + ("--format", fmt)
-                cases.append((("check", spec) + tail, None))
                 cases.append((("model", spec) + tail, None))
                 cases.append((("model", spec, *seeds) + tail, None))
+                if fmt == "dot":
+                    continue
                 cases.append((("laws", spec) + tail, None))
                 for term in unfolds:
                     for depth in ("0", "1", "3", "8"):
@@ -77,23 +81,25 @@ def _cases() -> list:
             cases.append((("equiv", spec, *pairs[0], "--force") + caps, None))
             cases.append((("congruence", spec, "--force", "--samples", "10") + caps, None))
             cases.append((("congruence", spec, "--samples", "10") + caps, "5"))
-    # count and seed errors, alone and combined: the first bad value is reported
+    # count and seed errors, alone and combined: the first bad value is reported.
+    # check takes none of the counts, laws the caps, model the caps and
+    # --max-iters, congruence all; only congruence reads BIGSOS_SEED.
     lk = "lookahead2.sos"
     bad = [("--universe-count", "0"), ("--universe-count", "-3"),
            ("--universe-size", "0"), ("--max-iters", "0"), ("-d", "-1"),
            ("--samples", "-1")]
-    for cmd in ("check", "model", "congruence", "laws"):
-        for flag, value in bad:
-            if flag == "--samples" and cmd != "congruence":
-                continue
+    for cmd, takes in (("check", 0), ("model", 4), ("congruence", 6), ("laws", 3)):
+        for flag, value in bad[:takes]:
             cases.append(((cmd, lk, flag, value), None))
             cases.append(((cmd, lk, flag, value), "x"))
         cases.append(((cmd, lk), "x"))
         cases.append(((cmd, lk), " 12 "))
-        cases.append(((cmd, lk, "--seed", "3"), "x"))
-        cases.append(((cmd, "negloop.sos", "--universe-count", "0"), None))
+        if cmd == "congruence":
+            cases.append(((cmd, lk, "--seed", "3"), "x"))
+        if takes:
+            cases.append(((cmd, "negloop.sos", "--universe-count", "0"), None))
+            cases.append(((cmd, "missing.sos", "--universe-count", "0"), None))
         cases.append(((cmd, "missing.sos"), None))
-        cases.append(((cmd, "missing.sos", "--universe-count", "0"), None))
         cases.append(((cmd, "missing.sos"), "x"))
     for i, (f1, v1) in enumerate(bad):
         for f2, v2 in bad[i + 1:]:
@@ -131,6 +137,13 @@ def test_cli_matches_golden(monkeypatch):
         got = _invoke(want["argv"], want["seed_env"])
         assert got == want, f"first differing invocation: {want['argv']} " \
                             f"(BIGSOS_SEED={want['seed_env']})"
+
+
+def test_golden_file_holds_every_case():
+    """The golden file replays exactly the invocations _cases() makes, in
+    order, so a case added without regenerating the file fails here."""
+    entries = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    assert [(tuple(e["argv"]), e["seed_env"]) for e in entries] == _cases()
 
 
 def test_golden_congruence_covers_both_paths(monkeypatch):
