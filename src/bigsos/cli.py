@@ -127,11 +127,18 @@ def _build_model(spec, extra_seeds, args):
     return least_model(spec, seeds, _policy(args), args.max_iters, force=args.force)
 
 
+def _non_convergence(report) -> str:
+    """Why an unconverged iteration stopped: a 2-cycle, or the budget."""
+    if report.oscillation_detected:
+        return f"no convergence: oscillation detected after {report.iterations} iterations"
+    return f"no convergence within {report.iterations} iterations"
+
+
 def _converged_model(spec, extra_seeds, args):
     """The least model, if the iteration converged within --max-iters."""
     model, report = _build_model(spec, extra_seeds, args)
     if not report.converged:
-        raise NonConvergenceError(f"no convergence within {report.iterations} iterations")
+        raise NonConvergenceError(_non_convergence(report))
     return model
 
 
@@ -234,6 +241,8 @@ def _cmd_model(spec, args, out, err) -> int:
     if fmt == "dot":
         try:
             out.write(model_to_dot(model))
+            if not report.converged:  # the digraph, unlike text and json, has no report
+                print(f"error: {_non_convergence(report)}", file=err)
         except ValueError as exc:
             print(f"warning: {exc}; emitting json", file=err)
             fmt = "json"

@@ -19,19 +19,18 @@ The iteration is semi-naive, and a step costs what it re-derives.  A term's
 derivation depends only on the value, frontier membership and taint of the
 terms whose step it reads, so least_model keeps a reverse index, built from
 those recorded reads, from each read term to the terms whose derivations
-read it.  It keeps one model, the last step's, as mutable state, with a
-count per state of the universe values that reference it.  A step derives
-the readers of the terms the previous step changed or flipped, and the newly
-promoted terms, against that model, and applies the results only once all
-have run.  Only a term whose value or taint changed updates its entry, and
-the states its old and new values reference update the counts; a state
-outside the universe enters the frontier when its count leaves 0 and leaves
-it when the count reaches 0; promotion examines only the terms that just
-entered.  The loop has converged when a step changed, flipped and promoted
-nothing.  So a monotone step costs O(derivations + changed states) rather
-than O(|universe|), and its models are those of full steps (phi_step).  A
-forced non-monotone run also copies its last two models' values and taint,
-at O(|universe|) a step, and stops when a step gives the one two steps back.
+read it.  It keeps one model, the last step's, as mutable state.  A step
+derives the readers of the terms the previous step changed or flipped, and
+the newly promoted terms, against that model, and applies the results only
+once all have run.  Only a term whose value or taint changed updates its
+entry; the loop has converged when none did.  The states its new value
+references outside the universe and the frontier enter the frontier, and
+promotion examines only them.  A monotone value only gains states, so that
+is all a monotone step does, at O(derivations + changed states) rather than
+O(|universe|), and its models are those of full steps (phi_step).  A forced
+non-monotone run also drops the frontier terms no value references any
+more, and copies its last two models' values and taint, each at
+O(|universe|) a step, and stops when a step gives the one two steps back.
 
 A generator designates opaque variable states whose behaviour is injected
 verbatim each step; running the same iteration over terms with generator
@@ -455,7 +454,6 @@ def least_model(spec: Spec, seeds: Union[Iterable[Term], None] = None,
     beh = dict.fromkeys(dirty, bottom)
     frontier: set = set()
     tainted: set = set()
-    refs: dict = {}  # state -> the number of universe values that reference it
     view = Model(kind, (), beh, frontier, tainted)  # reads the live state
     # term -> universe terms whose derivations read it.  Entries are never
     # dropped: in a monotone chain a term's reads only grow, and a stale entry
@@ -467,7 +465,6 @@ def least_model(spec: Spec, seeds: Union[Iterable[Term], None] = None,
         memo = _Rows(view)
         derived = [(t, *_derive(spec, gen, memo, t)) for t in dirty]
         changed: set = set()  # terms whose value or taint this step changed
-        touched: set = set()  # states whose reference count changed
         for t, v, read, taint in derived:
             for s in read:
                 readers.setdefault(s, set()).add(t)
@@ -477,13 +474,6 @@ def least_model(spec: Spec, seeds: Union[Iterable[Term], None] = None,
                     raise BigsosError(
                         f"internal: iteration chain decreased at {print_term(t)}")
                 beh[t] = v
-                before, after = kind.states(old), kind.states(v)
-                gone, new = before - after, after - before
-                for s in gone:
-                    refs[s] -= 1
-                for s in new:
-                    refs[s] = refs.get(s, 0) + 1
-                touched.update(gone, new)
             elif (t in tainted) == taint:
                 continue
             changed.add(t)
@@ -491,18 +481,21 @@ def least_model(spec: Spec, seeds: Union[Iterable[Term], None] = None,
                 tainted.add(t)
             else:
                 tainted.discard(t)
-        # terms that entered or left the frontier
-        flipped = {s for s in touched
-                   if (refs[s] > 0 and s not in beh) != (s in frontier)}
-        frontier.symmetric_difference_update(flipped)
-        promoted = _promotions(beh, flipped & frontier, policy)
-        beh.update(dict.fromkeys(promoted, bottom))  # a bottom value references nothing
-        moved = frontier.intersection(promoted)
-        frontier.difference_update(moved)
-        flipped.symmetric_difference_update(moved)
-        if not (changed or flipped or promoted):
+        if not changed:  # so no term can enter or leave the frontier either
             converged = True
             break
+        # A changed value's states outside the universe and the frontier enter
+        # the frontier.  A monotone value only gains states, and a frontier term
+        # never fits the caps later (see _promotions), so none leaves; a forced
+        # run looks among all values for those that none references any more.
+        entered = {s for t in changed for s in kind.states(beh[t])
+                   if s not in beh and s not in frontier}
+        left = (set() if mon.monotone else
+                frontier - set().union(*map(kind.states, beh.values())))
+        promoted = _promotions(beh, entered, policy)
+        beh.update(dict.fromkeys(promoted, bottom))
+        flipped = entered.difference(promoted) | left  # terms that entered or left the frontier
+        frontier.symmetric_difference_update(flipped)
         # A monotone chain only climbs, so only a non-monotone one can cycle:
         # it does when a step gives the model from two steps back.  The
         # frontier follows from the values, so they and the taint suffice.
@@ -512,10 +505,7 @@ def least_model(spec: Spec, seeds: Union[Iterable[Term], None] = None,
                 oscillating = True
                 break
             recent = [*recent[-1:], now]
-        # Frontier membership is read like a value.  As long as a term is
-        # promoted in the step that first references it or never, a term leaves
-        # the frontier only when no value references it any more, so its readers
-        # are dirty anyway; the index does not rely on that.
+        # Frontier membership is read like a value.
         dirty = {r for s in (*changed, *flipped) for r in readers.get(s, ())}
         dirty = sorted(dirty.union(promoted), key=term_key)
     universe = tuple(sorted(beh, key=term_key))

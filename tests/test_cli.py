@@ -113,6 +113,26 @@ def test_model_forced_oscillation_exits_4():
     assert "oscillation yes" in out  # report still printed
 
 
+@pytest.mark.parametrize("cmd, terms", [("unfold", ("sigma(c)",)), ("equiv", ("sigma(c)", "c")),
+                                        ("congruence", ())])
+def test_forced_oscillation_is_named(cmd, terms):
+    """A forced run that stops on a 2-cycle says so, not that the budget ran out."""
+    code, out, err = cli(cmd, fixture_path("negloop"), *terms, "--force")
+    assert (code, out) == (4, "")
+    assert err == "error: no convergence: oscillation detected after 3 iterations\n"
+
+
+@pytest.mark.parametrize("name, flags, why", [
+    ("negloop", ("--force",), "no convergence: oscillation detected after 3 iterations"),
+    ("transclosure", ("--max-iters", "1"), "no convergence within 1 iterations")])
+def test_model_dot_reports_non_convergence(name, flags, why):
+    """The digraph carries no report, so stderr says why the run stopped."""
+    code, out, err = cli("model", fixture_path(name), *flags, "--format", "dot")
+    assert (code, err) == (4, f"error: {why}\n")
+    assert out == ('digraph model {\n  rankdir=LR;\n  n0 [label="c"];\n'
+                   '  n1 [label="sigma(c)"];\n  n0 -> n1 [label="a"];\n}\n')
+
+
 def test_model_dot_output():
     code, out, _ = cli("model", fixture_path("lookahead2"), "tau(c)",
                        "--format", "dot")

@@ -963,15 +963,25 @@ def naive_least_model(spec, seeds, policy, max_iters, force=False, gen=None):
 
 def assert_same_iteration(spec, seeds, policy, max_iters=200, force=False, gen=None,
                           sweep=False):
-    """least_model equals the naive loop, and so does every shorter run if sweep."""
+    """least_model equals the naive loop, and so does every shorter run if sweep.
+    The sweep also checks that a monotone spec's runs only climb: universe,
+    frontier and taint only grow, and each value is below its successor."""
     want = naive_least_model(spec, seeds, policy, max_iters, force, gen)
     got = least_model(spec, seeds, policy, max_iters, force=force, gen=gen)
     assert got == want, (got[1], want[1])
     assert got[0].universe == want[0].universe
     if sweep:
+        models = []
         for k in range(1, want[1].iterations):
-            assert (least_model(spec, seeds, policy, k, force=force, gen=gen)
-                    == naive_least_model(spec, seeds, policy, k, force, gen)), k
+            run = least_model(spec, seeds, policy, k, force=force, gen=gen)
+            assert run == naive_least_model(spec, seeds, policy, k, force, gen), k
+            models.append(run[0])
+        if check_monotone(spec).monotone:
+            for k, (m, m2) in enumerate(zip(models, [*models[1:], got[0]]), 1):
+                assert set(m.universe) <= set(m2.universe), k
+                assert m.frontier <= m2.frontier and m.tainted <= m2.tainted, k
+                assert all(spec.kind.leq(m.behaviour[t], m2.behaviour[t])
+                           for t in m.universe), k
     return got
 
 
