@@ -131,7 +131,8 @@ def _non_convergence(report) -> str:
     """Why an unconverged iteration stopped: a 2-cycle, or the budget."""
     if report.oscillation_detected:
         return f"no convergence: oscillation detected after {report.iterations} iterations"
-    return f"no convergence within {report.iterations} iterations"
+    n = report.iterations
+    return f"no convergence within {n} iteration{'' if n == 1 else 's'}"
 
 
 def _converged_model(spec, extra_seeds, args):

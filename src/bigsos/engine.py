@@ -6,8 +6,8 @@ behaviour map (frontier terms read as bottom, so truncation under-approximates
 soundly), and each complete match contributes its instantiated conclusion.
 Each rule's premises and conclusion are compiled once per spec, so a term's
 value is built in one pass from its derived (label, target, 1) moves, and
-the join records every term it reads on the way.  A ground fact (a rule
-with a move in Spec.facts, see speclang) is stored as its move and never
+the join records every term it reads on the way.  A ground fact (an entry
+of Spec.facts, see speclang) is no rule: it is stored as its move and never
 compiled.  Iterating from the all-bottom model climbs an increasing chain for
 monotone specs; the loop stops on a fixed point, on a detected period-2
 oscillation (possible only with negative premises, behind the force flag), or
@@ -128,11 +128,12 @@ def gen_to_model(kind: BehaviourKind, gen: GenCoalgebra) -> Model:
 # --- rule application -----------------------------------------------------------
 #
 # A spec's join plan holds, for each head operator, the (label, target, 1)
-# moves of its ground facts and the compiled plans of its other rules.  A fact
-# reads nothing and binds nothing, so a constant's moves start from its facts;
-# an explicit LTS written as axioms compiles no plan.
+# moves of its ground facts, in line order, and the compiled plans of its
+# rules.  A fact reads nothing and binds nothing, so a constant's moves start
+# from its facts; an explicit LTS written as axioms has no rules and compiles
+# no plan, and its facts share one target term per target name.
 #
-# Each other rule is compiled once per spec into a generated function,
+# Each rule is compiled once per spec into a generated function,
 # run(row, read, memo, moves), which appends the move of every derivation for
 # the head row args + params.  An environment holds the bindings still live
 # at its point in the premise chain, those that a later premise or the
@@ -302,21 +303,21 @@ def _rule_factory(source: str):
 
 def _join_plan(spec: Spec) -> dict:
     """(facts, plans) by head operator, built on first use and kept on the
-    spec: the moves of the ground facts, and the run functions of the other
-    rules in rule order.  A spec with diagnostics compiles nothing and
+    spec: the moves of the ground facts in line order, and the run functions
+    of the rules in rule order.  A spec with diagnostics compiles nothing and
     raises InvalidSpecError."""
     if spec.join_plan is None:
         diagnostics = validate_spec(spec)
         if diagnostics:
             raise InvalidSpecError(diagnostics)
         plan: dict = {}
-        for rule, fact in zip(spec.rules, spec.facts):
-            facts, plans = plan.setdefault(rule.head_op, ([], []))
-            if fact is None:
-                plans.append(_compile_rule(spec.kind, rule))
-            else:
-                label, target = fact
-                facts.append((label, App(target), 1))
+        targets: dict = {}
+        for head, label, target in spec.facts:
+            if target not in targets:
+                targets[target] = App(target)
+            plan.setdefault(head, ([], []))[0].append((label, targets[target], 1))
+        for rule in spec.rules:
+            plan.setdefault(rule.head_op, ([], []))[1].append(_compile_rule(spec.kind, rule))
         spec.join_plan = plan
     return spec.join_plan
 
@@ -522,8 +523,9 @@ def lift_coalgebra(spec: Spec, gen: GenCoalgebra,
     gen.validate(spec.kind, spec.sig)
     model, report = least_model(spec, seeds, policy, max_iters, gen=gen)
     if not report.converged:
+        n = report.iterations
         raise NonConvergenceError(
-            f"lifting did not stabilize within {report.iterations} iterations")
+            f"lifting did not stabilize within {n} iteration{'' if n == 1 else 's'}")
     return model
 
 

@@ -17,20 +17,22 @@ non-monotone.
 Most lines of a generated spec are ground axioms, `rule r : |- c -a-> d`.
 parse_spec matches each line against one pattern for that shape (ASCII
 identifiers, a label that is an identifier or a run of ASCII digits, blanks
-and a trailing comment) and builds the rule from the match without
-tokenizing the line.  The recogniser never raises, and it accepts only lines
-the general parser parses to the same rule; every other line, including every
+and a trailing comment) and reads the line from the match without
+tokenizing it.  The recogniser never raises, and it accepts only lines the
+general parser parses to the same rule; every other line, including every
 malformed one, goes to the tokenizer and the general parser, so every
 ParseError comes from there, with the same message, line and column.
 Blank and comment-only lines are skipped by the same match, and a
 well-formed ops line is read from one match of a pattern of its own.
 
 A recognised ground axiom whose label is in the label set and whose head and
-target are declared constants is a plain fact: it can produce no diagnostic,
-so validate_spec passes it by, and the engine stores its move without
-compiling it.  parse_spec keeps one fact or None per rule in Spec.facts.  A
-rule the tokenizer reads, such as `c -1-> sigma(c)` with its closed compound
-target, is no fact, and a Spec built directly from rules has no facts.
+target are declared constants is a plain fact, a move of an explicit
+coalgebra: parse_spec keeps it in Spec.facts as (head, label, target name),
+in line order, and builds no Rule for it.  Spec.rules holds every other
+rule, the ones the engine compiles.  A fact can produce no diagnostic and
+has no premise, so validate_spec and check_monotone read the rules alone.
+A rule the tokenizer reads, such as `c -1-> sigma(c)` with its closed
+compound target, is no fact, and a Spec built directly has no facts.
 """
 
 from __future__ import annotations
@@ -155,15 +157,16 @@ class Rule(Record):
 
 
 class Spec:
-    def __init__(self, kind: BehaviourKind, sig: Signature, rules: tuple):
+    def __init__(self, kind: BehaviourKind, sig: Signature, rules: tuple, facts: tuple = ()):
         self.kind = kind
         self.sig = sig
         self.rules = tuple(rules)
-        self.facts = (None,) * len(self.rules)  # parse_spec sets those it recognised
+        self.facts = tuple(facts)  # (head, label, target name) of each plain fact
         self.join_plan = None  # compiled by the engine on first use
 
     def __repr__(self):
-        return f"Spec(kind={self.kind.name}, ops={len(self.sig.operators())}, rules={len(self.rules)})"
+        return (f"Spec(kind={self.kind.name}, ops={len(self.sig.operators())}, "
+                f"rules={len(self.rules)}, facts={len(self.facts)})")
 
 
 class Diagnostic(Record):
@@ -309,33 +312,30 @@ _OPS_LINE = re.compile(rf"(?P<indent>[ \t]*)ops(?P<ops>[ \t]+{_OP}(?:[ \t]*,[ \t
                        r"[ \t]*(?:#.*)?")
 
 
-def _ground_axiom(m: re.Match, kind: BehaviourKind, sig: Signature) -> Union[tuple, None]:
-    """The rule _parse_rule_line makes of a line _GROUND_AXIOM matched, and its
-    fact: (label, target name) if the label is a literal in the label set and
-    the head and target are declared constants, else None.  The whole result
-    is None if int() cannot read the label.  The target goes by name: only the
-    engine's join plan needs it as a term."""
+def _ground_axiom(m: re.Match, kind: BehaviourKind, sig: Signature,
+                  constants: frozenset) -> Union[tuple, Rule, None]:
+    """What _parse_rule_line makes of a line _GROUND_AXIOM matched: the fact
+    (head, label, target name) if the label is a literal in the label set and
+    the head and target are in constants, the declared constants; else the
+    rule.  None if int() cannot read the label."""
     nat, label, head, target = m.group("nat", "label", "head", "target")
     try:
         value = label if nat is None else int(nat)
     except ValueError:
         return None
     in_set = kind.has_label(value)
-    rule = Rule(m["name"], head, (), (), (),
+    if in_set and head in constants and target in constants:
+        return head, value, target
+    return Rule(m["name"], head, (), (), (),
                 LabelLit(value) if in_set or nat is not None else LabelVar(label),
                 TemplateApp(target) if target in sig else Var(target))
-    if not in_set:
-        return rule, None
-    for name in (head, target):
-        if name not in sig or sig[name].arity or sig[name].param_count:
-            return rule, None
-    return rule, (value, target)
 
 
 def parse_spec(text: str) -> Spec:
     """Parse a .sos document. Syntax only; use validate_spec for the rest."""
     kind: Union[BehaviourKind, None] = None
     sig = Signature(())
+    constants: frozenset = frozenset()
     has_ops = False
     rules: list = []
     facts: list = []
@@ -344,9 +344,9 @@ def parse_spec(text: str) -> Spec:
         m = _GROUND_AXIOM.fullmatch(raw)
         if m and m["name"] is None:
             continue  # blank or comment only
-        axiom = _ground_axiom(m, kind, sig) if m and kind is not None else None
-        if axiom is not None:
-            (rule, fact), col = axiom, m.end("indent") + 1
+        entry = _ground_axiom(m, kind, sig, constants) if m and kind is not None else None
+        if entry is not None:
+            name, col = m["name"], m.end("indent") + 1
         else:
             ops = _OPS_LINE.fullmatch(raw)
             try:  # None if not matched, or if int() cannot convert a number
@@ -372,29 +372,28 @@ def parse_spec(text: str) -> Spec:
             if keyword == "ops":
                 if has_ops:
                     raise ParseError("duplicate ops line", lineno, col)
-                if rules:
+                if seen:
                     raise ParseError("ops line must precede rules", lineno, col)
                 has_ops = True
                 try:
                     sig = Signature(entries if entries is not None else _parse_ops_line(cur))
                 except ValueError as exc:
                     raise ParseError(str(exc), lineno, col) from None
+                constants = frozenset(sig.constants())
                 continue
             if keyword != "rule":
                 raise ParseError(f"unknown declaration {quoted(keyword)}", lineno, col)
             if kind is None:
                 raise ParseError("behaviour line must precede rules", lineno, col)
-            rule, fact = _parse_rule_line(cur, kind, sig), None
-        if rule.name in seen:
-            raise ParseError(f"duplicate rule name {quoted(rule.name)}", lineno, col)
-        seen.add(rule.name)
-        rules.append(rule)
-        facts.append(fact)
+            entry = _parse_rule_line(cur, kind, sig)
+            name = entry.name
+        if name in seen:
+            raise ParseError(f"duplicate rule name {quoted(name)}", lineno, col)
+        seen.add(name)
+        (facts if type(entry) is tuple else rules).append(entry)
     if kind is None:
         raise ParseError("missing behaviour line")
-    spec = Spec(kind, sig, tuple(rules))
-    spec.facts = tuple(facts)
-    return spec
+    return Spec(kind, sig, rules, facts)
 
 
 # --- validation -----------------------------------------------------------------
@@ -411,9 +410,7 @@ def validate_spec(spec: Spec) -> list:
     out: list = []
     kind = spec.kind
     nat_labels = kind.labels is None
-    for r, fact in zip(spec.rules, spec.facts):
-        if fact is not None:
-            continue
+    for r in spec.rules:
         if r.head_op not in spec.sig:
             out.append(Diagnostic(r.name, f"unknown head operator {quoted(r.head_op)}"))
             continue

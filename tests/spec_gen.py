@@ -6,12 +6,13 @@ inside the universe {c, d, u(c)}, so the full candidate-model space is the
 8^3 assignments of successor sets and can be enumerated outright.
 
 The fact-path tests use FACT_SHAPES, rules that parse_spec does and does not
-read as plain facts, and random_ground_lts_text, explicit LTS specs.
+read as plain facts, random_ground_lts_text, explicit LTS specs, and
+fact_rules, which turns a spec's facts back into the rules they denote.
 """
 
 import random
 
-from bigsos.speclang import parse_spec
+from bigsos.speclang import LabelLit, Rule, TemplateApp, parse_spec
 
 UNIVERSE_TEXTS = ("c", "d", "u(c)")
 LITERALS = ("c", "d", "u(c)")
@@ -54,10 +55,10 @@ def random_monotone_lts_spec(rng: random.Random):
 
 FACT_HEADER = "behaviour lts labels a, b\nops c/0, d/0, f/1, p/0[1]\n"
 
-# (rule line, its entry in Spec.facts)
+# (rule line, its entry in Spec.facts, or None if it parses to a rule)
 FACT_SHAPES = [
-    ("rule r : |- c -a-> d", ("a", "d")),
-    ("rule r : |- c -b-> c", ("b", "c")),
+    ("rule r : |- c -a-> d", ("c", "a", "d")),
+    ("rule r : |- c -b-> c", ("c", "b", "c")),
     ("rule r : |- c -z-> d", None),             # label outside the alphabet
     ("rule r : |- c -1-> d", None),
     ("rule r : |- f -a-> d", None),             # head takes an argument
@@ -75,6 +76,13 @@ FACT_SHAPES = [
     ("rule r : c -a-> d |- c -a-> d", None),
     ("rule r : c -a-/-> |- c -a-> d", None),
 ]
+
+
+def fact_rules(spec) -> tuple:
+    """The rule each fact (head, label, target) of spec denotes, the one the
+    general parser makes of its line, named fact<i> for the i-th fact."""
+    return tuple(Rule(f"fact{i}", head, (), (), (), LabelLit(label), TemplateApp(target))
+                 for i, (head, label, target) in enumerate(spec.facts))
 
 
 def random_ground_lts_text(rng: random.Random) -> str:

@@ -124,7 +124,7 @@ def test_forced_oscillation_is_named(cmd, terms):
 
 @pytest.mark.parametrize("name, flags, why", [
     ("negloop", ("--force",), "no convergence: oscillation detected after 3 iterations"),
-    ("transclosure", ("--max-iters", "1"), "no convergence within 1 iterations")])
+    ("transclosure", ("--max-iters", "1"), "no convergence within 1 iteration")])
 def test_model_dot_reports_non_convergence(name, flags, why):
     """The digraph carries no report, so stderr says why the run stopped."""
     code, out, err = cli("model", fixture_path(name), *flags, "--format", "dot")

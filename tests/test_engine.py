@@ -26,7 +26,7 @@ from bigsos.terms import (MAX_NESTING, App, UniversePolicy, Var, parse_term, pri
                           substitute, subterms, term_key, term_size)
 from conftest import (eval_label, fixture_path, fixture_text, instantiate_template, lts_value,
                       wts_value)
-from spec_gen import (FACT_HEADER, FACT_SHAPES, RULE_SEEDS, UNIVERSE_TEXTS,
+from spec_gen import (FACT_HEADER, FACT_SHAPES, RULE_SEEDS, UNIVERSE_TEXTS, fact_rules,
                       random_ground_lts_text, random_monotone_lts_spec, random_monotone_lts_text,
                       random_rule_spec_text)
 
@@ -83,7 +83,7 @@ def oracle_step(spec, rows, term):
     rows: Term -> tuple of (label, target) transitions; missing terms are silent.
     """
     conclusions, consulted = [], set()
-    for rule in spec.rules:
+    for rule in spec.rules + fact_rules(spec):
         if rule.head_op != term.op:
             continue
         base = dict(zip(rule.head_vars, term.args))
@@ -397,7 +397,7 @@ def test_compiled_conclusions_match_the_reference_evaluators():
         spec = parse_spec(text)
         assert validate_spec(spec) == []
         labels = naturals if spec.kind.labels is None else sorted(spec.kind.labels)
-        for rule in spec.rules:
+        for rule in spec.rules + fact_rules(spec):
             bound = {("t", v) for v in rule.head_vars}
             bound |= {("l", v) for v in rule.head_params}
             for p in rule.premises:
@@ -478,11 +478,9 @@ def reference_label(e, layout):
 def interpreted_apply_rules(spec, op, params, args, reads, memo):
     """apply_rules by the premise-step loop."""
     read = reads.add
-    moves = [] if args or params else [
-        (fact[0], App(fact[1]), 1) for rule, fact in zip(spec.rules, spec.facts)
-        if fact is not None and rule.head_op == op]
-    for rule, fact in zip(spec.rules, spec.facts):
-        if (fact is not None or rule.head_op != op or len(rule.head_vars) != len(args)
+    moves = [(label, App(target), 1) for head, label, target in spec.facts if head == op]
+    for rule in spec.rules:
+        if (rule.head_op != op or len(rule.head_vars) != len(args)
                 or len(rule.head_params) != len(params)):
             continue
         head, steps, conclude = interpreted_plan(spec.kind, rule)
@@ -1199,7 +1197,7 @@ def test_bad_axiom_stops_every_run():
     # rule of the spec, whatever the seeds
     spec = parse_spec("behaviour lts labels a\nops c/0, d/0\n"
                       "rule r : |- d -1-> c\nrule s : |- c -a-> c\n")
-    assert spec.facts == (None, ("a", "c"))
+    assert ([r.name for r in spec.rules], spec.facts) == (["r"], (("c", "a", "c"),))
     for seeds in ([App("c")], [App("d")], None):
         with pytest.raises(InvalidSpecError,
                            match="^rule r: conclusion: label literal 1 not in label set$"):
@@ -1239,10 +1237,10 @@ def test_an_invalid_spec_runs_no_rule(monkeypatch):
 
 # --- ground facts -------------------------------------------------------------------
 #
-# Rules that parse_spec recognises as facts are stored as (label, target) pairs
-# and never compiled.  The same rules in a Spec built directly have no facts,
-# so every rule takes the general path, which is the reference the fact path
-# must agree with.
+# Lines that parse_spec recognises as facts are stored as (head, label, target)
+# entries and never compiled.  The same facts rebuilt as rules in a Spec built
+# directly take the general path, which is the reference the fact path must
+# agree with.
 
 
 def _outcome(spec, seed_texts=(), force=False):
@@ -1267,17 +1265,39 @@ def test_fact_path_matches_the_compiled_path():
     facts, fast = 0, []
     for text, seeds in cases:
         spec = parse_spec(text)
-        facts += sum(fact is not None for fact in spec.facts)
+        facts += len(spec.facts)
         fast.append(_outcome(spec, seeds))
-        assert fast[-1] == _outcome(Spec(spec.kind, spec.sig, spec.rules), seeds), text
+        rebuilt = Spec(spec.kind, spec.sig, spec.rules + fact_rules(spec))
+        assert fast[-1] == _outcome(rebuilt, seeds), text
     assert facts > 500
     assert sum(isinstance(o[0], type) for o in fast) >= 2  # the error outcomes ran
+
+
+def assert_rebuilt_facts_agree(text):
+    """The least model of text's spec is that of the spec with its facts
+    rebuilt as rules."""
+    spec = parse_spec(text)
+    rebuilt = Spec(spec.kind, spec.sig, spec.rules + fact_rules(spec))
+    force = not check_monotone(spec).monotone
+    assert least_model(spec, force=force) == least_model(rebuilt, force=force), text
+
+
+@pytest.mark.parametrize("name", ("empty", "explicit", "factstream", "lookahead2", "negloop",
+                                  "transclosure", "wchain"))
+def test_facts_rebuilt_as_rules_give_the_same_least_model(name):
+    assert_rebuilt_facts_agree(fixture_text(name))
+
+
+def test_facts_rebuilt_as_rules_give_the_same_least_model_on_generated_specs():
+    for seed in range(50):
+        assert_rebuilt_facts_agree(random_monotone_lts_text(random.Random(seed)))
+        assert_rebuilt_facts_agree(random_ground_lts_text(random.Random(seed)))
 
 
 def test_a_fact_the_tokenizer_reads_compiles_to_the_same_move():
     # non-ASCII names fail the recogniser's pattern, so the rule is no fact
     spec = parse_spec("behaviour lts labels a\nops c\u00e9/0, d/0\nrule r : |- c\u00e9 -a-> d\n")
-    assert spec.facts == (None,)
+    assert (len(spec.rules), spec.facts) == (1, ())
     model, _ = least_model(spec, [App("c\u00e9")])
     assert model.behaviour[App("c\u00e9")] == lts_value({"a": [App("d")]})
 
@@ -1285,7 +1305,7 @@ def test_a_fact_the_tokenizer_reads_compiles_to_the_same_move():
 def test_conflicting_stream_facts_keep_the_error_text():
     spec = parse_spec("behaviour stream nat\nops c/0, d/0\n"
                       "rule a : |- c -1-> c\nrule b : |- c -2-> d\n")
-    assert spec.facts == ((1, "c"), (2, "d"))
+    assert (spec.rules, spec.facts) == ((), (("c", 1, "c"), ("c", 2, "d")))
     with pytest.raises(InconsistentStreamError) as got:
         least_model(spec, [App("c")])
     assert str(got.value) == "c: inconsistent stream step: (1, c), (2, d)"

@@ -690,7 +690,7 @@ def test_law_results_off_the_suite_path(check, want):
      ValueError, "samples must be a natural"),
     (lambda spec, model: lift_coalgebra(spec, default_generators(spec.kind, spec.sig)[0],
                                         max_iters=1),
-     NonConvergenceError, "lifting did not stabilize within 1 iterations"),
+     NonConvergenceError, "lifting did not stabilize within 1 iteration"),
     (lambda spec, model: least_model(spec, [App("tau", (), (Var("y"),))]),
      ValueError, "seed tau(y) has unbound variables ['y']"),
     (lambda spec, model: phi_step(spec, Model(spec.kind, (Var("y"),), {Var("y"): BOTTOM},

@@ -14,7 +14,7 @@ from bigsos.speclang import (_GROUND_AXIOM, LabelAdd, LabelLit, LabelVar, Negati
                              parse_spec, validate_spec)
 from bigsos.terms import Signature, TokenCursor, Var, parse_term, quoted, tokenize
 from conftest import fixture_text
-from spec_gen import FACT_HEADER, FACT_SHAPES, random_monotone_lts_text
+from spec_gen import FACT_HEADER, FACT_SHAPES, fact_rules, random_monotone_lts_text
 
 ALL_FIXTURES = ("factstream", "lookahead2", "negloop", "transclosure",
                 "empty", "wchain", "explicit")
@@ -27,7 +27,7 @@ def test_factstream_shape():
     spec = parse_spec(fixture_text("factstream"))
     assert spec.kind.name == "stream"
     assert spec.kind.labels is None          # naturals
-    assert len(spec.rules) == 6
+    assert (len(spec.rules), len(spec.facts)) == (5, 1)
     assert spec.sig["otimes"].param_count == 1
     sigma = next(r for r in spec.rules if r.head_op == "sigma")
     assert len(sigma.premises) == 2
@@ -61,6 +61,16 @@ def test_wchain_is_weighted():
     spec = parse_spec(fixture_text("wchain"))
     assert spec.kind.name == "wts"
     assert sorted(spec.kind.labels) == ["a", "b"]
+
+
+def test_explicit_spec_is_all_facts():
+    text = fixture_text("explicit")
+    spec = parse_spec(text)
+    moves = [re.fullmatch(r"rule \S+ : \|- (\w+) -(\w+)-> (\w+)", line).groups()
+             for line in text.splitlines() if line.startswith("rule")]
+    assert spec.rules == ()
+    assert spec.facts == tuple(moves) and len(moves) == 22  # in line order
+    assert repr(spec) == "Spec(kind=lts, ops=12, rules=0, facts=22)"
 
 
 def test_empty_spec_parses():
@@ -117,7 +127,11 @@ def test_duplicate_rule_names_rejected():
     ("rule r: |- c -a-> c", "rule r: x -a-> y |- f(x) -a-> y", 1),
     ("rule r: |- c -a-> c", "  rule r: |- c -a-> d  # again", 3),
     ("rule r: |- c -a-> c", "\trule r : |- d -a-> c", 2),
-], ids=("axiom-then-premise-rule", "indented-axiom", "tab-indented-axiom"))
+    ("rule r: |- c -a-> c", "  rule r: x -a-> y |- f(x) -a-> y", 3),
+    ("rule r: x -a-> y |- f(x) -a-> y", "   rule r : |- c -a-> d", 4),
+    ("rule r: |- c -a-> c", " rule r: |- c -a-> f(c)", 2),
+], ids=("axiom-then-premise-rule", "indented-axiom", "tab-indented-axiom",
+        "fact-then-indented-rule", "rule-then-indented-fact", "fact-then-compound-axiom"))
 def test_duplicate_rule_name_position(first, second, col):
     text = f"behaviour lts labels a\nops c/0, d/0, f/1\n{first}\n{second}\n"
     with pytest.raises(ParseError,
@@ -236,11 +250,12 @@ def test_a_comment_runs_to_newline():
     header = "behaviour lts labels a\nops c/0\n"
     with pytest.raises(ParseError, match=re.escape("unknown declaration 'oops' (line 4, column 1)")):
         parse_spec(header + "# page\fbreak\noops\n")
-    assert parse_spec(header + "# note\x85rule r : |- c -a-> c\n").rules == ()
+    spec = parse_spec(header + "# note\x85rule r : |- c -a-> c\n")
+    assert (spec.rules, spec.facts) == ((), ())
     for ch in OTHER_LINE_BREAKS:
         spec = parse_spec(header + f"# one{ch}rule r : |- c -a-> c\n"
                                    f"rule s : |- c -a-> c # two{ch}\n")
-        assert [r.name for r in spec.rules] == ["s"], repr(ch)
+        assert (spec.rules, spec.facts) == ((), (("c", "a", "c"),)), repr(ch)
 
 
 @pytest.mark.parametrize("line", ["rule r : |- c -a->{}c", "rule r : |- f(x){}-a-> x",
@@ -255,7 +270,7 @@ def test_other_line_breaks_are_blanks_or_errors(line, ch):
     text = "\n".join(lines) + "\n"
     at = lines.index(line.format(ch))
     if ch in "\f\v":
-        assert _outcome(text, parse_spec) == _outcome(text.replace(ch, " "), parse_spec)
+        assert _denoted(text) == _denoted(text.replace(ch, " "))
     else:
         with pytest.raises(ParseError, match=re.escape(
                 f"unexpected character {ch!r} (line {at + 1}, column {line.index('{}') + 1})")):
@@ -267,13 +282,13 @@ def test_other_line_breaks_are_blanks_or_errors(line, ch):
 def test_a_line_of_other_blanks_is_blank(blank):
     lines = ["behaviour lts labels a", blank, "ops c/0", blank, "rule q : |- c -a-> c", blank]
     text = "\n".join(lines) + "\n"
-    assert _outcome(text, parse_spec) == _outcome(text.replace(blank, ""), parse_spec)
+    assert _denoted(text) == _denoted(text.replace(blank, ""))
     _assert_agrees(text)
 
 
 def test_crlf_text_parses_like_lf_text():
     text = "behaviour lts labels a\n\nops c/0 # c\n\nrule q : |- c -a-> c\n"
-    assert _outcome(text.replace("\n", "\r\n"), parse_spec) == _outcome(text, parse_spec)
+    assert _denoted(text.replace("\n", "\r\n")) == _denoted(text)
     _assert_agrees(text.replace("\n", "\r\n"))
 
 
@@ -364,11 +379,14 @@ def test_check_monotone_clean_fixtures(name):
 
 def reference_parse_spec(text):
     """parse_spec with every line tokenized and parsed by the general parser,
-    as it was before the ground-axiom recogniser; the recogniser's oracle."""
+    as it was before the ground-axiom recogniser; the recogniser's oracle.
+    The rule of a line the ground-axiom pattern matches goes to the facts if
+    reference_fact finds it a plain fact."""
     kind = None
     sig = Signature(())
     has_ops = False
     rules = []
+    facts = []
     seen = set()
     for lineno, raw in enumerate(text.split("\n"), start=1):
         cur = TokenCursor(tokenize(raw, lineno))
@@ -388,7 +406,7 @@ def reference_parse_spec(text):
             cur.next()
             if has_ops:
                 raise ParseError("duplicate ops line", lineno, first.col)
-            if rules:
+            if seen:
                 raise ParseError("ops line must precede rules", lineno, first.col)
             has_ops = True
             try:
@@ -403,12 +421,16 @@ def reference_parse_spec(text):
             if rule.name in seen:
                 raise ParseError(f"duplicate rule name {quoted(rule.name)}", lineno, first.col)
             seen.add(rule.name)
-            rules.append(rule)
+            fact = reference_fact(rule, kind, sig)
+            if fact is not None and _GROUND_AXIOM.fullmatch(raw):
+                facts.append(fact)
+            else:
+                rules.append(rule)
         else:
             raise ParseError(f"unknown declaration {quoted(keyword)}", lineno, first.col)
     if kind is None:
         raise ParseError("missing behaviour line")
-    return Spec(kind, sig, tuple(rules))
+    return Spec(kind, sig, rules, facts)
 
 
 def _outcome(text, parse):
@@ -416,11 +438,25 @@ def _outcome(text, parse):
         spec = parse(text)
     except ParseError as exc:
         return ("error", str(exc), exc.line, exc.col)
-    return spec.kind, spec.sig.operators(), spec.rules
+    return spec.kind, spec.sig.operators(), spec.rules, spec.facts
+
+
+def _denoted(text):
+    """What parse_spec reads text as, whichever path read each line: _outcome,
+    but with every rule that is a plain fact among the facts, which are
+    sorted, as a fact the tokenizer reads keeps no line order beside them."""
+    outcome = _outcome(text, parse_spec)
+    if outcome[0] == "error":
+        return outcome
+    kind, ops, rules, facts = outcome
+    sig = Signature(ops)
+    read = [reference_fact(r, kind, sig) for r in rules]
+    return (kind, ops, tuple(r for r, fact in zip(rules, read) if fact is None),
+            sorted(facts + tuple(fact for fact in read if fact is not None)))
 
 
 def reference_fact(rule, kind, sig):
-    """(label, target name) if rule is a plain fact, else None: no premises,
+    """(head, label, target name) if rule is a plain fact, else None: no premises,
     head variables or parameters, a literal label in the label set, and
     declared constants as head and target."""
     label, target, constants = rule.concl_label, rule.concl_target, sig.constants()
@@ -429,23 +465,24 @@ def reference_fact(rule, kind, sig):
             or not isinstance(target, TemplateApp) or target.args or target.params
             or rule.head_op not in constants or target.op not in constants):
         return None
-    return label.value, target.op
+    return rule.head_op, label.value, target.op
 
 
 def _recognised(raw, kind, sig) -> bool:
-    """Whether the recogniser takes raw as a ground axiom; if it does, the rule
-    it builds must be the one the general parser builds, with its fact."""
+    """Whether the recogniser takes raw as a ground axiom; if it does, it must
+    give the fact that the general parser's rule denotes, or, if that rule is
+    no plain fact, the rule itself."""
     m = _GROUND_AXIOM.fullmatch(raw)
     if m is None or m["name"] is None:
         return False
-    axiom = _ground_axiom(m, kind, sig)
+    axiom = _ground_axiom(m, kind, sig, frozenset(sig.constants()))
     if axiom is None:  # a label int() cannot convert
         return False
     cur = TokenCursor(tokenize(raw))
     assert cur.next().value == "rule", repr(raw)
-    rule, fact = axiom
-    assert rule == _parse_rule_line(cur, kind, sig), repr(raw)
-    assert fact == reference_fact(rule, kind, sig), repr(raw)
+    rule = _parse_rule_line(cur, kind, sig)
+    fact = reference_fact(rule, kind, sig)
+    assert axiom == (rule if fact is None else fact), repr(raw)
     return True
 
 
@@ -615,8 +652,10 @@ def test_recogniser_near_misses(line, taken, int_digits_640):
 @pytest.mark.parametrize("line,fact", FACT_SHAPES, ids=[repr(s[0]) for s in FACT_SHAPES])
 def test_ground_fact_shapes(line, fact):
     spec = parse_spec(FACT_HEADER + line + "\n")
-    assert spec.facts == (fact,)
-    if fact is not None:
+    if fact is None:
+        assert spec.facts == () and len(spec.rules) == 1
+    else:
+        assert (spec.rules, spec.facts) == ((), (fact,))
         assert validate_spec(spec) == []
 
 
@@ -628,8 +667,8 @@ def _parse_or_none(text):
 
 
 def test_validation_diagnostics_do_not_depend_on_the_fact_test():
-    # a fact is passed by; every other rule, and every rule of a Spec built
-    # directly, is walked
+    # validate_spec reads the rules alone; the same spec with its facts
+    # rebuilt as rules, all walked, gives the same diagnostics
     texts = [fixture_text(name) for name in ALL_FIXTURES]
     texts += [random_monotone_lts_text(random.Random(seed)) for seed in range(50)]
     rng = random.Random(3)
@@ -638,14 +677,16 @@ def test_validation_diagnostics_do_not_depend_on_the_fact_test():
     texts += [header + line + "\n" for header in NEAR_MISS_HEADERS for line, _ in NEAR_MISSES]
     specs = [spec for spec in map(_parse_or_none, texts) if spec is not None]
     diags = [validate_spec(spec) for spec in specs]
-    assert [validate_spec(Spec(spec.kind, spec.sig, spec.rules)) for spec in specs] == diags
+    assert [validate_spec(Spec(spec.kind, spec.sig, spec.rules + fact_rules(spec)))
+            for spec in specs] == diags
     assert sum(map(len, diags)) > 100
 
 
 def test_undeclared_label_is_a_variable_and_declared_label_a_literal():
     spec = parse_spec(NEAR_MISS_HEADERS[0] + "rule r : |- s0 -a-> s1\nrule q : |- s0 -c-> d\n")
+    assert spec.facts == (("s0", "a", "s1"),)
+    assert fact_rules(spec)[0].concl_label == LabelLit("a")
     assert [(r.concl_label, r.concl_target) for r in spec.rules] == [
-        (LabelLit("a"), TemplateApp("s1")),
         (speclang.LabelVar("c"), terms.Var("d"))]
 
 
@@ -668,5 +709,5 @@ def test_ground_axiom_specs_tokenize_only_behaviour_and_ops_lines(monkeypatch):
     monkeypatch.setattr(terms, "tokenize", counting_tokenize)
     monkeypatch.setattr(speclang, "tokenize", counting_tokenize)
     spec = parse_spec("\n".join(lines) + "\n")
-    assert len(spec.rules) == 140
+    assert spec.rules == () and len(spec.facts) == 140
     assert tokenized == [2]
