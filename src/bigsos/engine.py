@@ -156,9 +156,9 @@ def gen_to_model(kind: BehaviourKind, gen: GenCoalgebra) -> Model:
 # parameter is a natural whatever the alphabet, and a natural that arithmetic
 # computes, the only source of new ones, must stay below 2**_MAX_BITS, which
 # Python prints within its default digit limit.  They run in evaluation
-# order: the label, its bound and domain, then the parameters in pre-order.  The target's nodes are built bottom-up after
-# every parameter, and a term's value is built from its moves by one
-# kind.from_moves call.
+# order: the label, its bound and domain, then the parameters in pre-order.
+# The target's nodes are built bottom-up after every parameter, and a term's
+# value is built from its moves by one kind.from_moves call.
 #
 # No spec text reaches the generated source.  Literal labels, operator names,
 # rule names and kind.has_label are the arguments c<k> of a factory that

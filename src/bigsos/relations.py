@@ -1,23 +1,19 @@
 """Simulation, bisimulation, and executable law checks on finite models.
 
-Similarity and bisimilarity come from one Jacobi refinement on the model
-graph, run on carrier indices: each left state holds an int bitset row of
-the right states still related to it, starting from the full relation, and
-a round ANDs into it, for each of its kind.moves, the preimage of its
-successor's row: the right states with a matching move into that row.
-Preimages are ORs of per-label predecessor bitsets, memoized by (label,
-weight, row value), so equal and unchanged rows cost one lookup, and after
-round 1 only the rows of states with a move into a changed row are
-recomputed.  Similarity is the fixed point of these rounds.  Bisimilarity is
-the greatest symmetric simulation: each round also sets every row to the
-states whose refined row equals it, so the rows stay an equivalence.  Round
-k is depth-k similarity, or depth-k bisimilarity, so the distinguishing
-depth of an unrelated pair is the first round that stops relating it, found
-exactly within |carrier| rounds.  For bisim it can be smaller than the depth
-at which the two unfoldings stop being mutually similar.  One guard
-re-checks every result as a simulation, with fresh preimages, and for bisim
-as a symmetric one, which is a bisimulation even where the rows are no
-equivalence.
+Similarity is a Jacobi refinement on carrier indices: each left state holds
+an int bitset row of the right states still related to it, starting from
+the full relation, and a round ANDs into it, for each of its kind.moves, the
+preimage of its successor's row, memoized by (label, weight, row value).
+Bisimilarity is signature refinement on block ids: a round splits each
+block by its members' (label, successor block) pairs, and the largest part
+keeps the block's id, so a state is relabelled at most log2 n times.  After
+round 1, each recomputes only the states with a move into a changed row or
+a relabelled state.  Round k is depth-k similarity or bisimilarity, so the
+distinguishing depth of an unrelated pair is the first round that stops
+relating it, found exactly within |carrier| rounds; for bisim it can be
+smaller than the depth at which the two unfoldings stop being mutually
+similar.  A guard re-checks each result afresh: rows as a simulation, with
+fresh preimages, and ids as a stable partition, which is a bisimulation.
 
 The lifting laws (pruning shrinks unfoldings, homomorphisms preserve
 similarity, term-map extension and flattening are homomorphisms between
@@ -33,6 +29,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from operator import itemgetter
 from typing import Iterable, Mapping, Union
 
 from .behaviour import BehaviourKind, Relation, _bits, label_key
@@ -57,6 +54,15 @@ def _indexed_moves(model: Model) -> list:
             raise UnknownStateError(
                 f"successor {print_term(e.args[0])} is outside the carrier") from None
     return out
+
+
+def _readers(moves: list) -> list:
+    """Carrier index -> the indices of the states with a move into it."""
+    readers: list = [[] for _ in moves]
+    for i, out in enumerate(moves):
+        for _, t, _ in out:
+            readers[t].append(i)
+    return readers
 
 
 class _Preimages(dict):
@@ -85,31 +91,24 @@ class _Preimages(dict):
         return out
 
 
-def _refine(m1: Model, m2: Model, symmetric: bool, rounds: Union[list, None]) -> list:
+def _refine(m1: Model, m2: Model, rounds: Union[list, None]) -> list:
     """Jacobi refinement from the full carrier product, on bitset rows:
     rows[i] is the set of right states still related to left state i.
 
     By the kind.moves contract, round k ANDs into rows[i], over each move
     (a, s, w) of state i, the right states with an a-move of weight >= w
     into rows[s], all read from round k-1, so round k is depth-k
-    similarity.  With symmetric (m1 is m2), the round then sets each row to
-    the states whose refined row equals it.  The rows stay an equivalence,
-    within which each of i, j simulates the other exactly when their
-    refined rows are equal (each row holds its own state), so round k is
-    depth-k bisimilarity.  Round 1 computes every row, later rounds only the
-    rows of states with a move into a row that changed: any other refined
-    row is its row unchanged.  rounds, if given, receives the rows after
-    every round that changed one.  _guard re-checks the result before it is
+    similarity.  Round 1 computes every row, later rounds only the rows of
+    states with a move into a row that changed: any other refined row is
+    its row unchanged.  rounds, if given, receives the rows after every
+    round that changed one.  _guard re-checks the result before it is
     returned.
     """
     if m1.kind != m2.kind:
         raise CarrierMismatchError("the two models have different behaviour kinds")
     moves1 = _indexed_moves(m1)
     moves2 = moves1 if m2 is m1 else _indexed_moves(m2)
-    readers: list = [[] for _ in moves1]  # left state -> left states moving into it
-    for i, moves in enumerate(moves1):
-        for _, s, _ in moves:
-            readers[s].append(i)
+    readers = _readers(moves1)
     rows = [(1 << len(moves2)) - 1] * len(moves1)
     pre = _Preimages(moves2)
     todo = range(len(moves1))
@@ -118,30 +117,21 @@ def _refine(m1: Model, m2: Model, symmetric: bool, rounds: Union[list, None]) ->
         for i in todo:
             for a, s, w in moves1[i]:
                 nxt[i] &= pre[a, w, rows[s]]
-        if symmetric:
-            classes: dict = {}
-            for i, row in enumerate(nxt):
-                classes[row] = classes.get(row, 0) | 1 << i
-            nxt = [classes[row] for row in nxt]
-        changed = [i for i, row in enumerate(nxt) if row != rows[i]]
+        changed = [i for i in todo if nxt[i] != rows[i]]
         rows = nxt
         if changed and rounds is not None:
             rounds.append(rows)
         todo = {r for i in changed for r in readers[i]}
-    _guard(rows, moves1, moves2, symmetric)
+    _guard(rows, moves1, moves2)
     return rows
 
 
-def _guard(rows: list, moves1: list, moves2: list, symmetric: bool) -> None:
-    """Raise unless rows are a simulation, checked with fresh preimages, and,
-    with symmetric, a symmetric one (a bisimulation)."""
+def _guard(rows: list, moves1: list, moves2: list) -> None:
+    """Raise unless rows are a simulation, checked with fresh preimages."""
     fresh = _Preimages(moves2)
     for i, moves in enumerate(moves1):
         if any(rows[i] & ~fresh[a, w, rows[s]] for a, s, w in moves):
             raise BigsosError("internal: refined relation is not a simulation")
-    if symmetric and any(not rows[j] >> i & 1
-                         for i, row in enumerate(rows) for j in _bits(row)):
-        raise BigsosError("internal: refined relation is not symmetric")
 
 
 def _relation(m1: Model, m2: Model, rows: list) -> Relation:
@@ -150,25 +140,89 @@ def _relation(m1: Model, m2: Model, rows: list) -> Relation:
 
 def greatest_simulation(m1: Model, m2: Model) -> Relation:
     """Largest R with (s,t) in R implying rel_lift(R, m1(s), m2(t))."""
-    return _relation(m1, m2, _refine(m1, m2, False, None))
+    return _relation(m1, m2, _refine(m1, m2, None))
+
+
+def _signature(moves: list, ids: list) -> frozenset:
+    """The (label, successor block id) pairs of moves, each with the sup of
+    its weights, the last written as moves come sorted by weight.  Equal
+    signatures make matching moves into every block."""
+    return frozenset({(a, ids[t]): w for a, t, w in moves}.items())
+
+
+def _bisim_ids(model: Model, rounds: Union[list, None]) -> list:
+    """Block id of each carrier index under bisimilarity, by signature
+    refinement from one block.
+
+    Round k reads signatures under round k-1's ids: every state's in round
+    1, later only those of the states with a move into one that round k-1
+    relabelled.  Any other state's signature is unchanged, and each one
+    recomputed holds a fresh id that no old one does, so a block splits
+    into its unchanged members and one part per new signature.  The largest
+    part keeps the id (ties go to the least carrier index) and the others
+    take fresh ones, so a relabelled state's block at least halves.  rounds,
+    if given, receives each round's {carrier index: new id} relabels.
+    _guard_stable re-checks the result before it is returned.
+    """
+    moves = [sorted(out, key=itemgetter(2)) for out in _indexed_moves(model)]
+    readers = _readers(moves)
+    ids = [0] * len(moves)
+    members = [set(range(len(moves)))]  # block id -> its carrier indices
+    todo = range(len(moves))
+    while todo:
+        new: dict = {}  # block id -> new signature -> the members with it
+        for i in todo:
+            new.setdefault(ids[i], {}).setdefault(_signature(moves[i], ids), []).append(i)
+        moved: dict = {}
+        for b, groups in new.items():
+            parts = list(groups.values())
+            rest = len(members[b]) - sum(map(len, parts))  # the unchanged members
+            keep = None  # the unchanged members keep b when strictly the largest part
+            if rest <= max(map(len, parts)):  # then b is at most twice the changed
+                if rest:
+                    parts.append(members[b].difference(*parts))
+                keep = max(parts, key=lambda part: (len(part), -min(part)))
+            for part in parts:
+                if part is not keep:
+                    members[b].difference_update(part)
+                    members.append(set(part))
+                    for i in part:
+                        ids[i] = moved[i] = len(members) - 1
+        if moved and rounds is not None:
+            rounds.append(moved)
+        todo = {r for i in moved for r in readers[i]}
+    _guard_stable(moves, ids)
+    return ids
+
+
+def _guard_stable(moves: list, ids: list) -> None:
+    """Raise unless each block's members have equal signatures, computed
+    afresh: such a partition is stable, so it is a bisimulation."""
+    first: dict = {}  # block id -> the signature of its first member
+    for b, sig in zip(ids, (_signature(out, ids) for out in moves)):
+        if first.setdefault(b, sig) != sig:
+            raise BigsosError("internal: refined partition is not stable")
 
 
 def bisimilarity_classes(model: Model, rounds: Union[list, None] = None) -> tuple:
-    """Coarsest partition whose classes have equal class-quotiented behaviour:
-    the greatest symmetric simulation, so round k of its refinement is depth-k
+    """Coarsest partition whose classes have equal class-quotiented
+    behaviour, by signature refinement (_bisim_ids), so round k is depth-k
     bisimilarity.  Classes are ordered by their first member in carrier
-    order.  rounds, if given, receives the refinement's rows after every
-    round that split a class."""
+    order.  rounds, if given, receives each round's relabels as a
+    {carrier index: new block id} dict."""
     groups: dict = {}
-    for s, row in zip(model.carrier(), _refine(model, model, True, rounds)):
-        groups.setdefault(row, []).append(s)
+    for s, b in zip(model.carrier(), _bisim_ids(model, rounds)):
+        groups.setdefault(b, []).append(s)
     return tuple(frozenset(g) for g in groups.values())
 
 
 def _separating_round(rounds: list, i: int, j: int) -> Union[int, None]:
-    """First round whose rows no longer relate carrier index i to j, or None."""
-    for k, rows in enumerate(rounds, start=1):
-        if not rows[i] >> j & 1:
+    """First round after which carrier indices i and j have different block
+    ids in a bisim round record, or None."""
+    a = b = 0
+    for k, moved in enumerate(rounds, start=1):
+        a, b = moved.get(i, a), moved.get(j, b)
+        if a != b:
             return k
     return None
 
@@ -214,10 +268,7 @@ def depth_similarity(m1: Model, s: Term, m2: Model, t: Term, depth: int,
 class EquivResult(Record):
     """Verdict plus a witness: the relation itself when related, else the
     distinguishing depth, the first refinement round that separates the
-    pair.  For sim that is the least depth to which the second term no
-    longer simulates the first; for bisim it is the least k at which the
-    terms are not k-bisimilar, which can be smaller than the depth at which
-    their unfoldings stop being mutually similar."""
+    pair (see the module docstring)."""
 
     __slots__ = ("related", "witness")
     _defaults = {"witness": None}
@@ -242,18 +293,28 @@ def check_equivalence(model: Model, t1: Term, t2: Term,
                       relation: str = "bisim") -> EquivResult:
     """Decide similarity or bisimilarity of two carrier terms in one model.
 
-    One refinement pass gives the verdict and, for an unrelated pair, its
-    distinguishing depth.  A related pair's witness is the refined relation,
-    kept as the refinement's rows, which _refine's guard has checked to be a simulation, and for bisim a
-    symmetric one: a bisimulation."""
+    One refinement gives the verdict and, for an unrelated pair, its
+    distinguishing depth.  A related pair's witness is the refined relation
+    as bitset rows: for sim the refinement's rows, which _guard has checked
+    to be a simulation, and for bisim each state's class, from the partition
+    _guard_stable has checked to be a bisimulation."""
     for t in (t1, t2):
         if t not in model.index:
             raise UnknownStateError(f"term {print_term(t)} is not in the model")
     if relation not in ("sim", "bisim"):
         raise ValueError(f"unknown relation {relation!r}")
+    i, j = model.index[t1], model.index[t2]
     rounds: list = []
-    rows = _refine(model, model, relation == "bisim", rounds)
-    depth = _separating_round(rounds, model.index[t1], model.index[t2])
+    if relation == "sim":
+        rows = _refine(model, model, rounds)
+        depth = next((k for k, r in enumerate(rounds, start=1) if not r[i] >> j & 1), None)
+    else:
+        ids = _bisim_ids(model, rounds)
+        depth = _separating_round(rounds, i, j)
+        cls = dict.fromkeys(ids, 0)  # block id -> the bitset of its members
+        for k, b in enumerate(ids):
+            cls[b] |= 1 << k
+        rows = [cls[b] for b in ids]
     if depth is not None:
         return EquivResult(False, depth)
     return EquivResult(True, _relation(model, model, rows))
@@ -263,8 +324,8 @@ def distinguishing_depth(model: Model, t1: Term, t2: Term,
                          relation: str = "bisim") -> Union[int, None]:
     """First refinement round that separates t1 from t2, or None if they are
     related: the round of the simulation refinement (for sim) or of the
-    symmetric one (for bisim) that stops relating t1 to t2.  At most the
-    carrier size."""
+    signature refinement (for bisim) that stops relating t1 to t2.  At most
+    the carrier size."""
     res = check_equivalence(model, t1, t2, relation)
     return None if res.related else res.witness
 

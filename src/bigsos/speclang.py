@@ -299,17 +299,18 @@ def _parse_rule_line(cur: TokenCursor, kind: BehaviourKind, sig: Signature) -> R
 # character the tokenizer would join to it (a non-ASCII letter, "²", "٣"), so
 # the tokenizer reads the matched line as the pattern's parts.
 _ID = r"[A-Za-z_][A-Za-z0-9_']*"
+_B = r"[\t-\r ]"  # the tokenizer's blanks [ \t\r\f\v] in a line, which holds no "\n"
 _GROUND_AXIOM = re.compile(
-    rf"(?:(?P<indent>[ \t]*)rule[ \t]+(?P<name>{_ID})[ \t]*:[ \t]*\|-[ \t]*(?P<head>{_ID})"
-    rf"[ \t]*-[ \t]*(?:(?P<nat>[0-9]+)|(?P<label>{_ID}))[ \t]*->[ \t]*(?P<target>{_ID}))?"
-    r"[ \t]*(?:#.*)?")
+    rf"(?:(?P<indent>{_B}*)rule{_B}+(?P<name>{_ID}){_B}*:{_B}*\|-{_B}*(?P<head>{_ID})"
+    rf"{_B}*-{_B}*(?:(?P<nat>[0-9]+)|(?P<label>{_ID})){_B}*->{_B}*(?P<target>{_ID}))?"
+    rf"{_B}*(?:#.*)?")
 
 
 # A well-formed ops line, `ops NAME/ARITY[PARAMS], ...`, under the same rules;
 # its entries are read from the match, and any other ops line is tokenized.
-_OP = rf"({_ID})[ \t]*/[ \t]*([0-9]+)(?:[ \t]*\[[ \t]*([0-9]+)[ \t]*\])?"
-_OPS_LINE = re.compile(rf"(?P<indent>[ \t]*)ops(?P<ops>[ \t]+{_OP}(?:[ \t]*,[ \t]*{_OP})*)?"
-                       r"[ \t]*(?:#.*)?")
+_OP = rf"({_ID}){_B}*/{_B}*([0-9]+)(?:{_B}*\[{_B}*([0-9]+){_B}*\])?"
+_OPS_LINE = re.compile(rf"(?P<indent>{_B}*)ops(?P<ops>{_B}+{_OP}(?:{_B}*,{_B}*{_OP})*)?"
+                       rf"{_B}*(?:#.*)?")
 
 
 def _ground_axiom(m: re.Match, kind: BehaviourKind, sig: Signature,

@@ -3,6 +3,7 @@
 import copy
 import io
 import itertools
+import math
 import pickle
 import random
 
@@ -719,11 +720,11 @@ def test_simulation_implies_depth_similarity():
 
 # --- refinement rounds versus their definitions -------------------------------------------
 #
-# The refinement, plain and symmetric, is checked against
-# oracles that share none of their machinery: a Jacobi refinement that
-# re-checks every pair in every round, a back-and-forth refinement over pair
-# sets, and depth-bounded similarity, decided pair by pair on the models
-# (itself checked against unfolding trees above).
+# The simulation refinement on rows and the bisimulation refinement on block
+# ids are checked against oracles that share none of their machinery: a
+# Jacobi refinement that re-checks every pair in every round, a back-and-forth
+# refinement over pair sets, and depth-bounded similarity, decided pair by
+# pair on the models (itself checked against unfolding trees above).
 
 
 def naive_refinement(kind, m1, m2, both_ways=False):
@@ -757,9 +758,24 @@ def drops_of(rounds, m1, m2):
     return drop
 
 
+def id_drops_of(rounds, model):
+    """pair -> the round after which their block ids first differ, read off
+    the bisimulation refinement's round record (each round's relabels)."""
+    carrier = model.carrier()
+    ids = [0] * len(carrier)
+    drop: dict = {}
+    for k, moved in enumerate(rounds, start=1):
+        for i, b in moved.items():
+            ids[i] = b
+        for (i, s), (j, t) in itertools.product(enumerate(carrier), repeat=2):
+            if ids[i] != ids[j]:
+                drop.setdefault((s, t), k)
+    return drop
+
+
 def sim_drops(m1, m2):
     rounds: list = []
-    relations._refine(m1, m2, False, rounds)
+    relations._refine(m1, m2, rounds)
     return drops_of(rounds, m1, m2)
 
 
@@ -894,8 +910,8 @@ def test_greatest_simulation_reads_each_step_once(kind_name, monkeypatch):
 
 @pytest.mark.parametrize("kind_name", sorted(KINDS))
 def test_bisimilarity_classes_reads_each_step_once(kind_name, monkeypatch):
-    # the symmetric refinement reads steps like the simulation, and never
-    # quotients a step by the classes
+    # the bisimulation refinement reads each step once, like the simulation,
+    # and never quotients a step by the classes
     kind = KINDS[kind_name]
     model = random_gen_model(kind, 50, random.Random(5))
     calls = count_kind_calls(kind, monkeypatch)
@@ -926,10 +942,51 @@ def test_simulation_guard_uses_fresh_preimages(monkeypatch):
     with pytest.raises(BigsosError, match="not a simulation"):
         greatest_simulation(model, model)
     assert len(tables) == 2
-    tables.clear()
-    with pytest.raises(BigsosError, match="not a simulation"):
+
+
+def test_bisim_guard_catches_a_skipped_split(monkeypatch):
+    # round 1 reads one signature for every state, so it splits nothing and
+    # the refinement stops; the guard's fresh signatures find the split
+    kind = KINDS["lts"]
+    model = random_gen_model(kind, 50, random.Random(5))
+    honest = relations._signature
+    calls = []
+
+    def skip_round_1(moves, ids):
+        calls.append(moves)
+        return frozenset() if len(calls) <= 50 else honest(moves, ids)
+
+    monkeypatch.setattr(relations, "_signature", skip_round_1)
+    with pytest.raises(BigsosError, match="internal: refined partition is not stable"):
         bisimilarity_classes(model)
-    assert len(tables) == 2
+    assert len(calls) > 50
+    monkeypatch.setattr(relations, "_signature", honest)
+    assert len(bisimilarity_classes(model)) > 1
+
+
+def chain_model(n):
+    """An explicit chain s0 -a-> s1 -a-> ... -a-> s<n-1>, whose last state
+    has no move."""
+    spec = parse_spec("behaviour lts labels a\nops " + ", ".join(
+        f"s{i}/0" for i in range(n)) + "\n" + "".join(
+        f"rule r{i} : |- s{i} -a-> s{i + 1}\n" for i in range(n - 1)))
+    model, report = least_model(spec, policy=UniversePolicy(max_count=n, max_size=0))
+    assert report.converged and not spec.rules and len(model.carrier()) == n
+    return spec, model
+
+
+@pytest.mark.parametrize("n", [250, 500, 1000, 2000])
+def test_bisim_relabels_each_state_at_most_log_n_times(n):
+    # the largest part of a split keeps its id, so a relabelled state's block
+    # at least halves; relabelling the largest part instead costs a chain
+    # n(n-1)/2 relabels
+    spec, model = chain_model(n)
+    rounds: list = []
+    assert len(bisimilarity_classes(model, rounds)) == n
+    relabels = sum(map(len, rounds))
+    assert relabels <= n * math.ceil(math.log2(n))
+    assert relabels == n - 1 and len(rounds) == n - 1
+    assert check_equivalence(model, pt(spec, "s0"), pt(spec, "s1")) == EquivResult(False, n - 1)
 
 
 @pytest.mark.parametrize("kind_name", sorted(KINDS))
@@ -966,8 +1023,10 @@ def test_bisim_rounds_match_naive_refinement(name, model):
     want, want_drop = naive_refinement(model.kind, model, model, both_ways=True)
     rounds: list = []
     bisimilarity_classes(model, rounds)
-    assert drops_of(rounds, model, model) == want_drop
+    assert id_drops_of(rounds, model) == want_drop
     assert len(model.carrier()) < 20 or len(rounds) >= 2
+    n = len(model.carrier())  # each relabel at least halves the state's block
+    assert sum(map(len, rounds)) <= n * math.ceil(math.log2(max(n, 2)))
 
 
 def test_bisimilarity_classes_reject_a_successor_outside_the_carrier():
@@ -1036,28 +1095,31 @@ def gadget_guard_inputs():
     spec = parse_spec(GADGET)
     model, _ = least_model(spec)
     moves = relations._indexed_moves(model)
-    return spec, model, moves, relations._refine(model, model, False, None)
+    return spec, model, moves, relations._refine(model, model, None)
 
 
-def test_guard_rejects_a_simulation_that_is_not_symmetric():
+def test_guard_rejects_a_partition_that_is_not_stable():
     # the greatest simulation of the gadget relates p and q both ways but x
-    # only below y: a simulation, and no bisimulation
+    # only below y: a simulation, whose mutual-similarity classes {p, q},
+    # {x}, {y}, {z} are no bisimulation, since only p moves into {x}
     spec, model, moves, rows = gadget_guard_inputs()
     p, q, x, y = (model.carrier().index(pt(spec, n)) for n in "pqxy")
     assert rows[p] >> q & 1 and rows[q] >> p & 1
     assert rows[x] >> y & 1 and not rows[y] >> x & 1
-    relations._guard(rows, moves, moves, False)
-    with pytest.raises(BigsosError, match="not symmetric"):
-        relations._guard(rows, moves, moves, True)
-    relations._guard(relations._refine(model, model, True, None), moves, moves, True)
+    relations._guard(rows, moves, moves)
+    mutual = [min(j for j in range(len(rows)) if rows[i] >> j & 1 and rows[j] >> i & 1)
+              for i in range(len(rows))]
+    assert mutual[p] == mutual[q] and len(set(mutual)) == 4
+    with pytest.raises(BigsosError, match="not stable"):
+        relations._guard_stable(moves, mutual)
+    relations._guard_stable(moves, relations._bisim_ids(model, None))
 
 
 def test_guard_rejects_overfull_rows():
     _, _, moves, _ = gadget_guard_inputs()
     full = [(1 << len(moves)) - 1] * len(moves)  # symmetric, not a simulation
-    for symmetric in (False, True):
-        with pytest.raises(BigsosError, match="not a simulation"):
-            relations._guard(full, moves, moves, symmetric)
+    with pytest.raises(BigsosError, match="not a simulation"):
+        relations._guard(full, moves, moves)
 
 
 def test_distinguishing_depth_rejects_unknown_terms():

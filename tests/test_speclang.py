@@ -290,6 +290,21 @@ def test_crlf_text_parses_like_lf_text():
     text = "behaviour lts labels a\n\nops c/0 # c\n\nrule q : |- c -a-> c\n"
     assert _denoted(text.replace("\n", "\r\n")) == _denoted(text)
     _assert_agrees(text.replace("\n", "\r\n"))
+    # the ground-axiom pattern reads "\r" as a blank, so a fact line with CRLF
+    # ends is a fact, not a compiled rule
+    lf = fixture_text("explicit")
+    crlf = parse_spec(lf.replace("\n", "\r\n"))
+    assert crlf.rules == () and crlf.facts == parse_spec(lf).facts
+    assert len(crlf.facts) == 22
+
+
+@pytest.mark.parametrize("blank", ["\f", "\v", "\r"], ids=repr)
+def test_a_fact_with_other_blanks_is_a_fact(blank):
+    text = (f"behaviour lts labels a\nops{blank}c/0,{blank}d/0\n"
+            f"rule q :{blank}|- c -a->{blank}d{blank}\n")
+    spec = parse_spec(text)
+    assert spec.rules == () and spec.facts == (("c", "a", "d"),)
+    assert list(spec.sig.constants()) == ["c", "d"]
 
 
 # --- validation diagnostics ----------------------------------------------------------
@@ -626,7 +641,7 @@ NEAR_MISSES = [
     ("rules : |- s0 -a-> s1", False),
     ("Rule r : |- s0 -a-> s1", False),
     ("rule r : |- s0 -a-> s1\xa0", False),
-    ("rule r : |- s0 -a-> s1\f", False),
+    ("rule r : |- s0 -a-> s1\f", True),  # a form feed is a blank
     ("rule 1r : |- s0 -a-> s1", False),
     ("rule r : |- 1 -a-> s1", False),
     ("rule r : |- s0 -a-> 1", False),
